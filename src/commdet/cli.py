@@ -71,7 +71,6 @@ class RunSpec:
     out_membership: str | None = None
     out_report: str | None = None
     report_format: str = "csv"
-    seed: int = 42
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +413,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-membership", default=None)
     p.add_argument("--out-report", default=None)
     p.add_argument("--report-format", choices=["csv", "json"], default="csv")
-    p.add_argument("--seed", type=int, default=42)
 
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
@@ -434,7 +432,6 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         out_membership=args.out_membership,
         out_report=args.out_report,
         report_format=args.report_format,
-        seed=args.seed,
     )
 
 

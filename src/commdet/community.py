@@ -27,6 +27,7 @@ __all__ = [
     "singleton_assignment",
     "normalize_labels",
     "community_aggregates",
+    "scan_arcs",
     "neighbor_community_weights",
     "modularity",
     "modularity_bruteforce",
@@ -132,29 +133,38 @@ def community_aggregates(
     )
 
 
+def scan_arcs(u: int, offs, tgt, wts, labs) -> tuple[dict, float]:
+    """Weights from vertex u into each adjacent community, from CSR rows.
+
+    offs / tgt / wts are the graph's offsets, targets and weights and labs
+    the labels, as lists or arrays.  Returns (k_map, loop_weight): k_map[c]
+    sums u's non-loop arc weights into community c and always contains u's
+    own community (0.0 when u has no non-loop neighbor there); loop_weight
+    is u's self-loop arc weight.  Arcs are summed in CSR order, and k_map
+    keys are ordered by first appearance after u's own community.
+    """
+    k_map = {labs[u]: 0.0}
+    loop_w = 0.0
+    for k in range(offs[u], offs[u + 1]):
+        v = tgt[k]
+        if v == u:
+            loop_w += wts[k]
+            continue
+        c = labs[v]
+        if c in k_map:
+            k_map[c] += wts[k]
+        else:
+            k_map[c] = wts[k]
+    return k_map, loop_w
+
+
 def neighbor_community_weights(
     g: Graph, labels: np.ndarray, u: int
 ) -> tuple[dict[int, float], float]:
-    """Weights from vertex u into each adjacent community.
-
-    Returns (k_map, loop_weight): k_map[c] sums u's non-loop arc weights
-    into community c and always contains u's own community (0.0 when u has
-    no non-loop neighbor there); loop_weight is u's self-loop arc weight.
-    """
-    lo, hi = int(g.offsets[u]), int(g.offsets[u + 1])
-    own = int(labels[u])
-    k_map = {own: 0.0}
-    loop_w = 0.0
-    tgt = g.targets
-    wts = g.weights
-    for k in range(lo, hi):
-        v = int(tgt[k])
-        if v == u:
-            loop_w += float(wts[k])
-            continue
-        c = int(labels[v])
-        k_map[c] = k_map.get(c, 0.0) + float(wts[k])
-    return k_map, loop_w
+    """scan_arcs on a Graph and label array, with builtin int keys and
+    float values."""
+    k_map, loop_w = scan_arcs(u, g.offsets, g.targets, g.weights, labels)
+    return {int(c): float(w) for c, w in k_map.items()}, float(loop_w)
 
 
 def modularity_from_aggregates(agg: Aggregates, total: float) -> float:

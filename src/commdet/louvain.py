@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,9 +24,8 @@ import numpy as np
 from .community import (
     Dendrogram,
     modularity,
-    move_gain,
-    neighbor_community_weights,
     normalize_labels,
+    scan_arcs,
     singleton_assignment,
 )
 from .graph import Graph, _graph_from_arcs, arc_sources
@@ -35,7 +35,6 @@ __all__ = [
     "PassStats",
     "Report",
     "SweepResult",
-    "scan_neighbor_communities",
     "best_move",
     "local_moving",
     "aggregate_graph",
@@ -107,15 +106,6 @@ class Report:
         return len(self.passes)
 
 
-def scan_neighbor_communities(g: Graph, labels: np.ndarray, u: int) -> dict[int, float]:
-    """Map each community adjacent to u to the weight of u's arcs into it.
-
-    Self-loop arcs are excluded; u's own community is always present, with
-    value 0.0 when no non-loop neighbor lives there.
-    """
-    return neighbor_community_weights(g, labels, u)[0]
-
-
 def best_move(
     scan: dict[int, float],
     sigma_tot,
@@ -127,16 +117,18 @@ def best_move(
 
     Returns (community, gain).  When no candidate improves modularity the
     vertex stays put and the result is (from_c, 0.0).  Exact gain ties are
-    broken toward the lowest community id.
+    broken toward the lowest community id.  The gain is move_gain's
+    expression, evaluated in the same float operation order.
     """
     k_from = scan[from_c]
     s_from_wo = sigma_tot[from_c] - k_u
+    two_m_sq = 2.0 * m * m
     best_c = from_c
     best_dq = 0.0
     for c, k_c in scan.items():
         if c == from_c:
             continue
-        dq = move_gain(k_c, k_from, k_u, sigma_tot[c], s_from_wo, m)
+        dq = (k_c - k_from) / m - k_u * (sigma_tot[c] - s_from_wo) / two_m_sq
         if dq > best_dq or (dq == best_dq and dq > 0.0 and c < best_c):
             best_dq = dq
             best_c = c
@@ -168,18 +160,8 @@ def _sweep_range(
     conflicts = 0
     for u in range(lo_v, hi_v):
         own = labs[u]
-        k_map = {own: 0.0}
-        for k in range(offs[u], offs[u + 1]):
-            v = tgt[k]
-            if v == u:
-                continue
-            c = labs[v]
-            if c in k_map:
-                k_map[c] += wts[k]
-            else:
-                k_map[c] = wts[k]
         k_u = degs[u]
-        to_c, dq = best_move(k_map, sigma_tot, k_u, own, m)
+        to_c, dq = best_move(scan_arcs(u, offs, tgt, wts, labs)[0], sigma_tot, k_u, own, m)
         if dq > 0.0 and to_c != own:
             if lock is None:
                 sigma_tot[own] -= k_u
@@ -198,55 +180,7 @@ def _sweep_range(
     return gain, moves, conflicts
 
 
-def local_moving(
-    g: Graph,
-    labels: np.ndarray,
-    tolerance: float,
-    mode: str = "async",
-    max_iterations: int = 500,
-) -> tuple[int, float, int]:
-    """Run the local-moving phase until an iteration gains <= tolerance.
-
-    labels is updated in place.  Returns (iterations, cumulative gain,
-    accepted moves).  The gain is the sum of decision-time move gains; in
-    async mode it matches the realized modularity increase, in sync mode
-    it can overstate it.  Hitting max_iterations stops the loop without
-    raising.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    labs = labels.tolist()
-    sigma_tot = np.bincount(labels, weights=g.degrees, minlength=g.n).tolist()
-    offs = g.offsets.tolist()
-    tgt = g.targets.tolist()
-    wts = g.weights.tolist()
-    degs = g.degrees.tolist()
-    m = g.total / 2.0
-
-    iterations = 0
-    total_gain = 0.0
-    total_moves = 0
-    while True:
-        iterations += 1
-        if mode == "async":
-            iter_gain, iter_moves, _ = _sweep_range(
-                0, g.n, offs, tgt, wts, degs, labs, sigma_tot, m
-            )
-        else:
-            iter_gain, iter_moves = _sync_iteration(
-                g, offs, tgt, wts, degs, labs, sigma_tot, m
-            )
-        total_gain += iter_gain
-        total_moves += iter_moves
-        if iter_gain <= tolerance or iterations >= max_iterations:
-            break
-
-    labels[:] = labs
-    return iterations, total_gain, total_moves
-
-
 def _sync_iteration(
-    g: Graph,
     offs: list[int],
     tgt: list[int],
     wts: list[float],
@@ -254,7 +188,7 @@ def _sync_iteration(
     labs: list[int],
     sigma_tot: list[float],
     m: float,
-) -> tuple[float, int]:
+) -> tuple[float, int, int]:
     """One Jacobi-style iteration: decide against a snapshot, apply together.
 
     Applying every positive decision simultaneously lets adjacent vertices
@@ -263,26 +197,17 @@ def _sync_iteration(
     through: a vertex moves when no neighbor claims a strictly larger
     gain, with exact ties won by the lower vertex id.  The filter reads
     nothing beyond the snapshot, keeping every decision a pure function of
-    the iteration-start state.
+    the iteration-start state.  Returns (gain, moves, 0).
     """
     snap_labs = list(labs)
     snap_sigma = list(sigma_tot)
-    n = g.n
+    n = len(labs)
     want = [-1] * n
     dqs = [0.0] * n
     for u in range(n):
         own = snap_labs[u]
-        k_map = {own: 0.0}
-        for k in range(offs[u], offs[u + 1]):
-            v = tgt[k]
-            if v == u:
-                continue
-            c = snap_labs[v]
-            if c in k_map:
-                k_map[c] += wts[k]
-            else:
-                k_map[c] = wts[k]
-        to_c, dq = best_move(k_map, snap_sigma, degs[u], own, m)
+        scan = scan_arcs(u, offs, tgt, wts, snap_labs)[0]
+        to_c, dq = best_move(scan, snap_sigma, degs[u], own, m)
         if dq > 0.0 and to_c != own:
             want[u] = to_c
             dqs[u] = dq
@@ -312,7 +237,65 @@ def _sync_iteration(
         labs[u] = to_c
         gain += du
         moves += 1
-    return gain, moves
+    return gain, moves, 0
+
+
+def _move_loop(
+    g: Graph,
+    labels: np.ndarray,
+    tolerance: float,
+    max_iterations: int,
+    sweep: Callable[..., tuple[float, int, int]],
+) -> tuple[int, float, int, list[int], list[float]]:
+    """Repeat sweep until an iteration gains <= tolerance or the cap is hit.
+
+    sweep(offs, tgt, wts, degs, labs, sigma_tot, m) runs one iteration
+    over the graph as lists, updating labs and sigma_tot in place, and
+    returns (gain, moves, conflicts).  labels is updated in place.
+    Returns (iterations, cumulative gain, accepted moves, conflicts per
+    iteration, final sigma_tot).
+    """
+    labs = labels.tolist()
+    sigma_tot = np.bincount(labels, weights=g.degrees, minlength=g.n).tolist()
+    graph_lists = (g.offsets.tolist(), g.targets.tolist(), g.weights.tolist(), g.degrees.tolist())
+    m = g.total / 2.0
+
+    iterations = 0
+    total_gain = 0.0
+    total_moves = 0
+    conflicts: list[int] = []
+    while True:
+        iterations += 1
+        gain, moves, clashes = sweep(*graph_lists, labs, sigma_tot, m)
+        total_gain += gain
+        total_moves += moves
+        conflicts.append(clashes)
+        if gain <= tolerance or iterations >= max_iterations:
+            break
+
+    labels[:] = labs
+    return iterations, total_gain, total_moves, conflicts, sigma_tot
+
+
+def local_moving(
+    g: Graph,
+    labels: np.ndarray,
+    tolerance: float,
+    mode: str = "async",
+    max_iterations: int = 500,
+) -> tuple[int, float, int]:
+    """Run the local-moving phase until an iteration gains <= tolerance.
+
+    labels is updated in place.  Returns (iterations, cumulative gain,
+    accepted moves).  The gain is the sum of decision-time move gains; in
+    async mode it matches the realized modularity increase, in sync mode
+    it can overstate it.  Hitting max_iterations stops the loop without
+    raising.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    sweep = partial(_sweep_range, 0, g.n) if mode == "async" else _sync_iteration
+    return _move_loop(g, labels, tolerance, max_iterations, sweep)[:3]
 
 
 def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:

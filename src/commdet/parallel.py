@@ -8,8 +8,11 @@ one indivisible block under a mutex, so concurrency can perturb the search
 trajectory but never corrupt the bookkeeping: the aggregates and modularity
 reported after convergence are recomputed exactly from the final labels.
 
-With one thread the engine degenerates to the sequential asynchronous
-sweep, bit for bit.
+Every thread count runs the sequential engine's kernel (the same
+neighbour scan, move selection and iteration loop in louvain.py); the
+threads only split each sweep into chunks.  With one thread the sweep is
+the sequential asynchronous one, unsplit and unlocked, so the run matches
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from __future__ import annotations
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .graph import Graph
-from .louvain import Config, Report, SweepResult, _run_passes, _sweep_range
+from .louvain import Config, Report, SweepResult, _move_loop, _run_passes, _sweep_range
 from .community import Dendrogram
 
 __all__ = [
@@ -53,6 +58,35 @@ class ParallelConfig(Config):
             raise ValueError("chunk_size must be >= 1")
 
 
+# the switch interval belongs to the whole process, so the count of live
+# threaded runs that share it does too
+_switch_lock = threading.Lock()
+_switch_users = 0
+_saved_interval = 0.0
+
+
+@contextmanager
+def _worker_switch_interval():
+    """Hold the worker switch interval while any threaded run is live.
+
+    The first run in saves the process interval and the last run out
+    restores it, so overlapping runs leave it as they found it.
+    """
+    global _switch_users, _saved_interval
+    with _switch_lock:
+        if _switch_users == 0:
+            _saved_interval = sys.getswitchinterval()
+            sys.setswitchinterval(WORKER_SWITCH_INTERVAL)
+        _switch_users += 1
+    try:
+        yield
+    finally:
+        with _switch_lock:
+            _switch_users -= 1
+            if _switch_users == 0:
+                sys.setswitchinterval(_saved_interval)
+
+
 def parallel_local_moving(
     g: Graph,
     labels: np.ndarray,
@@ -71,70 +105,38 @@ def parallel_local_moving(
     incrementally maintained community masses and an exact recomputation
     at loop exit.
     """
-    n = g.n
-    labs = labels.tolist()
-    sigma_tot = np.bincount(labels, weights=g.degrees, minlength=n).tolist()
-    offs = g.offsets.tolist()
-    tgt = g.targets.tolist()
-    wts = g.weights.tolist()
-    degs = g.degrees.tolist()
-    m = g.total / 2.0
-
-    iterations = 0
-    total_gain = 0.0
-    total_moves = 0
-    conflicts_per_iter: list[int] = []
-
+    cap = cfg.max_iterations_per_pass
     if cfg.threads == 1:
-        # degenerate case: one sweep over everything, same order and same
-        # float accumulation as the sequential async engine
-        while True:
-            iterations += 1
-            gain, moves, _ = _sweep_range(0, n, offs, tgt, wts, degs, labs, sigma_tot, m)
-            total_gain += gain
-            total_moves += moves
-            conflicts_per_iter.append(0)
-            if gain <= tolerance or iterations >= cfg.max_iterations_per_pass:
-                break
+        # one unlocked sweep over everything: the sequential async engine
+        result = _move_loop(g, labels, tolerance, cap, partial(_sweep_range, 0, g.n))
     else:
-        bounds = [(lo, min(lo + cfg.chunk_size, n)) for lo in range(0, n, cfg.chunk_size)]
+        bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
         lock = threading.Lock()
 
-        def run_worker(wid: int) -> tuple[float, int, int]:
+        def run_worker(wid: int, *state) -> tuple[float, int, int]:
             gain = 0.0
             moves = 0
             conflicts = 0
             for lo, hi in bounds[wid :: cfg.threads]:
-                gn, mv, cf = _sweep_range(
-                    lo, hi, offs, tgt, wts, degs, labs, sigma_tot, m, lock
-                )
+                gn, mv, cf = _sweep_range(lo, hi, *state, lock)
                 gain += gn
                 moves += mv
                 conflicts += cf
             return gain, moves, conflicts
 
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(WORKER_SWITCH_INTERVAL)
-        try:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                while True:
-                    iterations += 1
-                    futures = [pool.submit(run_worker, wid) for wid in range(cfg.threads)]
-                    results = [f.result() for f in futures]
-                    iter_gain = sum(r[0] for r in results)
-                    total_gain += iter_gain
-                    total_moves += sum(r[1] for r in results)
-                    conflicts_per_iter.append(sum(r[2] for r in results))
-                    if iter_gain <= tolerance or iterations >= cfg.max_iterations_per_pass:
-                        break
-        finally:
-            sys.setswitchinterval(old_interval)
+        with _worker_switch_interval(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
 
-    final = np.asarray(labs, dtype=np.int64)
-    fresh = np.bincount(final, weights=g.degrees, minlength=n)
+            def sweep(*state) -> tuple[float, int, int]:
+                futures = [pool.submit(run_worker, wid, *state) for wid in range(cfg.threads)]
+                gains, moves, conflicts = zip(*(f.result() for f in futures))
+                return sum(gains), sum(moves), sum(conflicts)
+
+            result = _move_loop(g, labels, tolerance, cap, sweep)
+
+    iterations, gain, moves, conflicts, sigma_tot = result
+    fresh = np.bincount(labels, weights=g.degrees, minlength=g.n)
     drift = float(np.max(np.abs(fresh - np.asarray(sigma_tot, dtype=np.float64))))
-    labels[:] = labs
-    return iterations, total_gain, total_moves, conflicts_per_iter, drift
+    return iterations, gain, moves, conflicts, drift
 
 
 def parallel_louvain(

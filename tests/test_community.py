@@ -225,10 +225,15 @@ def test_delta_matches_recomputation_exhaustively(seed):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_apply_move_tracks_scratch_recompute(seed):
+@pytest.mark.parametrize(
+    "seed, add_self_loops",
+    [pytest.param(seed, loops, id=f"{seed}-loops" if loops else str(seed))
+     for loops in (False, True) for seed in range(5)],
+)
+def test_apply_move_tracks_scratch_recompute(seed, add_self_loops):
     rng = np.random.default_rng(seed)
-    g = gnp_graph(30, 0.15, seed=seed, weight_choices=[0.5, 1.0])
+    g = gnp_graph(30, 0.15, seed=seed, weight_choices=[0.5, 1.0],
+                  add_self_loops=add_self_loops)
     labels = singleton_assignment(g.n)
     agg = community_aggregates(g, labels)
     for _ in range(60):

@@ -7,6 +7,7 @@ from commdet.community import (
     flatten,
     modularity,
     modularity_bruteforce,
+    neighbor_community_weights,
     normalize_labels,
     singleton_assignment,
 )
@@ -18,7 +19,6 @@ from commdet.louvain import (
     best_move,
     local_moving,
     louvain,
-    scan_neighbor_communities,
     sweep_tolerance,
 )
 
@@ -58,25 +58,34 @@ def test_config_rejects_bad_values(kwargs):
 
 
 # ---------------------------------------------------------------------------
-# scan_neighbor_communities
+# neighbor_community_weights
 # ---------------------------------------------------------------------------
 
 
 def test_scan_isolated_self_loop_vertex():
     g = build_graph(EdgeList(3, [(0, 0, 2.0), (1, 2, 1.0)]))
-    scan = scan_neighbor_communities(g, singleton_assignment(3), 0)
+    scan = neighbor_community_weights(g, singleton_assignment(3), 0)[0]
     assert scan == {0: 0.0}
+
+
+def test_scan_returns_loop_weight_as_builtin_numbers():
+    g = build_graph(EdgeList(3, [(0, 0, 2.5), (0, 1, 1.0), (0, 2, 0.5)]))
+    k_map, loop_w = neighbor_community_weights(g, np.array([0, 1, 1]), 0)
+    assert k_map == {0: 0.0, 1: 1.5}
+    assert loop_w == 2.5
+    assert all(type(c) is int and type(w) is float for c, w in k_map.items())
+    assert type(loop_w) is float
 
 
 def test_scan_bridge_vertex():
     g = bridged_triangles()
-    scan = scan_neighbor_communities(g, TRIANGLE_SPLIT, 2)
+    scan = neighbor_community_weights(g, TRIANGLE_SPLIT, 2)[0]
     assert scan == {0: 2.0, 1: 1.0}
 
 
 def test_scan_all_neighbors_in_own_community():
     g = build_graph(EdgeList(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]))
-    scan = scan_neighbor_communities(g, np.zeros(3, dtype=np.int64), 1)
+    scan = neighbor_community_weights(g, np.zeros(3, dtype=np.int64), 1)[0]
     assert scan == {0: 2.0}
 
 
@@ -88,7 +97,7 @@ def test_scan_all_neighbors_in_own_community():
 def test_best_move_stays_when_no_gain():
     g = two_triangles()
     agg = community_aggregates(g, TRIANGLE_SPLIT)
-    scan = scan_neighbor_communities(g, TRIANGLE_SPLIT, 0)
+    scan = neighbor_community_weights(g, TRIANGLE_SPLIT, 0)[0]
     to_c, dq = best_move(scan, agg.sigma_tot, float(g.degrees[0]), 0, g.total / 2)
     assert (to_c, dq) == (0, 0.0)
 
@@ -97,7 +106,7 @@ def test_best_move_single_edge():
     g = single_edge()
     a = np.array([0, 1])
     agg = community_aggregates(g, a)
-    scan = scan_neighbor_communities(g, a, 0)
+    scan = neighbor_community_weights(g, a, 0)[0]
     to_c, dq = best_move(scan, agg.sigma_tot, 1.0, 0, g.total / 2)
     assert to_c == 1
     assert dq == pytest.approx(0.5, abs=1e-12)
@@ -108,7 +117,7 @@ def test_best_move_tie_breaks_to_lower_id():
     g = build_graph(EdgeList(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     a = singleton_assignment(3)
     agg = community_aggregates(g, a)
-    scan = scan_neighbor_communities(g, a, 1)
+    scan = neighbor_community_weights(g, a, 1)[0]
     assert scan == {1: 0.0, 0: 1.0, 2: 1.0}
     to_c, dq = best_move(scan, agg.sigma_tot, 2.0, 1, g.total / 2)
     assert to_c == 0
@@ -182,7 +191,7 @@ def test_async_every_accepted_move_improves_q():
         q = modularity(g, labels)
         for _ in range(3):
             for u in range(g.n):
-                scan = scan_neighbor_communities(g, labels, u)
+                scan = neighbor_community_weights(g, labels, u)[0]
                 own = int(labels[u])
                 to_c, dq = best_move(scan, agg.sigma_tot, float(g.degrees[u]), own, g.total / 2)
                 if dq > 0 and to_c != own:

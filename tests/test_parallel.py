@@ -1,5 +1,11 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+
+import commdet.parallel
 
 from commdet.community import flatten, modularity, singleton_assignment
 from commdet.fixtures import gnp_graph
@@ -105,3 +111,46 @@ def test_sweep_threads_rows_and_single_thread_row():
 def test_sweep_threads_rejects_empty():
     with pytest.raises(ValueError):
         sweep_threads(two_triangles(), [])
+
+
+def test_overlapping_runs_restore_switch_interval(monkeypatch):
+    # force the interleaving A enters, B enters, A leaves, B leaves: both
+    # runs meet inside their worker pools, and B leaves only after A's
+    # call has returned
+    both_in = threading.Barrier(2, timeout=10)
+    a_done = threading.Event()
+
+    class GatedPool(ThreadPoolExecutor):
+        def __enter__(self):
+            both_in.wait()
+            return super().__enter__()
+
+        def __exit__(self, *exc):
+            out = super().__exit__(*exc)
+            if threading.current_thread().name == "B":
+                assert a_done.wait(timeout=10)
+            return out
+
+    monkeypatch.setattr(commdet.parallel, "ThreadPoolExecutor", GatedPool)
+    g = gnp_graph(40, 0.1, seed=1)
+    errors = []
+
+    def run(name):
+        try:
+            parallel_local_moving(g, singleton_assignment(g.n), 0.01,
+                                  ParallelConfig(threads=2, chunk_size=8))
+        except Exception as exc:  # surfaced in the main thread below
+            errors.append(exc)
+        finally:
+            if name == "A":
+                a_done.set()
+
+    original = sys.getswitchinterval()
+    runners = [threading.Thread(target=run, args=(name,), name=name) for name in "AB"]
+    for t in runners:
+        t.start()
+    for t in runners:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert not errors
+    assert sys.getswitchinterval() == original
