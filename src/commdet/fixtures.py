@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import EdgeList, Graph, build_graph
+from .graph import EdgeList, Graph, build_graph, edge_array
 
 __all__ = ["cliques", "ring_of_cliques", "random_gnp", "gnp_graph"]
 
@@ -27,26 +27,22 @@ def cliques(k: int, count: int, bridges: int = 0) -> EdgeList:
         raise ValueError("clique count must be >= 1")
     if not 0 <= bridges <= k:
         raise ValueError("bridges must lie in [0, k]")
-    entries: list[tuple[int, int, float]] = []
-    for i in range(count):
-        base = i * k
-        for a in range(k):
-            for b in range(a + 1, k):
-                entries.append((base + a, base + b, 1.0))
-    for i in range(count - 1):
-        for j in range(bridges):
-            entries.append((i * k + j, (i + 1) * k + j, 1.0))
-    return EdgeList(n=count * k, entries=entries)
+    a, b = np.triu_indices(k, k=1)
+    base = np.repeat(np.arange(count) * k, a.size)
+    i = np.repeat(np.arange(count - 1), bridges)
+    j = np.tile(np.arange(bridges), count - 1)
+    us = np.concatenate([base + np.tile(a, count), i * k + j])
+    vs = np.concatenate([base + np.tile(b, count), (i + 1) * k + j])
+    return EdgeList(n=count * k, entries=edge_array(us, vs, 1.0))
 
 
 def ring_of_cliques(k: int, count: int) -> EdgeList:
     """`count` k-cliques joined in a ring by single edges."""
     edges = cliques(k, count)
     if count >= 2:
-        for i in range(count):
-            u = i * k + (k - 1)
-            v = ((i + 1) % count) * k
-            edges.entries.append((u, v, 1.0))
+        i = np.arange(count)
+        ring = edge_array(i * k + (k - 1), (i + 1) % count * k, 1.0)
+        edges.entries = np.concatenate([edges.entries, ring])
     return edges
 
 
@@ -69,8 +65,7 @@ def random_gnp(
         ws = rng.choice(np.asarray(weight_choices, dtype=np.float64), size=us.size)
     else:
         ws = np.ones(us.size)
-    entries = [(int(u), int(v), float(w)) for u, v, w in zip(us, vs, ws)]
-    return EdgeList(n=n, entries=entries)
+    return EdgeList(n=n, entries=edge_array(us, vs, ws))
 
 
 def gnp_graph(
@@ -86,6 +81,6 @@ def gnp_graph(
     so callers always get a usable graph.
     """
     edges = random_gnp(n, p, seed, weight_choices)
-    if not edges.entries and not add_self_loops:
+    if edges.entries.size == 0 and not add_self_loops:
         edges = random_gnp(n, min(1.0, max(p, 0.5)), seed, weight_choices)
     return build_graph(edges, symmetrize=True, add_self_loops=add_self_loops)

@@ -9,12 +9,14 @@ community and modularity code in this package assumes exactly this convention.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import IO, TextIO
 
 import numpy as np
 
 __all__ = [
+    "EDGE_DTYPE",
     "EdgeList",
     "Graph",
     "GraphStats",
@@ -25,6 +27,7 @@ __all__ = [
     "graph_stats",
     "graph_to_edgelist",
     "save_edgelist",
+    "edge_array",
     "load_graph_file",
     "arc_sources",
     "validate_graph",
@@ -35,17 +38,40 @@ class GraphParseError(ValueError):
     """Raised when an input graph file cannot be parsed."""
 
 
+EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def edge_array(us, vs, ws) -> np.ndarray:
+    """Pack endpoint and weight columns into one EDGE_DTYPE array.
+
+    Each column may be a numpy array, an ``array.array`` or a sequence;
+    ws may also be a scalar weight shared by every edge.
+    """
+    entries = np.empty(len(us), dtype=EDGE_DTYPE)
+    entries["u"] = us
+    entries["v"] = vs
+    entries["w"] = ws
+    return entries
+
+
 @dataclass
 class EdgeList:
     """Raw edges as read from disk, before symmetrization or loop insertion.
 
     Attributes:
         n: declared vertex count; every id in entries lies in [0, n).
-        entries: list of (u, v, w) tuples with 0-based vertex ids.
+        entries: structured array of EDGE_DTYPE, one (u, v, w) record per
+            edge with 0-based vertex ids.  A sequence of (u, v, w) tuples
+            is converted on construction; ``entries.tolist()`` gives the
+            tuples back.
     """
 
     n: int
-    entries: list[tuple[int, int, float]] = field(default_factory=list)
+    entries: np.ndarray = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.entries, np.ndarray) and self.entries.dtype == EDGE_DTYPE):
+            self.entries = np.array([tuple(e) for e in self.entries], dtype=EDGE_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -95,6 +121,8 @@ class GraphStats:
 
 _MM_FIELDS = ("pattern", "real", "integer")
 _MM_SYMMETRIES = ("general", "symmetric")
+# the largest vertex count whose n + 1 CSR offsets fit an int64
+_MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
 
 
 def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
@@ -155,16 +183,21 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
             raise GraphParseError(f"line {line_no}: non-square matrix {rows}x{cols}")
         if rows < 1 or nnz < 0:
             raise GraphParseError(f"line {line_no}: invalid size line: {stripped!r}")
+        if rows > _MAX_VERTICES:
+            raise GraphParseError(
+                f"line {line_no}: size line declares more vertices than int64 ids allow: "
+                f"{stripped!r}"
+            )
         size = (rows, nnz)
 
     n, nnz = size
-    entries: list[tuple[int, int, float]] = []
-    while len(entries) < nnz:
+    us, vs, ws = array("q"), array("q"), array("d")
+    while len(us) < nnz:
         raw = stream.readline()
         line_no += 1
         if not raw:
             raise GraphParseError(
-                f"line {line_no}: truncated file: expected {nnz} entries, found {len(entries)}"
+                f"line {line_no}: truncated file: expected {nnz} entries, found {len(us)}"
             )
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
@@ -191,7 +224,9 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
                 raise GraphParseError(f"line {line_no}: bad weight in {stripped!r}") from exc
             if not math.isfinite(w):
                 raise GraphParseError(f"line {line_no}: non-finite weight in {stripped!r}")
-        entries.append((u, v, w))
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
 
     for raw in stream:
         line_no += 1
@@ -201,7 +236,7 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
                 f"line {line_no}: extra entry beyond declared count {nnz}: {stripped!r}"
             )
 
-    return EdgeList(n=n, entries=entries)
+    return EdgeList(n=n, entries=edge_array(us, vs, ws))
 
 
 def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
@@ -211,7 +246,7 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
     fixes the vertex count (needed to preserve trailing isolated vertices),
     otherwise n is inferred as max id + 1.
     """
-    entries: list[tuple[int, int, float]] = []
+    us, vs, ws = array("q"), array("q"), array("d")
     declared_n = None
     max_id = -1
     for line_no, raw in enumerate(stream, start=1):
@@ -225,6 +260,10 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
                     declared_n = int(toks[1])
                 except ValueError as exc:
                     raise GraphParseError(f"line {line_no}: bad n directive: {stripped!r}") from exc
+                if declared_n > _MAX_VERTICES:
+                    raise GraphParseError(
+                        f"line {line_no}: n directive exceeds the int64 id range: {stripped!r}"
+                    )
             continue
         toks = stripped.split()
         if len(toks) not in (2, 3):
@@ -241,11 +280,15 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
         if declared_n is not None and (u >= declared_n or v >= declared_n):
             raise GraphParseError(f"line {line_no}: index beyond declared n={declared_n}")
         max_id = max(max_id, u, v)
-        entries.append((u, v, w))
+        if max_id >= _MAX_VERTICES:
+            raise GraphParseError(f"line {line_no}: vertex id exceeds the int64 range: {stripped!r}")
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
     n = declared_n if declared_n is not None else max_id + 1
     if n < 1:
         raise GraphParseError("edge list declares no vertices")
-    return EdgeList(n=n, entries=entries)
+    return EdgeList(n=n, entries=edge_array(us, vs, ws))
 
 
 def load_graph_file(
@@ -288,60 +331,59 @@ def build_graph(
     are kept as-is.
 
     Raises:
-        ValueError: if the edge list declares no vertices or the finished
-            graph has zero total weight.
+        ValueError: if the edge list declares no vertices, the finished
+            graph has zero total weight, or its arrays do not fit in memory.
     """
     n = edges.n
     if n < 1:
         raise ValueError("empty graph: vertex count must be >= 1")
 
-    if edges.entries:
-        arr = np.asarray(edges.entries, dtype=np.float64)
-        us = arr[:, 0].astype(np.int64)
-        vs = arr[:, 1].astype(np.int64)
-        ws = arr[:, 2]
-    else:
-        us = np.empty(0, dtype=np.int64)
-        vs = np.empty(0, dtype=np.int64)
-        ws = np.empty(0, dtype=np.float64)
-
+    us, vs, ws = edges.entries["u"], edges.entries["v"], edges.entries["w"]
     if us.size and (us.min() < 0 or vs.min() < 0 or max(us.max(), vs.max()) >= n):
         raise ValueError("edge endpoint outside declared vertex range")
     if ws.size and not np.all(np.isfinite(ws)):
         raise ValueError("non-finite edge weight")
 
-    if symmetrize:
-        off = us != vs
-        us, vs, ws = (
-            np.concatenate([us, vs[off]]),
-            np.concatenate([vs, us[off]]),
-            np.concatenate([ws, ws[off]]),
-        )
-
-    if add_self_loops:
-        has_loop = np.zeros(n, dtype=bool)
-        if us.size:
+    try:
+        off = us != vs if symmetrize else np.zeros(us.size, dtype=bool)
+        missing = np.empty(0, dtype=np.int64)
+        if add_self_loops:
+            has_loop = np.zeros(n, dtype=bool)
             has_loop[us[us == vs]] = True
-        missing = np.flatnonzero(~has_loop)
-        us = np.concatenate([us, missing])
-        vs = np.concatenate([vs, missing])
-        ws = np.concatenate([ws, np.full(missing.size, float(default_weight))])
-
-    return _graph_from_arcs(n, us, vs, ws)
+            missing = np.flatnonzero(~has_loop)
+        loop_w = np.full(missing.size, float(default_weight))
+        # arc order: the entries, their mirrored copies, then the inserted loops
+        return _graph_from_arcs(
+            n,
+            np.concatenate([us, vs[off], missing]),
+            np.concatenate([vs, us[off], missing]),
+            np.concatenate([ws, ws[off], loop_w]),
+        )
+    except MemoryError as exc:
+        raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
 
 
 def _graph_from_arcs(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> Graph:
     """Sort arcs into CSR order, merge duplicates, and finish the Graph."""
     if us.size:
         order = np.lexsort((vs, us))
-        us, vs, ws = us[order], vs[order], ws[order]
+        # permute one array at a time, so each unsorted array can be freed
+        # before the next copy is made
+        us = us[order]
+        vs = vs[order]
+        ws = ws[order]
+        del order
         # collapse runs of identical (u, v) pairs by summing their weights
         new_run = np.empty(us.size, dtype=bool)
         new_run[0] = True
         new_run[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
         starts = np.flatnonzero(new_run)
-        merged_w = np.add.reduceat(ws, starts)
-        us, vs, ws = us[starts], vs[starts], merged_w
+        del new_run
+        # deduplicated input, the common case, skips three copies
+        if starts.size < us.size:
+            ws = np.add.reduceat(ws, starts)
+            us, vs = us[starts], vs[starts]
+        del starts
 
     if ws.size and ws.min() <= 0:
         raise ValueError("arc weights must be positive after merging")
@@ -349,11 +391,10 @@ def _graph_from_arcs(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> 
     # the Graph type promises symmetry; catch unsymmetrized input here
     # rather than letting modularity invariants break silently downstream
     rev = np.lexsort((us, vs))
-    if not (
-        np.array_equal(us, vs[rev])
-        and np.array_equal(vs, us[rev])
-        and np.allclose(ws, ws[rev], rtol=1e-12, atol=0.0)
-    ):
+    symmetric = np.array_equal(us, vs[rev]) and np.array_equal(vs, us[rev])
+    ws_rev = ws[rev]
+    del rev
+    if not (symmetric and np.allclose(ws, ws_rev, rtol=1e-12, atol=0.0)):
         raise ValueError(
             "arc list is not symmetric; pass symmetrize=True or provide both directions"
         )
@@ -426,16 +467,16 @@ def graph_to_edgelist(g: Graph) -> EdgeList:
     """Collapse a Graph back to one entry per undirected edge (u <= v)."""
     src = arc_sources(g)
     keep = src <= g.targets
-    entries = [
-        (int(u), int(v), float(w))
-        for u, v, w in zip(src[keep], g.targets[keep], g.weights[keep])
-    ]
-    return EdgeList(n=g.n, entries=entries)
+    return EdgeList(n=g.n, entries=edge_array(src[keep], g.targets[keep], g.weights[keep]))
 
 
 def save_edgelist(edges: EdgeList, path: str) -> None:
-    """Write an EdgeList in the text format parse_edgelist reads back."""
+    """Write an EdgeList in the text format parse_edgelist reads back.
+
+    Weights are written with ``repr`` of the builtin float, so parsing the
+    file gives back the same bits.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n {edges.n}\n")
-        for u, v, w in edges.entries:
+        for u, v, w in edges.entries.tolist():
             fh.write(f"{u} {v} {w!r}\n")

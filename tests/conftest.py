@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from commdet.fixtures import cliques, gnp_graph, ring_of_cliques
-from commdet.graph import EdgeList, Graph, build_graph
+from commdet.graph import EdgeList, Graph, build_graph, edge_array
 
 
 def two_triangles() -> Graph:
@@ -14,10 +14,9 @@ def two_triangles() -> Graph:
 
 
 def bridged_triangles() -> Graph:
-    """Two triangles joined by a single bridge edge (2-5)."""
+    """Two triangles joined by a single bridge edge (2-3)."""
     edges = cliques(3, 2)
-    edges.entries.append((2, 3, 1.0))
-    return build_graph(edges)
+    return build_graph(EdgeList(edges.n, edges.entries.tolist() + [(2, 3, 1.0)]))
 
 
 def single_edge() -> Graph:
@@ -32,8 +31,7 @@ def sbm_graph(blocks: int, size: int, p_in: float, p_out: float, seed: int) -> G
     same = (iu // size) == (iv // size)
     draw = rng.random(iu.size)
     keep = np.where(same, draw < p_in, draw < p_out)
-    entries = [(int(u), int(v), 1.0) for u, v in zip(iu[keep], iv[keep])]
-    return build_graph(EdgeList(n, entries))
+    return build_graph(EdgeList(n, edge_array(iu[keep], iv[keep], 1.0)))
 
 
 def fixture_suite() -> list[tuple[str, Graph]]:

@@ -1,5 +1,11 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 
+import commdet
 from commdet.cli import (
     geometric_grid,
     main,
@@ -83,6 +89,47 @@ def test_detect_malformed_mtx_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "truncated" in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("ids.txt", "0 1\n1 99999999999999999999\n"),
+        ("n.txt", "0 1\n# n 99999999999999999999\n"),
+        ("size.mtx", "%%MatrixMarket matrix coordinate pattern general\n"
+                     "99999999999999999999 99999999999999999999 1\n1 2\n"),
+    ],
+    ids=["edgelist-id", "edgelist-n", "mtx-size"],
+)
+def test_ids_beyond_int64_exit_1_naming_the_line(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["stats", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:")
+    assert "int64" in err
+
+
+@pytest.mark.parametrize("command", [["detect"], ["stats"], ["sweep", "tolerance", "--grid", "0.1"]])
+def test_graph_too_large_to_allocate_exits_1(tmp_path, command):
+    # ids up to 2e12 imply 2e12 + 1 vertices: 14.6 TiB of int64 offsets,
+    # which numpy refuses up front; the address-space cap makes sure of
+    # that on hosts that overcommit memory
+    path = tmp_path / "huge.txt"
+    path.write_text("0 1\n1 2000000000000\n")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from commdet.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(commdet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", script, *command, "--input", str(path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: a graph with 2000000000001 vertices does not fit")
+    assert "Traceback" not in res.stderr
 
 
 def test_detect_missing_file_exits_1(capsys):
@@ -290,6 +337,39 @@ def test_gen_random_deterministic(tmp_path, capsys):
     assert main(["gen", "random", "--n", "64", "--p", "0.1", "--seed", "42", "--out", b]) == 0
     capsys.readouterr()
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# sha256 of the files written before edge lists became arrays
+GEN_DIGESTS = [
+    (["cliques"], "bbfb13ff0c9d761ac8008cacc9ba7cfa0302680c08b39e7d922f4bc4b607f166"),
+    (["cliques", "--k", "4", "--count", "5", "--bridges", "2"],
+     "f713e423d19ab16782aa94101a426225527e1622fbd583a336dbdbefa058b9b5"),
+    (["ring-of-cliques"], "e0cf3a88bb34c1778a1c8dc24584df6e34dfc3d5afb460907a0ed04a240dd2d2"),
+    (["ring-of-cliques", "--k", "3", "--count", "1"],
+     "76a2c2f56aaaffbecc20495887211b981901bf94354659c70139c8c454f20295"),
+    (["random"], "bfaefbda11797426fb43a41c0c6f6c42146357c79e41e500b56d0d1ecf138867"),
+    (["random", "--n", "200", "--p", "0.3", "--seed", "5"],
+     "285637c2aafae8515c9918c6690b9dee163fe2a08372c54ad984929ec34a15b0"),
+    (["random", "--n", "10", "--p", "0.0"],
+     "1f10e7705de736e1b03a7ad67b6cd02f9bc6ede947575ec071606b6dd3b27c5b"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GEN_DIGESTS)
+def test_gen_output_bytes_unchanged(tmp_path, capsys, args, digest):
+    out = tmp_path / "g.txt"
+    assert main(["gen", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_gen_writes_builtin_numbers(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    assert main(["gen", "cliques", "--k", "3", "--count", "2", "--bridges", "1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}: n=6 edges=7\n"
+    assert out.read_text() == (
+        "# n 6\n0 1 1.0\n0 2 1.0\n1 2 1.0\n3 4 1.0\n3 5 1.0\n4 5 1.0\n0 3 1.0\n"
+    )
 
 
 def test_gen_invalid_params_exit_2(tmp_path, capsys):
