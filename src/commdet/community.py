@@ -123,8 +123,7 @@ def community_aggregates(
         if n_communities < width:
             raise ValueError("n_communities smaller than max label + 1")
         width = n_communities
-    src = arc_sources(g)
-    lab_src = labels[src]
+    lab_src = labels[arc_sources(g)]
     internal = lab_src == labels[g.targets]
     return Aggregates(
         sigma_tot=np.bincount(labels, weights=g.degrees, minlength=width),

@@ -332,7 +332,8 @@ def build_graph(
 
     Raises:
         ValueError: if the edge list declares no vertices, the finished
-            graph has zero total weight, or its arrays do not fit in memory.
+            graph has zero total weight, a merged arc weight or the total
+            overflows float64, or its arrays do not fit in memory.
     """
     n = edges.n
     if n < 1:
@@ -381,12 +382,16 @@ def _graph_from_arcs(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> 
         del new_run
         # deduplicated input, the common case, skips three copies
         if starts.size < us.size:
-            ws = np.add.reduceat(ws, starts)
+            # a sum past the float64 range is rejected below, not warned about
+            with np.errstate(over="ignore"):
+                ws = np.add.reduceat(ws, starts)
             us, vs = us[starts], vs[starts]
         del starts
 
     if ws.size and ws.min() <= 0:
         raise ValueError("arc weights must be positive after merging")
+    if ws.size and not np.isfinite(ws.max()):
+        raise ValueError("merged arc weight is not finite (float64 overflow)")
 
     # the Graph type promises symmetry; catch unsymmetrized input here
     # rather than letting modularity invariants break silently downstream
@@ -405,9 +410,13 @@ def _graph_from_arcs(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> 
     degrees = (
         np.bincount(us, weights=ws, minlength=n) if us.size else np.zeros(n, dtype=np.float64)
     )
-    total = float(np.sum(degrees))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(degrees))
     if total <= 0.0:
         raise ValueError("graph has no arcs; add edges or enable self-loop insertion")
+    # a degree that overflows from finite arcs makes the total inf as well
+    if not math.isfinite(total):
+        raise ValueError("total arc weight is not finite (float64 overflow)")
 
     for a in (offsets, vs, ws, degrees):
         a.setflags(write=False)

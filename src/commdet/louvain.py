@@ -240,6 +240,24 @@ def _sync_iteration(
     return gain, moves, 0
 
 
+def _kernel_lists(g: Graph, labels: np.ndarray) -> tuple[list[int], list[float], list[int]]:
+    """Targets, weights and labels as lists for the pure-Python kernel.
+
+    The lists hold one int object per vertex id and one float object per
+    distinct weight, shared by every arc that carries it, instead of a
+    fresh object per arc as tolist() would box.  Element for element they
+    equal g.targets.tolist(), g.weights.tolist() and labels.tolist(),
+    float bits included: weights are positive and finite, so np.unique
+    merges no -0.0 or NaN.
+    """
+    uniq, inv = np.unique(g.weights, return_inverse=True)
+    wts = np.array(uniq.tolist(), dtype=object)[inv].tolist()
+    # free the arc-length index before the target list is built
+    del inv
+    ids = np.arange(g.n, dtype=object)
+    return ids[g.targets].tolist(), wts, ids[labels].tolist()
+
+
 def _move_loop(
     g: Graph,
     labels: np.ndarray,
@@ -255,9 +273,9 @@ def _move_loop(
     Returns (iterations, cumulative gain, accepted moves, conflicts per
     iteration, final sigma_tot).
     """
-    labs = labels.tolist()
+    tgt, wts, labs = _kernel_lists(g, labels)
     sigma_tot = np.bincount(labels, weights=g.degrees, minlength=g.n).tolist()
-    graph_lists = (g.offsets.tolist(), g.targets.tolist(), g.weights.tolist(), g.degrees.tolist())
+    graph_lists = (g.offsets.tolist(), tgt, wts, g.degrees.tolist())
     m = g.total / 2.0
 
     iterations = 0
@@ -308,10 +326,9 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     normalized labels used as the dendrogram level.
     """
     mapping, n_comm = normalize_labels(labels)
-    src = arc_sources(g)
-    cu = mapping[src]
-    cv = mapping[g.targets]
-    g2 = _graph_from_arcs(n_comm, cu, cv, g.weights)
+    # temporaries go straight in, so _graph_from_arcs frees each unsorted
+    # copy as soon as it is permuted
+    g2 = _graph_from_arcs(n_comm, mapping[arc_sources(g)], mapping[g.targets], g.weights)
     return g2, mapping
 
 

@@ -110,6 +110,15 @@ def test_ids_beyond_int64_exit_1_naming_the_line(tmp_path, capsys, name, text):
     assert "int64" in err
 
 
+@pytest.mark.parametrize("command", ["detect", "stats"])
+def test_weight_overflow_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "overflow.txt"
+    path.write_text("0 1 1e308\n0 1 1e308\n")
+    assert main([command, "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: merged arc weight is not finite (float64 overflow)\n"
+
+
 @pytest.mark.parametrize("command", [["detect"], ["stats"], ["sweep", "tolerance", "--grid", "0.1"]])
 def test_graph_too_large_to_allocate_exits_1(tmp_path, command):
     # ids up to 2e12 imply 2e12 + 1 vertices: 14.6 TiB of int64 offsets,

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,21 @@ def test_build_rejects_empty_vertex_set():
 def test_build_rejects_zero_total():
     with pytest.raises(ValueError, match="no arcs"):
         build_graph(EdgeList(3, []))
+
+
+@pytest.mark.parametrize(
+    "entries, match",
+    [
+        ([(0, 1, 1e308), (0, 1, 1e308)], "merged arc weight is not finite"),
+        ([(0, 1, 1e308), (0, 2, 1e308)], "total arc weight is not finite"),
+    ],
+    ids=["merged-weight", "degree"],
+)
+def test_build_rejects_float64_overflow(entries, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            build_graph(EdgeList(3, entries))
 
 
 def test_build_no_symmetrize_accepts_full_arc_list():

@@ -1,4 +1,5 @@
-"""Array-native ingest: EdgeList conversion, exact round trips, memory per arc."""
+"""Array-native ingest: EdgeList conversion, exact round trips, and the
+memory per arc of ingest and local moving."""
 
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from commdet.community import singleton_assignment
 from commdet.graph import (
     EDGE_DTYPE,
     EdgeList,
@@ -15,6 +17,7 @@ from commdet.graph import (
     parse_edgelist,
     save_edgelist,
 )
+from commdet.louvain import local_moving
 
 # ---------------------------------------------------------------------------
 # EdgeList
@@ -79,11 +82,16 @@ def test_save_parse_round_trip_and_build_identity(tmp_path, case, loops):
         parsed = parse_edgelist(fh)
     assert parsed.n == n
     assert parsed.entries.tolist() == tuples
-    # merging two weights near 1e308 overflows to inf the same way on both paths
-    with np.errstate(over="ignore"):
-        assert _csr_bytes(build_graph(parsed, add_self_loops=loops)) == _csr_bytes(
-            build_graph(EdgeList(n, tuples), add_self_loops=loops)
-        )
+    # merging weights near 1e308 can overflow float64; both paths must then
+    # raise the same error, and otherwise build the same bytes
+    outcomes = []
+    for el in (parsed, EdgeList(n, tuples)):
+        try:
+            outcomes.append(_csr_bytes(build_graph(el, add_self_loops=loops)))
+        except ValueError as exc:
+            assert "is not finite (float64 overflow)" in str(exc)
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_saved_weights_are_builtin_float_reprs(tmp_path):
@@ -100,6 +108,12 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # measured with array columns (numpy 2.4), 188 B when entries were a list
 # of tuples; the bound leaves 24% headroom
 MAX_LOAD_BYTES_PER_ARC = 77
+
+# tracemalloc peak of pass-0 local moving per arc: 41.5 B measured with
+# kernel lists that share one int per vertex id and one float per distinct
+# weight (numpy 2.4), 79 B when tolist() boxed a fresh int and float per
+# arc; the bound leaves 25% headroom
+MAX_MOVE_BYTES_PER_ARC = 52
 
 
 def _planted_edgelist(path, seed=0, blocks=25, size=200, deg_in=16, deg_out=2):
@@ -126,3 +140,16 @@ def test_load_peak_memory_per_arc(tmp_path):
         tracemalloc.stop()
     assert 85_000 <= g.n_arcs <= 90_000
     assert peak / g.n_arcs <= MAX_LOAD_BYTES_PER_ARC
+
+
+def test_local_moving_peak_memory_per_arc(tmp_path):
+    path = tmp_path / "planted.txt"
+    _planted_edgelist(path)
+    g = load_graph_file(str(path))
+    tracemalloc.start()
+    try:
+        local_moving(g, singleton_assignment(g.n), 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.n_arcs <= MAX_MOVE_BYTES_PER_ARC

@@ -1,3 +1,6 @@
+import importlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,10 @@ from commdet.community import (
     singleton_assignment,
 )
 from commdet.fixtures import gnp_graph
-from commdet.graph import EdgeList, build_graph
+from commdet.graph import EdgeList, build_graph, edge_array
 from commdet.louvain import (
     Config,
+    _kernel_lists,
     aggregate_graph,
     best_move,
     local_moving,
@@ -25,6 +29,9 @@ from commdet.louvain import (
 from conftest import bridged_triangles, fixture_suite, single_edge, two_triangles
 
 TRIANGLE_SPLIT = np.array([0, 0, 0, 1, 1, 1])
+
+# the package re-exports the louvain function under the module's name
+LOUVAIN_MODULE = importlib.import_module("commdet.louvain")
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +207,63 @@ def test_async_every_accepted_move_improves_q():
                     assert q_new > q - 1e-12
                     assert abs((q_new - q) - dq) <= 1e-9
                     q = q_new
+
+
+def _kernel_cases():
+    """The fixture suite plus weights that repeat at both ends of the
+    float64 range (1e308 only once, as a loop, so the total stays finite),
+    self-loops, and a graph with many distinct weights."""
+    repeated = build_graph(EdgeList(6, [
+        (0, 1, 5e-324), (1, 2, 0.1), (2, 3, 5e-324), (3, 4, 0.1), (4, 5, 0.1),
+        (5, 0, 5e-324), (0, 3, 0.1), (1, 1, 0.1), (2, 2, 5e-324), (4, 4, 1e308),
+    ]))
+    rng = np.random.default_rng(8)
+    us, vs = rng.integers(50, size=400), rng.integers(50, size=400)
+    distinct = build_graph(EdgeList(50, edge_array(us, vs, rng.random(400))))
+    return fixture_suite() + [("repeated_weights", repeated), ("distinct_weights", distinct)]
+
+
+def _bits(floats):
+    return [struct.pack("d", x) for x in floats]
+
+
+def _tolist_kernel_lists(g, labels):
+    """Reference: one fresh builtin object per arc."""
+    return g.targets.tolist(), g.weights.tolist(), labels.tolist()
+
+
+def test_kernel_lists_equal_tolist_and_share_objects():
+    rng = np.random.default_rng(2)
+    for name, g in _kernel_cases():
+        for labels in (singleton_assignment(g.n), rng.integers(g.n, size=g.n)):
+            tgt, wts, labs = _kernel_lists(g, labels)
+            ref_tgt, ref_wts, ref_labs = _tolist_kernel_lists(g, labels)
+            assert tgt == ref_tgt and labs == ref_labs, name
+            assert all(type(x) is int for x in tgt + labs), name
+            assert all(type(x) is float for x in wts), name
+            assert _bits(wts) == _bits(ref_wts), name
+            assert len({id(x) for x in tgt + labs}) <= g.n, name
+            assert len({id(x) for x in wts}) == len(set(_bits(wts))), name
+
+
+def test_kernel_lists_leave_engine_results_unchanged(monkeypatch):
+    for name, g in _kernel_cases():
+        results = []
+        for lists in (_kernel_lists, _tolist_kernel_lists):
+            monkeypatch.setattr(LOUVAIN_MODULE, "_kernel_lists", lists)
+            runs = []
+            for mode in ("async", "sync"):
+                labels = singleton_assignment(g.n)
+                runs.append((local_moving(g, labels, 1e-6, mode=mode), labels.tolist()))
+                d, rep = louvain(g, Config(mode=mode))
+                runs.append((
+                    [level.tolist() for level in d.levels],
+                    d.per_level_q,
+                    [(p.vertices, p.iterations, p.q_after) for p in rep.passes],
+                    rep.final_q,
+                ))
+            results.append(runs)
+        assert results[0] == results[1], name
 
 
 # ---------------------------------------------------------------------------
