@@ -38,6 +38,10 @@ class GraphParseError(ValueError):
     """Raised when an input graph file cannot be parsed."""
 
 
+# arcs per slice where an arc-length pass runs in slices to bound its
+# temporaries (the symmetry check, the local-moving kernel lists)
+ARC_CHUNK = 1 << 14
+
 EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
@@ -302,13 +306,10 @@ def load_graph_file(
     if fmt is None:
         fmt = "mtx" if str(path).endswith(".mtx") else "edgelist"
     with open(path, "r", encoding="utf-8") as fh:
-        edges = parse_matrix_market(fh) if fmt == "mtx" else parse_edgelist(fh)
-    return build_graph(
-        edges,
-        symmetrize=symmetrize,
-        add_self_loops=add_self_loops,
-        default_weight=default_weight,
-    )
+        parsed = [parse_matrix_market(fh) if fmt == "mtx" else parse_edgelist(fh)]
+    # the list is the only reference to the parsed edges, and _build empties
+    # it, so their entries are freed once mirrored into the arc columns
+    return _build(parsed, symmetrize, add_self_loops, default_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +336,25 @@ def build_graph(
             graph has zero total weight, a merged arc weight or the total
             overflows float64, or its arrays do not fit in memory.
     """
+    return _build([edges], symmetrize, add_self_loops, default_weight)
+
+
+def _build(
+    owned: list[EdgeList], symmetrize: bool, add_self_loops: bool, default_weight: float
+) -> Graph:
+    """build_graph over a one-element list that this function empties.
+
+    When the list held the only reference to the EdgeList, its entries are
+    freed as soon as the three arc columns exist, before they are sorted.
+    """
+    (edges,) = owned
+    owned.clear()
     n = edges.n
     if n < 1:
         raise ValueError("empty graph: vertex count must be >= 1")
 
     us, vs, ws = edges.entries["u"], edges.entries["v"], edges.entries["w"]
+    del edges
     if us.size and (us.min() < 0 or vs.min() < 0 or max(us.max(), vs.max()) >= n):
         raise ValueError("edge endpoint outside declared vertex range")
     if ws.size and not np.all(np.isfinite(ws)):
@@ -354,59 +369,73 @@ def build_graph(
             missing = np.flatnonzero(~has_loop)
         loop_w = np.full(missing.size, float(default_weight))
         # arc order: the entries, their mirrored copies, then the inserted loops
-        return _graph_from_arcs(
-            n,
+        arcs = [
             np.concatenate([us, vs[off], missing]),
             np.concatenate([vs, us[off], missing]),
             np.concatenate([ws, ws[off], loop_w]),
-        )
+        ]
+        # drop the views of the entries, then hand the arc columns over in a
+        # list the callee empties, so each unsorted column is freed as soon as
+        # it is permuted
+        del us, vs, ws, off
+        return _graph_from_arcs(n, arcs)
     except MemoryError as exc:
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
 
 
-def _graph_from_arcs(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> Graph:
-    """Sort arcs into CSR order, merge duplicates, and finish the Graph."""
+def _graph_from_arcs(n: int, arcs: list[np.ndarray]) -> Graph:
+    """Sort arcs into CSR order, merge duplicates, and finish the Graph.
+
+    arcs is the list [sources, targets, weights]; it is emptied, so that
+    when it held the only references this function can free each column
+    as soon as it has a sorted copy.
+    """
+    us, vs, ws = arcs
+    arcs.clear()
+    # row lengths do not depend on the arc order, and in CSR order they
+    # imply every arc's source, so the sources are never permuted
+    counts = np.bincount(us, minlength=n) if us.size else np.zeros(n, dtype=np.int64)
     if us.size:
         order = np.lexsort((vs, us))
+        del us
         # permute one array at a time, so each unsorted array can be freed
         # before the next copy is made
-        us = us[order]
         vs = vs[order]
         ws = ws[order]
         del order
-        # collapse runs of identical (u, v) pairs by summing their weights
-        new_run = np.empty(us.size, dtype=bool)
+        # collapse runs of identical (u, v) pairs by summing their weights;
+        # a run starts where a row starts or the target changes
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        new_run = np.empty(vs.size, dtype=bool)
         new_run[0] = True
-        new_run[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
+        new_run[1:] = vs[1:] != vs[:-1]
+        new_run[bounds[:-1][counts > 0]] = True
         starts = np.flatnonzero(new_run)
         del new_run
-        # deduplicated input, the common case, skips three copies
-        if starts.size < us.size:
+        # deduplicated input, the common case, skips the merge copies
+        if starts.size < vs.size:
             # a sum past the float64 range is rejected below, not warned about
             with np.errstate(over="ignore"):
                 ws = np.add.reduceat(ws, starts)
-            us, vs = us[starts], vs[starts]
-        del starts
+            vs = vs[starts]
+            counts = np.diff(np.searchsorted(starts, bounds))
+        del starts, bounds
 
     if ws.size and ws.min() <= 0:
         raise ValueError("arc weights must be positive after merging")
     if ws.size and not np.isfinite(ws.max()):
         raise ValueError("merged arc weight is not finite (float64 overflow)")
 
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    us = np.repeat(np.arange(n, dtype=np.int64), counts)
     # the Graph type promises symmetry; catch unsymmetrized input here
     # rather than letting modularity invariants break silently downstream
-    rev = np.lexsort((us, vs))
-    symmetric = np.array_equal(us, vs[rev]) and np.array_equal(vs, us[rev])
-    ws_rev = ws[rev]
-    del rev
-    if not (symmetric and np.allclose(ws, ws_rev, rtol=1e-12, atol=0.0)):
+    if not _is_symmetric(us, vs, ws):
         raise ValueError(
             "arc list is not symmetric; pass symmetrize=True or provide both directions"
         )
-
-    counts = np.bincount(us, minlength=n) if us.size else np.zeros(n, dtype=np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
     degrees = (
         np.bincount(us, weights=ws, minlength=n) if us.size else np.zeros(n, dtype=np.float64)
     )
@@ -421,6 +450,27 @@ def _graph_from_arcs(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> 
     for a in (offsets, vs, ws, degrees):
         a.setflags(write=False)
     return Graph(n=n, offsets=offsets, targets=vs, weights=ws, degrees=degrees, total=total)
+
+
+def _is_symmetric(us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
+    """Whether the arc at rank i of the (v, u) order reverses the arc at
+    position i of the (u, v) order, with a weight equal to rtol 1e-12.
+
+    The comparisons run over ARC_CHUNK arcs at a time, so only the reverse
+    permutation is arc-length; the verdict is that of comparing whole
+    columns.
+    """
+    rev = np.lexsort((us, vs))
+    for lo in range(0, us.size, ARC_CHUNK):
+        hi = lo + ARC_CHUNK
+        r = rev[lo:hi]
+        if not (
+            np.array_equal(us[lo:hi], vs[r])
+            and np.array_equal(vs[lo:hi], us[r])
+            and np.allclose(ws[lo:hi], ws[r], rtol=1e-12, atol=0.0)
+        ):
+            return False
+    return True
 
 
 def arc_sources(g: Graph) -> np.ndarray:

@@ -28,7 +28,7 @@ from .community import (
     scan_arcs,
     singleton_assignment,
 )
-from .graph import Graph, _graph_from_arcs, arc_sources
+from .graph import ARC_CHUNK, Graph, _graph_from_arcs, arc_sources
 
 __all__ = [
     "Config",
@@ -248,14 +248,21 @@ def _kernel_lists(g: Graph, labels: np.ndarray) -> tuple[list[int], list[float],
     fresh object per arc as tolist() would box.  Element for element they
     equal g.targets.tolist(), g.weights.tolist() and labels.tolist(),
     float bits included: weights are positive and finite, so np.unique
-    merges no -0.0 or NaN.
+    merges no -0.0 or NaN and searchsorted finds each weight's own value.
+    The arc lists are filled ARC_CHUNK arcs at a time, so no arc-length
+    index or object array is ever live.
     """
-    uniq, inv = np.unique(g.weights, return_inverse=True)
-    wts = np.array(uniq.tolist(), dtype=object)[inv].tolist()
-    # free the arc-length index before the target list is built
-    del inv
+    uniq = np.unique(g.weights)
+    objs = np.array(uniq.tolist(), dtype=object)
     ids = np.arange(g.n, dtype=object)
-    return ids[g.targets].tolist(), wts, ids[labels].tolist()
+    m = g.n_arcs
+    tgt: list = [None] * m
+    wts: list = [None] * m
+    for lo in range(0, m, ARC_CHUNK):
+        hi = lo + ARC_CHUNK
+        tgt[lo:hi] = ids[g.targets[lo:hi]].tolist()
+        wts[lo:hi] = objs[np.searchsorted(uniq, g.weights[lo:hi])].tolist()
+    return tgt, wts, ids[labels].tolist()
 
 
 def _move_loop(
@@ -270,9 +277,12 @@ def _move_loop(
     sweep(offs, tgt, wts, degs, labs, sigma_tot, m) runs one iteration
     over the graph as lists, updating labs and sigma_tot in place, and
     returns (gain, moves, conflicts).  labels is updated in place.
+    Raises ValueError when a label lies outside [0, n).
     Returns (iterations, cumulative gain, accepted moves, conflicts per
     iteration, final sigma_tot).
     """
+    if labels.size and (labels.min() < 0 or labels.max() >= g.n):
+        raise ValueError("labels must lie in [0, n)")
     tgt, wts, labs = _kernel_lists(g, labels)
     sigma_tot = np.bincount(labels, weights=g.degrees, minlength=g.n).tolist()
     graph_lists = (g.offsets.tolist(), tgt, wts, g.degrees.tolist())
@@ -326,9 +336,11 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     normalized labels used as the dendrogram level.
     """
     mapping, n_comm = normalize_labels(labels)
-    # temporaries go straight in, so _graph_from_arcs frees each unsorted
-    # copy as soon as it is permuted
-    g2 = _graph_from_arcs(n_comm, mapping[arc_sources(g)], mapping[g.targets], g.weights)
+    # the mapped endpoint columns are handed over in a list the callee
+    # empties, so it holds their only references and frees each unsorted
+    # column as soon as it is permuted
+    arcs = [mapping[arc_sources(g)], mapping[g.targets], g.weights]
+    g2 = _graph_from_arcs(n_comm, arcs)
     return g2, mapping
 
 

@@ -6,9 +6,11 @@ import pytest
 
 from commdet.fixtures import cliques, random_gnp
 from commdet.graph import (
+    ARC_CHUNK,
     EdgeList,
     GraphParseError,
     build_graph,
+    edge_array,
     graph_stats,
     graph_to_edgelist,
     parse_edgelist,
@@ -195,6 +197,43 @@ def test_build_no_symmetrize_rejects_one_sided_arcs():
         build_graph(
             EdgeList(2, [(0, 1, 1.0), (1, 0, 2.0)]), symmetrize=False
         )
+
+
+ASYMMETRIC = "arc list is not symmetric; pass symmetrize=True or provide both directions"
+
+
+def _complete_arc_columns(k=300):
+    """Both arcs of every pair of a complete graph on k vertices, one random
+    weight per pair; more arcs than one ARC_CHUNK."""
+    iu, iv = np.triu_indices(k, 1)
+    w = np.random.default_rng(4).uniform(1.0, 2.0, iu.size)
+    us, vs, ws = np.concatenate([iu, iv]), np.concatenate([iv, iu]), np.concatenate([w, w])
+    assert us.size > ARC_CHUNK
+    # the reverse of the last pair sorts last, far beyond the first chunk
+    last = us.size - 1
+    assert (us[last], vs[last]) == (k - 1, k - 2)
+    return k, us, vs, ws, last
+
+
+def test_symmetry_check_rejects_an_endpoint_beyond_the_first_chunk():
+    k, us, vs, ws, last = _complete_arc_columns()
+    vs[last] = k - 1
+    with pytest.raises(ValueError) as err:
+        build_graph(EdgeList(k, edge_array(us, vs, ws)), symmetrize=False)
+    assert str(err.value) == ASYMMETRIC
+
+
+@pytest.mark.parametrize("rel, symmetric", [(1e-10, False), (1e-13, True)])
+def test_symmetry_check_weight_tolerance_beyond_the_first_chunk(rel, symmetric):
+    k, us, vs, ws, last = _complete_arc_columns()
+    ws[last] *= 1.0 + rel
+    el = EdgeList(k, edge_array(us, vs, ws))
+    if symmetric:
+        assert build_graph(el, symmetrize=False).n_arcs == us.size
+    else:
+        with pytest.raises(ValueError) as err:
+            build_graph(el, symmetrize=False)
+        assert str(err.value) == ASYMMETRIC
 
 
 def test_build_symmetry_independent_of_input_order():

@@ -1,5 +1,6 @@
 import importlib
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from commdet.community import (
     singleton_assignment,
 )
 from commdet.fixtures import gnp_graph
-from commdet.graph import EdgeList, build_graph, edge_array
+from commdet.graph import ARC_CHUNK, EdgeList, build_graph, edge_array
 from commdet.louvain import (
     Config,
     _kernel_lists,
@@ -25,6 +26,7 @@ from commdet.louvain import (
     louvain,
     sweep_tolerance,
 )
+from commdet.parallel import ParallelConfig, parallel_local_moving
 
 from conftest import bridged_triangles, fixture_suite, single_edge, two_triangles
 
@@ -188,6 +190,23 @@ def test_local_moving_rejects_unknown_mode():
         local_moving(g, singleton_assignment(2), 0.01, mode="jacobian")
 
 
+def _run_engine(engine, g, labels):
+    if engine == "threads2":
+        return parallel_local_moving(g, labels, 0.01, ParallelConfig(threads=2, chunk_size=2))
+    return local_moving(g, labels, 0.01, mode=engine)
+
+
+@pytest.mark.parametrize("engine", ["async", "sync", "threads2"])
+@pytest.mark.parametrize("bad", [6, -1], ids=["at-least-n", "negative"])
+def test_local_moving_rejects_labels_outside_range(engine, bad):
+    interval = sys.getswitchinterval()
+    labels = np.array([0, 0, 0, bad, bad, bad])
+    with pytest.raises(ValueError, match=r"^labels must lie in \[0, n\)$"):
+        _run_engine(engine, two_triangles(), labels)
+    assert labels.tolist() == [0, 0, 0, bad, bad, bad]
+    assert sys.getswitchinterval() == interval
+
+
 def test_async_every_accepted_move_improves_q():
     # replay the ascending sweep with the shared primitives and check Q
     # after every accepted move
@@ -232,9 +251,19 @@ def _tolist_kernel_lists(g, labels):
     return g.targets.tolist(), g.weights.tolist(), labels.tolist()
 
 
+def _multi_chunk_graph():
+    """More arcs than one ARC_CHUNK, not a multiple of it, with 1000
+    distinct weights shared by many arcs."""
+    rng = np.random.default_rng(9)
+    us, vs = rng.integers(3000, size=45_000), rng.integers(3000, size=45_000)
+    g = build_graph(EdgeList(3000, edge_array(us, vs, rng.random(1000)[rng.integers(1000, size=45_000)])))
+    assert g.n_arcs > ARC_CHUNK and g.n_arcs % ARC_CHUNK
+    return g
+
+
 def test_kernel_lists_equal_tolist_and_share_objects():
     rng = np.random.default_rng(2)
-    for name, g in _kernel_cases():
+    for name, g in _kernel_cases() + [("multi_chunk", _multi_chunk_graph())]:
         for labels in (singleton_assignment(g.n), rng.integers(g.n, size=g.n)):
             tgt, wts, labs = _kernel_lists(g, labels)
             ref_tgt, ref_wts, ref_labs = _tolist_kernel_lists(g, labels)
