@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, arc_sources
+from .graph import Graph
 
 __all__ = [
     "Aggregates",
@@ -31,11 +31,8 @@ __all__ = [
     "neighbor_community_weights",
     "modularity",
     "modularity_bruteforce",
-    "modularity_from_aggregates",
     "delta_modularity",
-    "apply_move",
     "flatten",
-    "format_membership",
     "write_membership",
     "read_membership",
 ]
@@ -55,10 +52,6 @@ class Aggregates:
     sigma_tot: np.ndarray
     sigma_in: np.ndarray
     sizes: np.ndarray
-
-    @property
-    def n_communities(self) -> int:
-        return int(self.sigma_tot.shape[0])
 
 
 @dataclass
@@ -123,7 +116,7 @@ def community_aggregates(
         if n_communities < width:
             raise ValueError("n_communities smaller than max label + 1")
         width = n_communities
-    lab_src = labels[arc_sources(g)]
+    lab_src = np.repeat(labels, np.diff(g.offsets))
     internal = lab_src == labels[g.targets]
     return Aggregates(
         sigma_tot=np.bincount(labels, weights=g.degrees, minlength=width),
@@ -166,21 +159,17 @@ def neighbor_community_weights(
     return {int(c): float(w) for c, w in k_map.items()}, float(loop_w)
 
 
-def modularity_from_aggregates(agg: Aggregates, total: float) -> float:
-    """Q from precomputed aggregates; total is the graph's 2m.
+def modularity(g: Graph, labels: np.ndarray) -> float:
+    """Modularity of an assignment; lies in [-0.5, 1.0].
 
     The per-community terms are combined with math.fsum, so the result is
     exactly invariant under community relabeling.
     """
-    if total <= 0:
+    agg = community_aggregates(g, labels)
+    if g.total <= 0:
         raise ValueError("modularity undefined for zero-total graph")
-    frac = agg.sigma_tot / total
-    return math.fsum((agg.sigma_in / total - frac * frac).tolist())
-
-
-def modularity(g: Graph, labels: np.ndarray) -> float:
-    """Modularity of an assignment; lies in [-0.5, 1.0]."""
-    return modularity_from_aggregates(community_aggregates(g, labels), g.total)
+    frac = agg.sigma_tot / g.total
+    return math.fsum((agg.sigma_in / g.total - frac * frac).tolist())
 
 
 def modularity_bruteforce(g: Graph, labels: np.ndarray) -> float:
@@ -217,25 +206,6 @@ def modularity_bruteforce(g: Graph, labels: np.ndarray) -> float:
     return q
 
 
-def move_gain(
-    k_to_new: float,
-    k_to_from: float,
-    k_u: float,
-    sigma_to: float,
-    sigma_from_without: float,
-    m: float,
-) -> float:
-    """Exact modularity change of moving one vertex.
-
-    Arguments describe the move of a vertex with weighted degree k_u out
-    of a community whose degree mass without it is sigma_from_without and
-    into one with degree mass sigma_to; k_to_new / k_to_from are the
-    vertex's non-loop arc weights into the target and source communities.
-    m is half the graph total.
-    """
-    return (k_to_new - k_to_from) / m - k_u * (sigma_to - sigma_from_without) / (2.0 * m * m)
-
-
 def delta_modularity(
     g: Graph,
     agg: Aggregates,
@@ -244,7 +214,7 @@ def delta_modularity(
     from_c: int,
     to_c: int,
 ) -> float:
-    """Modularity change of moving u from from_c to to_c.
+    """Exact modularity change of moving u from from_c to to_c.
 
     k_to maps each candidate community to the summed weight of u's
     non-loop arcs into it; zero entries may be omitted.  agg must reflect
@@ -257,33 +227,10 @@ def delta_modularity(
         return 0.0
     k_u = float(g.degrees[u])
     m = g.total / 2.0
-    return move_gain(
-        float(k_to.get(to_c, 0.0)),
-        float(k_to.get(from_c, 0.0)),
-        k_u,
-        float(agg.sigma_tot[to_c]),
-        float(agg.sigma_tot[from_c]) - k_u,
-        m,
-    )
-
-
-def apply_move(g: Graph, labels: np.ndarray, agg: Aggregates, u: int, to_c: int) -> None:
-    """Move u to community to_c, updating labels and agg in place.
-
-    Single-writer: caller must not mutate labels or agg concurrently.
-    """
-    from_c = int(labels[u])
-    if to_c == from_c:
-        return
-    k_map, loop_w = neighbor_community_weights(g, labels, u)
-    k_u = float(g.degrees[u])
-    agg.sigma_tot[from_c] -= k_u
-    agg.sigma_tot[to_c] += k_u
-    agg.sigma_in[from_c] -= 2.0 * k_map.get(from_c, 0.0) + loop_w
-    agg.sigma_in[to_c] += 2.0 * k_map.get(to_c, 0.0) + loop_w
-    agg.sizes[from_c] -= 1
-    agg.sizes[to_c] += 1
-    labels[u] = to_c
+    k_new = float(k_to.get(to_c, 0.0))
+    k_from = float(k_to.get(from_c, 0.0))
+    s_from_wo = float(agg.sigma_tot[from_c]) - k_u
+    return (k_new - k_from) / m - k_u * (float(agg.sigma_tot[to_c]) - s_from_wo) / (2.0 * m * m)
 
 
 def flatten(d: Dendrogram) -> np.ndarray:
@@ -305,14 +252,10 @@ def flatten(d: Dendrogram) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def format_membership(labels: np.ndarray) -> str:
-    labels = np.asarray(labels, dtype=np.int64)
-    return "".join(f"{u} {int(c)}\n" for u, c in enumerate(labels.tolist()))
-
-
 def write_membership(path: str, labels: np.ndarray) -> None:
+    labels = np.asarray(labels, dtype=np.int64)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_membership(labels))
+        fh.write("".join(f"{u} {int(c)}\n" for u, c in enumerate(labels.tolist())))
 
 
 def read_membership(path: str) -> np.ndarray:

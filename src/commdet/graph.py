@@ -25,12 +25,9 @@ __all__ = [
     "parse_edgelist",
     "build_graph",
     "graph_stats",
-    "graph_to_edgelist",
     "save_edgelist",
     "edge_array",
     "load_graph_file",
-    "arc_sources",
-    "validate_graph",
 ]
 
 
@@ -99,11 +96,6 @@ class Graph:
     weights: np.ndarray
     degrees: np.ndarray
     total: float
-
-    def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (targets, weights) slices for vertex u."""
-        lo, hi = self.offsets[u], self.offsets[u + 1]
-        return self.targets[lo:hi], self.weights[lo:hi]
 
     @property
     def n_arcs(self) -> int:
@@ -473,11 +465,6 @@ def _is_symmetric(us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
     return True
 
 
-def arc_sources(g: Graph) -> np.ndarray:
-    """Per-arc source vertex ids (row index of each CSR entry)."""
-    return np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.offsets))
-
-
 def graph_stats(g: Graph) -> GraphStats:
     """Vertex count, arc count (symmetric pairs twice, loops once), avg degree."""
     return GraphStats(
@@ -487,46 +474,9 @@ def graph_stats(g: Graph) -> GraphStats:
     )
 
 
-def validate_graph(g: Graph) -> None:
-    """Check the CSR invariants; raises AssertionError on violation.
-
-    Verifies monotone offsets, per-row target ordering, arc symmetry
-    (every (u, v, w) has a matching (v, u, w)), positive finite weights,
-    and degree/total consistency.
-    """
-    assert g.offsets.shape == (g.n + 1,)
-    assert g.offsets[0] == 0 and g.offsets[-1] == g.n_arcs
-    assert np.all(np.diff(g.offsets) >= 0), "offsets must be non-decreasing"
-    assert g.targets.shape == g.weights.shape
-    assert np.all(np.isfinite(g.weights)) and np.all(g.weights > 0)
-
-    src = arc_sources(g)
-    for u in range(g.n):
-        row = g.targets[g.offsets[u] : g.offsets[u + 1]]
-        assert np.all(np.diff(row) > 0), f"row {u} not strictly sorted"
-
-    fwd = np.lexsort((g.targets, src))
-    rev = np.lexsort((src, g.targets))
-    assert np.array_equal(src[fwd], g.targets[rev])
-    assert np.array_equal(g.targets[fwd], src[rev])
-    assert np.array_equal(g.weights[fwd], g.weights[rev]), "asymmetric arc weights"
-
-    expect = np.bincount(src, weights=g.weights, minlength=g.n)
-    assert np.allclose(g.degrees, expect, rtol=0, atol=0)
-    assert g.total == float(np.sum(g.degrees))
-    assert g.total > 0
-
-
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
-
-
-def graph_to_edgelist(g: Graph) -> EdgeList:
-    """Collapse a Graph back to one entry per undirected edge (u <= v)."""
-    src = arc_sources(g)
-    keep = src <= g.targets
-    return EdgeList(n=g.n, entries=edge_array(src[keep], g.targets[keep], g.weights[keep]))
 
 
 def save_edgelist(edges: EdgeList, path: str) -> None:

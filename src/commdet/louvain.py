@@ -28,7 +28,7 @@ from .community import (
     scan_arcs,
     singleton_assignment,
 )
-from .graph import ARC_CHUNK, Graph, _graph_from_arcs, arc_sources
+from .graph import ARC_CHUNK, Graph, _graph_from_arcs
 
 __all__ = [
     "Config",
@@ -117,7 +117,7 @@ def best_move(
 
     Returns (community, gain).  When no candidate improves modularity the
     vertex stays put and the result is (from_c, 0.0).  Exact gain ties are
-    broken toward the lowest community id.  The gain is move_gain's
+    broken toward the lowest community id.  The gain is delta_modularity's
     expression, evaluated in the same float operation order.
     """
     k_from = scan[from_c]
@@ -339,7 +339,7 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     # the mapped endpoint columns are handed over in a list the callee
     # empties, so it holds their only references and frees each unsorted
     # column as soon as it is permuted
-    arcs = [mapping[arc_sources(g)], mapping[g.targets], g.weights]
+    arcs = [np.repeat(mapping, np.diff(g.offsets)), mapping[g.targets], g.weights]
     g2 = _graph_from_arcs(n_comm, arcs)
     return g2, mapping
 
@@ -445,6 +445,17 @@ class SweepResult:
     report: Report
 
 
+def _sweep(g: Graph, cells, run) -> list[SweepResult]:
+    """One run(g, cfg) per (params, cfg) cell, in order."""
+    out: list[SweepResult] = []
+    for params, cfg in cells:
+        _, rep = run(g, cfg)
+        out.append(SweepResult(params=params, final_q=rep.final_q, passes=rep.n_passes,
+                               total_iterations=rep.total_iterations, wall_ms=rep.wall_ms,
+                               report=rep))
+    return out
+
+
 def sweep_tolerance(
     g: Graph,
     initial_grid: list[float],
@@ -456,19 +467,10 @@ def sweep_tolerance(
     if not initial_grid or not decline_grid:
         raise ValueError("sweep grids must be non-empty")
     base = cfg if cfg is not None else Config()
-    out: list[SweepResult] = []
-    for init in initial_grid:
-        for dec in decline_grid:
-            run_cfg = replace(base, tolerance_initial=init, tolerance_decline_factor=dec)
-            _, rep = louvain(g, run_cfg)
-            out.append(
-                SweepResult(
-                    params={"tolerance": init, "decline_factor": dec},
-                    final_q=rep.final_q,
-                    passes=rep.n_passes,
-                    total_iterations=rep.total_iterations,
-                    wall_ms=rep.wall_ms,
-                    report=rep,
-                )
-            )
-    return out
+    cells = (
+        ({"tolerance": init, "decline_factor": dec},
+         replace(base, tolerance_initial=init, tolerance_decline_factor=dec))
+        for init in initial_grid
+        for dec in decline_grid
+    )
+    return _sweep(g, cells, louvain)

@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .graph import Graph
-from .louvain import Config, Report, SweepResult, _move_loop, _run_passes, _sweep_range
+from .louvain import Config, Report, SweepResult, _move_loop, _run_passes, _sweep, _sweep_range
 from .community import Dendrogram
 
 __all__ = [
@@ -162,18 +162,5 @@ def sweep_threads(
     if not thread_list:
         raise ValueError("thread list must be non-empty")
     base = cfg if cfg is not None else ParallelConfig()
-    out: list[SweepResult] = []
-    for t in thread_list:
-        run_cfg = replace(base, threads=int(t))
-        _, rep = parallel_louvain(g, run_cfg)
-        out.append(
-            SweepResult(
-                params={"threads": int(t)},
-                final_q=rep.final_q,
-                passes=rep.n_passes,
-                total_iterations=rep.total_iterations,
-                wall_ms=rep.wall_ms,
-                report=rep,
-            )
-        )
-    return out
+    cells = (({"threads": int(t)}, replace(base, threads=int(t))) for t in thread_list)
+    return _sweep(g, cells, parallel_louvain)

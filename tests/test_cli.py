@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,16 +12,15 @@ from commdet.cli import (
     geometric_grid,
     main,
     parse_grid,
-    read_report_csv,
-    read_report_json,
     read_sweep_csv,
     write_report_csv,
     write_report_json,
 )
 from commdet.community import read_membership
 from commdet.fixtures import cliques, gnp_graph, random_gnp
-from commdet.graph import save_edgelist
-from commdet.louvain import louvain
+from commdet.graph import load_graph_file, save_edgelist
+from commdet.louvain import louvain, sweep_tolerance
+from commdet.parallel import ParallelConfig, parallel_louvain
 
 
 @pytest.fixture
@@ -27,6 +28,11 @@ def triangle_file(tmp_path):
     path = tmp_path / "two_triangles.txt"
     save_edgelist(cliques(3, 2), str(path))
     return str(path)
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +184,12 @@ def test_detect_env_threads_used_when_flag_absent(triangle_file, tmp_path, capsy
     monkeypatch.setenv("COMMDET_THREADS", "3")
     assert main(["detect", "--input", triangle_file, "--out-report", rep,
                  "--report-format", "json"]) == 0
-    assert read_report_json(rep).threads == 3
+    assert _read_json(rep)["totals"]["threads"] == 3
     # explicit flag wins over the environment
     monkeypatch.setenv("COMMDET_THREADS", "5")
     assert main(["detect", "--input", triangle_file, "--threads", "2",
                  "--out-report", rep, "--report-format", "json"]) == 0
-    assert read_report_json(rep).threads == 2
+    assert _read_json(rep)["totals"]["threads"] == 2
     capsys.readouterr()
 
 
@@ -202,24 +208,38 @@ def test_report_csv_round_trip(tmp_path):
     _, rep = louvain(g)
     path = str(tmp_path / "report.csv")
     write_report_csv(path, rep)
-    rows = read_report_csv(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == rep.n_passes
     for got, want in zip(rows, rep.passes):
-        assert got.index == want.index
-        assert got.iterations == want.iterations
-        assert got.q_after == want.q_after
-        assert got.local_ms == want.local_ms
-        assert got.agg_ms == want.agg_ms
-        assert got.vertices == want.vertices
+        assert int(got["pass"]) == want.index
+        assert int(got["iterations"]) == want.iterations
+        assert float(got["q"]) == want.q_after
+        assert float(got["local_ms"]) == want.local_ms
+        assert float(got["agg_ms"]) == want.agg_ms
+        assert int(got["vertices"]) == want.vertices
 
 
 def test_report_json_round_trip(tmp_path):
     g = gnp_graph(60, 0.1, seed=4)
-    _, rep = louvain(g)
+    _, rep = parallel_louvain(g, ParallelConfig(threads=2, chunk_size=8))
     path = str(tmp_path / "report.json")
     write_report_json(path, rep)
-    back = read_report_json(path)
-    assert back == rep
+    back = _read_json(path)
+    assert len(back["passes"]) == rep.n_passes
+    for got, want in zip(back["passes"], rep.passes):
+        assert got == {"pass": want.index, "iterations": want.iterations, "q": want.q_after,
+                       "local_ms": want.local_ms, "agg_ms": want.agg_ms,
+                       "vertices": want.vertices, "conflicts": want.conflicts}
+    assert back["totals"] == {
+        "passes": rep.n_passes,
+        "total_iterations": rep.total_iterations,
+        "final_q": rep.final_q,
+        "wall_ms": rep.wall_ms,
+        "truncated": rep.truncated,
+        "threads": rep.threads,
+        "max_sigma_drift": rep.max_sigma_drift,
+    }
 
 
 def test_report_csv_header_is_fixed(tmp_path):
@@ -266,10 +286,10 @@ def test_sweep_single_cell_matches_detect(triangle_file, tmp_path, capsys):
                  "--out-report", rep_path, "--report-format", "json"]) == 0
     capsys.readouterr()
     (row,) = read_sweep_csv(out)
-    rep = read_report_json(rep_path)
-    assert row["final_q"] == rep.final_q
-    assert row["passes"] == rep.n_passes
-    assert row["total_iterations"] == rep.total_iterations
+    totals = _read_json(rep_path)["totals"]
+    assert row["final_q"] == totals["final_q"]
+    assert row["passes"] == totals["passes"]
+    assert row["total_iterations"] == totals["total_iterations"]
 
 
 def test_sweep_decline_kind(triangle_file, tmp_path, capsys):
@@ -279,6 +299,24 @@ def test_sweep_decline_kind(triangle_file, tmp_path, capsys):
     capsys.readouterr()
     rows = read_sweep_csv(out)
     assert [r["decline_factor"] for r in rows] == [10.0, 100.0, 1000.0]
+
+
+def test_sweep_json_report_rows(triangle_file, tmp_path, capsys):
+    out = str(tmp_path / "sweep.json")
+    assert main(["sweep", "tolerance", "--grid", "0.1,0.01", "--input", triangle_file,
+                 "--out-report", out, "--report-format", "json"]) == 0
+    capsys.readouterr()
+    rows = _read_json(out)
+    want = sweep_tolerance(load_graph_file(triangle_file), [0.1, 0.01], [10.0])
+    assert len(rows) == len(want) == 2
+    for row, cell in zip(rows, want):
+        assert list(row) == ["tolerance", "decline_factor", "final_q", "passes",
+                             "total_iterations", "wall_time_ms"]
+        assert (row["tolerance"], row["decline_factor"]) == (
+            cell.params["tolerance"], cell.params["decline_factor"])
+        assert row["final_q"] == cell.final_q
+        assert row["passes"] == cell.passes
+        assert row["total_iterations"] == cell.total_iterations
 
 
 def test_sweep_stdout_when_no_report_path(triangle_file, capsys):

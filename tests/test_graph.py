@@ -12,14 +12,12 @@ from commdet.graph import (
     build_graph,
     edge_array,
     graph_stats,
-    graph_to_edgelist,
     parse_edgelist,
     parse_matrix_market,
     save_edgelist,
-    validate_graph,
 )
 
-from conftest import two_triangles
+from conftest import graph_to_edgelist, neighbors, validate_graph
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +145,8 @@ def test_build_single_edge_with_self_loops():
 def test_build_existing_self_loop_kept_not_doubled():
     g = build_graph(EdgeList(2, [(0, 1, 1.0), (0, 0, 3.0)]), add_self_loops=True)
     # vertex 0 keeps its weight-3 loop, vertex 1 gains a weight-1 loop
-    assert g.neighbors(0)[1].tolist() == [3.0, 1.0]
-    assert g.neighbors(1)[1].tolist() == [1.0, 1.0]
+    assert neighbors(g, 0)[1].tolist() == [3.0, 1.0]
+    assert neighbors(g, 1)[1].tolist() == [1.0, 1.0]
 
 
 def test_build_merges_parallel_arcs():
