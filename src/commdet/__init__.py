@@ -1,11 +1,12 @@
 """Community detection via the Louvain method, with a benchmark CLI.
 
 Core pieces: CSR graphs (:mod:`commdet.graph`), modularity scoring and
-move bookkeeping (:mod:`commdet.community`), the sequential engine with
-async/sync local moving and threshold scaling (:mod:`commdet.louvain`),
-a threaded local-moving engine (:mod:`commdet.parallel`), and synthetic
-fixtures (:mod:`commdet.fixtures`).  ``commdet.cli`` wires them into the
-``commdet`` command.
+move bookkeeping (:mod:`commdet.community`), the Louvain engine with
+async/sync local moving, threaded async local moving
+(``Config.threads``) and threshold scaling (:mod:`commdet.louvain`), and
+synthetic fixtures (:mod:`commdet.fixtures`).  :mod:`commdet.parallel`
+keeps the threaded engine's former names as aliases.  ``commdet.cli``
+wires them into the ``commdet`` command.
 """
 
 from .community import (
@@ -31,7 +32,7 @@ from .graph import (
     parse_matrix_market,
 )
 from .louvain import Config, Report, aggregate_graph, local_moving, louvain, sweep_tolerance
-from .parallel import ParallelConfig, parallel_local_moving, parallel_louvain, sweep_threads
+from .parallel import ParallelConfig, parallel_louvain, sweep_threads
 
 __version__ = "0.1.0"
 
@@ -57,7 +58,6 @@ __all__ = [
     "modularity",
     "modularity_bruteforce",
     "normalize_labels",
-    "parallel_local_moving",
     "parallel_louvain",
     "parse_edgelist",
     "parse_matrix_market",

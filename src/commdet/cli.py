@@ -1,7 +1,7 @@
 """Benchmark CLI: detect communities, sweep parameters, report graph stats.
 
 Subcommands:
-    detect  run the sequential or threaded engine on one graph
+    detect  run Louvain on one graph, threaded with --threads N > 1
     sweep   run a tolerance / decline-factor / thread-count sweep
     stats   print vertex/edge counts and average degree after preprocessing
     gen     write a synthetic fixture graph
@@ -21,8 +21,7 @@ import sys
 from .community import flatten, normalize_labels, write_membership
 from .fixtures import cliques, random_gnp, ring_of_cliques
 from .graph import Graph, GraphParseError, graph_stats, load_graph_file, save_edgelist
-from .louvain import Config, PassStats, Report, SweepResult, louvain, sweep_tolerance
-from .parallel import ParallelConfig, parallel_louvain, sweep_threads
+from .louvain import Config, PassStats, Report, SweepResult, louvain, sweep_threads, sweep_tolerance
 
 __all__ = [
     "main",
@@ -204,20 +203,20 @@ def _resolve_threads(args: argparse.Namespace) -> int | None:
     return None
 
 
-def _make_config(args: argparse.Namespace, threads: int | None):
-    common = dict(
+def _make_config(args: argparse.Namespace, threads: int | None) -> Config:
+    """The run's Config; a thread count given at all, even 1, rules out sync."""
+    if threads is not None and args.mode == "sync":
+        raise ValueError("cannot combine --mode sync with --threads; the threaded engine is async")
+    return Config(
         tolerance_initial=args.tolerance,
         tolerance_decline_factor=args.decline_factor,
         pass_tolerance=args.pass_tolerance,
         max_passes=args.max_passes,
         max_iterations_per_pass=args.max_iterations,
         mode=args.mode,
+        threads=1 if threads is None else threads,
+        chunk_size=args.chunk_size,
     )
-    if threads is None:
-        return Config(**common)
-    if args.mode == "sync":
-        raise ValueError("cannot combine --mode sync with --threads; the threaded engine is async")
-    return ParallelConfig(threads=threads, chunk_size=args.chunk_size, **common)
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -229,11 +228,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if g is None:
         return EXIT_INPUT
 
-    if isinstance(cfg, ParallelConfig):
-        dend, report = parallel_louvain(g, cfg)
-    else:
-        dend, report = louvain(g, cfg)
-
+    dend, report = louvain(g, cfg)
     labels, _ = normalize_labels(flatten(dend))
     print(
         f"Q={report.final_q:.4f} passes={report.n_passes} "
@@ -252,8 +247,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         grid = parse_grid(args.grid)
-        # thread sweeps always use the parallel engine; the grid overrides
-        # the per-row thread count anyway
+        # a thread sweep is threaded even at one thread, so it rules out
+        # sync; the grid sets each row's thread count
         cfg = _make_config(args, 1 if args.kind == "threads" else None)
     except ValueError as exc:
         return _error(exc, EXIT_PARAMS)
@@ -261,15 +256,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if g is None:
         return EXIT_INPUT
 
-    if args.kind == "tolerance":
-        rows = sweep_tolerance(g, grid, [args.decline_factor], cfg)
-    elif args.kind == "decline":
-        rows = sweep_tolerance(g, [args.tolerance], grid, cfg)
-    else:
-        counts = [int(v) for v in grid]
-        if any(c < 1 for c in counts):
-            return _error("thread counts must be >= 1", EXIT_PARAMS)
-        rows = sweep_threads(g, counts, cfg)
+    try:
+        # the sweeps check every cell's Config before the first run, and
+        # a run on a loaded graph raises no ValueError, so only those can
+        if args.kind == "tolerance":
+            rows = sweep_tolerance(g, grid, [args.decline_factor], cfg)
+        elif args.kind == "decline":
+            rows = sweep_tolerance(g, [args.tolerance], grid, cfg)
+        else:
+            rows = sweep_threads(g, grid, cfg)
+    except ValueError as exc:
+        return _error(exc, EXIT_PARAMS)
 
     if not args.out_report:
         write_sweep_csv(sys.stdout, rows)
@@ -316,9 +313,10 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="input format (default: by file extension)")
     p.add_argument("--mode", choices=["async", "sync"], default="async")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"thread count for the parallel engine (env {THREADS_ENV} "
+                   help=f"thread count; 1 is the plain sequential sweep (env {THREADS_ENV} "
                         "applies when absent)")
-    p.add_argument("--chunk-size", type=int, default=1024)
+    p.add_argument("--chunk-size", type=int, default=1024,
+                   help="vertices per worker chunk when --threads is above 1")
     p.add_argument("--tolerance", type=float, default=0.01)
     p.add_argument("--decline-factor", type=float, default=10.0)
     p.add_argument("--pass-tolerance", type=float, default=0.0)

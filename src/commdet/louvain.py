@@ -1,12 +1,19 @@
-"""Sequential Louvain: greedy local moving, graph aggregation, and the pass loop.
+"""Louvain: greedy local moving, graph aggregation, and the pass loop.
 
-Local moving comes in two flavors.  Asynchronous sweeps apply each accepted
-move immediately, so later vertices in the same iteration see it (Gauss-
-Seidel style).  Synchronous sweeps decide every move against a snapshot of
-the iteration start and apply the non-conflicting local maxima together at
-the end (Jacobi style); applied-together moves may realize less than the
-sum of their decision-time gains, so modularity is always recomputed
-exactly between passes.
+Local moving comes in three flavors, all on one kernel.  Asynchronous
+sweeps apply each accepted move immediately, so later vertices in the same
+iteration see it (Gauss-Seidel style).  Synchronous sweeps decide every
+move against a snapshot of the iteration start and apply the
+non-conflicting local maxima together at the end (Jacobi style);
+applied-together moves may realize less than the sum of their
+decision-time gains, so modularity is always recomputed exactly between
+passes.  With ``Config.threads`` above one, an asynchronous sweep is split
+into contiguous vertex chunks that worker threads race over one shared
+label array and one shared community-mass array: reads are unsynchronized
+(a reader may see a stale label or mass), and each accepted move applies
+its label write and its two mass adjustments as one indivisible block
+under a mutex, so races perturb the search trajectory but never the
+bookkeeping.  One thread is the plain sequential sweep, bit for bit.
 
 After each pass the convergence tolerance is divided by a decline factor
 (threshold scaling), trading precision in late passes for speed.
@@ -14,8 +21,12 @@ After each pass the convergence tolerance is divided by a decline factor
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -40,6 +51,7 @@ __all__ = [
     "aggregate_graph",
     "louvain",
     "sweep_tolerance",
+    "sweep_threads",
 ]
 
 # threshold scaling never drops the tolerance below this, avoiding denormals
@@ -47,10 +59,16 @@ TOLERANCE_FLOOR = 1e-16
 
 MODES = ("async", "sync")
 
+# GIL preemption slice used while worker threads are live; the default 5 ms
+# slice would let a desk-scale chunk sweep finish without ever yielding,
+# hiding exactly the read/write contention the threaded sweep exists to study
+WORKER_SWITCH_INTERVAL = 5e-6
+
 
 @dataclass
 class Config:
-    """Run parameters for the sequential engine."""
+    """Run parameters.  threads > 1 runs the threaded async sweep over
+    chunk_size-vertex chunks; each check is written so NaN fails it."""
 
     tolerance_initial: float = 0.01
     tolerance_decline_factor: float = 10.0
@@ -58,20 +76,29 @@ class Config:
     max_passes: int = 20
     max_iterations_per_pass: int = 500
     mode: str = "async"
+    threads: int = 1
+    chunk_size: int = 1024
 
     def __post_init__(self) -> None:
         if not self.tolerance_initial > 0:
             raise ValueError("tolerance must be > 0")
-        if self.tolerance_decline_factor < 1:
+        if not self.tolerance_decline_factor >= 1:
             raise ValueError("tolerance_decline_factor must be >= 1")
-        if self.pass_tolerance < 0:
+        if not self.pass_tolerance >= 0:
             raise ValueError("pass_tolerance must be >= 0")
-        if self.max_passes < 1:
+        if not self.max_passes >= 1:
             raise ValueError("max_passes must be >= 1")
-        if self.max_iterations_per_pass < 1:
+        if not self.max_iterations_per_pass >= 1:
             raise ValueError("max_iterations_per_pass must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if not (self.threads >= 1 and float(self.threads).is_integer()):
+            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
+        self.threads = int(self.threads)
+        if not self.chunk_size >= 1:
+            raise ValueError("chunk_size must be >= 1")
+        if self.threads > 1 and self.mode != "async":
+            raise ValueError("the threaded engine only supports async mode")
 
 
 @dataclass
@@ -84,9 +111,9 @@ class PassStats:
     q_after: float
     local_ms: float
     agg_ms: float
-    # per-iteration counts of moves whose target changed under them; only
-    # the multi-threaded engine fills this in
-    conflicts: list[int] = field(default_factory=list)
+    # per iteration, the moves whose target community's mass changed
+    # between the scan and the locked write; zero unless threads > 1
+    conflicts: list[int]
 
 
 @dataclass
@@ -180,6 +207,48 @@ def _sweep_range(
     return gain, moves, conflicts
 
 
+def _threaded_sweep(pool: ThreadPoolExecutor, shares, lock, *state) -> tuple[float, int, int]:
+    """One threaded iteration: worker w runs _sweep_range over each chunk of
+    shares[w] in order, every move under lock; the chunks' gains, moves and
+    conflicts are summed in worker order."""
+
+    def work(chunks):
+        return [_sweep_range(lo, hi, *state, lock) for lo, hi in chunks]
+
+    futures = [pool.submit(work, chunks) for chunks in shares]
+    gains, moves, conflicts = zip(*(row for f in futures for row in f.result()))
+    return sum(gains), sum(moves), sum(conflicts)
+
+
+# the switch interval belongs to the whole process, so the count of live
+# threaded runs that share it does too
+_switch_lock = threading.Lock()
+_switch_users = 0
+_saved_interval = 0.0
+
+
+@contextmanager
+def _worker_switch_interval():
+    """Hold the worker switch interval while any threaded run is live.
+
+    The first run in saves the process interval and the last run out
+    restores it, so overlapping runs leave it as they found it.
+    """
+    global _switch_users, _saved_interval
+    with _switch_lock:
+        if _switch_users == 0:
+            _saved_interval = sys.getswitchinterval()
+            sys.setswitchinterval(WORKER_SWITCH_INTERVAL)
+        _switch_users += 1
+    try:
+        yield
+    finally:
+        with _switch_lock:
+            _switch_users -= 1
+            if _switch_users == 0:
+                sys.setswitchinterval(_saved_interval)
+
+
 def _sync_iteration(
     offs: list[int],
     tgt: list[int],
@@ -271,7 +340,7 @@ def _move_loop(
     tolerance: float,
     max_iterations: int,
     sweep: Callable[..., tuple[float, int, int]],
-) -> tuple[int, float, int, list[int], list[float]]:
+) -> tuple[int, float, int, list[int], float]:
     """Repeat sweep until an iteration gains <= tolerance or the cap is hit.
 
     sweep(offs, tgt, wts, degs, labs, sigma_tot, m) runs one iteration
@@ -279,7 +348,9 @@ def _move_loop(
     returns (gain, moves, conflicts).  labels is updated in place.
     Raises ValueError when a label lies outside [0, n).
     Returns (iterations, cumulative gain, accepted moves, conflicts per
-    iteration, final sigma_tot).
+    iteration, sigma drift), where the drift is the largest absolute
+    difference between the incrementally maintained community masses and
+    an exact recomputation from the final labels.
     """
     if labels.size and (labels.min() < 0 or labels.max() >= g.n):
         raise ValueError("labels must lie in [0, n)")
@@ -302,7 +373,32 @@ def _move_loop(
             break
 
     labels[:] = labs
-    return iterations, total_gain, total_moves, conflicts, sigma_tot
+    # measured once the kernel lists are gone, so the peak does not rise
+    del tgt, wts, labs, graph_lists
+    fresh = np.bincount(labels, weights=g.degrees, minlength=g.n)
+    drift = float(np.max(np.abs(fresh - np.asarray(sigma_tot, dtype=np.float64))))
+    return iterations, total_gain, total_moves, conflicts, drift
+
+
+def _move_phase(
+    g: Graph, labels: np.ndarray, tolerance: float, cfg: Config
+) -> tuple[int, float, int, list[int], float]:
+    """One pass's local moving with the sweep cfg picks; see _move_loop.
+
+    Sync sweeps with _sync_iteration, one async thread with the unlocked
+    _sweep_range.  More threads split the ids into cfg.chunk_size chunks:
+    worker w owns chunks w, w + threads, ..., so only it moves their vertices.
+    """
+    cap = cfg.max_iterations_per_pass
+    if cfg.mode == "sync":
+        return _move_loop(g, labels, tolerance, cap, _sync_iteration)
+    if cfg.threads == 1:
+        return _move_loop(g, labels, tolerance, cap, partial(_sweep_range, 0, g.n))
+    bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
+    shares = [bounds[w :: cfg.threads] for w in range(cfg.threads)]
+    with _worker_switch_interval(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        sweep = partial(_threaded_sweep, pool, shares, threading.Lock())
+        return _move_loop(g, labels, tolerance, cap, sweep)
 
 
 def local_moving(
@@ -312,7 +408,8 @@ def local_moving(
     mode: str = "async",
     max_iterations: int = 500,
 ) -> tuple[int, float, int]:
-    """Run the local-moving phase until an iteration gains <= tolerance.
+    """Run the single-threaded local-moving phase until an iteration gains
+    <= tolerance.
 
     labels is updated in place.  Returns (iterations, cumulative gain,
     accepted moves).  The gain is the sum of decision-time move gains; in
@@ -320,10 +417,8 @@ def local_moving(
     it can overstate it.  Hitting max_iterations stops the loop without
     raising.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    sweep = partial(_sweep_range, 0, g.n) if mode == "async" else _sync_iteration
-    return _move_loop(g, labels, tolerance, max_iterations, sweep)[:3]
+    cfg = Config(mode=mode, max_iterations_per_pass=max_iterations)
+    return _move_phase(g, labels, tolerance, cfg)[:3]
 
 
 def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
@@ -344,11 +439,13 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     return g2, mapping
 
 
-MovePhase = Callable[[Graph, np.ndarray, float], tuple[int, float, int, list[int], float]]
+def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
+    """Full Louvain run: local moving, quality check, aggregation, repeat.
 
-
-def _run_passes(g: Graph, cfg: Config, move_phase: MovePhase) -> tuple[Dendrogram, Report]:
-    """Shared pass loop: local moving, quality check, aggregation, repeat."""
+    Returns the dendrogram and its report.  Aggregation is sequential for
+    every thread count.
+    """
+    cfg = cfg if cfg is not None else Config()
     t_start = time.perf_counter()
     levels: list[np.ndarray] = []
     per_q: list[float] = []
@@ -362,7 +459,7 @@ def _run_passes(g: Graph, cfg: Config, move_phase: MovePhase) -> tuple[Dendrogra
     for pass_idx in range(cfg.max_passes):
         labels = singleton_assignment(g_cur.n)
         t0 = time.perf_counter()
-        iters, _gain, moves, conflicts, drift = move_phase(g_cur, labels, tol)
+        iters, _gain, moves, conflicts, drift = _move_phase(g_cur, labels, tol, cfg)
         local_ms = (time.perf_counter() - t0) * 1000.0
         max_drift = max(max_drift, drift)
         if iters >= cfg.max_iterations_per_pass:
@@ -415,22 +512,10 @@ def _run_passes(g: Graph, cfg: Config, move_phase: MovePhase) -> tuple[Dendrogra
         total_iterations=sum(p.iterations for p in pass_stats),
         wall_ms=(time.perf_counter() - t_start) * 1000.0,
         truncated=truncated,
+        threads=cfg.threads,
         max_sigma_drift=max_drift,
     )
     return dend, report
-
-
-def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
-    """Full sequential Louvain run; returns the dendrogram and its report."""
-    cfg = cfg if cfg is not None else Config()
-
-    def phase(gc: Graph, labels: np.ndarray, tol: float):
-        iters, gain, moves = local_moving(
-            gc, labels, tol, mode=cfg.mode, max_iterations=cfg.max_iterations_per_pass
-        )
-        return iters, gain, moves, [], 0.0
-
-    return _run_passes(g, cfg, phase)
 
 
 @dataclass
@@ -445,11 +530,12 @@ class SweepResult:
     report: Report
 
 
-def _sweep(g: Graph, cells, run) -> list[SweepResult]:
-    """One run(g, cfg) per (params, cfg) cell, in order."""
+def _sweep(g: Graph, cells: list[tuple[dict, Config]]) -> list[SweepResult]:
+    """One louvain(g, cfg) per (params, cfg) cell, in order.  The cells
+    are a list, so every cell's Config is valid before the first run."""
     out: list[SweepResult] = []
     for params, cfg in cells:
-        _, rep = run(g, cfg)
+        _, rep = louvain(g, cfg)
         out.append(SweepResult(params=params, final_q=rep.final_q, passes=rep.n_passes,
                                total_iterations=rep.total_iterations, wall_ms=rep.wall_ms,
                                report=rep))
@@ -467,10 +553,19 @@ def sweep_tolerance(
     if not initial_grid or not decline_grid:
         raise ValueError("sweep grids must be non-empty")
     base = cfg if cfg is not None else Config()
-    cells = (
+    cells = [
         ({"tolerance": init, "decline_factor": dec},
          replace(base, tolerance_initial=init, tolerance_decline_factor=dec))
         for init in initial_grid
         for dec in decline_grid
-    )
-    return _sweep(g, cells, louvain)
+    ]
+    return _sweep(g, cells)
+
+
+def sweep_threads(g: Graph, thread_list: list[int], cfg: Config | None = None) -> list[SweepResult]:
+    """One louvain run per thread count, in list order."""
+    if not thread_list:
+        raise ValueError("thread list must be non-empty")
+    base = cfg if cfg is not None else Config()
+    cfgs = [replace(base, threads=t) for t in thread_list]
+    return _sweep(g, [({"threads": c.threads}, c) for c in cfgs])

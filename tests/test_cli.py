@@ -301,6 +301,31 @@ def test_sweep_decline_kind(triangle_file, tmp_path, capsys):
     assert [r["decline_factor"] for r in rows] == [10.0, 100.0, 1000.0]
 
 
+@pytest.mark.parametrize("kind, grid, message", [
+    ("tolerance", "0.1,0", "tolerance must be > 0"),
+    ("decline", "10,0.5", "tolerance_decline_factor must be >= 1"),
+    ("threads", "1,0", "threads must be an integer >= 1, got 0.0"),
+    ("threads", "1.7", "threads must be an integer >= 1, got 1.7"),
+])
+def test_sweep_invalid_cell_exits_2_before_any_run(kind, grid, message, triangle_file,
+                                                    tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(sys.modules["commdet.louvain"], "louvain",
+                        lambda *args: runs.append(args))
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", kind, "--grid", grid, "--input", triangle_file,
+                 "--out-report", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert runs == []
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag", ["--tolerance", "--decline-factor", "--pass-tolerance"])
+def test_detect_nan_parameter_exits_2(flag, triangle_file, capsys):
+    assert main(["detect", "--input", triangle_file, flag, "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_json_report_rows(triangle_file, tmp_path, capsys):
     out = str(tmp_path / "sweep.json")
     assert main(["sweep", "tolerance", "--grid", "0.1,0.01", "--input", triangle_file,

@@ -19,13 +19,13 @@ from commdet.graph import ARC_CHUNK, EdgeList, build_graph, edge_array
 from commdet.louvain import (
     Config,
     _kernel_lists,
+    _move_phase,
     aggregate_graph,
     best_move,
     local_moving,
     louvain,
     sweep_tolerance,
 )
-from commdet.parallel import ParallelConfig, parallel_local_moving
 
 from conftest import bridged_triangles, fixture_suite, neighbors, single_edge, two_triangles
 
@@ -46,6 +46,7 @@ def test_config_defaults():
     assert cfg.tolerance_decline_factor == 10.0
     assert cfg.pass_tolerance == 0.0
     assert cfg.mode == "async"
+    assert (cfg.threads, cfg.chunk_size) == (1, 1024)
 
 
 @pytest.mark.parametrize(
@@ -58,11 +59,25 @@ def test_config_defaults():
         {"max_passes": 0},
         {"max_iterations_per_pass": 0},
         {"mode": "banana"},
+        {"tolerance_decline_factor": float("nan")},
+        {"pass_tolerance": float("nan")},
+        {"tolerance_initial": float("nan")},
+        {"threads": 0},
+        {"threads": float("nan")},
+        {"threads": 1.7},
+        {"threads": float("inf")},
+        {"chunk_size": 0},
+        {"mode": "sync", "threads": 2},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         Config(**kwargs)
+
+
+def test_config_integral_float_threads_become_int():
+    cfg = Config(threads=2.0)
+    assert cfg.threads == 2 and type(cfg.threads) is int
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +206,7 @@ def test_local_moving_rejects_unknown_mode():
 
 def _run_engine(engine, g, labels):
     if engine == "threads2":
-        return parallel_local_moving(g, labels, 0.01, ParallelConfig(threads=2, chunk_size=2))
+        return _move_phase(g, labels, 0.01, Config(threads=2, chunk_size=2))
     return local_moving(g, labels, 0.01, mode=engine)
 
 

@@ -5,17 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import commdet.parallel
-
 from commdet.community import flatten, modularity, singleton_assignment
 from commdet.fixtures import gnp_graph
-from commdet.louvain import Config, local_moving, louvain
-from commdet.parallel import (
-    ParallelConfig,
-    parallel_local_moving,
-    parallel_louvain,
-    sweep_threads,
-)
+from commdet.louvain import Config, _move_phase, local_moving, louvain
+from commdet.parallel import ParallelConfig, parallel_louvain, sweep_threads
 
 from conftest import sbm_graph, two_triangles
 
@@ -31,7 +24,7 @@ def test_parallel_config_validation():
 
 def test_parallel_rejects_sync_mode():
     with pytest.raises(ValueError, match="async"):
-        parallel_louvain(two_triangles(), ParallelConfig(mode="sync"))
+        parallel_louvain(two_triangles(), ParallelConfig(mode="sync", threads=2))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -53,9 +46,7 @@ def test_single_thread_local_moving_matches_sequential_phase():
     a1 = singleton_assignment(g.n)
     a2 = singleton_assignment(g.n)
     it1, gain1, mv1 = local_moving(g, a1, 0.01)
-    it2, gain2, mv2, conflicts, drift = parallel_local_moving(
-        g, a2, 0.01, ParallelConfig(threads=1)
-    )
+    it2, gain2, mv2, conflicts, drift = _move_phase(g, a2, 0.01, ParallelConfig(threads=1))
     assert a1.tolist() == a2.tolist()
     assert (it1, gain1, mv1) == (it2, gain2, mv2)
     assert conflicts == [0] * it2
@@ -71,27 +62,36 @@ def test_four_threads_recover_two_triangles():
     assert flat[0] != flat[3]
 
 
-@pytest.mark.parametrize("threads", [2, 4, 8])
-def test_threaded_quality_and_bookkeeping(threads):
+@pytest.mark.parametrize("engine", ["async", "sync", 1, 2, 4, 8])
+def test_threaded_quality_and_bookkeeping(engine):
+    # every engine keeps the same per-iteration record; an int engine is
+    # a thread count
+    if isinstance(engine, str):
+        cfg = Config(mode=engine)
+    else:
+        cfg = Config(threads=engine, chunk_size=16)
     for seed in range(4):
         g = sbm_graph(16, 20, 0.35, 0.005, seed=seed)
         _, r_seq = louvain(g, Config())
-        d, rep = parallel_louvain(g, ParallelConfig(threads=threads, chunk_size=16))
+        d, rep = louvain(g, cfg)
         assert abs(rep.final_q - r_seq.final_q) <= 0.02
         assert rep.max_sigma_drift <= 1e-6
+        assert rep.threads == cfg.threads
         qs = d.per_level_q
         for a, b in zip(qs, qs[1:]):
             assert b >= a - 1e-6
-        # conflicts recorded once per iteration of each pass
+        # conflicts recorded once per iteration of each pass, and only
+        # racing threads can have any
         for p in rep.passes:
             assert len(p.conflicts) == p.iterations
+            assert cfg.threads > 1 or not any(p.conflicts)
         assert abs(rep.final_q - modularity(g, flatten(d))) <= 1e-9
 
 
 def test_parallel_iteration_cap_respected():
     g = gnp_graph(80, 0.1, seed=6)
     labels = singleton_assignment(g.n)
-    iters, _, _, _, _ = parallel_local_moving(
+    iters, _, _, _, _ = _move_phase(
         g, labels, 1e-12, ParallelConfig(threads=4, chunk_size=8, max_iterations_per_pass=2)
     )
     assert iters == 2
@@ -131,14 +131,15 @@ def test_overlapping_runs_restore_switch_interval(monkeypatch):
                 assert a_done.wait(timeout=10)
             return out
 
-    monkeypatch.setattr(commdet.parallel, "ThreadPoolExecutor", GatedPool)
+    # the package re-exports the louvain function under the module's name
+    monkeypatch.setattr(sys.modules["commdet.louvain"], "ThreadPoolExecutor", GatedPool)
     g = gnp_graph(40, 0.1, seed=1)
     errors = []
 
     def run(name):
         try:
-            parallel_local_moving(g, singleton_assignment(g.n), 0.01,
-                                  ParallelConfig(threads=2, chunk_size=8))
+            _move_phase(g, singleton_assignment(g.n), 0.01,
+                        ParallelConfig(threads=2, chunk_size=8))
         except Exception as exc:  # surfaced in the main thread below
             errors.append(exc)
         finally:

@@ -44,3 +44,13 @@ def test_all_entries_exist(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+def test_parallel_names_are_louvain_objects():
+    # commdet.parallel only renames the engine; it defines nothing itself
+    parallel = importlib.import_module("commdet.parallel")
+    engine = importlib.import_module("commdet.louvain")
+    for name in parallel.__all__:
+        obj = getattr(parallel, name)
+        assert obj.__module__ == "commdet.louvain"
+        assert getattr(engine, obj.__name__) is obj, name
