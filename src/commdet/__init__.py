@@ -10,10 +10,7 @@ wires them into the ``commdet`` command.
 """
 
 from .community import (
-    Aggregates,
     Dendrogram,
-    community_aggregates,
-    delta_modularity,
     flatten,
     modularity,
     modularity_bruteforce,
@@ -37,7 +34,6 @@ from .parallel import ParallelConfig, parallel_louvain, sweep_threads
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aggregates",
     "Config",
     "Dendrogram",
     "EdgeList",
@@ -48,8 +44,6 @@ __all__ = [
     "Report",
     "aggregate_graph",
     "build_graph",
-    "community_aggregates",
-    "delta_modularity",
     "flatten",
     "graph_stats",
     "load_graph_file",

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from typing import TextIO
 
 from .community import flatten, normalize_labels, write_membership
 from .fixtures import cliques, random_gnp, ring_of_cliques
@@ -25,10 +26,6 @@ from .louvain import Config, PassStats, Report, SweepResult, louvain, sweep_thre
 
 __all__ = [
     "main",
-    "cmd_detect",
-    "cmd_sweep",
-    "cmd_stats",
-    "cmd_gen",
     "parse_grid",
     "geometric_grid",
     "write_report_csv",
@@ -41,7 +38,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PARAMS = 2
 
-# consulted only when --threads is absent
 THREADS_ENV = "COMMDET_THREADS"
 
 REPORT_CSV_COLUMNS = ["pass", "iterations", "q", "local_ms", "agg_ms", "vertices"]
@@ -104,18 +100,12 @@ def _dump_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def write_sweep_csv(path_or_fh, rows: list[SweepResult]) -> None:
-    """Sweep table: one row per grid cell, param columns first."""
-    own = isinstance(path_or_fh, str)
-    fh = open(path_or_fh, "w", encoding="utf-8", newline="") if own else path_or_fh
-    try:
-        table = [_sweep_row(r) for r in rows]
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(table[0]) if table else SWEEP_STAT_COLUMNS)
-        writer.writerows(_csv_cells(row) for row in table)
-    finally:
-        if own:
-            fh.close()
+def write_sweep_csv(fh: TextIO, rows: list[SweepResult]) -> None:
+    """Sweep table on an open text file: one row per grid cell, param columns first."""
+    table = [_sweep_row(r) for r in rows]
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(list(table[0]) if table else SWEEP_STAT_COLUMNS)
+    writer.writerows(_csv_cells(row) for row in table)
 
 
 def read_sweep_csv(path: str) -> list[dict]:
@@ -171,13 +161,12 @@ def parse_grid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _error(message: object, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Failed(Exception):
+    """Ends a command with (exit code, message); main prints the message."""
 
 
-def _load(args: argparse.Namespace) -> Graph | None:
-    """The preprocessed input graph, or None once the load error is printed."""
+def _load(args: argparse.Namespace) -> Graph:
+    """The preprocessed input graph; a bad input file exits 1."""
     try:
         return load_graph_file(
             args.input,
@@ -187,26 +176,19 @@ def _load(args: argparse.Namespace) -> Graph | None:
             default_weight=args.add_self_loops if args.add_self_loops is not None else 1.0,
         )
     except (GraphParseError, OSError, ValueError) as exc:
-        _error(exc, EXIT_INPUT)
-        return None
+        raise _Failed(EXIT_INPUT, exc) from exc
 
 
-def _resolve_threads(args: argparse.Namespace) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
+def _make_config(args: argparse.Namespace) -> Config:
+    """The run's Config.  The thread count is --threads, else
+    COMMDET_THREADS, else 1; Config rejects sync above one thread."""
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get(THREADS_ENV, "1")
         try:
-            return int(env)
+            threads = int(env)
         except ValueError as exc:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    return None
-
-
-def _make_config(args: argparse.Namespace, threads: int | None) -> Config:
-    """The run's Config; a thread count given at all, even 1, rules out sync."""
-    if threads is not None and args.mode == "sync":
-        raise ValueError("cannot combine --mode sync with --threads; the threaded engine is async")
     return Config(
         tolerance_initial=args.tolerance,
         tolerance_decline_factor=args.decline_factor,
@@ -214,20 +196,23 @@ def _make_config(args: argparse.Namespace, threads: int | None) -> Config:
         max_passes=args.max_passes,
         max_iterations_per_pass=args.max_iterations,
         mode=args.mode,
-        threads=1 if threads is None else threads,
-        chunk_size=args.chunk_size,
+        threads=threads,
     )
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
+def _prepare(args: argparse.Namespace, grid: str | None = None) -> tuple[Config, list[float], Graph]:
+    """A run's Config, parsed sweep grid and graph.  The grid and the flags
+    are checked before the graph loads: a bad one exits 2, a bad input 1."""
     try:
-        cfg = _make_config(args, _resolve_threads(args))
+        values = [] if grid is None else parse_grid(grid)
+        cfg = _make_config(args)
     except ValueError as exc:
-        return _error(exc, EXIT_PARAMS)
-    g = _load(args)
-    if g is None:
-        return EXIT_INPUT
+        raise _Failed(EXIT_PARAMS, exc) from exc
+    return cfg, values, _load(args)
 
+
+def cmd_detect(args: argparse.Namespace) -> int:
+    cfg, _, g = _prepare(args)
     dend, report = louvain(g, cfg)
     labels, _ = normalize_labels(flatten(dend))
     print(
@@ -245,17 +230,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        grid = parse_grid(args.grid)
-        # a thread sweep is threaded even at one thread, so it rules out
-        # sync; the grid sets each row's thread count
-        cfg = _make_config(args, 1 if args.kind == "threads" else None)
-    except ValueError as exc:
-        return _error(exc, EXIT_PARAMS)
-    g = _load(args)
-    if g is None:
-        return EXIT_INPUT
-
+    cfg, grid, g = _prepare(args, args.grid)
     try:
         # the sweeps check every cell's Config before the first run, and
         # a run on a loaded graph raises no ValueError, so only those can
@@ -266,23 +241,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             rows = sweep_threads(g, grid, cfg)
     except ValueError as exc:
-        return _error(exc, EXIT_PARAMS)
+        raise _Failed(EXIT_PARAMS, exc) from exc
 
     if not args.out_report:
         write_sweep_csv(sys.stdout, rows)
     elif args.report_format == "json":
         _dump_json(args.out_report, [_sweep_row(r) for r in rows])
     else:
-        write_sweep_csv(args.out_report, rows)
+        with open(args.out_report, "w", encoding="utf-8", newline="") as fh:
+            write_sweep_csv(fh, rows)
     print(f"swept {len(rows)} cells", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    g = _load(args)
-    if g is None:
-        return EXIT_INPUT
-    st = graph_stats(g)
+    st = graph_stats(_load(args))
     print(f"|V|={st.vertices} |E|={st.undirected_edges} Davg={st.avg_degree:.2f}")
     return EXIT_OK
 
@@ -296,7 +269,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         else:
             edges = random_gnp(args.n, args.p, args.seed)
     except ValueError as exc:
-        return _error(exc, EXIT_PARAMS)
+        raise _Failed(EXIT_PARAMS, exc) from exc
     save_edgelist(edges, args.out)
     print(f"wrote {args.out}: n={edges.n} edges={len(edges.entries)}")
     return EXIT_OK
@@ -307,27 +280,28 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_run_options(p: argparse.ArgumentParser) -> None:
+def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="graph file path")
     p.add_argument("--format", choices=["mtx", "edgelist"], default=None,
                    help="input format (default: by file extension)")
-    p.add_argument("--mode", choices=["async", "sync"], default="async")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"thread count; 1 is the plain sequential sweep (env {THREADS_ENV} "
-                        "applies when absent)")
-    p.add_argument("--chunk-size", type=int, default=1024,
-                   help="vertices per worker chunk when --threads is above 1")
-    p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--decline-factor", type=float, default=10.0)
-    p.add_argument("--pass-tolerance", type=float, default=0.0)
-    p.add_argument("--max-passes", type=int, default=20)
-    p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--add-self-loops", nargs="?", const=1.0, type=float,
                    default=None, metavar="W",
                    help="insert weight-W self-loops on loop-free vertices (W defaults to 1)")
     p.add_argument("--no-symmetrize", action="store_true",
                    help="input already stores both arc directions")
-    p.add_argument("--out-membership", default=None)
+
+
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    """Engine and report flags of detect and sweep."""
+    p.add_argument("--mode", choices=["async", "sync"], default="async")
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"thread count; 1 is the plain sequential sweep (env {THREADS_ENV} "
+                        "applies when absent)")
+    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--decline-factor", type=float, default=10.0)
+    p.add_argument("--pass-tolerance", type=float, default=0.0)
+    p.add_argument("--max-passes", type=int, default=20)
+    p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--out-report", default=None)
     p.add_argument("--report-format", choices=["csv", "json"], default="csv")
 
@@ -337,18 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_detect = sub.add_parser("detect", help="detect communities in one graph")
+    _add_input_options(p_detect)
     _add_run_options(p_detect)
+    p_detect.add_argument("--out-membership", default=None)
     p_detect.set_defaults(run=cmd_detect)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("kind", choices=["tolerance", "decline", "threads"])
     p_sweep.add_argument("--grid", required=True,
                          help="comma-separated values or start:stop:factor")
+    _add_input_options(p_sweep)
     _add_run_options(p_sweep)
     p_sweep.set_defaults(run=cmd_sweep)
 
     p_stats = sub.add_parser("stats", help="print graph statistics")
-    _add_run_options(p_stats)
+    _add_input_options(p_stats)
+    # read by nothing: the benchmark passes --mode to every command
+    p_stats.add_argument("--mode", choices=["async", "sync"], default="async")
     p_stats.set_defaults(run=cmd_stats)
 
     p_gen = sub.add_parser("gen", help="generate a fixture graph")
@@ -367,7 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except _Failed as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -169,6 +169,45 @@ def test_detect_threads1_matches_sequential_membership(triangle_file, tmp_path, 
     assert open(m_seq).read() == open(m_par).read()
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["detect", "--mode", "sync", "--threads", "1"], {}),
+    (["detect", "--mode", "sync"], {"COMMDET_THREADS": "1"}),
+], ids=["flag", "env"])
+def test_detect_sync_on_one_thread_matches_sync_membership(argv, env, tmp_path, capsys,
+                                                           monkeypatch):
+    graph = tmp_path / "g.txt"
+    save_edgelist(random_gnp(80, 0.08, seed=3), str(graph))
+    m_sync, m_one = str(tmp_path / "sync.txt"), str(tmp_path / "one.txt")
+    assert main(["detect", "--input", str(graph), "--mode", "sync",
+                 "--out-membership", m_sync]) == 0
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main([*argv, "--input", str(graph), "--out-membership", m_one]) == 0
+    capsys.readouterr()
+    assert open(m_one, "rb").read() == open(m_sync, "rb").read()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["detect", "--threads", "2"], {}),
+    (["detect"], {"COMMDET_THREADS": "2"}),
+    (["sweep", "tolerance", "--grid", "0.1", "--threads", "2"], {}),
+    (["sweep", "decline", "--grid", "10"], {"COMMDET_THREADS": "2"}),
+    (["sweep", "threads", "--grid", "1,2"], {}),
+], ids=["detect-flag", "detect-env", "tolerance-flag", "decline-env", "threads-grid"])
+def test_sync_above_one_thread_exits_2_before_any_run(argv, env, triangle_file, capsys,
+                                                      monkeypatch):
+    runs = []
+    monkeypatch.setattr(sys.modules["commdet.louvain"], "louvain",
+                        lambda *args: runs.append(args))
+    monkeypatch.setattr(sys.modules["commdet.cli"], "louvain",
+                        lambda *args: runs.append(args))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main([*argv, "--mode", "sync", "--input", triangle_file]) == 2
+    assert capsys.readouterr().err == "error: the threaded engine only supports async mode\n"
+    assert runs == []
+
+
 def test_detect_deterministic_membership_bytes(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     save_edgelist(random_gnp(80, 0.08, seed=3), str(graph))
@@ -196,6 +235,37 @@ def test_detect_env_threads_used_when_flag_absent(triangle_file, tmp_path, capsy
 def test_detect_bad_env_threads_exits_2(triangle_file, capsys, monkeypatch):
     monkeypatch.setenv("COMMDET_THREADS", "lots")
     assert main(["detect", "--input", triangle_file]) == 2
+
+
+def test_detect_max_iterations_truncates(triangle_file, tmp_path, capsys):
+    rep = str(tmp_path / "rep.json")
+    assert main(["detect", "--input", triangle_file, "--max-iterations", "1",
+                 "--out-report", rep, "--report-format", "json"]) == 0
+    capsys.readouterr()
+    totals = _read_json(rep)["totals"]
+    assert totals["truncated"] is True
+    assert totals["total_iterations"] == totals["passes"]
+
+
+def test_detect_max_passes_caps_the_report(triangle_file, tmp_path, capsys):
+    full, capped = str(tmp_path / "full.json"), str(tmp_path / "capped.json")
+    assert main(["detect", "--input", triangle_file, "--out-report", full,
+                 "--report-format", "json"]) == 0
+    assert main(["detect", "--input", triangle_file, "--max-passes", "1",
+                 "--out-report", capped, "--report-format", "json"]) == 0
+    capsys.readouterr()
+    assert len(_read_json(full)["passes"]) > 1
+    assert len(_read_json(capped)["passes"]) == 1
+    assert _read_json(capped)["totals"]["passes"] == 1
+
+
+def test_no_symmetrize_rejects_one_sided_edge_list(tmp_path, capsys):
+    path = tmp_path / "one_sided.txt"
+    path.write_text("0 1\n1 2\n")
+    assert main(["detect", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--input", str(path), "--no-symmetrize"]) == 1
+    assert "not symmetric" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +390,39 @@ def test_sweep_invalid_cell_exits_2_before_any_run(kind, grid, message, triangle
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("kind, grid", [("tolerance", "0.1,0.01"), ("decline", "10,100")])
+@pytest.mark.parametrize("flags, env", [
+    (["--threads", "2"], {}),
+    ([], {"COMMDET_THREADS": "2"}),
+    (["--threads", "2"], {"COMMDET_THREADS": "3"}),
+], ids=["flag", "env", "flag-over-env"])
+def test_sweep_tolerance_and_decline_take_the_thread_count(kind, grid, flags, env, triangle_file,
+                                                           capsys, monkeypatch):
+    louvain_mod = sys.modules["commdet.louvain"]
+    real, threads = louvain_mod.louvain, []
+    monkeypatch.setattr(louvain_mod, "louvain",
+                        lambda g, cfg: threads.append(cfg.threads) or real(g, cfg))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(["sweep", kind, "--grid", grid, "--input", triangle_file, *flags]) == 0
+    capsys.readouterr()
+    assert threads == [2, 2]
+
+
+def test_sweep_threads_one_thread_runs_sync(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    save_edgelist(random_gnp(80, 0.08, seed=3), str(graph))
+    rep = str(tmp_path / "rep.json")
+    assert main(["sweep", "threads", "--grid", "1", "--mode", "sync", "--input", str(graph)]) == 0
+    (row,) = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert main(["detect", "--mode", "sync", "--input", str(graph), "--out-report", rep,
+                 "--report-format", "json"]) == 0
+    capsys.readouterr()
+    totals = _read_json(rep)["totals"]
+    assert (float(row["final_q"]), int(row["total_iterations"])) == (
+        totals["final_q"], totals["total_iterations"])
+
+
 @pytest.mark.parametrize("flag", ["--tolerance", "--decline-factor", "--pass-tolerance"])
 def test_detect_nan_parameter_exits_2(flag, triangle_file, capsys):
     assert main(["detect", "--input", triangle_file, flag, "nan"]) == 2
@@ -380,6 +483,34 @@ def test_stats_mtx_format(tmp_path, capsys):
     )
     assert main(["stats", "--input", str(mtx)]) == 0
     assert capsys.readouterr().out.strip() == "|V|=3 |E|=6 Davg=2.00"
+
+
+def test_format_flag_reads_matrix_market_named_txt(tmp_path, capsys):
+    path = tmp_path / "k3.txt"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n3 1\n3 2\n"
+    )
+    assert main(["stats", "--input", str(path)]) == 1
+    assert "expected 'u v [w]'" in capsys.readouterr().err
+    assert main(["stats", "--input", str(path), "--format", "mtx"]) == 0
+    assert capsys.readouterr().out.strip() == "|V|=3 |E|=6 Davg=2.00"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--out-report", "{out}"],
+    ["stats", "--threads", "2"],
+    ["stats", "--tolerance", "-5", "--out-report", "{out}"],
+    ["detect", "--chunk-size", "8", "--out-report", "{out}"],
+    ["sweep", "tolerance", "--grid", "0.1", "--out-membership", "{out}"],
+], ids=["stats-report", "stats-threads", "stats-tolerance", "detect-chunk-size",
+        "sweep-membership"])
+def test_flags_a_command_does_not_read_exit_2(argv, triangle_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{out}", out) for a in argv] + ["--input", triangle_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == [os.path.basename(triangle_file)]
 
 
 def test_detect_mtx_with_self_loop_weight(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Every name the benchmark and the acceptance tests import from commdet,
-and every name a module exports, exists."""
+and every name a module exports, exists; every benchmark command line parses."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
+
+from commdet.cli import build_parser
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +56,13 @@ def test_parallel_names_are_louvain_objects():
         obj = getattr(parallel, name)
         assert obj.__module__ == "commdet.louvain"
         assert getattr(engine, obj.__name__) is obj, name
+
+
+def test_every_bench_argv_parses(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.WORKLOADS
+    parser = build_parser()
+    for w in workloads.WORKLOADS.values():
+        args = parser.parse_args(w.argv("in", "m"))
+        assert (args.command, args.input) == (w.kind, "in"), w.name
