@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _row_slices
 
 __all__ = [
     "Aggregates",
@@ -116,11 +116,17 @@ def community_aggregates(
         if n_communities < width:
             raise ValueError("n_communities smaller than max label + 1")
         width = n_communities
-    lab_src = np.repeat(labels, np.diff(g.offsets))
-    internal = lab_src == labels[g.targets]
+    sigma_in = np.zeros(width, dtype=np.float64)
+    row_len = np.diff(g.offsets)
+    for r0, r1, lo, hi in _row_slices(g.offsets):
+        lab_src = np.repeat(labels[r0:r1], row_len[r0:r1])
+        internal = lab_src == labels[g.targets[lo:hi]]
+        # np.add.at adds to each bin in arc order, slice after slice, as
+        # one bincount over all arcs would
+        np.add.at(sigma_in, lab_src[internal], g.weights[lo:hi][internal])
     return Aggregates(
         sigma_tot=np.bincount(labels, weights=g.degrees, minlength=width),
-        sigma_in=np.bincount(lab_src[internal], weights=g.weights[internal], minlength=width),
+        sigma_in=sigma_in,
         sizes=np.bincount(labels, minlength=width).astype(np.int64),
     )
 

@@ -36,7 +36,8 @@ class GraphParseError(ValueError):
 
 
 # arcs per slice where an arc-length pass runs in slices to bound its
-# temporaries (the symmetry check, the local-moving kernel lists)
+# temporaries (the symmetry check, the degree pass, the modularity sums and
+# aggregation's per-block sort)
 ARC_CHUNK = 1 << 14
 
 EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
@@ -360,27 +361,35 @@ def _build(
             has_loop[us[us == vs]] = True
             missing = np.flatnonzero(~has_loop)
         loop_w = np.full(missing.size, float(default_weight))
-        # arc order: the entries, their mirrored copies, then the inserted loops
+        # arc order: the entries, their mirrored copies, then the inserted
+        # loops; the endpoint columns are int32 whenever the ids fit, which
+        # narrows what the sort holds, and the targets come out int64
+        ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
         arcs = [
-            np.concatenate([us, vs[off], missing]),
-            np.concatenate([vs, us[off], missing]),
+            np.concatenate([us, vs[off], missing], dtype=ids, casting="same_kind"),
+            np.concatenate([vs, us[off], missing], dtype=ids, casting="same_kind"),
             np.concatenate([ws, ws[off], loop_w]),
         ]
         # drop the views of the entries, then hand the arc columns over in a
         # list the callee empties, so each unsorted column is freed as soon as
         # it is permuted
         del us, vs, ws, off
-        return _graph_from_arcs(n, arcs)
+        counts, vs, ws = _merge_arcs(n, arcs)
+        vs = vs.astype(np.int64, copy=False)
+        return _finish_graph(n, counts, vs, ws)
     except MemoryError as exc:
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
 
 
-def _graph_from_arcs(n: int, arcs: list[np.ndarray]) -> Graph:
-    """Sort arcs into CSR order, merge duplicates, and finish the Graph.
+def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort arcs stably by (source, target) and sum each run of equal pairs.
 
-    arcs is the list [sources, targets, weights]; it is emptied, so that
-    when it held the only references this function can free each column
-    as soon as it has a sorted copy.
+    arcs is the list [sources, targets, weights] over rows 0..n-1; it is
+    emptied, so that when it held the only references each column is
+    freed as soon as it has a sorted copy.  Returns the row lengths and
+    the merged targets and weights in CSR order.  A run's weights are
+    summed with reduceat in arc order; a sum past the float64 range is
+    left for _finish_graph to reject.
     """
     us, vs, ws = arcs
     arcs.clear()
@@ -407,13 +416,21 @@ def _graph_from_arcs(n: int, arcs: list[np.ndarray]) -> Graph:
         del new_run
         # deduplicated input, the common case, skips the merge copies
         if starts.size < vs.size:
-            # a sum past the float64 range is rejected below, not warned about
             with np.errstate(over="ignore"):
                 ws = np.add.reduceat(ws, starts)
             vs = vs[starts]
             counts = np.diff(np.searchsorted(starts, bounds))
-        del starts, bounds
+    return counts, vs, ws
 
+
+def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> Graph:
+    """Check merged CSR arcs and wrap them in a Graph.
+
+    counts[u] is the length of row u; vs and ws are the targets and
+    weights in CSR order, each row's targets strictly ascending.  The
+    offsets, degrees and total are derived here, and the weights, the
+    symmetry and the total are checked.
+    """
     if ws.size and ws.min() <= 0:
         raise ValueError("arc weights must be positive after merging")
     if ws.size and not np.isfinite(ws.max()):
@@ -421,16 +438,19 @@ def _graph_from_arcs(n: int, arcs: list[np.ndarray]) -> Graph:
 
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    us = np.repeat(np.arange(n, dtype=np.int64), counts)
     # the Graph type promises symmetry; catch unsymmetrized input here
     # rather than letting modularity invariants break silently downstream
-    if not _is_symmetric(us, vs, ws):
+    if not _is_symmetric(offsets, vs, ws):
         raise ValueError(
             "arc list is not symmetric; pass symmetrize=True or provide both directions"
         )
-    degrees = (
-        np.bincount(us, weights=ws, minlength=n) if us.size else np.zeros(n, dtype=np.float64)
-    )
+    degrees = np.zeros(n, dtype=np.float64)
+    for r0, r1, lo, hi in _row_slices(offsets):
+        # a row lies within one slice, so each degree sums its row in arc
+        # order, as one bincount over all arcs would
+        degrees[r0:r1] = np.bincount(
+            _slice_rows(offsets, r0, r1), weights=ws[lo:hi], minlength=r1 - r0
+        )
     with np.errstate(over="ignore"):
         total = float(np.sum(degrees))
     if total <= 0.0:
@@ -444,21 +464,46 @@ def _graph_from_arcs(n: int, arcs: list[np.ndarray]) -> Graph:
     return Graph(n=n, offsets=offsets, targets=vs, weights=ws, degrees=degrees, total=total)
 
 
-def _is_symmetric(us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
+def _row_slices(offsets: np.ndarray):
+    """Split the rows of a CSR offset array into consecutive ranges.
+
+    Yields (r0, r1, lo, hi): rows r0..r1-1, whose arcs are lo..hi-1.  A
+    range holds at most ARC_CHUNK arcs unless its single row has more, and
+    two consecutive ranges hold more than ARC_CHUNK together, so there are
+    at most 2 * arcs / ARC_CHUNK + 1 of them.
+    """
+    n = offsets.size - 1
+    r0 = 0
+    while r0 < n:
+        lo = int(offsets[r0])
+        r1 = max(int(np.searchsorted(offsets, lo + ARC_CHUNK, side="right")) - 1, r0 + 1)
+        yield r0, r1, lo, int(offsets[r1])
+        r0 = r1
+
+
+def _slice_rows(offsets: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Each arc's row, minus r0, for the arcs of rows r0..r1-1."""
+    return np.repeat(np.arange(r1 - r0), np.diff(offsets[r0 : r1 + 1]))
+
+
+def _is_symmetric(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
     """Whether the arc at rank i of the (v, u) order reverses the arc at
     position i of the (u, v) order, with a weight equal to rtol 1e-12.
 
-    The comparisons run over ARC_CHUNK arcs at a time, so only the reverse
-    permutation is arc-length; the verdict is that of comparing whole
-    columns.
+    The arcs are in CSR order with strictly ascending targets per row, so
+    a stable sort by target alone gives the (v, u) order, and arc j's
+    source is the row whose offsets bracket j.  The comparisons run over
+    row-aligned slices, so only the reverse permutation is arc-length; the
+    verdict is that of comparing whole columns.
     """
-    rev = np.lexsort((us, vs))
-    for lo in range(0, us.size, ARC_CHUNK):
-        hi = lo + ARC_CHUNK
+    rev = np.argsort(vs, kind="stable")
+    for r0, r1, lo, hi in _row_slices(offsets):
         r = rev[lo:hi]
+        v = vs[lo:hi]
         if not (
-            np.array_equal(us[lo:hi], vs[r])
-            and np.array_equal(vs[lo:hi], us[r])
+            np.array_equal(_slice_rows(offsets, r0, r1) + r0, vs[r])
+            and np.all(offsets[v] <= r)
+            and np.all(r < offsets[v + 1])
             and np.allclose(ws[lo:hi], ws[r], rtol=1e-12, atol=0.0)
         ):
             return False

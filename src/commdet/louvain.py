@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .community import (
     scan_arcs,
     singleton_assignment,
 )
-from .graph import ARC_CHUNK, Graph, _graph_from_arcs
+from .graph import Graph, _finish_graph, _merge_arcs, _row_slices
 
 __all__ = [
     "Config",
@@ -165,10 +165,10 @@ def best_move(
 def _sweep_range(
     lo_v: int,
     hi_v: int,
-    offs: list[int],
-    tgt: list[int],
-    wts: list[float],
-    degs: list[float],
+    offs: Sequence[int],
+    tgt: Sequence[int],
+    wts: Sequence[float],
+    degs: Sequence[float],
     labs: list[int],
     sigma_tot: list[float],
     m: float,
@@ -250,10 +250,10 @@ def _worker_switch_interval():
 
 
 def _sync_iteration(
-    offs: list[int],
-    tgt: list[int],
-    wts: list[float],
-    degs: list[float],
+    offs: Sequence[int],
+    tgt: Sequence[int],
+    wts: Sequence[float],
+    degs: Sequence[float],
     labs: list[int],
     sigma_tot: list[float],
     m: float,
@@ -309,29 +309,17 @@ def _sync_iteration(
     return gain, moves, 0
 
 
-def _kernel_lists(g: Graph, labels: np.ndarray) -> tuple[list[int], list[float], list[int]]:
-    """Targets, weights and labels as lists for the pure-Python kernel.
+def _kernel_inputs(g: Graph, labels: np.ndarray) -> tuple[tuple[memoryview, ...], list[int]]:
+    """The graph's offsets, targets, weights and degrees, and the labels,
+    for the pure-Python kernel.
 
-    The lists hold one int object per vertex id and one float object per
-    distinct weight, shared by every arc that carries it, instead of a
-    fresh object per arc as tolist() would box.  Element for element they
-    equal g.targets.tolist(), g.weights.tolist() and labels.tolist(),
-    float bits included: weights are positive and finite, so np.unique
-    merges no -0.0 or NaN and searchsorted finds each weight's own value.
-    The arc lists are filled ARC_CHUNK arcs at a time, so no arc-length
-    index or object array is ever live.
+    The graph's arrays are read through memoryviews, so the kernel keeps no
+    copy of them: indexing one gives the builtin int or float that
+    tolist() would hold there, float bits included.  Labels are a list the
+    sweeps update in place.
     """
-    uniq = np.unique(g.weights)
-    objs = np.array(uniq.tolist(), dtype=object)
-    ids = np.arange(g.n, dtype=object)
-    m = g.n_arcs
-    tgt: list = [None] * m
-    wts: list = [None] * m
-    for lo in range(0, m, ARC_CHUNK):
-        hi = lo + ARC_CHUNK
-        tgt[lo:hi] = ids[g.targets[lo:hi]].tolist()
-        wts[lo:hi] = objs[np.searchsorted(uniq, g.weights[lo:hi])].tolist()
-    return tgt, wts, ids[labels].tolist()
+    arrays = (g.offsets, g.targets, g.weights, g.degrees)
+    return tuple(memoryview(a) for a in arrays), labels.tolist()
 
 
 def _move_loop(
@@ -344,7 +332,7 @@ def _move_loop(
     """Repeat sweep until an iteration gains <= tolerance or the cap is hit.
 
     sweep(offs, tgt, wts, degs, labs, sigma_tot, m) runs one iteration
-    over the graph as lists, updating labs and sigma_tot in place, and
+    over the graph, updating the lists labs and sigma_tot in place, and
     returns (gain, moves, conflicts).  labels is updated in place.
     Raises ValueError when a label lies outside [0, n).
     Returns (iterations, cumulative gain, accepted moves, conflicts per
@@ -354,9 +342,8 @@ def _move_loop(
     """
     if labels.size and (labels.min() < 0 or labels.max() >= g.n):
         raise ValueError("labels must lie in [0, n)")
-    tgt, wts, labs = _kernel_lists(g, labels)
+    graph, labs = _kernel_inputs(g, labels)
     sigma_tot = np.bincount(labels, weights=g.degrees, minlength=g.n).tolist()
-    graph_lists = (g.offsets.tolist(), tgt, wts, g.degrees.tolist())
     m = g.total / 2.0
 
     iterations = 0
@@ -365,7 +352,7 @@ def _move_loop(
     conflicts: list[int] = []
     while True:
         iterations += 1
-        gain, moves, clashes = sweep(*graph_lists, labs, sigma_tot, m)
+        gain, moves, clashes = sweep(*graph, labs, sigma_tot, m)
         total_gain += gain
         total_moves += moves
         conflicts.append(clashes)
@@ -373,8 +360,8 @@ def _move_loop(
             break
 
     labels[:] = labs
-    # measured once the kernel lists are gone, so the peak does not rise
-    del tgt, wts, labs, graph_lists
+    # measured once the kernel inputs are gone, so the peak does not rise
+    del graph, labs
     fresh = np.bincount(labels, weights=g.degrees, minlength=g.n)
     drift = float(np.max(np.abs(fresh - np.asarray(sigma_tot, dtype=np.float64))))
     return iterations, total_gain, total_moves, conflicts, drift
@@ -429,14 +416,45 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     coarse graph scores the same modularity under singletons as the fine
     graph does under the given labels.  Returns the coarse graph and the
     normalized labels used as the dendrogram level.
+
+    The arcs are merged in blocks of whole communities, at most ARC_CHUNK
+    arcs each unless one community alone has more.  A block lists its
+    communities' arcs in ascending arc order and _merge_arcs sorts them
+    stably by (community, target community) and sums each run with
+    reduceat, so every run holds the same arcs in the same order as under
+    one sort of all arcs, and sums to the same bits.
     """
     mapping, n_comm = normalize_labels(labels)
-    # the mapped endpoint columns are handed over in a list the callee
-    # empties, so it holds their only references and frees each unsorted
-    # column as soon as it is permuted
-    arcs = [np.repeat(mapping, np.diff(g.offsets)), mapping[g.targets], g.weights]
-    g2 = _graph_from_arcs(n_comm, arcs)
-    return g2, mapping
+    row_len = np.diff(g.offsets)
+    # the vertices grouped by community, ascending within each, and the
+    # position of each one's arcs in that grouped arc order
+    members = np.argsort(mapping, kind="stable")
+    member_arcs = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(row_len[members], out=member_arcs[1:])
+    first_member = np.zeros(n_comm + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mapping, minlength=n_comm), out=first_member[1:])
+    counts = np.zeros(n_comm, dtype=np.int64)
+    tgt_blocks: list[np.ndarray] = []
+    w_blocks: list[np.ndarray] = []
+    for c0, c1, lo, hi in _row_slices(member_arcs[first_member]):
+        verts = members[first_member[c0] : first_member[c1]]
+        lens = row_len[verts]
+        # a member's arcs start at this block position and at this arc id
+        at = member_arcs[first_member[c0] : first_member[c1]] - lo
+        arc = np.arange(hi - lo) + np.repeat(g.offsets[verts] - at, lens)
+        block = [np.repeat(mapping[verts] - c0, lens), mapping[g.targets[arc]], g.weights[arc]]
+        del arc
+        counts[c0:c1], tgt, w = _merge_arcs(c1 - c0, block)
+        tgt_blocks.append(tgt)
+        w_blocks.append(w)
+    del members, member_arcs, first_member
+    # join one column at a time and drop its blocks, so no more than one
+    # column is held twice
+    tgt = np.concatenate(tgt_blocks)
+    del tgt_blocks
+    w = np.concatenate(w_blocks)
+    del w_blocks
+    return _finish_graph(n_comm, counts, tgt, w), mapping
 
 
 def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:

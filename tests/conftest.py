@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from commdet.community import normalize_labels
 from commdet.fixtures import cliques, gnp_graph, ring_of_cliques
-from commdet.graph import EdgeList, Graph, build_graph, edge_array
+from commdet.graph import ARC_CHUNK, EdgeList, Graph, build_graph, edge_array
 
 
 def two_triangles() -> Graph:
@@ -42,6 +45,53 @@ def fixture_suite() -> list[tuple[str, Graph]]:
         ("ring_of_cliques", build_graph(ring_of_cliques(5, 8))),
         ("gnp_64", gnp_graph(64, 0.1, seed=11)),
         ("sbm_160", sbm_graph(4, 40, 0.25, 0.02, seed=5)),
+    ]
+
+
+def weighted_chunk_graph(seed: int = 9) -> Graph:
+    """3000 vertices, the top 40 isolated, ~90k arcs with random weights,
+    some self-loops and repeated pairs: several ARC_CHUNKs of arcs whose
+    sums depend on the order they are added in."""
+    rng = np.random.default_rng(seed)
+    us, vs = rng.integers(2960, size=45_000), rng.integers(2960, size=45_000)
+    g = build_graph(EdgeList(3000, edge_array(us, vs, rng.uniform(0.1, 10.0, 45_000))))
+    assert g.n_arcs > 4 * ARC_CHUNK and g.n_arcs % ARC_CHUNK
+    return g
+
+
+def hub_graph() -> Graph:
+    """A weighted star whose centre alone has more arcs than ARC_CHUNK,
+    plus a ring over the leaves and a self-loop on every vertex."""
+    rng = np.random.default_rng(12)
+    leaves = np.arange(1, ARC_CHUNK + 3000)
+    ring = np.roll(leaves, 1)
+    us = np.concatenate([np.zeros(leaves.size, dtype=np.int64), leaves])
+    vs = np.concatenate([leaves, ring])
+    g = build_graph(
+        EdgeList(leaves.size + 1, edge_array(us, vs, rng.uniform(0.5, 2.0, us.size))),
+        add_self_loops=True,
+        default_weight=0.3,
+    )
+    assert g.offsets[1] - g.offsets[0] > ARC_CHUNK
+    return g
+
+
+def oracle_graphs() -> list[tuple[str, Graph]]:
+    """The fixture suite plus the multi-chunk and the hub graph."""
+    return fixture_suite() + [("weighted_chunks", weighted_chunk_graph()), ("hub", hub_graph())]
+
+
+def oracle_labelings(g: Graph) -> list[tuple[str, np.ndarray]]:
+    """Singletons; runs of 37 consecutive ids, whose rows straddle slice
+    boundaries; four and one community, each past ARC_CHUNK arcs on the
+    larger graphs; and n / 50 communities scattered over every slice."""
+    rng = np.random.default_rng(g.n)
+    return [
+        ("singletons", np.arange(g.n)),
+        ("runs_of_37", np.arange(g.n) // 37),
+        ("four", rng.integers(4, size=g.n)),
+        ("one", np.zeros(g.n, dtype=np.int64)),
+        ("scattered", rng.integers(max(1, g.n // 50), size=g.n)),
     ]
 
 
@@ -101,3 +151,71 @@ def graph_to_edgelist(g: Graph) -> EdgeList:
     src = arc_sources(g)
     keep = src <= g.targets
     return EdgeList(n=g.n, entries=edge_array(src[keep], g.targets[keep], g.weights[keep]))
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact oracles: each pass that the package runs in slices or blocks,
+# done here over whole arc arrays at once
+# ---------------------------------------------------------------------------
+
+ASYMMETRIC = "arc list is not symmetric; pass symmetrize=True or provide both directions"
+
+
+def bincount_degrees(g: Graph) -> np.ndarray:
+    """Weighted degrees from one bincount over every arc."""
+    return np.bincount(arc_sources(g), weights=g.weights, minlength=g.n)
+
+
+def bincount_sigma_in(g: Graph, labels: np.ndarray) -> np.ndarray:
+    """Per-community internal arc weight from one bincount over every arc."""
+    lab_src = labels[arc_sources(g)]
+    internal = lab_src == labels[g.targets]
+    width = int(labels.max()) + 1
+    return np.bincount(lab_src[internal], weights=g.weights[internal], minlength=width)
+
+
+def lexsort_symmetric(us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
+    """Whether the arcs sorted by (v, u) are the arcs sorted by (u, v)
+    reversed, with weights equal to rtol 1e-12; us must be in CSR order."""
+    rev = np.lexsort((us, vs))
+    return (
+        np.array_equal(us, vs[rev])
+        and np.array_equal(vs, us[rev])
+        and np.allclose(ws, ws[rev], rtol=1e-12, atol=0.0)
+    )
+
+
+def lexsort_aggregate(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """aggregate_graph as one stable sort of every arc by (community,
+    target community), each run summed with reduceat, then the same checks
+    and error messages as the package's graph build."""
+    mapping, n_comm = normalize_labels(labels)
+    us, vs = mapping[arc_sources(g)], mapping[g.targets]
+    order = np.lexsort((vs, us))
+    us, vs, ws = us[order], vs[order], g.weights[order]
+    new_run = np.ones(us.size, dtype=bool)
+    new_run[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
+    starts = np.flatnonzero(new_run)
+    with np.errstate(over="ignore"):
+        ws = np.add.reduceat(ws, starts)
+    us, vs = us[starts], vs[starts]
+    if ws.min() <= 0:
+        raise ValueError("arc weights must be positive after merging")
+    if not np.isfinite(ws.max()):
+        raise ValueError("merged arc weight is not finite (float64 overflow)")
+    if not lexsort_symmetric(us, vs, ws):
+        raise ValueError(ASYMMETRIC)
+    degrees = np.bincount(us, weights=ws, minlength=n_comm)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(degrees))
+    if not math.isfinite(total):
+        raise ValueError("total arc weight is not finite (float64 overflow)")
+    offsets = np.zeros(n_comm + 1, dtype=np.int64)
+    np.cumsum(np.bincount(us, minlength=n_comm), out=offsets[1:])
+    return Graph(n_comm, offsets, vs, ws, degrees, total), mapping
+
+
+def graph_bytes(g: Graph) -> tuple:
+    """Everything a Graph holds, as bytes, dtypes included."""
+    arrays = (g.offsets, g.targets, g.weights, g.degrees)
+    return (g.n, repr(g.total)) + tuple((a.dtype.str, a.tobytes()) for a in arrays)

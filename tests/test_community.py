@@ -16,9 +16,18 @@ from commdet.community import (
     write_membership,
 )
 from commdet.fixtures import gnp_graph
-from commdet.graph import EdgeList, build_graph
+from commdet.graph import ARC_CHUNK, EdgeList, build_graph
 
-from conftest import bridged_triangles, single_edge, two_triangles
+from conftest import (
+    arc_sources,
+    bincount_sigma_in,
+    bridged_triangles,
+    oracle_graphs,
+    oracle_labelings,
+    single_edge,
+    two_triangles,
+    weighted_chunk_graph,
+)
 
 TRIANGLE_SPLIT = np.array([0, 0, 0, 1, 1, 1])
 
@@ -155,6 +164,26 @@ def test_aggregates_invariants(seed):
     assert np.all(agg.sigma_in <= agg.sigma_tot + 1e-12)
     # modularity computed from the aggregates equals the oracle
     assert abs(modularity(g, a) - modularity_bruteforce(g, a)) <= 1e-12
+
+
+def test_sigma_in_equals_one_bincount_over_all_arcs():
+    for name, g in oracle_graphs():
+        for lname, labels in oracle_labelings(g):
+            sigma_in = community_aggregates(g, labels).sigma_in
+            assert sigma_in.tobytes() == bincount_sigma_in(g, labels).tobytes(), (name, lname)
+    # the check can tell summation orders apart: a bincount per ARC_CHUNK
+    # slice, the slices added up afterwards, gives other bits
+    g = weighted_chunk_graph()
+    labels = dict(oracle_labelings(g))["four"]
+    lab_src = labels[arc_sources(g)]
+    internal = lab_src == labels[g.targets]
+    per_slice = sum(
+        np.bincount(lab_src[lo : lo + ARC_CHUNK][internal[lo : lo + ARC_CHUNK]],
+                    weights=g.weights[lo : lo + ARC_CHUNK][internal[lo : lo + ARC_CHUNK]],
+                    minlength=4)
+        for lo in range(0, g.n_arcs, ARC_CHUNK)
+    )
+    assert per_slice.tobytes() != bincount_sigma_in(g, labels).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from commdet.graph import (
     ARC_CHUNK,
     EdgeList,
     GraphParseError,
+    _is_symmetric,
+    _merge_arcs,
     build_graph,
     edge_array,
     graph_stats,
@@ -17,7 +19,18 @@ from commdet.graph import (
     save_edgelist,
 )
 
-from conftest import graph_to_edgelist, neighbors, validate_graph
+from conftest import (
+    ASYMMETRIC,
+    arc_sources,
+    bincount_degrees,
+    graph_bytes,
+    graph_to_edgelist,
+    lexsort_symmetric,
+    neighbors,
+    oracle_graphs,
+    validate_graph,
+    weighted_chunk_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +210,6 @@ def test_build_no_symmetrize_rejects_one_sided_arcs():
         )
 
 
-ASYMMETRIC = "arc list is not symmetric; pass symmetrize=True or provide both directions"
-
-
 def _complete_arc_columns(k=300):
     """Both arcs of every pair of a complete graph on k vertices, one random
     weight per pair; more arcs than one ARC_CHUNK."""
@@ -257,6 +267,99 @@ def test_degree_total_consistency():
 def test_isolated_vertices_keep_zero_degree():
     g = build_graph(EdgeList(4, [(0, 1, 1.0)]))
     assert g.degrees.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+def test_degrees_equal_one_bincount_over_all_arcs():
+    for name, g in oracle_graphs():
+        expect = bincount_degrees(g)
+        assert g.degrees.tobytes() == expect.tobytes(), name
+        assert g.total == float(np.sum(expect)), name
+    # the check can tell summation orders apart: summing each row pairwise
+    # gives other bits than adding its arcs one by one
+    g = weighted_chunk_graph()
+    pairwise = np.add.reduceat(g.weights, g.offsets[:-1][np.diff(g.offsets) > 0])
+    assert pairwise.tobytes() != g.degrees[np.diff(g.offsets) > 0].tobytes()
+
+
+def _csr_columns(n, us, vs, ws):
+    """Arcs in CSR order, the first of each repeated (u, v) kept."""
+    order = np.lexsort((vs, us))
+    us, vs, ws = us[order], vs[order], ws[order]
+    keep = np.ones(us.size, dtype=bool)
+    keep[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
+    us, vs, ws = us[keep], vs[keep], ws[keep]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(us, minlength=n), out=offsets[1:])
+    return offsets, us, vs, ws
+
+
+def test_symmetry_verdict_equals_lexsort_oracle():
+    """Symmetric arc sets, and ones with an arc dropped, added or
+    retargeted, a weight changed beyond or within rtol 1e-12, or a
+    directed cycle added, which keeps every vertex's in- and out-arc
+    counts equal."""
+    rng = np.random.default_rng(6)
+    verdicts = []
+    for _ in range(400):
+        n = int(rng.integers(1, 12))
+        k = int(rng.integers(1, 30))
+        a, b = rng.integers(n, size=k), rng.integers(n, size=k)
+        w = rng.choice([0.5, 1.0, 3.0], size=k)
+        us, vs, ws = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w])
+        offsets, us, vs, ws = _csr_columns(n, us, vs, ws)
+        i = int(rng.integers(us.size))
+        kind = int(rng.integers(7))
+        if kind == 1:
+            keep = np.arange(us.size) != i
+            offsets, us, vs, ws = _csr_columns(n, us[keep], vs[keep], ws[keep])
+        elif kind == 2:
+            extra = rng.integers(n, size=2)
+            offsets, us, vs, ws = _csr_columns(
+                n, np.append(us, extra[0]), np.append(vs, extra[1]), np.append(ws, 1.0)
+            )
+        elif kind == 3:
+            vs = vs.copy()
+            vs[i] = rng.integers(n)
+            offsets, us, vs, ws = _csr_columns(n, us, vs, ws)
+        elif kind in (4, 5):
+            ws = ws.copy()
+            ws[i] *= 1.0 + (1e-10 if kind == 4 else 1e-13)
+        elif kind == 6 and n >= 3:
+            cycle = rng.permutation(n)[: int(rng.integers(3, n + 1))]
+            offsets, us, vs, ws = _csr_columns(
+                n, np.concatenate([cycle, us]), np.concatenate([np.roll(cycle, 1), vs]),
+                np.concatenate([np.ones(cycle.size), ws]),
+            )
+        verdict = _is_symmetric(offsets, vs, ws)
+        assert verdict == lexsort_symmetric(us, vs, ws)
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 350
+    for _, g in oracle_graphs():
+        assert _is_symmetric(g.offsets, g.targets, g.weights)
+        ws = g.weights.copy()
+        ws[-2] *= 1.0 + 1e-10
+        assert not _is_symmetric(g.offsets, g.targets, ws)
+        assert not lexsort_symmetric(arc_sources(g), g.targets, ws)
+
+
+def test_merge_gives_the_same_arcs_from_int32_and_int64_ids():
+    """The build sorts int32 endpoint columns when the ids fit, int64
+    otherwise; both merge to the same rows, targets and weight bits."""
+    rng = np.random.default_rng(10)
+    us, vs = rng.integers(500, size=4000), rng.integers(500, size=4000)
+    ws = rng.uniform(0.1, 10.0, 4000)
+    us, vs, ws = us[us != vs], vs[us != vs], ws[us != vs]
+    arcs = (np.concatenate([us, vs]), np.concatenate([vs, us]), np.concatenate([ws, ws]))
+    wide = _merge_arcs(520, [a.copy() for a in arcs])
+    narrow = _merge_arcs(520, [a.astype(np.int32) if a.dtype.kind == "i" else a.copy() for a in arcs])
+    assert narrow[1].dtype == np.int32 and wide[1].dtype == np.int64
+    assert [a.tobytes() for a in (narrow[0], narrow[1].astype(np.int64), narrow[2])] == [
+        a.tobytes() for a in wide
+    ]
+    g = build_graph(EdgeList(520, edge_array(us, vs, ws)))
+    assert g.targets.dtype == np.int64
+    assert g.targets.tobytes() == wide[1].tobytes() and g.weights.tobytes() == wide[2].tobytes()
+
 
 
 # ---------------------------------------------------------------------------

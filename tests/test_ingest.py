@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from commdet.community import singleton_assignment
+from commdet.community import modularity, singleton_assignment
 from commdet.graph import (
     EDGE_DTYPE,
     EdgeList,
@@ -17,7 +17,9 @@ from commdet.graph import (
     parse_edgelist,
     save_edgelist,
 )
-from commdet.louvain import local_moving
+from commdet.louvain import aggregate_graph, local_moving
+
+from conftest import graph_bytes
 
 # ---------------------------------------------------------------------------
 # EdgeList
@@ -70,11 +72,6 @@ def edge_tuples(draw):
     return n, draw(st.permutations(entries))
 
 
-def _csr_bytes(g):
-    return (g.n, g.offsets.tobytes(), g.targets.tobytes(), g.weights.tobytes(),
-            g.degrees.tobytes(), repr(g.total))
-
-
 @settings(max_examples=150, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=edge_tuples(), loops=st.booleans())
@@ -97,7 +94,7 @@ def test_save_parse_round_trip_and_build_identity(tmp_path, case, loops):
     outcomes = []
     for el in (parsed, EdgeList(n, tuples)):
         try:
-            outcomes.append(_csr_bytes(build_graph(el, add_self_loops=loops)))
+            outcomes.append(graph_bytes(build_graph(el, add_self_loops=loops)))
         except ValueError as exc:
             assert "is not finite (float64 overflow)" in str(exc)
             outcomes.append(str(exc))
@@ -115,19 +112,27 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # ---------------------------------------------------------------------------
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
-# (numpy 2.4): 42 B on the planted input with repeated pairs and 40.5 B
-# without them, since the parsed entries are freed before the arcs are
-# sorted and the symmetry check runs in slices; 62 B when the entries
-# lived through the sort, 188 B when they were a list of tuples.  The
-# bound leaves 25% headroom
-MAX_LOAD_BYTES_PER_ARC = 53
+# (numpy 2.4): 33.7 B on the planted input with repeated pairs and 32.5 B
+# without them, since the build sorts int32 endpoint columns and checks
+# symmetry without an arc-length source column; 42.0 and 40.5 B with int64
+# columns and that source column, 62 B when the parsed entries lived
+# through the sort, 188 B when they were a list of tuples.  The bound
+# leaves 25% headroom
+MAX_LOAD_BYTES_PER_ARC = 42.1
 
-# tracemalloc peak of pass-0 local moving per arc, warm: 24.7 B with kernel
-# lists filled slice by slice, sharing one int per vertex id and one float
-# per distinct weight (numpy 2.4); 41.5 B when np.unique's arc-length
-# inverse indexed them, 79 B when tolist() boxed a fresh int and float per
-# arc.  The bound leaves 25% headroom
-MAX_MOVE_BYTES_PER_ARC = 31
+# tracemalloc peak of pass-0 local moving per arc, warm: 5.0 B in async and
+# 7.9 B in sync mode with the kernel reading the graph's arrays through
+# memoryviews (numpy 2.4); 24.7 and 28.0 B with arc lists sharing one
+# object per vertex id and per distinct weight, 79 B when tolist() boxed a
+# fresh int and float per arc.  The bound leaves 25% headroom
+MAX_MOVE_BYTES_PER_ARC = 6.3
+
+# tracemalloc peaks per arc of modularity and aggregate_graph under the
+# labels of pass-0 local moving, warm: 5.3 B and 8.3 B with both running
+# over slices of about ARC_CHUNK arcs (numpy 2.4); 23.4 B and 24.6 B over
+# whole arc arrays.  The bounds leave 25% headroom
+MAX_MODULARITY_BYTES_PER_ARC = 6.6
+MAX_AGGREGATE_BYTES_PER_ARC = 10.4
 
 
 def _planted_edgelist(path, seed=0, blocks=25, size=200, deg_in=16, deg_out=2, repeats=True):
@@ -149,45 +154,55 @@ def _planted_edgelist(path, seed=0, blocks=25, size=200, deg_in=16, deg_out=2, r
 
 
 def _warm_up(tmp_path):
-    """Run load and local moving once, untraced, on a small graph, so one-time
+    """Run every measured call once, untraced, on a small graph, so one-time
     allocations of the first call in the process are not measured."""
     path = tmp_path / "small.txt"
     _planted_edgelist(path, blocks=2, size=20)
     g = load_graph_file(str(path))
-    local_moving(g, singleton_assignment(g.n), 0.01)
+    labels = singleton_assignment(g.n)
+    local_moving(g, labels, 0.01)
+    modularity(g, labels)
+    aggregate_graph(g, labels)
 
 
-def _load_peak_per_arc(tmp_path, repeats):
+def _traced_peak(fn):
+    """The tracemalloc peak of one call, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def _planted_graph(tmp_path, repeats=True):
     _warm_up(tmp_path)
     path = tmp_path / "planted.txt"
     _planted_edgelist(path, repeats=repeats)
-    tracemalloc.start()
-    try:
-        g = load_graph_file(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, g = _traced_peak(lambda: load_graph_file(str(path)))
     assert 85_000 <= g.n_arcs <= 90_000
-    return peak / g.n_arcs
+    return g, peak / g.n_arcs
 
 
 def test_load_peak_memory_per_arc(tmp_path):
-    assert _load_peak_per_arc(tmp_path, repeats=True) <= MAX_LOAD_BYTES_PER_ARC
+    assert _planted_graph(tmp_path, repeats=True)[1] <= MAX_LOAD_BYTES_PER_ARC
 
 
 def test_load_peak_memory_per_arc_without_repeated_pairs(tmp_path):
-    assert _load_peak_per_arc(tmp_path, repeats=False) <= MAX_LOAD_BYTES_PER_ARC
+    assert _planted_graph(tmp_path, repeats=False)[1] <= MAX_LOAD_BYTES_PER_ARC
 
 
 def test_local_moving_peak_memory_per_arc(tmp_path):
-    _warm_up(tmp_path)
-    path = tmp_path / "planted.txt"
-    _planted_edgelist(path)
-    g = load_graph_file(str(path))
-    tracemalloc.start()
-    try:
-        local_moving(g, singleton_assignment(g.n), 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, _ = _planted_graph(tmp_path)
+    peak, _ = _traced_peak(lambda: local_moving(g, singleton_assignment(g.n), 0.01))
     assert peak / g.n_arcs <= MAX_MOVE_BYTES_PER_ARC
+
+
+def test_modularity_and_aggregation_peak_memory_per_arc(tmp_path):
+    g, _ = _planted_graph(tmp_path)
+    labels = singleton_assignment(g.n)
+    local_moving(g, labels, 0.01)
+    peak, _ = _traced_peak(lambda: modularity(g, labels))
+    assert peak / g.n_arcs <= MAX_MODULARITY_BYTES_PER_ARC
+    peak, _ = _traced_peak(lambda: aggregate_graph(g, labels))
+    assert peak / g.n_arcs <= MAX_AGGREGATE_BYTES_PER_ARC

@@ -15,10 +15,10 @@ from commdet.community import (
     singleton_assignment,
 )
 from commdet.fixtures import gnp_graph
-from commdet.graph import ARC_CHUNK, EdgeList, build_graph, edge_array
+from commdet.graph import EdgeList, Graph, build_graph, edge_array
 from commdet.louvain import (
     Config,
-    _kernel_lists,
+    _kernel_inputs,
     _move_phase,
     aggregate_graph,
     best_move,
@@ -27,7 +27,20 @@ from commdet.louvain import (
     sweep_tolerance,
 )
 
-from conftest import bridged_triangles, fixture_suite, neighbors, single_edge, two_triangles
+from conftest import (
+    ASYMMETRIC,
+    arc_sources,
+    bridged_triangles,
+    fixture_suite,
+    graph_bytes,
+    lexsort_aggregate,
+    neighbors,
+    oracle_graphs,
+    oracle_labelings,
+    single_edge,
+    two_triangles,
+    weighted_chunk_graph,
+)
 
 TRIANGLE_SPLIT = np.array([0, 0, 0, 1, 1, 1])
 
@@ -263,40 +276,34 @@ def _bits(floats):
     return [struct.pack("d", x) for x in floats]
 
 
-def _tolist_kernel_lists(g, labels):
-    """Reference: one fresh builtin object per arc."""
-    return g.targets.tolist(), g.weights.tolist(), labels.tolist()
+def _tolist_kernel_inputs(g, labels):
+    """Reference: one fresh builtin object per entry."""
+    arrays = (g.offsets, g.targets, g.weights, g.degrees)
+    return tuple(a.tolist() for a in arrays), labels.tolist()
 
 
-def _multi_chunk_graph():
-    """More arcs than one ARC_CHUNK, not a multiple of it, with 1000
-    distinct weights shared by many arcs."""
-    rng = np.random.default_rng(9)
-    us, vs = rng.integers(3000, size=45_000), rng.integers(3000, size=45_000)
-    g = build_graph(EdgeList(3000, edge_array(us, vs, rng.random(1000)[rng.integers(1000, size=45_000)])))
-    assert g.n_arcs > ARC_CHUNK and g.n_arcs % ARC_CHUNK
-    return g
-
-
-def test_kernel_lists_equal_tolist_and_share_objects():
+def test_kernel_inputs_equal_tolist():
+    """What the kernel reads at each index is what tolist() holds there:
+    the same value, builtin type and float bits."""
     rng = np.random.default_rng(2)
-    for name, g in _kernel_cases() + [("multi_chunk", _multi_chunk_graph())]:
+    for name, g in _kernel_cases() + [("weighted_chunks", weighted_chunk_graph())]:
         for labels in (singleton_assignment(g.n), rng.integers(g.n, size=g.n)):
-            tgt, wts, labs = _kernel_lists(g, labels)
-            ref_tgt, ref_wts, ref_labs = _tolist_kernel_lists(g, labels)
-            assert tgt == ref_tgt and labs == ref_labs, name
-            assert all(type(x) is int for x in tgt + labs), name
-            assert all(type(x) is float for x in wts), name
-            assert _bits(wts) == _bits(ref_wts), name
-            assert len({id(x) for x in tgt + labs}) <= g.n, name
-            assert len({id(x) for x in wts}) == len(set(_bits(wts))), name
+            graph, labs = _kernel_inputs(g, labels)
+            ref_graph, ref_labs = _tolist_kernel_inputs(g, labels)
+            assert labs == ref_labs and all(type(x) is int for x in labs), name
+            offs, tgt, wts, degs = ([view[k] for k in range(len(view))] for view in graph)
+            ref_offs, ref_tgt, ref_wts, ref_degs = ref_graph
+            assert offs == ref_offs and tgt == ref_tgt, name
+            assert all(type(x) is int for x in offs + tgt), name
+            assert all(type(x) is float for x in wts + degs), name
+            assert _bits(wts) == _bits(ref_wts) and _bits(degs) == _bits(ref_degs), name
 
 
 def test_kernel_lists_leave_engine_results_unchanged(monkeypatch):
     for name, g in _kernel_cases():
         results = []
-        for lists in (_kernel_lists, _tolist_kernel_lists):
-            monkeypatch.setattr(LOUVAIN_MODULE, "_kernel_lists", lists)
+        for inputs in (_kernel_inputs, _tolist_kernel_inputs):
+            monkeypatch.setattr(LOUVAIN_MODULE, "_kernel_inputs", inputs)
             runs = []
             for mode in ("async", "sync"):
                 labels = singleton_assignment(g.n)
@@ -353,6 +360,50 @@ def test_aggregate_q_invariance_and_total_conservation(seed):
     q_fine = modularity(g, a)
     q_coarse = modularity(g2, singleton_assignment(g2.n))
     assert abs(q_fine - q_coarse) <= 1e-12
+
+
+def test_aggregate_equals_lexsort_oracle():
+    for name, g in oracle_graphs():
+        moved = singleton_assignment(g.n)
+        local_moving(g, moved, 0.01)
+        for lname, labels in oracle_labelings(g) + [("moved", moved)]:
+            g2, mapping = aggregate_graph(g, labels)
+            ref, ref_mapping = lexsort_aggregate(g, labels)
+            assert graph_bytes(g2) == graph_bytes(ref), (name, lname)
+            assert mapping.tobytes() == ref_mapping.tobytes(), (name, lname)
+    # the runs here are thousands of arcs long, where adding them one by
+    # one gives other bits than reduceat's pairwise sums
+    g = weighted_chunk_graph()
+    ref, mapping = lexsort_aggregate(g, dict(oracle_labelings(g))["four"])
+    sequential = np.zeros((4, 4))
+    np.add.at(sequential, (mapping[arc_sources(g)], mapping[g.targets]), g.weights)
+    assert sequential[arc_sources(ref), ref.targets].tobytes() != ref.weights.tobytes()
+
+
+def _unchecked_graph(n, arcs):
+    """A Graph straight from (u, v, w) arcs in CSR order, without
+    build_graph's checks, so aggregation meets the input itself."""
+    us, vs, ws = (np.array(col) for col in zip(*arcs))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(us, minlength=n), out=offsets[1:])
+    return Graph(n, offsets, vs, ws, np.bincount(us, weights=ws, minlength=n), 1.0)
+
+
+@pytest.mark.parametrize("arcs, labels, message", [
+    # a one-sided arc
+    ([(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)], [0, 1, 2], ASYMMETRIC),
+    # the two arcs from community 0 into vertex 2 merge past float64
+    ([(0, 2, 1e308), (1, 2, 1e308), (2, 0, 1e308), (2, 1, 1e308)], [0, 0, 1],
+     "merged arc weight is not finite (float64 overflow)"),
+    # every merged weight is finite, the total is not
+    ([(0, 1, 1e308), (1, 0, 1e308)], [0, 1], "total arc weight is not finite (float64 overflow)"),
+])
+def test_aggregate_errors_match_lexsort_oracle(arcs, labels, message):
+    g = _unchecked_graph(len(labels), arcs)
+    for aggregate in (aggregate_graph, lexsort_aggregate):
+        with pytest.raises(ValueError) as err:
+            aggregate(g, np.array(labels))
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""networkx as a second, independent modularity oracle.
+
+networkx counts a self-loop twice in a degree where commdet counts it
+once, so the graphs here are loop-free.
+"""
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from commdet.community import Dendrogram, flatten, modularity
+from commdet.graph import EdgeList, build_graph, edge_array
+from commdet.louvain import louvain
+
+from conftest import arc_sources
+
+
+def _weighted_loop_free(seed):
+    """A seeded random weighted graph, repeated pairs merged, no loops,
+    and the same graph in networkx."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 300))
+    m = int(rng.integers(n, 6 * n))
+    us, vs = rng.integers(n, size=m), rng.integers(n, size=m)
+    keep = us != vs
+    ws = rng.uniform(0.1, 5.0, int(keep.sum()))
+    g = build_graph(EdgeList(n, edge_array(us[keep], vs[keep], ws)))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    src = arc_sources(g)
+    half = src < g.targets
+    nxg.add_weighted_edges_from(
+        zip(src[half].tolist(), g.targets[half].tolist(), g.weights[half].tolist())
+    )
+    return g, nxg, rng
+
+
+def _nx_modularity(nxg, labels):
+    communities = [set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
+    return nx.community.modularity(nxg, communities, weight="weight")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_modularity_agrees_with_networkx(seed):
+    g, nxg, rng = _weighted_loop_free(seed)
+    d, _ = louvain(g)
+    for labels in (rng.integers(max(1, g.n // 10), size=g.n), flatten(d)):
+        assert abs(modularity(g, labels) - _nx_modularity(nxg, labels)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_per_level_q_is_the_modularity_of_the_flattened_level(seed):
+    """Each level's Q, scored on the coarse graph, is the input graph's Q
+    under the levels up to it; aggregation reorders the sums, so the two
+    agree to rounding."""
+    g, _, _ = _weighted_loop_free(seed)
+    d, _ = louvain(g)
+    for k, q in enumerate(d.per_level_q):
+        assert abs(q - modularity(g, flatten(Dendrogram(d.levels[: k + 1])))) <= 1e-12
