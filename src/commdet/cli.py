@@ -280,11 +280,24 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _loop_weight(text: str) -> float:
+    """The --add-self-loops weight: a positive finite float."""
+    try:
+        w = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not (math.isfinite(w) and w > 0):
+        raise argparse.ArgumentTypeError(
+            f"self-loop weight must be positive and finite, got {text!r}"
+        )
+    return w
+
+
 def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="graph file path")
     p.add_argument("--format", choices=["mtx", "edgelist"], default=None,
                    help="input format (default: by file extension)")
-    p.add_argument("--add-self-loops", nargs="?", const=1.0, type=float,
+    p.add_argument("--add-self-loops", nargs="?", const=1.0, type=_loop_weight,
                    default=None, metavar="W",
                    help="insert weight-W self-loops on loop-free vertices (W defaults to 1)")
     p.add_argument("--no-symmetrize", action="store_true",

@@ -80,16 +80,13 @@ def normalize_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     Idempotent: already-normalized input comes back unchanged.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    out = np.empty_like(labels)
-    seen: dict[int, int] = {}
-    nxt = 0
-    for i, lab in enumerate(labels.tolist()):
-        c = seen.get(lab)
-        if c is None:
-            seen[lab] = c = nxt
-            nxt += 1
-        out[i] = c
-    return out, nxt
+    uniq, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    # each distinct label's rank in the order of its first occurrence; the
+    # first indices are distinct, so any sort ranks them alike, and the
+    # stable one is the sort the rest of a run already loads
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(uniq.size)
+    return rank[inverse], int(uniq.size)
 
 
 def _check_labels(g: Graph, labels: np.ndarray) -> np.ndarray:

@@ -122,6 +122,15 @@ _MM_SYMMETRIES = ("general", "symmetric")
 _MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
 
 
+def _columns(us: array, vs: array, ws: array) -> list[np.ndarray]:
+    """The parsed id and weight columns as numpy views of their buffers."""
+    return [
+        np.frombuffer(us, dtype=np.int64),
+        np.frombuffer(vs, dtype=np.int64),
+        np.frombuffer(ws, dtype=np.float64),
+    ]
+
+
 def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
     """Parse a MatrixMarket coordinate file into an EdgeList.
 
@@ -136,6 +145,12 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
             that does not match the size line.  Messages name the
             offending line number.
     """
+    n, columns = _parse_matrix_market(stream)
+    return EdgeList(n=n, entries=edge_array(*columns))
+
+
+def _parse_matrix_market(stream: TextIO | IO[str]) -> tuple[int, list[np.ndarray]]:
+    """parse_matrix_market's vertex count and its [u, v, w] columns, unpacked."""
     line_no = 0
     header = None
     while header is None:
@@ -233,7 +248,7 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
                 f"line {line_no}: extra entry beyond declared count {nnz}: {stripped!r}"
             )
 
-    return EdgeList(n=n, entries=edge_array(us, vs, ws))
+    return n, _columns(us, vs, ws)
 
 
 def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
@@ -243,6 +258,12 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
     fixes the vertex count (needed to preserve trailing isolated vertices),
     otherwise n is inferred as max id + 1.
     """
+    n, columns = _parse_edgelist(stream)
+    return EdgeList(n=n, entries=edge_array(*columns))
+
+
+def _parse_edgelist(stream: TextIO | IO[str]) -> tuple[int, list[np.ndarray]]:
+    """parse_edgelist's vertex count and its [u, v, w] columns, unpacked."""
     us, vs, ws = array("q"), array("q"), array("d")
     declared_n = None
     max_id = -1
@@ -285,7 +306,7 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
     n = declared_n if declared_n is not None else max_id + 1
     if n < 1:
         raise GraphParseError("edge list declares no vertices")
-    return EdgeList(n=n, entries=edge_array(us, vs, ws))
+    return n, _columns(us, vs, ws)
 
 
 def load_graph_file(
@@ -299,10 +320,10 @@ def load_graph_file(
     if fmt is None:
         fmt = "mtx" if str(path).endswith(".mtx") else "edgelist"
     with open(path, "r", encoding="utf-8") as fh:
-        parsed = [parse_matrix_market(fh) if fmt == "mtx" else parse_edgelist(fh)]
-    # the list is the only reference to the parsed edges, and _build empties
-    # it, so their entries are freed once mirrored into the arc columns
-    return _build(parsed, symmetrize, add_self_loops, default_weight)
+        n, columns = (_parse_matrix_market if fmt == "mtx" else _parse_edgelist)(fh)
+    # the list holds the only references to the parsed columns, and _build
+    # empties it, so each column is freed once mirrored into the arc columns
+    return _build(n, columns, symmetrize, add_self_loops, default_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +346,35 @@ def build_graph(
     are kept as-is.
 
     Raises:
-        ValueError: if the edge list declares no vertices, the finished
-            graph has zero total weight, a merged arc weight or the total
-            overflows float64, or its arrays do not fit in memory.
+        ValueError: if the edge list declares no vertices, the self-loop
+            weight is not positive and finite, the finished graph has zero
+            total weight, a merged arc weight or the total overflows
+            float64, or its arrays do not fit in memory.
     """
-    return _build([edges], symmetrize, add_self_loops, default_weight)
+    entries = edges.entries
+    return _build(
+        edges.n, [entries["u"], entries["v"], entries["w"]],
+        symmetrize, add_self_loops, default_weight,
+    )
 
 
 def _build(
-    owned: list[EdgeList], symmetrize: bool, add_self_loops: bool, default_weight: float
+    n: int, columns: list[np.ndarray], symmetrize: bool, add_self_loops: bool,
+    default_weight: float,
 ) -> Graph:
-    """build_graph over a one-element list that this function empties.
+    """build_graph over the edge columns [us, vs, ws], a list that this
+    function empties.
 
-    When the list held the only reference to the EdgeList, its entries are
-    freed as soon as the three arc columns exist, before they are sorted.
+    When the list held the only references to the columns, the id columns
+    are freed once the source and target columns exist, and the weights
+    once the weight column does, before the arcs are sorted.
     """
-    (edges,) = owned
-    owned.clear()
-    n = edges.n
+    us, vs, ws = columns
+    columns.clear()
     if n < 1:
         raise ValueError("empty graph: vertex count must be >= 1")
-
-    us, vs, ws = edges.entries["u"], edges.entries["v"], edges.entries["w"]
-    del edges
+    if add_self_loops and not (math.isfinite(default_weight) and default_weight > 0):
+        raise ValueError(f"self-loop weight must be positive and finite, got {default_weight!r}")
     if us.size and (us.min() < 0 or vs.min() < 0 or max(us.max(), vs.max()) >= n):
         raise ValueError("edge endpoint outside declared vertex range")
     if ws.size and not np.all(np.isfinite(ws)):
@@ -360,25 +387,37 @@ def _build(
             has_loop = np.zeros(n, dtype=bool)
             has_loop[us[us == vs]] = True
             missing = np.flatnonzero(~has_loop)
-        loop_w = np.full(missing.size, float(default_weight))
         # arc order: the entries, their mirrored copies, then the inserted
         # loops; the endpoint columns are int32 whenever the ids fit, which
-        # narrows what the sort holds, and the targets come out int64
+        # narrows what the sort and the symmetry check hold
         ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        size = us.size + int(np.count_nonzero(off)) + missing.size
         arcs = [
-            np.concatenate([us, vs[off], missing], dtype=ids, casting="same_kind"),
-            np.concatenate([vs, us[off], missing], dtype=ids, casting="same_kind"),
-            np.concatenate([ws, ws[off], loop_w]),
+            _arc_column(us, vs, off, missing, size, ids),
+            _arc_column(vs, us, off, missing, size, ids),
         ]
-        # drop the views of the entries, then hand the arc columns over in a
-        # list the callee empties, so each unsorted column is freed as soon as
-        # it is permuted
-        del us, vs, ws, off
+        del us, vs
+        arcs.append(_arc_column(ws, ws, off, float(default_weight), size, np.float64))
+        # hand the arc columns over in a list the callee empties, so each
+        # unsorted column is freed as soon as it is permuted
+        del ws, off, missing
         counts, vs, ws = _merge_arcs(n, arcs)
-        vs = vs.astype(np.int64, copy=False)
         return _finish_graph(n, counts, vs, ws)
     except MemoryError as exc:
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
+
+
+def _arc_column(head: np.ndarray, other: np.ndarray, off: np.ndarray, tail, size: int,
+                dtype) -> np.ndarray:
+    """A new column of the given size: head, then other[off], then tail,
+    an array or one value repeated to the end.  The column is allocated
+    before the other[off] temporary, which lowered the peak RSS."""
+    col = np.empty(size, dtype=dtype)
+    col[: head.size] = head
+    mirrored = other[off]
+    col[head.size : head.size + mirrored.size] = mirrored
+    col[head.size + mirrored.size :] = tail
+    return col
 
 
 def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -399,10 +438,13 @@ def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray,
     if us.size:
         order = np.lexsort((vs, us))
         del us
+        # an int32 order takes half the room beside each permuted copy
+        if order.size <= np.iinfo(np.int32).max:
+            order = order.astype(np.int32)
         # permute one array at a time, so each unsorted array can be freed
         # before the next copy is made
-        vs = vs[order]
         ws = ws[order]
+        vs = vs[order]
         del order
         # collapse runs of identical (u, v) pairs by summing their weights;
         # a run starts where a row starts or the target changes
@@ -412,15 +454,34 @@ def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray,
         new_run[0] = True
         new_run[1:] = vs[1:] != vs[:-1]
         new_run[bounds[:-1][counts > 0]] = True
-        starts = np.flatnonzero(new_run)
-        del new_run
         # deduplicated input, the common case, skips the merge copies
-        if starts.size < vs.size:
-            with np.errstate(over="ignore"):
-                ws = np.add.reduceat(ws, starts)
-            vs = vs[starts]
-            counts = np.diff(np.searchsorted(starts, bounds))
+        if not new_run.all():
+            vs = vs[new_run]
+            ws, counts = _sum_runs(ws, new_run, bounds)
     return counts, vs, ws
+
+
+def _sum_runs(
+    ws: np.ndarray, new_run: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's weight sum and each row's run count.
+
+    new_run marks the first arc of each run, bounds holds the row offsets.
+    Each run is summed with reduceat in arc order, over row-aligned slices
+    that never split a run, so the sums are those of one reduceat over all
+    arcs, without its arc-length array of run starts.
+    """
+    sums = np.empty(np.count_nonzero(new_run))
+    counts = np.zeros(bounds.size - 1, dtype=np.int64)
+    at = 0
+    for r0, r1, lo, hi in _row_slices(bounds):
+        starts = np.flatnonzero(new_run[lo:hi])
+        if starts.size:
+            with np.errstate(over="ignore"):
+                sums[at : at + starts.size] = np.add.reduceat(ws[lo:hi], starts)
+            counts[r0:r1] = np.diff(np.searchsorted(starts, bounds[r0 : r1 + 1] - lo))
+            at += starts.size
+    return sums, counts
 
 
 def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> Graph:
@@ -429,7 +490,8 @@ def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) ->
     counts[u] is the length of row u; vs and ws are the targets and
     weights in CSR order, each row's targets strictly ascending.  The
     offsets, degrees and total are derived here, and the weights, the
-    symmetry and the total are checked.
+    symmetry and the total are checked.  The symmetry check runs on vs as
+    given, int32 or int64, and the Graph's targets are int64.
     """
     if ws.size and ws.min() <= 0:
         raise ValueError("arc weights must be positive after merging")
@@ -444,6 +506,7 @@ def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) ->
         raise ValueError(
             "arc list is not symmetric; pass symmetrize=True or provide both directions"
         )
+    vs = vs.astype(np.int64, copy=False)
     degrees = np.zeros(n, dtype=np.float64)
     for r0, r1, lo, hi in _row_slices(offsets):
         # a row lies within one slice, so each degree sums its row in arc

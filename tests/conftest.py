@@ -185,6 +185,32 @@ def lexsort_symmetric(us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
     )
 
 
+def dict_normalize_labels(labels) -> tuple[np.ndarray, int]:
+    """normalize_labels as a dict loop: each label, on first sight, takes
+    the next id."""
+    labels = np.asarray(labels, dtype=np.int64)
+    out = np.empty_like(labels)
+    seen: dict[int, int] = {}
+    for i, lab in enumerate(labels.tolist()):
+        out[i] = seen.setdefault(lab, len(seen))
+    return out, len(seen)
+
+
+def reduceat_merge(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> tuple:
+    """Row lengths, targets and weights of arcs merged by one stable sort by
+    (source, target) and one reduceat over every run of equal pairs."""
+    order = np.lexsort((vs, us))
+    us, vs, ws = us[order], vs[order], ws[order]
+    new_run = np.ones(us.size, dtype=bool)
+    new_run[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
+    starts = np.flatnonzero(new_run)
+    with np.errstate(over="ignore"):
+        ws = np.add.reduceat(ws, starts)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(us, minlength=n), out=bounds[1:])
+    return np.diff(np.searchsorted(starts, bounds)), vs[starts], ws
+
+
 def lexsort_aggregate(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     """aggregate_graph as one stable sort of every arc by (community,
     target community), each run summed with reduceat, then the same checks

@@ -521,6 +521,18 @@ def test_detect_mtx_with_self_loop_weight(tmp_path, capsys):
     assert out.startswith("Q=")
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["stats", "detect"])
+def test_bad_self_loop_weight_exits_2_before_reading_the_input(command, weight, tmp_path, capsys):
+    # the input does not exist, so reaching the load would exit 1
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", missing, "--add-self-loops", weight])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --add-self-loops: self-loop weight must be positive and finite" in err
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from conftest import (
     arc_sources,
     bincount_sigma_in,
     bridged_triangles,
+    dict_normalize_labels,
     oracle_graphs,
     oracle_labelings,
     single_edge,
@@ -254,6 +255,28 @@ def test_normalize_first_occurrence_order():
     out, n_comm = normalize_labels(np.array([5, 5, 2]))
     assert out.tolist() == [0, 0, 1]
     assert n_comm == 2
+
+
+def test_normalize_equals_dict_loop_oracle():
+    """Random labelings, with negative labels, labels near the int64
+    limits, long runs and an empty one: the same ids, dtype and count."""
+    rng = np.random.default_rng(17)
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 2**40])
+    cases = [np.array([], dtype=np.int64), extremes, extremes[::-1]]
+    for _ in range(300):
+        size = int(rng.integers(1, 400))
+        span = int(rng.choice([2, 10, 1000, 2**62]))
+        a = rng.integers(-span, span, size=size)
+        if rng.random() < 0.3:
+            a[rng.integers(size, size=size // 2)] = rng.choice(extremes)
+        if rng.random() < 0.3:
+            a = np.sort(a)
+        cases.append(a)
+    for a in cases:
+        got, n_comm = normalize_labels(a)
+        want, want_n = dict_normalize_labels(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert n_comm == want_n
 
 
 def test_normalize_idempotent():

@@ -28,6 +28,7 @@ from conftest import (
     lexsort_symmetric,
     neighbors,
     oracle_graphs,
+    reduceat_merge,
     validate_graph,
     weighted_chunk_graph,
 )
@@ -132,6 +133,17 @@ def test_edgelist_id_beyond_declared_n():
         parse_edgelist(io.StringIO("# n 2\n0 5\n"))
 
 
+def test_ids_across_the_int32_limit_parse_exactly():
+    want = (2**31 + 1, [(2**31 - 1, 2**31, 0.5)])
+    el = parse_edgelist(io.StringIO("2147483647 2147483648 0.5\n"))
+    assert (el.n, el.entries.tolist()) == want
+    mm = parse_matrix_market(io.StringIO(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2147483649 2147483649 1\n2147483648 2147483649 0.5\n"
+    ))
+    assert (mm.n, mm.entries.tolist()) == want
+
+
 # ---------------------------------------------------------------------------
 # build_graph
 # ---------------------------------------------------------------------------
@@ -160,6 +172,14 @@ def test_build_existing_self_loop_kept_not_doubled():
     # vertex 0 keeps its weight-3 loop, vertex 1 gains a weight-1 loop
     assert neighbors(g, 0)[1].tolist() == [3.0, 1.0]
     assert neighbors(g, 1)[1].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0, 0.0])
+def test_build_rejects_a_bad_self_loop_weight(weight):
+    with pytest.raises(ValueError, match="self-loop weight must be positive and finite"):
+        build_graph(EdgeList(2, [(0, 1, 1.0)]), add_self_loops=True, default_weight=weight)
+    # without loop insertion the weight is unused
+    build_graph(EdgeList(2, [(0, 1, 1.0)]), default_weight=weight)
 
 
 def test_build_merges_parallel_arcs():
@@ -340,6 +360,25 @@ def test_symmetry_verdict_equals_lexsort_oracle():
         ws[-2] *= 1.0 + 1e-10
         assert not _is_symmetric(g.offsets, g.targets, ws)
         assert not lexsort_symmetric(arc_sources(g), g.targets, ws)
+
+
+def test_merge_equals_one_reduceat_over_all_arcs():
+    """Runs summed over row-aligned slices, with a row alone past
+    ARC_CHUNK arcs, runs of hundreds of arcs in it, runs of a few arcs in
+    the other rows and empty rows, give the bits of one reduceat."""
+    rng = np.random.default_rng(14)
+    n, hub = 3000, 3 * ARC_CHUNK
+    us = np.concatenate([np.zeros(hub, dtype=np.int64), rng.integers(1, n - 50, size=150_000)])
+    vs = np.concatenate([rng.integers(n, size=hub) % 40, rng.integers(n, size=150_000) % 25])
+    ws = rng.uniform(0.1, 10.0, us.size)
+    want = reduceat_merge(n, us, vs, ws)
+    assert want[1].size < us.size / 2
+    for ids in (np.int64, np.int32):
+        got = _merge_arcs(n, [us.astype(ids), vs.astype(ids), ws.copy()])
+        assert got[1].dtype == ids
+        assert [a.tobytes() for a in (got[0], got[1].astype(np.int64), got[2])] == [
+            a.tobytes() for a in want
+        ]
 
 
 def test_merge_gives_the_same_arcs_from_int32_and_int64_ids():

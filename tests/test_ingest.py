@@ -1,9 +1,15 @@
 """Array-native ingest: EdgeList conversion, exact round trips, and the
 memory per arc of ingest and local moving."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
+import pytest
+
+import commdet
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +21,7 @@ from commdet.graph import (
     edge_array,
     load_graph_file,
     parse_edgelist,
+    parse_matrix_market,
     save_edgelist,
 )
 from commdet.louvain import aggregate_graph, local_moving
@@ -101,6 +108,50 @@ def test_save_parse_round_trip_and_build_identity(tmp_path, case, loops):
     assert outcomes[0] == outcomes[1]
 
 
+# (file name, text, whether some arc lacks its reverse); each file has
+# repeated and reversed pairs, a self-loop and trailing isolated vertices
+LOAD_FILES = [
+    ("one_sided.txt", "# n 8\n0 1 0.5\n0 1 0.25\n1 0 2.0\n2 2 3.0\n3 4\n4 3\n5 1 1.5\n", True),
+    ("both_sides.txt", "# n 6\n0 1 0.5\n1 0 0.5\n2 1\n1 2\n2 2 4.0\n0 1 0.1\n1 0 0.1\n", False),
+    ("general.mtx", "%%MatrixMarket matrix coordinate real general\n7 7 7\n"
+                    "1 2 0.5\n2 1 0.5\n1 2 1.5\n3 3 2.0\n2 1 1.5\n4 5 1.0\n5 4 1.0\n", False),
+    ("symmetric.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n6 6 4\n"
+                      "2 1\n3 1\n3 3\n2 1\n", True),
+]
+LOAD_OPTIONS = [
+    {},
+    {"add_self_loops": True, "default_weight": 0.25},
+    {"symmetrize": False},
+    {"symmetrize": False, "add_self_loops": True},
+]
+
+
+def _outcome(build):
+    """The built graph's bytes, or the message of the ValueError it raised."""
+    try:
+        return graph_bytes(build())
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("options", LOAD_OPTIONS, ids=["plain", "loops", "no-sym", "no-sym-loops"])
+@pytest.mark.parametrize("name, text, one_sided", LOAD_FILES, ids=[f[0] for f in LOAD_FILES])
+def test_load_graph_file_equals_build_of_the_parse(tmp_path, name, text, one_sided, options):
+    path = tmp_path / name
+    path.write_text(text)
+    parse = parse_matrix_market if name.endswith(".mtx") else parse_edgelist
+
+    def parse_then_build():
+        with open(path, encoding="utf-8") as fh:
+            return build_graph(parse(fh), **options)
+
+    loaded = _outcome(lambda: load_graph_file(str(path), **options))
+    assert loaded == _outcome(parse_then_build)
+    # only a one-sided file read without symmetrizing fails to build
+    failed = one_sided and options.get("symmetrize") is False
+    assert isinstance(loaded, str) == failed
+
+
 def test_saved_weights_are_builtin_float_reprs(tmp_path):
     path = tmp_path / "w.txt"
     save_edgelist(EdgeList(2, [(0, 1, 5e-324), (1, 1, 1e308), (0, 0, 0.1)]), str(path))
@@ -112,13 +163,15 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # ---------------------------------------------------------------------------
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
-# (numpy 2.4): 33.7 B on the planted input with repeated pairs and 32.5 B
-# without them, since the build sorts int32 endpoint columns and checks
-# symmetry without an arc-length source column; 42.0 and 40.5 B with int64
-# columns and that source column, 62 B when the parsed entries lived
-# through the sort, 188 B when they were a list of tuples.  The bound
-# leaves 25% headroom
-MAX_LOAD_BYTES_PER_ARC = 42.1
+# (numpy 2.4): 27.0 B on the planted input with and without repeated pairs,
+# since the parsed columns go to the build without an EDGE_DTYPE copy, each
+# id column is freed once mirrored, the sort order is int32 and runs are
+# summed without an arc-length array of run starts; 33.7 and 32.5 B when
+# the loader packed EDGE_DTYPE entries, 42.0 and 40.5 B with int64 columns
+# and an arc-length source column in the symmetry check, 62 B when the
+# parsed entries lived through the sort, 188 B when they were a list of
+# tuples.  The bound leaves 25% headroom
+MAX_LOAD_BYTES_PER_ARC = 33.8
 
 # tracemalloc peak of pass-0 local moving per arc, warm: 5.0 B in async and
 # 7.9 B in sync mode with the kernel reading the graph's arrays through
@@ -132,6 +185,14 @@ MAX_MOVE_BYTES_PER_ARC = 6.3
 # over slices of about ARC_CHUNK arcs (numpy 2.4); 23.4 B and 24.6 B over
 # whole arc arrays.  The bounds leave 25% headroom
 MAX_MODULARITY_BYTES_PER_ARC = 6.6
+
+# peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
+# (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
+# per arc: 31.5 B (median of 5, 31.2-32.0) with the lean load path, 34.7 B
+# (34.3-35.3) when the loader packed EDGE_DTYPE entries.  RSS also counts
+# what tracemalloc does not see, such as the sorts' own buffers and pages
+# the allocator keeps.  The bound leaves 25% headroom
+MAX_STATS_RSS_BYTES_PER_ARC = 39.4
 MAX_AGGREGATE_BYTES_PER_ARC = 10.4
 
 
@@ -206,3 +267,39 @@ def test_modularity_and_aggregation_peak_memory_per_arc(tmp_path):
     assert peak / g.n_arcs <= MAX_MODULARITY_BYTES_PER_ARC
     peak, _ = _traced_peak(lambda: aggregate_graph(g, labels))
     assert peak / g.n_arcs <= MAX_AGGREGATE_BYTES_PER_ARC
+
+
+# A small interpreter that runs argv and prints its exit code and peak RSS
+# (KiB).  Linux starts a child's ru_maxrss at the peak of the process it
+# was spawned from, so the test process, which holds graphs of its own,
+# cannot measure the child directly.
+_MEASURE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _child_peak_rss(*args):
+    """The peak RSS in bytes of ``python args`` with src on PYTHONPATH,
+    and its standard output."""
+    src = os.path.dirname(os.path.dirname(commdet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", _MEASURE, sys.executable, *args],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    *out, last = res.stdout.splitlines()
+    code, kib = map(int, last.split())
+    assert code == 0, res.stderr
+    return kib * 1024, out
+
+
+def test_stats_peak_rss_per_arc(tmp_path):
+    path = tmp_path / "planted.txt"
+    _planted_edgelist(path, size=600)
+    base, _ = _child_peak_rss("-c", "import commdet.cli")
+    peak, out = _child_peak_rss("-m", "commdet.cli", "stats", "--input", str(path))
+    arcs = int(out[0].split("|E|=")[1].split()[0])
+    assert 250_000 <= arcs <= 300_000
+    assert (peak - base) / arcs <= MAX_STATS_RSS_BYTES_PER_ARC
