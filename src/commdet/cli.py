@@ -6,7 +6,8 @@ Subcommands:
     stats   print vertex/edge counts and average degree after preprocessing
     gen     write a synthetic fixture graph
 
-Exit codes: 0 success, 1 malformed input file, 2 invalid parameters.
+Exit codes: 0 success, 1 malformed input file, 2 invalid parameters
+(an output file that cannot be written among them).
 """
 
 from __future__ import annotations
@@ -363,8 +364,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except _Failed as exc:
         code, message = exc.args
-        print(f"error: {message}", file=sys.stderr)
-        return code
+    except OSError as exc:
+        # _load turns an unreadable input into exit 1, so this is an output
+        # file that cannot be written: an invalid parameter
+        code, message = EXIT_PARAMS, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import EdgeList, Graph, build_graph, edge_array
+from .graph import EdgeList, Graph, build_graph
 
 __all__ = ["cliques", "ring_of_cliques", "random_gnp", "gnp_graph"]
 
@@ -33,17 +33,18 @@ def cliques(k: int, count: int, bridges: int = 0) -> EdgeList:
     j = np.tile(np.arange(bridges), count - 1)
     us = np.concatenate([base + np.tile(a, count), i * k + j])
     vs = np.concatenate([base + np.tile(b, count), (i + 1) * k + j])
-    return EdgeList(n=count * k, entries=edge_array(us, vs, 1.0))
+    return EdgeList(count * k, np.column_stack([us, vs]), np.ones(us.size))
 
 
 def ring_of_cliques(k: int, count: int) -> EdgeList:
     """`count` k-cliques joined in a ring by single edges."""
     edges = cliques(k, count)
-    if count >= 2:
-        i = np.arange(count)
-        ring = edge_array(i * k + (k - 1), (i + 1) % count * k, 1.0)
-        edges.entries = np.concatenate([edges.entries, ring])
-    return edges
+    if count < 2:
+        return edges
+    i = np.arange(count)
+    ring = np.column_stack([i * k + (k - 1), (i + 1) % count * k])
+    pairs = np.concatenate([edges.entries, ring])
+    return EdgeList(edges.n, pairs, np.ones(len(pairs)))
 
 
 def random_gnp(
@@ -65,7 +66,7 @@ def random_gnp(
         ws = rng.choice(np.asarray(weight_choices, dtype=np.float64), size=us.size)
     else:
         ws = np.ones(us.size)
-    return EdgeList(n=n, entries=edge_array(us, vs, ws))
+    return EdgeList(n, np.column_stack([us, vs]), ws)
 
 
 def gnp_graph(

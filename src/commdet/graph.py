@@ -16,7 +16,6 @@ from typing import IO, TextIO
 import numpy as np
 
 __all__ = [
-    "EDGE_DTYPE",
     "EdgeList",
     "Graph",
     "GraphStats",
@@ -26,7 +25,6 @@ __all__ = [
     "build_graph",
     "graph_stats",
     "save_edgelist",
-    "edge_array",
     "load_graph_file",
 ]
 
@@ -40,21 +38,6 @@ class GraphParseError(ValueError):
 # aggregation's per-block sort)
 ARC_CHUNK = 1 << 14
 
-EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
-
-
-def edge_array(us, vs, ws) -> np.ndarray:
-    """Pack endpoint and weight columns into one EDGE_DTYPE array.
-
-    Each column may be a numpy array, an ``array.array`` or a sequence;
-    ws may also be a scalar weight shared by every edge.
-    """
-    entries = np.empty(len(us), dtype=EDGE_DTYPE)
-    entries["u"] = us
-    entries["v"] = vs
-    entries["w"] = ws
-    return entries
-
 
 @dataclass
 class EdgeList:
@@ -62,18 +45,35 @@ class EdgeList:
 
     Attributes:
         n: declared vertex count; every id in entries lies in [0, n).
-        entries: structured array of EDGE_DTYPE, one (u, v, w) record per
-            edge with 0-based vertex ids.  A sequence of (u, v, w) tuples
-            is converted on construction; ``entries.tolist()`` gives the
-            tuples back.
+        entries: int64 array of shape (e, 2), one (u, v) pair of 0-based
+            vertex ids per edge.
+        weights: float64 array of shape (e,), the weight of each edge.
+
+    Arrays of these dtypes are kept without a copy.  Given entries alone,
+    ``EdgeList(n, [(u, v, w), ...])`` splits the tuples into the two
+    arrays; ``EdgeList(n)`` has no edges.
+
+    Raises:
+        ValueError: if entries is not of shape (e, 2) or weights not of
+            length e.
     """
 
     n: int
     entries: np.ndarray = field(default_factory=list)
+    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.entries, np.ndarray) and self.entries.dtype == EDGE_DTYPE):
-            self.entries = np.array([tuple(e) for e in self.entries], dtype=EDGE_DTYPE)
+        if self.weights is None:
+            rows = [(u, v, w) for u, v, w in self.entries]
+            self.entries = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
+            self.weights = [r[2] for r in rows]
+        self.entries = np.asarray(self.entries, dtype=np.int64)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.entries.ndim != 2 or self.entries.shape[1] != 2:
+            raise ValueError(f"entries must have shape (e, 2), got {self.entries.shape}")
+        e = len(self.entries)
+        if self.weights.shape != (e,):
+            raise ValueError(f"weights must have shape ({e},), got {self.weights.shape}")
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,6 @@ _MM_SYMMETRIES = ("general", "symmetric")
 _MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
 
 
-def _columns(us: array, vs: array, ws: array) -> list[np.ndarray]:
-    """The parsed id and weight columns as numpy views of their buffers."""
-    return [
-        np.frombuffer(us, dtype=np.int64),
-        np.frombuffer(vs, dtype=np.int64),
-        np.frombuffer(ws, dtype=np.float64),
-    ]
-
-
 def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
     """Parse a MatrixMarket coordinate file into an EdgeList.
 
@@ -145,12 +136,6 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
             that does not match the size line.  Messages name the
             offending line number.
     """
-    n, columns = _parse_matrix_market(stream)
-    return EdgeList(n=n, entries=edge_array(*columns))
-
-
-def _parse_matrix_market(stream: TextIO | IO[str]) -> tuple[int, list[np.ndarray]]:
-    """parse_matrix_market's vertex count and its [u, v, w] columns, unpacked."""
     line_no = 0
     header = None
     while header is None:
@@ -203,13 +188,13 @@ def _parse_matrix_market(stream: TextIO | IO[str]) -> tuple[int, list[np.ndarray
         size = (rows, nnz)
 
     n, nnz = size
-    us, vs, ws = array("q"), array("q"), array("d")
-    while len(us) < nnz:
+    ids, ws = array("q"), array("d")
+    while len(ws) < nnz:
         raw = stream.readline()
         line_no += 1
         if not raw:
             raise GraphParseError(
-                f"line {line_no}: truncated file: expected {nnz} entries, found {len(us)}"
+                f"line {line_no}: truncated file: expected {nnz} entries, found {len(ws)}"
             )
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
@@ -236,8 +221,8 @@ def _parse_matrix_market(stream: TextIO | IO[str]) -> tuple[int, list[np.ndarray
                 raise GraphParseError(f"line {line_no}: bad weight in {stripped!r}") from exc
             if not math.isfinite(w):
                 raise GraphParseError(f"line {line_no}: non-finite weight in {stripped!r}")
-        us.append(u)
-        vs.append(v)
+        ids.append(u)
+        ids.append(v)
         ws.append(w)
 
     for raw in stream:
@@ -248,7 +233,7 @@ def _parse_matrix_market(stream: TextIO | IO[str]) -> tuple[int, list[np.ndarray
                 f"line {line_no}: extra entry beyond declared count {nnz}: {stripped!r}"
             )
 
-    return n, _columns(us, vs, ws)
+    return EdgeList(n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), np.frombuffer(ws))
 
 
 def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
@@ -258,13 +243,7 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
     fixes the vertex count (needed to preserve trailing isolated vertices),
     otherwise n is inferred as max id + 1.
     """
-    n, columns = _parse_edgelist(stream)
-    return EdgeList(n=n, entries=edge_array(*columns))
-
-
-def _parse_edgelist(stream: TextIO | IO[str]) -> tuple[int, list[np.ndarray]]:
-    """parse_edgelist's vertex count and its [u, v, w] columns, unpacked."""
-    us, vs, ws = array("q"), array("q"), array("d")
+    ids, ws = array("q"), array("d")
     declared_n = None
     max_id = -1
     for line_no, raw in enumerate(stream, start=1):
@@ -300,13 +279,13 @@ def _parse_edgelist(stream: TextIO | IO[str]) -> tuple[int, list[np.ndarray]]:
         max_id = max(max_id, u, v)
         if max_id >= _MAX_VERTICES:
             raise GraphParseError(f"line {line_no}: vertex id exceeds the int64 range: {stripped!r}")
-        us.append(u)
-        vs.append(v)
+        ids.append(u)
+        ids.append(v)
         ws.append(w)
     n = declared_n if declared_n is not None else max_id + 1
     if n < 1:
         raise GraphParseError("edge list declares no vertices")
-    return n, _columns(us, vs, ws)
+    return EdgeList(n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), np.frombuffer(ws))
 
 
 def load_graph_file(
@@ -320,10 +299,10 @@ def load_graph_file(
     if fmt is None:
         fmt = "mtx" if str(path).endswith(".mtx") else "edgelist"
     with open(path, "r", encoding="utf-8") as fh:
-        n, columns = (_parse_matrix_market if fmt == "mtx" else _parse_edgelist)(fh)
-    # the list holds the only references to the parsed columns, and _build
-    # empties it, so each column is freed once mirrored into the arc columns
-    return _build(n, columns, symmetrize, add_self_loops, default_weight)
+        # the list holds the only reference to the parsed edges, and _build
+        # empties it, so each array is freed once mirrored into the arc columns
+        held = [(parse_matrix_market if fmt == "mtx" else parse_edgelist)(fh)]
+    return _build(held, symmetrize, add_self_loops, default_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -351,35 +330,33 @@ def build_graph(
             total weight, a merged arc weight or the total overflows
             float64, or its arrays do not fit in memory.
     """
-    entries = edges.entries
-    return _build(
-        edges.n, [entries["u"], entries["v"], entries["w"]],
-        symmetrize, add_self_loops, default_weight,
-    )
+    return _build([edges], symmetrize, add_self_loops, default_weight)
 
 
 def _build(
-    n: int, columns: list[np.ndarray], symmetrize: bool, add_self_loops: bool,
-    default_weight: float,
+    held: list[EdgeList], symmetrize: bool, add_self_loops: bool, default_weight: float
 ) -> Graph:
-    """build_graph over the edge columns [us, vs, ws], a list that this
-    function empties.
+    """build_graph over the one EdgeList in held, a list that this
+    function empties and whose EdgeList it leaves unchanged.
 
-    When the list held the only references to the columns, the id columns
-    are freed once the source and target columns exist, and the weights
+    When the list held the only reference to the EdgeList, its id pairs
+    are freed once the source and target columns exist, and its weights
     once the weight column does, before the arcs are sorted.
     """
-    us, vs, ws = columns
-    columns.clear()
+    edges = held.pop()
+    n, pairs, ws = edges.n, edges.entries, edges.weights
+    del edges
     if n < 1:
         raise ValueError("empty graph: vertex count must be >= 1")
     if add_self_loops and not (math.isfinite(default_weight) and default_weight > 0):
         raise ValueError(f"self-loop weight must be positive and finite, got {default_weight!r}")
-    if us.size and (us.min() < 0 or vs.min() < 0 or max(us.max(), vs.max()) >= n):
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError("edge endpoint outside declared vertex range")
     if ws.size and not np.all(np.isfinite(ws)):
         raise ValueError("non-finite edge weight")
 
+    us, vs = pairs[:, 0], pairs[:, 1]
+    del pairs
     try:
         off = us != vs if symmetrize else np.zeros(us.size, dtype=bool)
         missing = np.empty(0, dtype=np.int64)
@@ -595,5 +572,5 @@ def save_edgelist(edges: EdgeList, path: str) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n {edges.n}\n")
-        for u, v, w in edges.entries.tolist():
+        for (u, v), w in zip(edges.entries.tolist(), edges.weights.tolist()):
             fh.write(f"{u} {v} {w!r}\n")

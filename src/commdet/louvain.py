@@ -382,8 +382,10 @@ def _move_phase(
     if cfg.threads == 1:
         return _move_loop(g, labels, tolerance, cap, partial(_sweep_range, 0, g.n))
     bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
-    shares = [bounds[w :: cfg.threads] for w in range(cfg.threads)]
-    with _worker_switch_interval(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    # a worker past the chunk count would own no chunk, so none is started
+    workers = min(cfg.threads, len(bounds))
+    shares = [bounds[w :: cfg.threads] for w in range(workers)]
+    with _worker_switch_interval(), ThreadPoolExecutor(max_workers=workers) as pool:
         sweep = partial(_threaded_sweep, pool, shares, threading.Lock())
         return _move_loop(g, labels, tolerance, cap, sweep)
 

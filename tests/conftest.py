@@ -9,7 +9,7 @@ import pytest
 
 from commdet.community import normalize_labels
 from commdet.fixtures import cliques, gnp_graph, ring_of_cliques
-from commdet.graph import ARC_CHUNK, EdgeList, Graph, build_graph, edge_array
+from commdet.graph import ARC_CHUNK, EdgeList, Graph, build_graph
 
 
 def two_triangles() -> Graph:
@@ -19,7 +19,8 @@ def two_triangles() -> Graph:
 def bridged_triangles() -> Graph:
     """Two triangles joined by a single bridge edge (2-3)."""
     edges = cliques(3, 2)
-    return build_graph(EdgeList(edges.n, edges.entries.tolist() + [(2, 3, 1.0)]))
+    return build_graph(EdgeList(edges.n, np.vstack([edges.entries, [(2, 3)]]),
+                                np.append(edges.weights, 1.0)))
 
 
 def single_edge() -> Graph:
@@ -34,7 +35,7 @@ def sbm_graph(blocks: int, size: int, p_in: float, p_out: float, seed: int) -> G
     same = (iu // size) == (iv // size)
     draw = rng.random(iu.size)
     keep = np.where(same, draw < p_in, draw < p_out)
-    return build_graph(EdgeList(n, edge_array(iu[keep], iv[keep], 1.0)))
+    return build_graph(EdgeList(n, np.column_stack([iu[keep], iv[keep]]), np.ones(keep.sum())))
 
 
 def fixture_suite() -> list[tuple[str, Graph]]:
@@ -54,7 +55,7 @@ def weighted_chunk_graph(seed: int = 9) -> Graph:
     sums depend on the order they are added in."""
     rng = np.random.default_rng(seed)
     us, vs = rng.integers(2960, size=45_000), rng.integers(2960, size=45_000)
-    g = build_graph(EdgeList(3000, edge_array(us, vs, rng.uniform(0.1, 10.0, 45_000))))
+    g = build_graph(EdgeList(3000, np.column_stack([us, vs]), rng.uniform(0.1, 10.0, 45_000)))
     assert g.n_arcs > 4 * ARC_CHUNK and g.n_arcs % ARC_CHUNK
     return g
 
@@ -68,7 +69,7 @@ def hub_graph() -> Graph:
     us = np.concatenate([np.zeros(leaves.size, dtype=np.int64), leaves])
     vs = np.concatenate([leaves, ring])
     g = build_graph(
-        EdgeList(leaves.size + 1, edge_array(us, vs, rng.uniform(0.5, 2.0, us.size))),
+        EdgeList(leaves.size + 1, np.column_stack([us, vs]), rng.uniform(0.5, 2.0, us.size)),
         add_self_loops=True,
         default_weight=0.3,
     )
@@ -150,7 +151,7 @@ def graph_to_edgelist(g: Graph) -> EdgeList:
     """Collapse a Graph back to one entry per undirected edge (u <= v)."""
     src = arc_sources(g)
     keep = src <= g.targets
-    return EdgeList(n=g.n, entries=edge_array(src[keep], g.targets[keep], g.weights[keep]))
+    return EdgeList(g.n, np.column_stack([src[keep], g.targets[keep]]), g.weights[keep])
 
 
 # ---------------------------------------------------------------------------

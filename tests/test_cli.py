@@ -533,6 +533,21 @@ def test_bad_self_loop_weight_exits_2_before_reading_the_input(command, weight, 
     assert "argument --add-self-loops: self-loop weight must be positive and finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "cliques", "--out", "{out}"],
+    ["detect", "--input", "{input}", "--out-membership", "{out}"],
+    ["detect", "--input", "{input}", "--out-report", "{out}"],
+    ["sweep", "tolerance", "--grid", "0.1", "--input", "{input}", "--out-report", "{out}"],
+], ids=["gen", "detect-membership", "detect-report", "sweep-report"])
+def test_unwritable_output_path_exits_2(argv, triangle_file, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out.txt")
+    rc = main([a.replace("{out}", out).replace("{input}", triangle_file) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from commdet.graph import (
     _is_symmetric,
     _merge_arcs,
     build_graph,
-    edge_array,
     graph_stats,
     parse_edgelist,
     parse_matrix_market,
@@ -46,17 +45,20 @@ def mm(text: str) -> EdgeList:
 def test_mm_pattern_general():
     el = mm("%%MatrixMarket matrix coordinate pattern general\n3 3 2\n2 1\n3 2\n")
     assert el.n == 3
-    assert el.entries.tolist() == [(1, 0, 1.0), (2, 1, 1.0)]
+    assert el.entries.tolist() == [[1, 0], [2, 1]]
+    assert el.weights.tolist() == [1.0, 1.0]
 
 
 def test_mm_real_weights():
     el = mm("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 2.5\n")
-    assert el.entries.tolist() == [(0, 1, 2.5)]
+    assert el.entries.tolist() == [[0, 1]]
+    assert el.weights.tolist() == [2.5]
 
 
 def test_mm_integer_field():
     el = mm("%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 3\n")
-    assert el.entries.tolist() == [(1, 0, 3.0)]
+    assert el.entries.tolist() == [[1, 0]]
+    assert el.weights.tolist() == [3.0]
 
 
 def test_mm_comments_and_blank_lines_skipped():
@@ -64,12 +66,14 @@ def test_mm_comments_and_blank_lines_skipped():
         "%%MatrixMarket matrix coordinate pattern general\n"
         "% a comment\n\n3 3 1\n% another\n1 3\n"
     )
-    assert el.entries.tolist() == [(0, 2, 1.0)]
+    assert el.entries.tolist() == [[0, 2]]
+    assert el.weights.tolist() == [1.0]
 
 
 def test_mm_symmetric_returns_stored_triangle_only():
     el = mm("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 1\n")
-    assert el.entries.tolist() == [(1, 0, 1.0), (2, 0, 1.0)]
+    assert el.entries.tolist() == [[1, 0], [2, 0]]
+    assert el.weights.tolist() == [1.0, 1.0]
 
 
 def test_mm_malformed_header():
@@ -115,7 +119,8 @@ def test_mm_non_square_rejected():
 def test_edgelist_basic():
     el = parse_edgelist(io.StringIO("# comment\n0 1\n1 2 2.5\n"))
     assert el.n == 3
-    assert el.entries.tolist() == [(0, 1, 1.0), (1, 2, 2.5)]
+    assert el.entries.tolist() == [[0, 1], [1, 2]]
+    assert el.weights.tolist() == [1.0, 2.5]
 
 
 def test_edgelist_n_directive_preserves_isolated():
@@ -134,14 +139,14 @@ def test_edgelist_id_beyond_declared_n():
 
 
 def test_ids_across_the_int32_limit_parse_exactly():
-    want = (2**31 + 1, [(2**31 - 1, 2**31, 0.5)])
+    want = (2**31 + 1, [[2**31 - 1, 2**31]], [0.5])
     el = parse_edgelist(io.StringIO("2147483647 2147483648 0.5\n"))
-    assert (el.n, el.entries.tolist()) == want
+    assert (el.n, el.entries.tolist(), el.weights.tolist()) == want
     mm = parse_matrix_market(io.StringIO(
         "%%MatrixMarket matrix coordinate real general\n"
         "2147483649 2147483649 1\n2147483648 2147483649 0.5\n"
     ))
-    assert (mm.n, mm.entries.tolist()) == want
+    assert (mm.n, mm.entries.tolist(), mm.weights.tolist()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +252,7 @@ def test_symmetry_check_rejects_an_endpoint_beyond_the_first_chunk():
     k, us, vs, ws, last = _complete_arc_columns()
     vs[last] = k - 1
     with pytest.raises(ValueError) as err:
-        build_graph(EdgeList(k, edge_array(us, vs, ws)), symmetrize=False)
+        build_graph(EdgeList(k, np.column_stack([us, vs]), ws), symmetrize=False)
     assert str(err.value) == ASYMMETRIC
 
 
@@ -255,7 +260,7 @@ def test_symmetry_check_rejects_an_endpoint_beyond_the_first_chunk():
 def test_symmetry_check_weight_tolerance_beyond_the_first_chunk(rel, symmetric):
     k, us, vs, ws, last = _complete_arc_columns()
     ws[last] *= 1.0 + rel
-    el = EdgeList(k, edge_array(us, vs, ws))
+    el = EdgeList(k, np.column_stack([us, vs]), ws)
     if symmetric:
         assert build_graph(el, symmetrize=False).n_arcs == us.size
     else:
@@ -267,10 +272,10 @@ def test_symmetry_check_weight_tolerance_beyond_the_first_chunk(rel, symmetric):
 def test_build_symmetry_independent_of_input_order():
     rng = np.random.default_rng(3)
     el = random_gnp(40, 0.15, seed=9)
-    entries = el.entries.copy()
-    rng.shuffle(entries)
+    order = rng.permutation(len(el.weights))
+    entries, weights = el.entries[order], el.weights[order]
     assert entries.tolist() != el.entries.tolist()
-    g1 = build_graph(EdgeList(el.n, entries))
+    g1 = build_graph(EdgeList(el.n, entries, weights))
     g2 = build_graph(el)
     validate_graph(g1)
     assert np.array_equal(g1.offsets, g2.offsets)
@@ -395,7 +400,7 @@ def test_merge_gives_the_same_arcs_from_int32_and_int64_ids():
     assert [a.tobytes() for a in (narrow[0], narrow[1].astype(np.int64), narrow[2])] == [
         a.tobytes() for a in wide
     ]
-    g = build_graph(EdgeList(520, edge_array(us, vs, ws)))
+    g = build_graph(EdgeList(520, np.column_stack([us, vs]), ws))
     assert g.targets.dtype == np.int64
     assert g.targets.tobytes() == wide[1].tobytes() and g.weights.tobytes() == wide[2].tobytes()
 

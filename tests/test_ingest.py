@@ -13,12 +13,11 @@ import commdet
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import commdet.graph
 from commdet.community import modularity, singleton_assignment
 from commdet.graph import (
-    EDGE_DTYPE,
     EdgeList,
     build_graph,
-    edge_array,
     load_graph_file,
     parse_edgelist,
     parse_matrix_market,
@@ -33,25 +32,58 @@ from conftest import graph_bytes
 # ---------------------------------------------------------------------------
 
 
-def test_edgelist_converts_tuples_to_edge_array():
+def test_edgelist_splits_tuples_into_pairs_and_weights():
     el = EdgeList(3, [(0, 1, 1), (2, 2, 0.5)])
-    assert el.entries.dtype == EDGE_DTYPE
-    assert el.entries.tolist() == [(0, 1, 1.0), (2, 2, 0.5)]
-    assert EdgeList(3).entries.dtype == EDGE_DTYPE
-    assert EdgeList(3).entries.size == 0
+    assert el.entries.dtype == np.int64 and el.weights.dtype == np.float64
+    assert el.entries.tolist() == [[0, 1], [2, 2]]
+    assert el.weights.tolist() == [1.0, 0.5]
+    assert EdgeList(3).entries.shape == (0, 2)
+    assert EdgeList(3).weights.shape == (0,)
 
 
-def test_edgelist_keeps_an_edge_array_as_is():
-    entries = edge_array([0, 1], [1, 2], 2.0)
-    assert EdgeList(3, entries).entries is entries
+def test_edgelist_keeps_its_arrays_without_a_copy():
+    pairs = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    weights = np.array([2.0, 2.0])
+    el = EdgeList(3, pairs, weights)
+    assert np.shares_memory(el.entries, pairs) and np.shares_memory(el.weights, weights)
+
+
+@pytest.mark.parametrize("pairs, weights, message", [
+    (np.zeros((2, 3), dtype=np.int64), np.ones(2), r"entries must have shape \(e, 2\)"),
+    (np.zeros(4, dtype=np.int64), np.ones(4), r"entries must have shape \(e, 2\)"),
+    (np.zeros((2, 2), dtype=np.int64), np.ones(3), r"weights must have shape \(2,\)"),
+    (np.zeros((2, 2), dtype=np.int64), np.ones((2, 1)), r"weights must have shape \(2,\)"),
+    (np.zeros((2, 2), dtype=np.int64), 1.0, r"weights must have shape \(2,\)"),
+], ids=["three-columns", "flat", "too-many-weights", "column-of-weights", "scalar-weight"])
+def test_edgelist_rejects_a_bad_shape(pairs, weights, message):
+    with pytest.raises(ValueError, match=message):
+        EdgeList(3, pairs, weights)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("a.txt", "# n 3\n0 1 0.5\n1 2\n"),
+    ("a.mtx", "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 0.5\n2 3 1\n"),
+])
+def test_load_graph_file_runs_the_public_parser_once(tmp_path, monkeypatch, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    calls = []
+    for parser in ("parse_edgelist", "parse_matrix_market"):
+        def counted(stream, parse=getattr(commdet.graph, parser), parser=parser):
+            calls.append(parser)
+            return parse(stream)
+        monkeypatch.setattr(commdet.graph, parser, counted)
+    load_graph_file(str(path))
+    assert calls == ["parse_matrix_market" if name.endswith(".mtx") else "parse_edgelist"]
 
 
 def test_build_graph_leaves_entries_unchanged():
     el = EdgeList(4, [(3, 1, 1.0), (0, 2, 2.0), (1, 3, 0.5), (2, 2, 4.0)])
-    before = el.entries.copy()
+    before = el.entries.copy(), el.weights.copy()
     build_graph(el, add_self_loops=True)
     build_graph(el)
-    assert el.entries.tobytes() == before.tobytes()
+    assert el.entries.tobytes() == before[0].tobytes()
+    assert el.weights.tobytes() == before[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +127,8 @@ def test_save_parse_round_trip_and_build_identity(tmp_path, case, loops):
     with open(path, encoding="utf-8") as fh:
         parsed = parse_edgelist(fh)
     assert parsed.n == n
-    assert parsed.entries.tolist() == tuples
+    assert parsed.entries.tolist() == [[u, v] for u, v, _ in tuples]
+    assert parsed.weights.tolist() == [w for _, _, w in tuples]
     # merging weights near 1e308 can overflow float64; both paths must then
     # raise the same error, and otherwise build the same bytes
     outcomes = []
@@ -164,10 +197,10 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
 # (numpy 2.4): 27.0 B on the planted input with and without repeated pairs,
-# since the parsed columns go to the build without an EDGE_DTYPE copy, each
-# id column is freed once mirrored, the sort order is int32 and runs are
+# since the parsed id pairs and weights go to the build without a copy, the
+# pairs are freed once mirrored, the sort order is int32 and runs are
 # summed without an arc-length array of run starts; 33.7 and 32.5 B when
-# the loader packed EDGE_DTYPE entries, 42.0 and 40.5 B with int64 columns
+# the loader packed (u, v, w) records, 42.0 and 40.5 B with int64 columns
 # and an arc-length source column in the symmetry check, 62 B when the
 # parsed entries lived through the sort, 188 B when they were a list of
 # tuples.  The bound leaves 25% headroom
@@ -189,7 +222,7 @@ MAX_MODULARITY_BYTES_PER_ARC = 6.6
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
 # per arc: 31.5 B (median of 5, 31.2-32.0) with the lean load path, 34.7 B
-# (34.3-35.3) when the loader packed EDGE_DTYPE entries.  RSS also counts
+# (34.3-35.3) when the loader packed (u, v, w) records.  RSS also counts
 # what tracemalloc does not see, such as the sorts' own buffers and pages
 # the allocator keeps.  The bound leaves 25% headroom
 MAX_STATS_RSS_BYTES_PER_ARC = 39.4
@@ -211,7 +244,7 @@ def _planted_edgelist(path, seed=0, blocks=25, size=200, deg_in=16, deg_out=2, r
     if not repeats:
         pairs = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs))
         us, vs = pairs // n, pairs % n
-    save_edgelist(EdgeList(n, edge_array(us, vs, 1.0)), str(path))
+    save_edgelist(EdgeList(n, np.column_stack([us, vs]), np.ones(us.size)), str(path))
 
 
 def _warm_up(tmp_path):

@@ -15,7 +15,7 @@ from commdet.community import (
     singleton_assignment,
 )
 from commdet.fixtures import gnp_graph
-from commdet.graph import EdgeList, Graph, build_graph, edge_array
+from commdet.graph import EdgeList, Graph, build_graph
 from commdet.louvain import (
     Config,
     _kernel_inputs,
@@ -268,7 +268,7 @@ def _kernel_cases():
     ]))
     rng = np.random.default_rng(8)
     us, vs = rng.integers(50, size=400), rng.integers(50, size=400)
-    distinct = build_graph(EdgeList(50, edge_array(us, vs, rng.random(400))))
+    distinct = build_graph(EdgeList(50, np.column_stack([us, vs]), rng.random(400)))
     return fixture_suite() + [("repeated_weights", repeated), ("distinct_weights", distinct)]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from commdet.community import Dendrogram, flatten, modularity
-from commdet.graph import EdgeList, build_graph, edge_array
+from commdet.graph import EdgeList, build_graph
 from commdet.louvain import louvain
 
 from conftest import arc_sources
@@ -24,7 +24,7 @@ def _weighted_loop_free(seed):
     us, vs = rng.integers(n, size=m), rng.integers(n, size=m)
     keep = us != vs
     ws = rng.uniform(0.1, 5.0, int(keep.sum()))
-    g = build_graph(EdgeList(n, edge_array(us[keep], vs[keep], ws)))
+    g = build_graph(EdgeList(n, np.column_stack([us[keep], vs[keep]]), ws))
     nxg = nx.Graph()
     nxg.add_nodes_from(range(n))
     src = arc_sources(g)

@@ -1,6 +1,6 @@
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -111,6 +111,41 @@ def test_sweep_threads_rows_and_single_thread_row():
 def test_sweep_threads_rejects_empty():
     with pytest.raises(ValueError):
         sweep_threads(two_triangles(), [])
+
+
+@pytest.mark.parametrize("threads, chunk_size, workers", [
+    (32, 1024, 1),  # one chunk
+    (8, 2, 3),      # three chunks, fewer than the threads
+    (2, 2, 2),      # three chunks, more than the threads
+])
+def test_pool_starts_a_worker_per_nonempty_share(threads, chunk_size, workers, monkeypatch):
+    # a pool that records its size and runs each share in the calling
+    # thread, so the test starts no thread at all
+    sizes, submits = [], []
+
+    class SpyPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submits.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sys.modules["commdet.louvain"], "ThreadPoolExecutor", SpyPool)
+    g = two_triangles()
+    cfg = Config(threads=threads, chunk_size=chunk_size)
+    iterations = _move_phase(g, singleton_assignment(g.n), 0.01, cfg)[0]
+    assert sizes == [workers]
+    assert len(submits) == workers * iterations
+    assert all(chunks for (chunks,) in submits)
 
 
 def test_overlapping_runs_restore_switch_interval(monkeypatch):
