@@ -201,19 +201,39 @@ def _make_config(args: argparse.Namespace) -> Config:
     )
 
 
-def _prepare(args: argparse.Namespace, grid: str | None = None) -> tuple[Config, list[float], Graph]:
-    """A run's Config, parsed sweep grid and graph.  The grid and the flags
-    are checked before the graph loads: a bad one exits 2, a bad input 1."""
+def _check_output(path: str) -> None:
+    """Raise ValueError unless path can be opened for writing: it is no
+    directory, nor a read-only file, and its directory exists and is
+    writable.  Nothing is created."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"output path is a directory: {path}")
+    if not os.path.isdir(folder):
+        raise ValueError(f"output directory does not exist: {path}")
+    if not os.access(folder, os.W_OK | os.X_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        raise ValueError(f"output path is not writable: {path}")
+
+
+def _prepare(
+    args: argparse.Namespace, outputs: list[str | None], grid: str | None = None
+) -> tuple[Config, list[float], Graph]:
+    """A run's Config, parsed sweep grid and graph.  The grid, the flags and
+    the given output paths (empty or None where absent) are checked before
+    the graph loads: a bad one exits 2, a bad input 1."""
     try:
         values = [] if grid is None else parse_grid(grid)
         cfg = _make_config(args)
+        for path in filter(None, outputs):
+            _check_output(path)
     except ValueError as exc:
         raise _Failed(EXIT_PARAMS, exc) from exc
     return cfg, values, _load(args)
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    cfg, _, g = _prepare(args)
+    cfg, _, g = _prepare(args, [args.out_membership, args.out_report])
     dend, report = louvain(g, cfg)
     labels, _ = normalize_labels(flatten(dend))
     print(
@@ -231,7 +251,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, grid, g = _prepare(args, args.grid)
+    cfg, grid, g = _prepare(args, [args.out_report], args.grid)
     try:
         # the sweeps check every cell's Config before the first run, and
         # a run on a loaded graph raises no ValueError, so only those can

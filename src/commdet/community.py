@@ -165,14 +165,14 @@ def neighbor_community_weights(
 def modularity(g: Graph, labels: np.ndarray) -> float:
     """Modularity of an assignment; lies in [-0.5, 1.0].
 
-    The per-community terms are combined with math.fsum, so the result is
-    exactly invariant under community relabeling.
+    The per-community terms are combined with math.fsum, which is correctly
+    rounded, so the result is exactly invariant under community relabeling.
     """
     agg = community_aggregates(g, labels)
     if g.total <= 0:
         raise ValueError("modularity undefined for zero-total graph")
     frac = agg.sigma_tot / g.total
-    return math.fsum((agg.sigma_in / g.total - frac * frac).tolist())
+    return math.fsum(agg.sigma_in / g.total - frac * frac)
 
 
 def modularity_bruteforce(g: Graph, labels: np.ndarray) -> float:
@@ -254,11 +254,19 @@ def flatten(d: Dendrogram) -> np.ndarray:
 # Membership file format: one "vertex_id community_id" line per vertex
 # ---------------------------------------------------------------------------
 
+# lines formatted per write: each line is a few Python objects while its
+# block is formatted, so a block costs about 100 bytes a line
+MEMBERSHIP_BLOCK = 1 << 10
+
 
 def write_membership(path: str, labels: np.ndarray) -> None:
+    """One "u labels[u]" line per vertex, written MEMBERSHIP_BLOCK lines at
+    a time, so the text of the whole file is never held at once."""
     labels = np.asarray(labels, dtype=np.int64)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{u} {int(c)}\n" for u, c in enumerate(labels.tolist())))
+        for lo in range(0, labels.size, MEMBERSHIP_BLOCK):
+            block = labels[lo : lo + MEMBERSHIP_BLOCK].tolist()
+            fh.write("".join(f"{u} {c}\n" for u, c in enumerate(block, start=lo)))
 
 
 def read_membership(path: str) -> np.ndarray:

@@ -3,8 +3,8 @@
 Local moving comes in three flavors, all on one kernel.  Asynchronous
 sweeps apply each accepted move immediately, so later vertices in the same
 iteration see it (Gauss-Seidel style).  Synchronous sweeps decide every
-move against a snapshot of the iteration start and apply the
-non-conflicting local maxima together at the end (Jacobi style);
+move against the iteration-start state and apply the non-conflicting
+local maxima together at the end (Jacobi style);
 applied-together moves may realize less than the sum of their
 decision-time gains, so modularity is always recomputed exactly between
 passes.  With ``Config.threads`` above one, an asynchronous sweep is split
@@ -14,6 +14,13 @@ label array and one shared community-mass array: reads are unsynchronized
 its label write and its two mass adjustments as one indivisible block
 under a mutex, so races perturb the search trajectory but never the
 bookkeeping.  One thread is the plain sequential sweep, bit for bit.
+
+The kernel is pure Python over flat numpy arrays: the graph's CSR arrays,
+the int64 labels and the float64 community masses are read and written
+through memoryviews, which give the builtin int and float a list would
+hold, float bits included.  No sweep keeps a Python object per vertex, so
+a pass holds little beyond the graph itself, and the caller's labels are
+updated in place.
 
 After each pass the convergence tolerance is divided by a decline factor
 (threshold scaling), trading precision in late passes for speed.
@@ -169,18 +176,18 @@ def _sweep_range(
     tgt: Sequence[int],
     wts: Sequence[float],
     degs: Sequence[float],
-    labs: list[int],
-    sigma_tot: list[float],
+    labs: memoryview,
+    sigma_tot: memoryview,
     m: float,
     lock=None,
 ) -> tuple[float, int, int]:
     """Greedy move sweep over vertices [lo_v, hi_v) in ascending id order.
 
-    labs and sigma_tot are updated as moves are accepted.  With a lock the
-    label write and the two sigma_tot adjustments of each move happen as
-    one indivisible block (the shared-state contract of the threaded
-    engine); without one this is the plain sequential inner loop.  Returns
-    (summed gain, move count, conflict count).
+    labs and sigma_tot are updated in place as moves are accepted.  With a
+    lock the label write and the two sigma_tot adjustments of each move
+    happen as one indivisible block (the shared-state contract of the
+    threaded engine); without one this is the plain sequential inner loop.
+    Returns (summed gain, move count, conflict count).
     """
     gain = 0.0
     moves = 0
@@ -254,29 +261,30 @@ def _sync_iteration(
     tgt: Sequence[int],
     wts: Sequence[float],
     degs: Sequence[float],
-    labs: list[int],
-    sigma_tot: list[float],
+    labs: memoryview,
+    sigma_tot: memoryview,
     m: float,
 ) -> tuple[float, int, int]:
-    """One Jacobi-style iteration: decide against a snapshot, apply together.
+    """One Jacobi-style iteration: decide against the iteration-start
+    state, apply together.
 
     Applying every positive decision simultaneously lets adjacent vertices
     swap communities forever (the claimed gains stay positive while the
     realized gain is zero), so only decisions that are local maxima go
     through: a vertex moves when no neighbor claims a strictly larger
-    gain, with exact ties won by the lower vertex id.  The filter reads
-    nothing beyond the snapshot, keeping every decision a pure function of
-    the iteration-start state.  Returns (gain, moves, 0).
+    gain, with exact ties won by the lower vertex id.  Every decision is
+    made before the first move is applied, and the filter reads only the
+    decisions, so each is a pure function of the iteration-start state
+    with no snapshot of it.  The decisions are arrays read through
+    memoryviews, like the state itself.  Returns (gain, moves, 0).
     """
-    snap_labs = list(labs)
-    snap_sigma = list(sigma_tot)
     n = len(labs)
-    want = [-1] * n
-    dqs = [0.0] * n
+    want = memoryview(np.full(n, -1, dtype=np.int64))
+    dqs = memoryview(np.zeros(n))
     for u in range(n):
-        own = snap_labs[u]
-        scan = scan_arcs(u, offs, tgt, wts, snap_labs)[0]
-        to_c, dq = best_move(scan, snap_sigma, degs[u], own, m)
+        own = labs[u]
+        scan = scan_arcs(u, offs, tgt, wts, labs)[0]
+        to_c, dq = best_move(scan, sigma_tot, degs[u], own, m)
         if dq > 0.0 and to_c != own:
             want[u] = to_c
             dqs[u] = dq
@@ -289,18 +297,19 @@ def _sync_iteration(
             continue
         du = dqs[u]
         blocked = False
+        # a vertex that wants no move has dqs 0.0 < du, and u itself fails
+        # both tests, so neither needs skipping
         for k in range(offs[u], offs[u + 1]):
             v = tgt[k]
-            if v == u or want[v] < 0:
-                continue
             dv = dqs[v]
             if dv > du or (dv == du and v < u):
                 blocked = True
                 break
         if blocked:
             continue
+        # labs[u] is written only here, so it still holds u's start label
         k_u = degs[u]
-        own = snap_labs[u]
+        own = labs[u]
         sigma_tot[own] -= k_u
         sigma_tot[to_c] += k_u
         labs[u] = to_c
@@ -309,17 +318,20 @@ def _sync_iteration(
     return gain, moves, 0
 
 
-def _kernel_inputs(g: Graph, labels: np.ndarray) -> tuple[tuple[memoryview, ...], list[int]]:
-    """The graph's offsets, targets, weights and degrees, and the labels,
-    for the pure-Python kernel.
+def _kernel_inputs(g: Graph, labels: np.ndarray) -> tuple[tuple[memoryview, ...], np.ndarray]:
+    """The graph's offsets, targets, weights and degrees, for the
+    pure-Python kernel, and the int64 labels the sweeps update.
 
     The graph's arrays are read through memoryviews, so the kernel keeps no
     copy of them: indexing one gives the builtin int or float that
-    tolist() would hold there, float bits included.  Labels are a list the
-    sweeps update in place.
+    tolist() would hold there, float bits included.  The labels are labels
+    itself when it is a writable C-contiguous int64 array, and otherwise an
+    int64 copy for the caller to write back.
     """
     arrays = (g.offsets, g.targets, g.weights, g.degrees)
-    return tuple(memoryview(a) for a in arrays), labels.tolist()
+    flags = labels.flags
+    in_place = labels.dtype == np.int64 and flags.writeable and flags.c_contiguous
+    return tuple(memoryview(a) for a in arrays), labels if in_place else labels.astype(np.int64)
 
 
 def _move_loop(
@@ -332,9 +344,12 @@ def _move_loop(
     """Repeat sweep until an iteration gains <= tolerance or the cap is hit.
 
     sweep(offs, tgt, wts, degs, labs, sigma_tot, m) runs one iteration
-    over the graph, updating the lists labs and sigma_tot in place, and
-    returns (gain, moves, conflicts).  labels is updated in place.
-    Raises ValueError when a label lies outside [0, n).
+    over the graph and returns (gain, moves, conflicts).  Each argument but
+    m is a memoryview: of the graph's arrays, of the labels _kernel_inputs
+    gives and of the float64 community masses, and the sweep updates the
+    last two in place.  So labels is updated in place, directly when
+    _kernel_inputs uses it as it is and by one copy back at the end
+    otherwise.  Raises ValueError when a label lies outside [0, n).
     Returns (iterations, cumulative gain, accepted moves, conflicts per
     iteration, sigma drift), where the drift is the largest absolute
     difference between the incrementally maintained community masses and
@@ -342,9 +357,9 @@ def _move_loop(
     """
     if labels.size and (labels.min() < 0 or labels.max() >= g.n):
         raise ValueError("labels must lie in [0, n)")
-    graph, labs = _kernel_inputs(g, labels)
-    sigma_tot = np.bincount(labels, weights=g.degrees, minlength=g.n).tolist()
-    m = g.total / 2.0
+    graph, work = _kernel_inputs(g, labels)
+    sigma_tot = np.bincount(work, weights=g.degrees, minlength=g.n)
+    state = (memoryview(work), memoryview(sigma_tot), g.total / 2.0)
 
     iterations = 0
     total_gain = 0.0
@@ -352,18 +367,17 @@ def _move_loop(
     conflicts: list[int] = []
     while True:
         iterations += 1
-        gain, moves, clashes = sweep(*graph, labs, sigma_tot, m)
+        gain, moves, clashes = sweep(*graph, *state)
         total_gain += gain
         total_moves += moves
         conflicts.append(clashes)
         if gain <= tolerance or iterations >= max_iterations:
             break
 
-    labels[:] = labs
-    # measured once the kernel inputs are gone, so the peak does not rise
-    del graph, labs
-    fresh = np.bincount(labels, weights=g.degrees, minlength=g.n)
-    drift = float(np.max(np.abs(fresh - np.asarray(sigma_tot, dtype=np.float64))))
+    if work is not labels:
+        labels[:] = work
+    fresh = np.bincount(work, weights=g.degrees, minlength=g.n)
+    drift = float(np.max(np.abs(fresh - sigma_tot)))
     return iterations, total_gain, total_moves, conflicts, drift
 
 

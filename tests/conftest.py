@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
 
-from commdet.community import normalize_labels
+from commdet.community import normalize_labels, scan_arcs
 from commdet.fixtures import cliques, gnp_graph, ring_of_cliques
 from commdet.graph import ARC_CHUNK, EdgeList, Graph, build_graph
+from commdet.louvain import Config, _sweep_range, _threaded_sweep, best_move
 
 
 def two_triangles() -> Graph:
@@ -246,3 +250,110 @@ def graph_bytes(g: Graph) -> tuple:
     """Everything a Graph holds, as bytes, dtypes included."""
     arrays = (g.offsets, g.targets, g.weights, g.degrees)
     return (g.n, repr(g.total)) + tuple((a.dtype.str, a.tobytes()) for a in arrays)
+
+
+# ---------------------------------------------------------------------------
+# Local-moving oracle: the engines with their labels, community masses,
+# snapshots and decisions held in lists, one Python object per vertex
+# ---------------------------------------------------------------------------
+
+
+class InlinePool:
+    """A ThreadPoolExecutor stand-in that runs each task when it is
+    submitted, in the calling thread, so a threaded sweep is deterministic
+    and starts no thread."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def list_sync_iteration(offs, tgt, wts, degs, labs, sigma_tot, m):
+    """The Jacobi iteration on list snapshots and list decisions."""
+    snap_labs = list(labs)
+    snap_sigma = list(sigma_tot)
+    n = len(labs)
+    want = [-1] * n
+    dqs = [0.0] * n
+    for u in range(n):
+        own = snap_labs[u]
+        scan = scan_arcs(u, offs, tgt, wts, snap_labs)[0]
+        to_c, dq = best_move(scan, snap_sigma, degs[u], own, m)
+        if dq > 0.0 and to_c != own:
+            want[u] = to_c
+            dqs[u] = dq
+
+    gain = 0.0
+    moves = 0
+    for u in range(n):
+        to_c = want[u]
+        if to_c < 0:
+            continue
+        du = dqs[u]
+        blocked = False
+        for k in range(offs[u], offs[u + 1]):
+            v = tgt[k]
+            if v == u or want[v] < 0:
+                continue
+            dv = dqs[v]
+            if dv > du or (dv == du and v < u):
+                blocked = True
+                break
+        if blocked:
+            continue
+        k_u = degs[u]
+        own = snap_labs[u]
+        sigma_tot[own] -= k_u
+        sigma_tot[to_c] += k_u
+        labs[u] = to_c
+        gain += du
+        moves += 1
+    return gain, moves, 0
+
+
+def list_move_loop(g: Graph, labels: np.ndarray, tolerance: float, max_iterations: int,
+                   sweep) -> tuple:
+    """The iteration loop on tolist() copies of the graph, the labels and
+    the community masses; labels is written back at the end."""
+    if labels.size and (labels.min() < 0 or labels.max() >= g.n):
+        raise ValueError("labels must lie in [0, n)")
+    graph = tuple(a.tolist() for a in (g.offsets, g.targets, g.weights, g.degrees))
+    labs = labels.tolist()
+    sigma_tot = np.bincount(labels, weights=g.degrees, minlength=g.n).tolist()
+    iterations, total_gain, total_moves, conflicts = 0, 0.0, 0, []
+    while True:
+        iterations += 1
+        gain, moves, clashes = sweep(*graph, labs, sigma_tot, g.total / 2.0)
+        total_gain += gain
+        total_moves += moves
+        conflicts.append(clashes)
+        if gain <= tolerance or iterations >= max_iterations:
+            break
+    labels[:] = labs
+    fresh = np.bincount(labels, weights=g.degrees, minlength=g.n)
+    drift = float(np.max(np.abs(fresh - np.asarray(sigma_tot, dtype=np.float64))))
+    return iterations, total_gain, total_moves, conflicts, drift
+
+
+def list_move_phase(g: Graph, labels: np.ndarray, tolerance: float, cfg: Config) -> tuple:
+    """_move_phase on list_move_loop.  More than one thread runs the
+    package's threaded sweep over the same chunk shares on an InlinePool."""
+    if cfg.mode == "sync":
+        sweep = list_sync_iteration
+    elif cfg.threads == 1:
+        sweep = partial(_sweep_range, 0, g.n)
+    else:
+        bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
+        shares = [bounds[w :: cfg.threads] for w in range(min(cfg.threads, len(bounds)))]
+        sweep = partial(_threaded_sweep, InlinePool(), shares, threading.Lock())
+    return list_move_loop(g, labels, tolerance, cfg.max_iterations_per_pass, sweep)

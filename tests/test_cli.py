@@ -533,19 +533,55 @@ def test_bad_self_loop_weight_exits_2_before_reading_the_input(command, weight, 
     assert "argument --add-self-loops: self-loop weight must be positive and finite" in err
 
 
+def _forbid_the_run(monkeypatch):
+    """Make loading the graph or running Louvain fail the test."""
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    for module in ("commdet.cli", "commdet.louvain"):
+        monkeypatch.setattr(sys.modules[module], "louvain", reached)
+    monkeypatch.setattr(sys.modules["commdet.cli"], "load_graph_file", reached)
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "cliques", "--out", "{out}"],
     ["detect", "--input", "{input}", "--out-membership", "{out}"],
     ["detect", "--input", "{input}", "--out-report", "{out}"],
     ["sweep", "tolerance", "--grid", "0.1", "--input", "{input}", "--out-report", "{out}"],
 ], ids=["gen", "detect-membership", "detect-report", "sweep-report"])
-def test_unwritable_output_path_exits_2(argv, triangle_file, tmp_path, capsys):
+def test_unwritable_output_path_exits_2(argv, triangle_file, tmp_path, capsys, monkeypatch):
+    _forbid_the_run(monkeypatch)
     out = str(tmp_path / "missing" / "out.txt")
     rc = main([a.replace("{out}", out).replace("{input}", triangle_file) for a in argv])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and out in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--out-membership"],
+    ["detect", "--out-report"],
+    ["sweep", "threads", "--grid", "1", "--out-report"],
+], ids=["detect-membership", "detect-report", "sweep-report"])
+def test_output_path_that_is_a_directory_exits_2_before_the_load(
+    argv, triangle_file, tmp_path, capsys, monkeypatch
+):
+    _forbid_the_run(monkeypatch)
+    assert main([*argv, str(tmp_path), "--input", triangle_file]) == 2
+    assert capsys.readouterr().err == f"error: output path is a directory: {tmp_path}\n"
+
+
+def test_no_output_file_is_touched_when_one_cannot_be_written(triangle_file, tmp_path, capsys):
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("old\n")
+    bad_report = str(tmp_path / "missing" / "report.csv")
+    for membership in (kept, fresh):
+        argv = ["detect", "--input", triangle_file, "--out-membership", str(membership),
+                "--out-report", bad_report]
+        assert main(argv) == 2
+    assert capsys.readouterr().err.count(f"error: output directory does not exist: {bad_report}") == 2
+    assert kept.read_text() == "old\n" and not fresh.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from commdet.graph import (
     parse_matrix_market,
     save_edgelist,
 )
-from commdet.louvain import aggregate_graph, local_moving
+from commdet.louvain import Config, _move_phase, aggregate_graph, local_moving
 
 from conftest import graph_bytes
 
@@ -206,18 +206,21 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # tuples.  The bound leaves 25% headroom
 MAX_LOAD_BYTES_PER_ARC = 33.8
 
-# tracemalloc peak of pass-0 local moving per arc, warm: 5.0 B in async and
-# 7.9 B in sync mode with the kernel reading the graph's arrays through
-# memoryviews (numpy 2.4); 24.7 and 28.0 B with arc lists sharing one
-# object per vertex id and per distinct weight, 79 B when tolist() boxed a
-# fresh int and float per arc.  The bound leaves 25% headroom
-MAX_MOVE_BYTES_PER_ARC = 6.3
+# tracemalloc peak of pass-0 local moving per arc, warm (numpy 2.4): 2.33 B
+# in async and in sync mode and 2.46 B with two threads, with the labels,
+# community masses and sync decisions in arrays and no sync snapshot; 4.99,
+# 7.88 and 5.03 B when they and the snapshots were lists, 24.7 and 28.0 B
+# (async, sync) with arc lists sharing one object per vertex id and per
+# distinct weight, 79 B when tolist() boxed a fresh int and float per arc.
+# The bound leaves 25% headroom over the largest
+MAX_MOVE_BYTES_PER_ARC = 3.1
 
 # tracemalloc peaks per arc of modularity and aggregate_graph under the
 # labels of pass-0 local moving, warm: 5.3 B and 8.3 B with both running
 # over slices of about ARC_CHUNK arcs (numpy 2.4); 23.4 B and 24.6 B over
 # whole arc arrays.  The bounds leave 25% headroom
 MAX_MODULARITY_BYTES_PER_ARC = 6.6
+MAX_AGGREGATE_BYTES_PER_ARC = 10.4
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
@@ -226,7 +229,16 @@ MAX_MODULARITY_BYTES_PER_ARC = 6.6
 # what tracemalloc does not see, such as the sorts' own buffers and pages
 # the allocator keeps.  The bound leaves 25% headroom
 MAX_STATS_RSS_BYTES_PER_ARC = 39.4
-MAX_AGGREGATE_BYTES_PER_ARC = 10.4
+
+# peak RSS of ``commdet detect --out-membership`` less that of ``commdet
+# stats``, per vertex, on the planted input with 100 blocks of 200: -3.7 to
+# 11.3 B (median 1, 15 runs) with no Python object per vertex after the
+# load, so the load sets the peak; 56 to 73 B (median 68) when local
+# moving held its state in lists, modularity boxed its terms and the
+# membership file was joined into one string.  The gap is the noise of two
+# RSS readings, so the bound is set against that noise rather than as a
+# share of the measurement
+MAX_DETECT_OVER_STATS_RSS_BYTES_PER_VERTEX = 20.0
 
 
 def _planted_edgelist(path, seed=0, blocks=25, size=200, deg_in=16, deg_out=2, repeats=True):
@@ -286,10 +298,19 @@ def test_load_peak_memory_per_arc_without_repeated_pairs(tmp_path):
     assert _planted_graph(tmp_path, repeats=False)[1] <= MAX_LOAD_BYTES_PER_ARC
 
 
-def test_local_moving_peak_memory_per_arc(tmp_path):
+def _move_peak_per_arc(tmp_path, cfg):
     g, _ = _planted_graph(tmp_path)
-    peak, _ = _traced_peak(lambda: local_moving(g, singleton_assignment(g.n), 0.01))
-    assert peak / g.n_arcs <= MAX_MOVE_BYTES_PER_ARC
+    peak, _ = _traced_peak(lambda: _move_phase(g, singleton_assignment(g.n), 0.01, cfg))
+    return peak / g.n_arcs
+
+
+def test_local_moving_peak_memory_per_arc(tmp_path):
+    assert _move_peak_per_arc(tmp_path, Config()) <= MAX_MOVE_BYTES_PER_ARC
+
+
+@pytest.mark.parametrize("cfg", [Config(mode="sync"), Config(threads=2)], ids=["sync", "threads2"])
+def test_sync_and_threaded_local_moving_peak_memory_per_arc(tmp_path, cfg):
+    assert _move_peak_per_arc(tmp_path, cfg) <= MAX_MOVE_BYTES_PER_ARC
 
 
 def test_modularity_and_aggregation_peak_memory_per_arc(tmp_path):
@@ -336,3 +357,12 @@ def test_stats_peak_rss_per_arc(tmp_path):
     arcs = int(out[0].split("|E|=")[1].split()[0])
     assert 250_000 <= arcs <= 300_000
     assert (peak - base) / arcs <= MAX_STATS_RSS_BYTES_PER_ARC
+
+
+def test_detect_peak_rss_over_stats_per_vertex(tmp_path):
+    path = tmp_path / "planted.txt"
+    _planted_edgelist(path, blocks=100, size=200)
+    stats, _ = _child_peak_rss("-m", "commdet.cli", "stats", "--input", str(path))
+    detect, _ = _child_peak_rss("-m", "commdet.cli", "detect", "--input", str(path),
+                                "--out-membership", str(tmp_path / "membership.txt"))
+    assert (detect - stats) / 20_000 <= MAX_DETECT_OVER_STATS_RSS_BYTES_PER_VERTEX

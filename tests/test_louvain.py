@@ -1,9 +1,12 @@
 import importlib
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from commdet.community import (
     community_aggregates,
@@ -29,11 +32,14 @@ from commdet.louvain import (
 
 from conftest import (
     ASYMMETRIC,
+    InlinePool,
     arc_sources,
     bridged_triangles,
     fixture_suite,
     graph_bytes,
+    hub_graph,
     lexsort_aggregate,
+    list_move_phase,
     neighbors,
     oracle_graphs,
     oracle_labelings,
@@ -234,6 +240,30 @@ def test_local_moving_rejects_labels_outside_range(engine, bad):
     assert sys.getswitchinterval() == interval
 
 
+@pytest.mark.parametrize("engine", ["async", "sync", "threads2"])
+def test_local_moving_updates_int32_and_strided_labels_in_place(engine, inline_pool):
+    g = gnp_graph(60, 0.1, seed=3)
+    want_labels = singleton_assignment(g.n)
+    want = _run_engine(engine, g, want_labels)
+    assert want[2] > 0
+    base = np.repeat(np.arange(g.n), 2)
+    int32 = np.arange(g.n, dtype=np.int32)
+    for labels in (int32, base[::2]):
+        assert repr(_run_engine(engine, g, labels)) == repr(want)
+        assert labels.tolist() == want_labels.tolist()
+    assert int32.dtype == np.int32
+    assert base[1::2].tolist() == list(range(g.n))
+
+
+@pytest.mark.parametrize("engine", ["async", "sync", "threads2"])
+def test_local_moving_rejects_read_only_labels(engine, inline_pool):
+    labels = singleton_assignment(6)
+    labels.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        _run_engine(engine, two_triangles(), labels)
+    assert labels.tolist() == list(range(6))
+
+
 def test_async_every_accepted_move_improves_q():
     # replay the ascending sweep with the shared primitives and check Q
     # after every accepted move
@@ -284,11 +314,14 @@ def _tolist_kernel_inputs(g, labels):
 
 def test_kernel_inputs_equal_tolist():
     """What the kernel reads at each index is what tolist() holds there:
-    the same value, builtin type and float bits."""
+    the same value, builtin type and float bits.  int64 labels are used
+    as they are."""
     rng = np.random.default_rng(2)
     for name, g in _kernel_cases() + [("weighted_chunks", weighted_chunk_graph())]:
         for labels in (singleton_assignment(g.n), rng.integers(g.n, size=g.n)):
-            graph, labs = _kernel_inputs(g, labels)
+            graph, work = _kernel_inputs(g, labels)
+            assert work is labels, name
+            labs = [memoryview(work)[k] for k in range(g.n)]
             ref_graph, ref_labs = _tolist_kernel_inputs(g, labels)
             assert labs == ref_labs and all(type(x) is int for x in labs), name
             offs, tgt, wts, degs = ([view[k] for k in range(len(view))] for view in graph)
@@ -299,24 +332,82 @@ def test_kernel_inputs_equal_tolist():
             assert _bits(wts) == _bits(ref_wts) and _bits(degs) == _bits(ref_degs), name
 
 
-def test_kernel_lists_leave_engine_results_unchanged(monkeypatch):
+# every engine through _move_phase; threads > 1 runs on an InlinePool
+ENGINES = [
+    ("async", Config()),
+    ("sync", Config(mode="sync")),
+    ("threads1", Config(threads=1, chunk_size=7)),
+    ("threads2", Config(threads=2, chunk_size=7)),
+]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(LOUVAIN_MODULE, "ThreadPoolExecutor", InlinePool)
+
+
+def _phase_outcome(move_phase, g, labels, tolerance, cfg):
+    """Everything a local-moving phase returns, floats as repr, and the
+    labels it leaves."""
+    iters, gain, moves, conflicts, drift = move_phase(g, labels, tolerance, cfg)
+    return iters, repr(gain), moves, conflicts, repr(drift), labels.tolist()
+
+
+def _assert_engines_match_list_oracle(g, labels, tolerance, name, cap=500):
+    for engine, cfg in ENGINES:
+        cfg = replace(cfg, max_iterations_per_pass=cap)
+        got = _phase_outcome(_move_phase, g, labels.copy(), tolerance, cfg)
+        want = _phase_outcome(list_move_phase, g, labels.copy(), tolerance, cfg)
+        assert got == want, (name, engine)
+
+
+def test_kernel_lists_leave_engine_results_unchanged(inline_pool, monkeypatch):
+    """Array state gives what list state gives, in every engine and in
+    whole runs."""
+    rng = np.random.default_rng(4)
+    for name, g in _kernel_cases():
+        for labels in (singleton_assignment(g.n), rng.integers(g.n, size=g.n)):
+            _assert_engines_match_list_oracle(g, labels, 1e-6, name)
+    # the larger graphs' sync passes run for over a hundred iterations at
+    # this tolerance; six cover every path, the truncated stop included
+    for name, g in (("weighted_chunks", weighted_chunk_graph()), ("hub", hub_graph())):
+        _assert_engines_match_list_oracle(g, singleton_assignment(g.n), 1e-6, name, cap=6)
     for name, g in _kernel_cases():
         results = []
-        for inputs in (_kernel_inputs, _tolist_kernel_inputs):
-            monkeypatch.setattr(LOUVAIN_MODULE, "_kernel_inputs", inputs)
+        for move_phase in (_move_phase, list_move_phase):
+            monkeypatch.setattr(LOUVAIN_MODULE, "_move_phase", move_phase)
             runs = []
-            for mode in ("async", "sync"):
-                labels = singleton_assignment(g.n)
-                runs.append((local_moving(g, labels, 1e-6, mode=mode), labels.tolist()))
-                d, rep = louvain(g, Config(mode=mode))
+            for _, cfg in ENGINES:
+                d, rep = louvain(g, cfg)
                 runs.append((
                     [level.tolist() for level in d.levels],
                     d.per_level_q,
-                    [(p.vertices, p.iterations, p.q_after) for p in rep.passes],
+                    [(p.vertices, p.iterations, p.q_after, p.conflicts) for p in rep.passes],
                     rep.final_q,
+                    rep.max_sigma_drift,
                 ))
             results.append(runs)
         assert results[0] == results[1], name
+
+
+@st.composite
+def small_weighted_graphs(draw):
+    """A weighted graph of at most 12 vertices with self-loops, and labels."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, n - 1)
+    weight = st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(1e-3, 1e3))
+    edges = draw(st.lists(st.tuples(ids, ids, weight), min_size=1, max_size=40))
+    labels = draw(st.lists(ids, min_size=n, max_size=n))
+    return build_graph(EdgeList(n, edges)), np.array(labels, dtype=np.int64)
+
+
+@settings(max_examples=150, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=small_weighted_graphs(), tolerance=st.sampled_from([0.0, 1e-6, 0.01]))
+def test_engines_equal_list_oracle_on_small_weighted_graphs(inline_pool, case, tolerance):
+    g, labels = case
+    _assert_engines_match_list_oracle(g, labels, tolerance, "drawn")
+    _assert_engines_match_list_oracle(g, singleton_assignment(g.n), tolerance, "drawn")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from commdet.fixtures import gnp_graph
 from commdet.louvain import Config, _move_phase, local_moving, louvain
 from commdet.parallel import ParallelConfig, parallel_louvain, sweep_threads
 
-from conftest import sbm_graph, two_triangles
+from conftest import InlinePool, sbm_graph, two_triangles
 
 
 def test_parallel_config_validation():
@@ -123,21 +123,13 @@ def test_pool_starts_a_worker_per_nonempty_share(threads, chunk_size, workers, m
     # thread, so the test starts no thread at all
     sizes, submits = [], []
 
-    class SpyPool:
+    class SpyPool(InlinePool):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, *args):
             submits.append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(sys.modules["commdet.louvain"], "ThreadPoolExecutor", SpyPool)
     g = two_triangles()
