@@ -1,6 +1,7 @@
 """Community detection via the Louvain method, with a benchmark CLI.
 
-Core pieces: CSR graphs (:mod:`commdet.graph`), modularity scoring and
+Core pieces: the text formats of raw edges (:mod:`commdet.formats`), CSR
+graphs built from them (:mod:`commdet.graph`), modularity scoring and
 move bookkeeping (:mod:`commdet.community`), the Louvain engine with
 async/sync local moving, threaded async local moving
 (``Config.threads``) and threshold scaling (:mod:`commdet.louvain`), and

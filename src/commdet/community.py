@@ -280,7 +280,12 @@ def read_membership(path: str) -> np.ndarray:
             toks = stripped.split()
             if len(toks) != 2:
                 raise ValueError(f"line {line_no}: expected 'vertex community'")
-            u, c = int(toks[0]), int(toks[1])
+            try:
+                u, c = int(toks[0]), int(toks[1])
+            except ValueError as exc:
+                raise ValueError(
+                    f"line {line_no}: non-integer vertex or community: {stripped!r}"
+                ) from exc
             if u in pairs:
                 raise ValueError(f"line {line_no}: duplicate vertex {u}")
             pairs[u] = c

@@ -1,19 +1,30 @@
-"""Undirected weighted graphs in CSR form, plus loaders for the two text formats.
+"""Undirected weighted graphs in CSR form, built from raw edges.
 
 A graph is stored as flat arc arrays: every undirected edge {u, v} with u != v
 appears as the two arcs (u, v, w) and (v, u, w); a self-loop is stored as a
 single arc (u, u, w) whose weight counts once in the vertex degree.  All
 community and modularity code in this package assumes exactly this convention.
+
+build_graph puts the arcs into rows with a stable counting sort that
+scatters a few thousand arcs at a time, so a load holds the parsed edges,
+the weight and target columns and slice-sized temporaries, but no
+arc-length source column or sort permutation.
+
+The text formats live in :mod:`commdet.formats`; this module re-exports
+their names, and load_graph_file reads a file through them.  Apart, the
+two modules each parse in less memory: where bytecode is not cached,
+every run parses each module's source, and the largest parse sets a floor
+under the resident memory of the whole run.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, field
-from typing import IO, TextIO
+from dataclasses import dataclass
 
 import numpy as np
+
+from .formats import EdgeList, GraphParseError, parse_edgelist, parse_matrix_market, save_edgelist
 
 __all__ = [
     "EdgeList",
@@ -29,51 +40,16 @@ __all__ = [
 ]
 
 
-class GraphParseError(ValueError):
-    """Raised when an input graph file cannot be parsed."""
-
-
 # arcs per slice where an arc-length pass runs in slices to bound its
 # temporaries (the symmetry check, the degree pass, the modularity sums and
 # aggregation's per-block sort)
 ARC_CHUNK = 1 << 14
 
-
-@dataclass
-class EdgeList:
-    """Raw edges as read from disk, before symmetrization or loop insertion.
-
-    Attributes:
-        n: declared vertex count; every id in entries lies in [0, n).
-        entries: int64 array of shape (e, 2), one (u, v) pair of 0-based
-            vertex ids per edge.
-        weights: float64 array of shape (e,), the weight of each edge.
-
-    Arrays of these dtypes are kept without a copy.  Given entries alone,
-    ``EdgeList(n, [(u, v, w), ...])`` splits the tuples into the two
-    arrays; ``EdgeList(n)`` has no edges.
-
-    Raises:
-        ValueError: if entries is not of shape (e, 2) or weights not of
-            length e.
-    """
-
-    n: int
-    entries: np.ndarray = field(default_factory=list)
-    weights: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.weights is None:
-            rows = [(u, v, w) for u, v, w in self.entries]
-            self.entries = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
-            self.weights = [r[2] for r in rows]
-        self.entries = np.asarray(self.entries, dtype=np.int64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.entries.ndim != 2 or self.entries.shape[1] != 2:
-            raise ValueError(f"entries must have shape (e, 2), got {self.entries.shape}")
-        e = len(self.entries)
-        if self.weights.shape != (e,):
-            raise ValueError(f"weights must have shape ({e},), got {self.weights.shape}")
+# arcs per slice of the build's counting sort, whose temporaries take
+# about 50 bytes per arc of a slice (tracemalloc): 4096 arcs add about
+# 2 bytes per arc to the load's peak on a graph of 87k arcs, and keep the
+# per-slice numpy calls cheap beside the work they do
+SCATTER_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -113,179 +89,8 @@ class GraphStats:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Loading
 # ---------------------------------------------------------------------------
-
-_MM_FIELDS = ("pattern", "real", "integer")
-_MM_SYMMETRIES = ("general", "symmetric")
-# the largest vertex count whose n + 1 CSR offsets fit an int64
-_MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
-
-
-def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
-    """Parse a MatrixMarket coordinate file into an EdgeList.
-
-    Accepts pattern/real/integer fields and general/symmetric storage.
-    Indices are converted from 1-based to 0-based; pattern entries get
-    weight 1.  For symmetric files only the stored triangle is returned;
-    mirroring the arcs is build_graph's job.
-
-    Raises:
-        GraphParseError: on a malformed header or size line, an index out
-            of the declared range, a non-finite weight, or an entry count
-            that does not match the size line.  Messages name the
-            offending line number.
-    """
-    line_no = 0
-    header = None
-    while header is None:
-        raw = stream.readline()
-        line_no += 1
-        if not raw:
-            raise GraphParseError("line 1: missing MatrixMarket header")
-        if raw.strip():
-            header = raw.strip()
-
-    parts = header.split()
-    if len(parts) < 4 or parts[0] != "%%MatrixMarket" or parts[1].lower() != "matrix":
-        raise GraphParseError(f"line {line_no}: malformed MatrixMarket header: {header!r}")
-    fmt = parts[2].lower()
-    fld = parts[3].lower()
-    sym = parts[4].lower() if len(parts) > 4 else "general"
-    if fmt != "coordinate":
-        raise GraphParseError(f"line {line_no}: unsupported format {fmt!r} (need coordinate)")
-    if fld not in _MM_FIELDS:
-        raise GraphParseError(f"line {line_no}: unsupported field {fld!r}")
-    if sym not in _MM_SYMMETRIES:
-        raise GraphParseError(f"line {line_no}: unsupported symmetry {sym!r}")
-    pattern = fld == "pattern"
-
-    size = None
-    while size is None:
-        raw = stream.readline()
-        line_no += 1
-        if not raw:
-            raise GraphParseError(f"line {line_no}: missing size line")
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        toks = stripped.split()
-        if len(toks) != 3:
-            raise GraphParseError(f"line {line_no}: malformed size line: {stripped!r}")
-        try:
-            rows, cols, nnz = int(toks[0]), int(toks[1]), int(toks[2])
-        except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: malformed size line: {stripped!r}") from exc
-        if rows != cols:
-            raise GraphParseError(f"line {line_no}: non-square matrix {rows}x{cols}")
-        if rows < 1 or nnz < 0:
-            raise GraphParseError(f"line {line_no}: invalid size line: {stripped!r}")
-        if rows > _MAX_VERTICES:
-            raise GraphParseError(
-                f"line {line_no}: size line declares more vertices than int64 ids allow: "
-                f"{stripped!r}"
-            )
-        size = (rows, nnz)
-
-    n, nnz = size
-    ids, ws = array("q"), array("d")
-    while len(ws) < nnz:
-        raw = stream.readline()
-        line_no += 1
-        if not raw:
-            raise GraphParseError(
-                f"line {line_no}: truncated file: expected {nnz} entries, found {len(ws)}"
-            )
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        toks = stripped.split()
-        want = 2 if pattern else 3
-        if len(toks) < want:
-            raise GraphParseError(f"line {line_no}: truncated entry: {stripped!r}")
-        try:
-            u = int(toks[0]) - 1
-            v = int(toks[1]) - 1
-        except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: bad vertex id in {stripped!r}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(
-                f"line {line_no}: index out of range 1..{n}: {stripped!r}"
-            )
-        if pattern:
-            w = 1.0
-        else:
-            try:
-                w = float(toks[2])
-            except ValueError as exc:
-                raise GraphParseError(f"line {line_no}: bad weight in {stripped!r}") from exc
-            if not math.isfinite(w):
-                raise GraphParseError(f"line {line_no}: non-finite weight in {stripped!r}")
-        ids.append(u)
-        ids.append(v)
-        ws.append(w)
-
-    for raw in stream:
-        line_no += 1
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("%"):
-            raise GraphParseError(
-                f"line {line_no}: extra entry beyond declared count {nnz}: {stripped!r}"
-            )
-
-    return EdgeList(n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), np.frombuffer(ws))
-
-
-def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
-    """Parse the plain edge-list format: one ``u v [w]`` per line, 0-based.
-
-    Lines starting with ``#`` are comments; a leading ``# n <N>`` directive
-    fixes the vertex count (needed to preserve trailing isolated vertices),
-    otherwise n is inferred as max id + 1.
-    """
-    ids, ws = array("q"), array("d")
-    declared_n = None
-    max_id = -1
-    for line_no, raw in enumerate(stream, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            toks = stripped[1:].split()
-            if len(toks) == 2 and toks[0] == "n":
-                try:
-                    declared_n = int(toks[1])
-                except ValueError as exc:
-                    raise GraphParseError(f"line {line_no}: bad n directive: {stripped!r}") from exc
-                if declared_n > _MAX_VERTICES:
-                    raise GraphParseError(
-                        f"line {line_no}: n directive exceeds the int64 id range: {stripped!r}"
-                    )
-            continue
-        toks = stripped.split()
-        if len(toks) not in (2, 3):
-            raise GraphParseError(f"line {line_no}: expected 'u v [w]', got {stripped!r}")
-        try:
-            u, v = int(toks[0]), int(toks[1])
-            w = float(toks[2]) if len(toks) == 3 else 1.0
-        except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: bad entry: {stripped!r}") from exc
-        if u < 0 or v < 0:
-            raise GraphParseError(f"line {line_no}: negative vertex id: {stripped!r}")
-        if not math.isfinite(w):
-            raise GraphParseError(f"line {line_no}: non-finite weight: {stripped!r}")
-        if declared_n is not None and (u >= declared_n or v >= declared_n):
-            raise GraphParseError(f"line {line_no}: index beyond declared n={declared_n}")
-        max_id = max(max_id, u, v)
-        if max_id >= _MAX_VERTICES:
-            raise GraphParseError(f"line {line_no}: vertex id exceeds the int64 range: {stripped!r}")
-        ids.append(u)
-        ids.append(v)
-        ws.append(w)
-    n = declared_n if declared_n is not None else max_id + 1
-    if n < 1:
-        raise GraphParseError("edge list declares no vertices")
-    return EdgeList(n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), np.frombuffer(ws))
 
 
 def load_graph_file(
@@ -300,7 +105,7 @@ def load_graph_file(
         fmt = "mtx" if str(path).endswith(".mtx") else "edgelist"
     with open(path, "r", encoding="utf-8") as fh:
         # the list holds the only reference to the parsed edges, and _build
-        # empties it, so each array is freed once mirrored into the arc columns
+        # empties it, so each array is freed as soon as the build is done with it
         held = [(parse_matrix_market if fmt == "mtx" else parse_edgelist)(fh)]
     return _build(held, symmetrize, add_self_loops, default_weight)
 
@@ -339,9 +144,9 @@ def _build(
     """build_graph over the one EdgeList in held, a list that this
     function empties and whose EdgeList it leaves unchanged.
 
-    When the list held the only reference to the EdgeList, its id pairs
-    are freed once the source and target columns exist, and its weights
-    once the weight column does, before the arcs are sorted.
+    When the list held the only reference to the EdgeList, its weights
+    are freed once they are scattered into the weight column, and its id
+    pairs once the target column is filled.
     """
     edges = held.pop()
     n, pairs, ws = edges.n, edges.entries, edges.weights
@@ -355,46 +160,133 @@ def _build(
     if ws.size and not np.all(np.isfinite(ws)):
         raise ValueError("non-finite edge weight")
 
-    us, vs = pairs[:, 0], pairs[:, 1]
-    del pairs
     try:
-        off = us != vs if symmetrize else np.zeros(us.size, dtype=bool)
-        missing = np.empty(0, dtype=np.int64)
+        loops = np.empty(0, dtype=np.int64)
         if add_self_loops:
             has_loop = np.zeros(n, dtype=bool)
-            has_loop[us[us == vs]] = True
-            missing = np.flatnonzero(~has_loop)
-        # arc order: the entries, their mirrored copies, then the inserted
-        # loops; the endpoint columns are int32 whenever the ids fit, which
-        # narrows what the sort and the symmetry check hold
+            has_loop[pairs[pairs[:, 0] == pairs[:, 1], 0]] = True
+            loops = np.flatnonzero(~has_loop)
+        # the targets are int32 whenever the ids fit, which narrows what the
+        # row sort and the symmetry check hold; _finish_graph widens them last
         ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        size = us.size + int(np.count_nonzero(off)) + missing.size
-        arcs = [
-            _arc_column(us, vs, off, missing, size, ids),
-            _arc_column(vs, us, off, missing, size, ids),
-        ]
-        del us, vs
-        arcs.append(_arc_column(ws, ws, off, float(default_weight), size, np.float64))
-        # hand the arc columns over in a list the callee empties, so each
-        # unsorted column is freed as soon as it is permuted
-        del ws, off, missing
-        counts, vs, ws = _merge_arcs(n, arcs)
-        return _finish_graph(n, counts, vs, ws)
+        # hand the parsed arrays over in a list the callee empties
+        parsed = [pairs, ws]
+        del pairs, ws
+        return _finish_graph(n, *_csr_arcs(n, parsed, symmetrize, loops, default_weight, ids))
     except MemoryError as exc:
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
 
 
-def _arc_column(head: np.ndarray, other: np.ndarray, off: np.ndarray, tail, size: int,
-                dtype) -> np.ndarray:
-    """A new column of the given size: head, then other[off], then tail,
-    an array or one value repeated to the end.  The column is allocated
-    before the other[off] temporary, which lowered the peak RSS."""
-    col = np.empty(size, dtype=dtype)
-    col[: head.size] = head
-    mirrored = other[off]
-    col[head.size : head.size + mirrored.size] = mirrored
-    col[head.size + mirrored.size :] = tail
-    return col
+def _csr_arcs(
+    n: int, parsed: list[np.ndarray], symmetrize: bool, loops: np.ndarray, loop_weight: float,
+    ids,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs of parsed = [pairs, weights], merged and in CSR order.
+
+    The arc order is the entries, then, with symmetrize on, each entry
+    whose ends differ reversed, then a loop of loop_weight on each vertex
+    in loops.  A stable counting sort puts the arcs into rows: each row's
+    arcs are counted, then the weights and then the targets are scattered
+    to their row's fill pointer in arc order, SCATTER_CHUNK entries at a
+    time, so no arc-length source column or permutation is made.  parsed
+    is emptied, so that when it held the only references the weights are
+    freed before the target column exists, and the pairs once it is
+    filled.  Each row is then sorted stably by target, which gives the
+    arcs in stable (source, target) order, and _sum_runs merges each run
+    of a repeated pair.  Returns the row lengths, the targets (of dtype
+    ids) and the weights.
+    """
+    pairs, ws = parsed
+    parsed.clear()
+    us, vs = pairs[:, 0], pairs[:, 1]
+    del pairs
+    ends = (us, vs, symmetrize, loops)
+    counts = np.zeros(n, dtype=np.int64)
+    _scatter(counts, _arc_slices(*ends, vs, us, loops))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    del counts
+    weights = np.empty(int(offsets[-1]), dtype=np.float64)
+    _scatter(offsets[:-1].copy(), _arc_slices(*ends, ws, ws, loop_weight), weights)
+    del ws
+    targets = np.empty(weights.size, dtype=ids)
+    _scatter(offsets[:-1].copy(), _arc_slices(*ends, vs, us, loops), targets)
+    del us, vs, ends
+    for r0, r1, lo, hi in _row_slices(offsets):
+        # sort by each arc's row start within the slice, then by target; a
+        # slice of many rows has at most ARC_CHUNK arcs, so the key is below
+        # ARC_CHUNK * n, inside the int64 range for any n whose offsets fit
+        # in memory
+        start = np.repeat(offsets[r0:r1] - lo, np.diff(offsets[r0 : r1 + 1]))
+        if start.size > 1:
+            order = _stable_order(start * n + targets[lo:hi], (int(start[-1]) + 1) * n)
+            targets[lo:hi] = targets[lo:hi][order]
+            weights[lo:hi] = weights[lo:hi][order]
+    merged = [targets, weights]
+    del targets, weights
+    return _sum_runs(offsets, merged)
+
+
+def _arc_slices(us, vs, symmetrize, loops, head, mirrored, loop):
+    """The arcs in arc order, as (sources, values) slices of at most
+    SCATTER_CHUNK arcs: each entry (us[i], vs[i]) with value head[i],
+    then, with symmetrize on, each entry whose ends differ reversed, with
+    value mirrored[i], then a loop on each vertex of loops, with value
+    loop, an array as long as loops or one value."""
+    for lo in range(0, us.size, SCATTER_CHUNK):
+        hi = lo + SCATTER_CHUNK
+        yield us[lo:hi], head[lo:hi]
+    if symmetrize:
+        for lo in range(0, us.size, SCATTER_CHUNK):
+            hi = lo + SCATTER_CHUNK
+            off = us[lo:hi] != vs[lo:hi]
+            yield vs[lo:hi][off], mirrored[lo:hi][off]
+    for lo in range(0, loops.size, SCATTER_CHUNK):
+        hi = lo + SCATTER_CHUNK
+        yield loops[lo:hi], loop if np.ndim(loop) == 0 else loop[lo:hi]
+
+
+def _scatter(fill: np.ndarray, slices, out: np.ndarray | None = None) -> None:
+    """A stable counting sort of (keys, values) slices into out.
+
+    fill[k] is the position in out of the next value of key k.  Each value
+    goes to its key's fill pointer plus the number of earlier values of its
+    slice with the same key, so out holds each key's values in the order
+    the slices give them, and fill then points past them.  values is an
+    array like keys or one value.  With out None, fill only counts the
+    keys.  The temporaries are a few arrays as long as one slice.
+    """
+    for keys, values in slices:
+        if out is not None and keys.size:
+            order = _stable_order(keys, fill.size)
+            keys = keys[order]
+            first = np.empty(keys.size, dtype=bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            at = np.arange(keys.size)
+            # each value's rank among the values of its key in the slice
+            at -= np.maximum.accumulate(np.where(first, at, 0))
+            at += fill[keys]
+            out[at] = values if np.ndim(values) == 0 else values[order]
+        np.add.at(fill, keys, 1)
+
+
+def _stable_order(keys: np.ndarray, top: int) -> np.ndarray:
+    """The stable sorting order of integer keys in [0, top).
+
+    The values key * 2**b + position, b bits holding any position, are
+    distinct, so sorting them sorts stably by key, and numpy sorts int64
+    values several times faster than it stable-sorts indices.  A stable
+    argsort serves where those values would pass the int64 range.
+    """
+    b = max(keys.size - 1, 1).bit_length()
+    if top << b > np.iinfo(np.int64).max:
+        return np.argsort(keys, kind="stable")
+    packed = keys.astype(np.int64) << b
+    packed |= np.arange(keys.size)
+    packed.sort()
+    packed &= (1 << b) - 1
+    return packed
 
 
 def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -403,16 +295,15 @@ def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray,
     arcs is the list [sources, targets, weights] over rows 0..n-1; it is
     emptied, so that when it held the only references each column is
     freed as soon as it has a sorted copy.  Returns the row lengths and
-    the merged targets and weights in CSR order.  A run's weights are
-    summed with reduceat in arc order; a sum past the float64 range is
-    left for _finish_graph to reject.
+    the merged targets and weights in CSR order, as _sum_runs does.
     """
     us, vs, ws = arcs
     arcs.clear()
     # row lengths do not depend on the arc order, and in CSR order they
     # imply every arc's source, so the sources are never permuted
-    counts = np.bincount(us, minlength=n) if us.size else np.zeros(n, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
     if us.size:
+        np.cumsum(np.bincount(us, minlength=n), out=offsets[1:])
         order = np.lexsort((vs, us))
         del us
         # an int32 order takes half the room beside each permuted copy
@@ -423,42 +314,52 @@ def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray,
         ws = ws[order]
         vs = vs[order]
         del order
-        # collapse runs of identical (u, v) pairs by summing their weights;
-        # a run starts where a row starts or the target changes
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        new_run = np.empty(vs.size, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = vs[1:] != vs[:-1]
-        new_run[bounds[:-1][counts > 0]] = True
-        # deduplicated input, the common case, skips the merge copies
-        if not new_run.all():
-            vs = vs[new_run]
-            ws, counts = _sum_runs(ws, new_run, bounds)
-    return counts, vs, ws
+    # hand the sorted columns over in the emptied list, so that each is
+    # freed as soon as _sum_runs has its merged copy
+    arcs += vs, ws
+    del vs, ws
+    return _sum_runs(offsets, arcs)
 
 
 def _sum_runs(
-    ws: np.ndarray, new_run: np.ndarray, bounds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each run's weight sum and each row's run count.
+    offsets: np.ndarray, arcs: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge each run of repeated (source, target) pairs into one arc.
 
-    new_run marks the first arc of each run, bounds holds the row offsets.
-    Each run is summed with reduceat in arc order, over row-aligned slices
-    that never split a run, so the sums are those of one reduceat over all
-    arcs, without its arc-length array of run starts.
+    arcs is the list [targets, weights] of arcs in CSR order under
+    offsets, each row's targets ascending; it is emptied, so that when it
+    held the only references each column is freed once it has been cut
+    to the merged length.  A run starts where a row starts or the target
+    changes.  Each run's weights are summed with reduceat in arc order,
+    over row-aligned slices that never split a run, so the sums are those
+    of one reduceat over all arcs; a sum past the float64 range is left
+    for _finish_graph to reject.  The merged arcs are written in place
+    over the front of the columns.  Returns the row lengths and the
+    merged targets and weights, the given columns when no pair repeats.
     """
-    sums = np.empty(np.count_nonzero(new_run))
-    counts = np.zeros(bounds.size - 1, dtype=np.int64)
+    vs, ws = arcs
+    arcs.clear()
+    counts = np.diff(offsets)
     at = 0
-    for r0, r1, lo, hi in _row_slices(bounds):
-        starts = np.flatnonzero(new_run[lo:hi])
-        if starts.size:
-            with np.errstate(over="ignore"):
-                sums[at : at + starts.size] = np.add.reduceat(ws[lo:hi], starts)
-            counts[r0:r1] = np.diff(np.searchsorted(starts, bounds[r0 : r1 + 1] - lo))
-            at += starts.size
-    return sums, counts
+    for r0, r1, lo, hi in _row_slices(offsets):
+        new_run = np.empty(hi - lo, dtype=bool)
+        new_run[:1] = True
+        np.not_equal(vs[lo + 1 : hi], vs[lo : hi - 1], out=new_run[1:])
+        new_run[offsets[r0:r1][counts[r0:r1] > 0] - lo] = True
+        starts = np.flatnonzero(new_run)
+        # deduplicated input, the common case, moves no arc
+        if at == lo and starts.size == hi - lo:
+            at = hi
+            continue
+        vs[at : at + starts.size] = vs[lo:hi][starts]
+        with np.errstate(over="ignore"):
+            ws[at : at + starts.size] = np.add.reduceat(ws[lo:hi], starts)
+        counts[r0:r1] = np.diff(np.searchsorted(starts, offsets[r0 : r1 + 1] - lo))
+        at += starts.size
+    if at < vs.size:
+        vs = vs[:at].copy()
+        ws = ws[:at].copy()
+    return counts, vs, ws
 
 
 def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> Graph:
@@ -468,7 +369,9 @@ def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) ->
     weights in CSR order, each row's targets strictly ascending.  The
     offsets, degrees and total are derived here, and the weights, the
     symmetry and the total are checked.  The symmetry check runs on vs as
-    given, int32 or int64, and the Graph's targets are int64.
+    given, int32 or int64; only then are the targets widened to the
+    Graph's int64, so the wide copy never coexists with the check's
+    reverse order.
     """
     if ws.size and ws.min() <= 0:
         raise ValueError("arc weights must be positive after merging")
@@ -532,11 +435,21 @@ def _is_symmetric(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
 
     The arcs are in CSR order with strictly ascending targets per row, so
     a stable sort by target alone gives the (v, u) order, and arc j's
-    source is the row whose offsets bracket j.  The comparisons run over
-    row-aligned slices, so only the reverse permutation is arc-length; the
-    verdict is that of comparing whole columns.
+    source is the row whose offsets bracket j.  The verdict is false
+    unless every vertex has as many arcs in as out; then each vertex's
+    in-arcs start, in that order, where its own row does, and a counting
+    sort scatters the arc ids there, into an int32 array when they fit.
+    The comparisons run over row-aligned slices, so only the reverse
+    order is arc-length; the verdict is that of comparing whole columns.
     """
-    rev = np.argsort(vs, kind="stable")
+    slices = [(lo, min(lo + SCATTER_CHUNK, vs.size)) for lo in range(0, vs.size, SCATTER_CHUNK)]
+    in_arcs = np.zeros(offsets.size - 1, dtype=np.int64)
+    _scatter(in_arcs, ((vs[lo:hi], None) for lo, hi in slices))
+    if not np.array_equal(in_arcs, np.diff(offsets)):
+        return False
+    del in_arcs
+    rev = np.empty(vs.size, dtype=np.int32 if vs.size <= np.iinfo(np.int32).max else np.int64)
+    _scatter(offsets[:-1].copy(), ((vs[lo:hi], np.arange(lo, hi)) for lo, hi in slices), rev)
     for r0, r1, lo, hi in _row_slices(offsets):
         r = rev[lo:hi]
         v = vs[lo:hi]
@@ -557,20 +470,3 @@ def graph_stats(g: Graph) -> GraphStats:
         undirected_edges=g.n_arcs,
         avg_degree=g.n_arcs / g.n,
     )
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def save_edgelist(edges: EdgeList, path: str) -> None:
-    """Write an EdgeList in the text format parse_edgelist reads back.
-
-    Weights are written with ``repr`` of the builtin float, so parsing the
-    file gives back the same bits.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n {edges.n}\n")
-        for (u, v), w in zip(edges.entries.tolist(), edges.weights.tolist()):
-            fh.write(f"{u} {v} {w!r}\n")

@@ -246,6 +246,53 @@ def lexsort_aggregate(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     return Graph(n_comm, offsets, vs, ws, degrees, total), mapping
 
 
+def lexsort_build(edges: EdgeList, symmetrize: bool = True, add_self_loops: bool = False,
+                  default_weight: float = 1.0) -> Graph:
+    """build_graph as one stable lexsort of arc-length source, target and
+    weight columns in arc order, each run summed with one reduceat, and a
+    symmetry check on one lexsort by (target, source), with the same
+    checks and messages in the same order."""
+    n, pairs, ws = edges.n, edges.entries, edges.weights
+    if n < 1:
+        raise ValueError("empty graph: vertex count must be >= 1")
+    if add_self_loops and not (math.isfinite(default_weight) and default_weight > 0):
+        raise ValueError(f"self-loop weight must be positive and finite, got {default_weight!r}")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError("edge endpoint outside declared vertex range")
+    if ws.size and not np.all(np.isfinite(ws)):
+        raise ValueError("non-finite edge weight")
+    us, vs = pairs[:, 0], pairs[:, 1]
+    off = us != vs if symmetrize else np.zeros(us.size, dtype=bool)
+    missing = np.empty(0, dtype=np.int64)
+    if add_self_loops:
+        has_loop = np.zeros(n, dtype=bool)
+        has_loop[us[us == vs]] = True
+        missing = np.flatnonzero(~has_loop)
+    ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    src = np.concatenate([us, vs[off], missing]).astype(ids)
+    tgt = np.concatenate([vs, us[off], missing]).astype(ids)
+    w = np.concatenate([ws, ws[off], np.full(missing.size, float(default_weight))])
+    counts, tgt, w = reduceat_merge(n, src, tgt, w)
+    if w.size and w.min() <= 0:
+        raise ValueError("arc weights must be positive after merging")
+    if w.size and not np.isfinite(w.max()):
+        raise ValueError("merged arc weight is not finite (float64 overflow)")
+    src = np.repeat(np.arange(n), counts)
+    if not lexsort_symmetric(src, tgt, w):
+        raise ValueError(ASYMMETRIC)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    tgt = tgt.astype(np.int64)
+    degrees = np.bincount(src, weights=w, minlength=n)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(degrees))
+    if total <= 0.0:
+        raise ValueError("graph has no arcs; add edges or enable self-loop insertion")
+    if not math.isfinite(total):
+        raise ValueError("total arc weight is not finite (float64 overflow)")
+    return Graph(n, offsets, tgt, w, degrees, total)
+
+
 def graph_bytes(g: Graph) -> tuple:
     """Everything a Graph holds, as bytes, dtypes included."""
     arrays = (g.offsets, g.targets, g.weights, g.degrees)

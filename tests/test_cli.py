@@ -116,6 +116,18 @@ def test_ids_beyond_int64_exit_1_naming_the_line(tmp_path, capsys, name, text):
     assert "int64" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 5\n# n 3\n1 2\n", "error: line 2: n directive below vertex id 5 read before it: '# n 3'\n"),
+    ("0 2\n# n 2\n", "error: line 2: n directive below vertex id 2 read before it: '# n 2'\n"),
+    ("# n -4\n0 1\n", "error: line 1: negative n directive: '# n -4'\n"),
+], ids=["below-an-id", "equal-to-an-id", "negative"])
+def test_bad_n_directive_exits_1_naming_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    assert main(["detect", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("command", ["detect", "stats"])
 def test_weight_overflow_exits_1(tmp_path, capsys, command):
     path = tmp_path / "overflow.txt"

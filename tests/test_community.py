@@ -349,3 +349,13 @@ def test_membership_rejects_duplicates(tmp_path):
     path.write_text("0 0\n0 1\n")
     with pytest.raises(ValueError, match="duplicate"):
         read_membership(str(path))
+
+
+@pytest.mark.parametrize("text, line", [("x 2\n", 1), ("0 0\n# c\n1 2.5\n", 3)])
+def test_membership_names_the_line_of_a_non_integer(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_membership(str(path))
+    bad = text.splitlines()[line - 1]
+    assert str(err.value) == f"line {line}: non-integer vertex or community: {bad!r}"

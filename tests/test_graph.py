@@ -9,8 +9,11 @@ from commdet.graph import (
     ARC_CHUNK,
     EdgeList,
     GraphParseError,
+    SCATTER_CHUNK,
+    _csr_arcs,
     _is_symmetric,
     _merge_arcs,
+    _stable_order,
     build_graph,
     graph_stats,
     parse_edgelist,
@@ -248,18 +251,27 @@ def _complete_arc_columns(k=300):
     return k, us, vs, ws, last
 
 
+def _assert_verdict(k, us, vs, ws, symmetric):
+    """_is_symmetric and the lexsort oracle both give the verdict on the
+    arcs in CSR order."""
+    offsets, us, vs, ws = _csr_columns(k, us, vs, ws)
+    assert _is_symmetric(offsets, vs, ws) == lexsort_symmetric(us, vs, ws) == symmetric
+
+
 def test_symmetry_check_rejects_an_endpoint_beyond_the_first_chunk():
     k, us, vs, ws, last = _complete_arc_columns()
     vs[last] = k - 1
     with pytest.raises(ValueError) as err:
         build_graph(EdgeList(k, np.column_stack([us, vs]), ws), symmetrize=False)
     assert str(err.value) == ASYMMETRIC
+    _assert_verdict(k, us, vs, ws, False)
 
 
 @pytest.mark.parametrize("rel, symmetric", [(1e-10, False), (1e-13, True)])
 def test_symmetry_check_weight_tolerance_beyond_the_first_chunk(rel, symmetric):
     k, us, vs, ws, last = _complete_arc_columns()
     ws[last] *= 1.0 + rel
+    _assert_verdict(k, us, vs, ws, symmetric)
     el = EdgeList(k, np.column_stack([us, vs]), ws)
     if symmetric:
         assert build_graph(el, symmetrize=False).n_arcs == us.size
@@ -404,6 +416,43 @@ def test_merge_gives_the_same_arcs_from_int32_and_int64_ids():
     assert g.targets.dtype == np.int64
     assert g.targets.tobytes() == wide[1].tobytes() and g.weights.tobytes() == wide[2].tobytes()
 
+
+
+@pytest.mark.parametrize("top", [50, 2**62], ids=["packed", "wide-keys"])
+def test_stable_order_is_a_stable_argsort(top):
+    """Keys packed with their positions into int64 values, and keys too
+    wide for that, sort to the order of a stable argsort."""
+    rng = np.random.default_rng(17)
+    for size in (0, 1, 2, 3, 4096, 5000):
+        keys = rng.integers(50, size=size)
+        want = np.argsort(keys, kind="stable")
+        assert np.array_equal(_stable_order(keys, top), want)
+        assert np.array_equal(_stable_order(keys.astype(np.int32), top), want)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False], ids=["sym", "no-sym"])
+def test_scatter_gives_the_lexsort_arcs_from_int32_and_int64_ids(symmetrize):
+    """The build scatters int32 targets when the ids fit, int64 otherwise;
+    both give the rows, targets and weight bits of one lexsort and one
+    reduceat over the arc columns, with repeated pairs, loops, inserted
+    loops, empty rows and more entries than one scatter slice."""
+    rng = np.random.default_rng(15)
+    for n, k in [(1, 0), (5, 0), (3, 7), (9, 60), (40, 700), (300, SCATTER_CHUNK + 900)]:
+        pairs = rng.integers(n - n // 3, size=(k, 2))
+        ws = rng.uniform(0.1, 10.0, k)
+        loops = np.setdiff1d(np.arange(n), pairs[pairs[:, 0] == pairs[:, 1], 0])[::2]
+        us, vs = pairs[:, 0], pairs[:, 1]
+        off = us != vs if symmetrize else np.zeros(k, dtype=bool)
+        want = reduceat_merge(
+            n, np.concatenate([us, vs[off], loops]), np.concatenate([vs, us[off], loops]),
+            np.concatenate([ws, ws[off], np.full(loops.size, 0.25)]),
+        )
+        for ids in (np.int32, np.int64):
+            got = _csr_arcs(n, [pairs.copy(), ws.copy()], symmetrize, loops, 0.25, ids)
+            assert got[1].dtype == ids
+            assert [a.tobytes() for a in (got[0], got[1].astype(np.int64), got[2])] == [
+                a.tobytes() for a in want
+            ]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from commdet.graph import (
 )
 from commdet.louvain import Config, _move_phase, aggregate_graph, local_moving
 
-from conftest import graph_bytes
+from conftest import graph_bytes, hub_graph, lexsort_build, weighted_chunk_graph
 
 # ---------------------------------------------------------------------------
 # EdgeList
@@ -141,6 +141,62 @@ def test_save_parse_round_trip_and_build_identity(tmp_path, case, loops):
     assert outcomes[0] == outcomes[1]
 
 
+@st.composite
+def build_cases(draw):
+    """(n, entries): entries drawn over n ids, so some rows stay empty,
+    then copies of some of them repeated, reversed, negated, which cancels
+    a pair, or reversed at minus half the weight, which leaves a pair
+    one-sided in weight."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(ids, ids, st.sampled_from([0.5, 1.0, 2.5, 3.0])),
+                            max_size=30))
+    copies = draw(st.lists(st.tuples(st.sampled_from(entries), st.integers(0, 3)), max_size=8)
+                  if entries else st.just([]))
+    for (u, v, w), kind in copies:
+        entries.append([(u, v, w), (v, u, w), (u, v, -w), (v, u, -w / 2)][kind])
+    return n, draw(st.permutations(entries))
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(case=build_cases(), symmetrize=st.booleans(), loops=st.booleans())
+@example(case=(3, [(0, 1, 2.0), (1, 0, 2.0), (0, 1, -2.0), (1, 0, -2.0), (2, 2, 1.0)]),
+         symmetrize=False, loops=False)
+@example(case=(4, [(0, 1, 3.0), (0, 1, -1.0), (1, 0, 2.0)]), symmetrize=False, loops=True)
+def test_build_equals_the_lexsort_build(case, symmetrize, loops):
+    """build_graph gives the lexsort oracle's graph bytes, or its
+    ValueError message."""
+    n, tuples = case
+    el = EdgeList(n, tuples)
+    options = dict(symmetrize=symmetrize, add_self_loops=loops, default_weight=0.75)
+    assert _outcome(lambda: build_graph(el, **options)) == _outcome(
+        lambda: lexsort_build(el, **options)
+    )
+
+
+@pytest.mark.parametrize("symmetrize", [True, False], ids=["sym", "no-sym"])
+def test_build_equals_the_lexsort_build_over_many_slices(symmetrize):
+    """Multi-slice inputs with repeated pairs and loops, repeated pairs in
+    the first rows only, so later slices move down without merging, a hub
+    row past ARC_CHUNK arcs, and the same arcs rebuilt from both
+    directions."""
+    rng = np.random.default_rng(16)
+    pairs = rng.integers(2000, size=(40_000, 2))
+    cases = [EdgeList(2100, pairs, rng.uniform(0.1, 10.0, 40_000))]
+    path = np.arange(100, 30_000)
+    pairs = np.concatenate([rng.integers(50, size=(3000, 2)), np.column_stack([path, path + 1])])
+    cases.append(EdgeList(30_001, pairs, rng.uniform(0.1, 10.0, len(pairs))))
+    for g in (weighted_chunk_graph(), hub_graph()):
+        src = np.repeat(np.arange(g.n), np.diff(g.offsets))
+        cases.append(EdgeList(g.n, np.column_stack([src, g.targets]), g.weights))
+    for el in cases:
+        for loops in (False, True):
+            options = dict(symmetrize=symmetrize, add_self_loops=loops)
+            assert _outcome(lambda: build_graph(el, **options)) == _outcome(
+                lambda: lexsort_build(el, **options)
+            )
+
+
 # (file name, text, whether some arc lacks its reverse); each file has
 # repeated and reversed pairs, a self-loop and trailing isolated vertices
 LOAD_FILES = [
@@ -196,10 +252,14 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # ---------------------------------------------------------------------------
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
-# (numpy 2.4): 27.0 B on the planted input with and without repeated pairs,
-# since the parsed id pairs and weights go to the build without a copy, the
-# pairs are freed once mirrored, the sort order is int32 and runs are
-# summed without an arc-length array of run starts; 33.7 and 32.5 B when
+# (numpy 2.4): 24.3 B on the planted input with repeated pairs and 23.8 B
+# without, with the arcs scattered into rows by a counting sort in slices
+# of SCATTER_CHUNK arcs and no arc-length permutation (31.4 B with slices
+# of 16k arcs); 27.0 B with and without repeats when one int32 lexsort
+# order put the arcs into rows and an int64 argsort checked symmetry, the
+# parsed id pairs and weights going to the build without a copy, the
+# pairs freed once mirrored and runs summed without an arc-length array
+# of run starts; 33.7 and 32.5 B when
 # the loader packed (u, v, w) records, 42.0 and 40.5 B with int64 columns
 # and an arc-length source column in the symmetry check, 62 B when the
 # parsed entries lived through the sort, 188 B when they were a list of
@@ -224,11 +284,12 @@ MAX_AGGREGATE_BYTES_PER_ARC = 10.4
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
-# per arc: 31.5 B (median of 5, 31.2-32.0) with the lean load path, 34.7 B
+# per arc: 29.5 B (median of 9, 28.9-30.0) with the counting-sort build,
+# 32.8 B (median of 5, 32.7-33.0) with the lexsort build, 34.7 B
 # (34.3-35.3) when the loader packed (u, v, w) records.  RSS also counts
 # what tracemalloc does not see, such as the sorts' own buffers and pages
 # the allocator keeps.  The bound leaves 25% headroom
-MAX_STATS_RSS_BYTES_PER_ARC = 39.4
+MAX_STATS_RSS_BYTES_PER_ARC = 36.9
 
 # peak RSS of ``commdet detect --out-membership`` less that of ``commdet
 # stats``, per vertex, on the planted input with 100 blocks of 200: -3.7 to
