@@ -1,7 +1,6 @@
 """Community detection via the Louvain method, with a benchmark CLI.
 
-Core pieces: the text formats of raw edges (:mod:`commdet.formats`), CSR
-graphs built from them (:mod:`commdet.graph`), modularity scoring and
+Core pieces: CSR graphs (:mod:`commdet.graph`), modularity scoring and
 move bookkeeping (:mod:`commdet.community`), the Louvain engine with
 async/sync local moving, threaded async local moving
 (``Config.threads``) and threshold scaling (:mod:`commdet.louvain`), and

@@ -114,9 +114,8 @@ def community_aggregates(
             raise ValueError("n_communities smaller than max label + 1")
         width = n_communities
     sigma_in = np.zeros(width, dtype=np.float64)
-    row_len = np.diff(g.offsets)
     for r0, r1, lo, hi in _row_slices(g.offsets):
-        lab_src = np.repeat(labels[r0:r1], row_len[r0:r1])
+        lab_src = np.repeat(labels[r0:r1], np.diff(g.offsets[r0 : r1 + 1]))
         internal = lab_src == labels[g.targets[lo:hi]]
         # np.add.at adds to each bin in arc order, slice after slice, as
         # one bincount over all arcs would
@@ -124,7 +123,7 @@ def community_aggregates(
     return Aggregates(
         sigma_tot=np.bincount(labels, weights=g.degrees, minlength=width),
         sigma_in=sigma_in,
-        sizes=np.bincount(labels, minlength=width).astype(np.int64),
+        sizes=np.bincount(labels, minlength=width).astype(np.int64, copy=False),
     )
 
 
@@ -171,8 +170,12 @@ def modularity(g: Graph, labels: np.ndarray) -> float:
     agg = community_aggregates(g, labels)
     if g.total <= 0:
         raise ValueError("modularity undefined for zero-total graph")
+    # the terms sigma_in / total - frac * frac, computed in place
     frac = agg.sigma_tot / g.total
-    return math.fsum(agg.sigma_in / g.total - frac * frac)
+    terms = agg.sigma_in / g.total
+    del agg
+    terms -= np.square(frac, out=frac)
+    return math.fsum(terms)
 
 
 def modularity_bruteforce(g: Graph, labels: np.ndarray) -> float:

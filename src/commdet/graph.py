@@ -1,4 +1,4 @@
-"""Undirected weighted graphs in CSR form, built from raw edges.
+"""Undirected weighted graphs in CSR form, plus loaders for the two text formats.
 
 A graph is stored as flat arc arrays: every undirected edge {u, v} with u != v
 appears as the two arcs (u, v, w) and (v, u, w); a self-loop is stored as a
@@ -9,22 +9,16 @@ build_graph puts the arcs into rows with a stable counting sort that
 scatters a few thousand arcs at a time, so a load holds the parsed edges,
 the weight and target columns and slice-sized temporaries, but no
 arc-length source column or sort permutation.
-
-The text formats live in :mod:`commdet.formats`; this module re-exports
-their names, and load_graph_file reads a file through them.  Apart, the
-two modules each parse in less memory: where bytecode is not cached,
-every run parses each module's source, and the largest parse sets a floor
-under the resident memory of the whole run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from typing import IO, TextIO
 
 import numpy as np
-
-from .formats import EdgeList, GraphParseError, parse_edgelist, parse_matrix_market, save_edgelist
 
 __all__ = [
     "EdgeList",
@@ -40,6 +34,10 @@ __all__ = [
 ]
 
 
+class GraphParseError(ValueError):
+    """Raised when an input graph file cannot be parsed."""
+
+
 # arcs per slice where an arc-length pass runs in slices to bound its
 # temporaries (the symmetry check, the degree pass, the modularity sums and
 # aggregation's per-block sort)
@@ -50,6 +48,43 @@ ARC_CHUNK = 1 << 14
 # 2 bytes per arc to the load's peak on a graph of 87k arcs, and keep the
 # per-slice numpy calls cheap beside the work they do
 SCATTER_CHUNK = 1 << 12
+
+
+@dataclass
+class EdgeList:
+    """Raw edges as read from disk, before symmetrization or loop insertion.
+
+    Attributes:
+        n: declared vertex count; every id in entries lies in [0, n).
+        entries: int64 array of shape (e, 2), one (u, v) pair of 0-based
+            vertex ids per edge.
+        weights: float64 array of shape (e,), the weight of each edge.
+
+    Arrays of these dtypes are kept without a copy.  Given entries alone,
+    ``EdgeList(n, [(u, v, w), ...])`` splits the tuples into the two
+    arrays; ``EdgeList(n)`` has no edges.
+
+    Raises:
+        ValueError: if entries is not of shape (e, 2) or weights not of
+            length e.
+    """
+
+    n: int
+    entries: np.ndarray = field(default_factory=list)
+    weights: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.weights is None:
+            rows = [(u, v, w) for u, v, w in self.entries]
+            self.entries = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
+            self.weights = [r[2] for r in rows]
+        self.entries = np.asarray(self.entries, dtype=np.int64)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.entries.ndim != 2 or self.entries.shape[1] != 2:
+            raise ValueError(f"entries must have shape (e, 2), got {self.entries.shape}")
+        e = len(self.entries)
+        if self.weights.shape != (e,):
+            raise ValueError(f"weights must have shape ({e},), got {self.weights.shape}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +124,192 @@ class GraphStats:
 
 
 # ---------------------------------------------------------------------------
-# Loading
+# Parsing
 # ---------------------------------------------------------------------------
+
+_MM_FIELDS = ("pattern", "real", "integer")
+_MM_SYMMETRIES = ("general", "symmetric")
+# the largest vertex count whose n + 1 CSR offsets fit an int64
+_MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
+
+
+def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
+    """Parse a MatrixMarket coordinate file into an EdgeList.
+
+    Accepts pattern/real/integer fields and general/symmetric storage.
+    Indices are converted from 1-based to 0-based; pattern entries get
+    weight 1.  For symmetric files only the stored triangle is returned;
+    mirroring the arcs is build_graph's job.
+
+    Raises:
+        GraphParseError: on a malformed header or size line, an index out
+            of the declared range, a non-finite weight, or an entry count
+            that does not match the size line.  Messages name the
+            offending line number.
+    """
+    line_no = 0
+    header = None
+    while header is None:
+        raw = stream.readline()
+        line_no += 1
+        if not raw:
+            raise GraphParseError("line 1: missing MatrixMarket header")
+        if raw.strip():
+            header = raw.strip()
+
+    parts = header.split()
+    if len(parts) < 4 or parts[0] != "%%MatrixMarket" or parts[1].lower() != "matrix":
+        raise GraphParseError(f"line {line_no}: malformed MatrixMarket header: {header!r}")
+    fmt = parts[2].lower()
+    fld = parts[3].lower()
+    sym = parts[4].lower() if len(parts) > 4 else "general"
+    if fmt != "coordinate":
+        raise GraphParseError(f"line {line_no}: unsupported format {fmt!r} (need coordinate)")
+    if fld not in _MM_FIELDS:
+        raise GraphParseError(f"line {line_no}: unsupported field {fld!r}")
+    if sym not in _MM_SYMMETRIES:
+        raise GraphParseError(f"line {line_no}: unsupported symmetry {sym!r}")
+    pattern = fld == "pattern"
+
+    size = None
+    while size is None:
+        raw = stream.readline()
+        line_no += 1
+        if not raw:
+            raise GraphParseError(f"line {line_no}: missing size line")
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        toks = stripped.split()
+        if len(toks) != 3:
+            raise GraphParseError(f"line {line_no}: malformed size line: {stripped!r}")
+        try:
+            rows, cols, nnz = int(toks[0]), int(toks[1]), int(toks[2])
+        except ValueError as exc:
+            raise GraphParseError(f"line {line_no}: malformed size line: {stripped!r}") from exc
+        if rows != cols:
+            raise GraphParseError(f"line {line_no}: non-square matrix {rows}x{cols}")
+        if rows < 1 or nnz < 0:
+            raise GraphParseError(f"line {line_no}: invalid size line: {stripped!r}")
+        if rows > _MAX_VERTICES:
+            raise GraphParseError(
+                f"line {line_no}: size line declares more vertices than int64 ids allow: "
+                f"{stripped!r}"
+            )
+        size = (rows, nnz)
+
+    n, nnz = size
+    ids, ws = array("q"), array("d")
+    while len(ws) < nnz:
+        raw = stream.readline()
+        line_no += 1
+        if not raw:
+            raise GraphParseError(
+                f"line {line_no}: truncated file: expected {nnz} entries, found {len(ws)}"
+            )
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        toks = stripped.split()
+        want = 2 if pattern else 3
+        if len(toks) < want:
+            raise GraphParseError(f"line {line_no}: truncated entry: {stripped!r}")
+        try:
+            u = int(toks[0]) - 1
+            v = int(toks[1]) - 1
+        except ValueError as exc:
+            raise GraphParseError(f"line {line_no}: bad vertex id in {stripped!r}") from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(
+                f"line {line_no}: index out of range 1..{n}: {stripped!r}"
+            )
+        if pattern:
+            w = 1.0
+        else:
+            try:
+                w = float(toks[2])
+            except ValueError as exc:
+                raise GraphParseError(f"line {line_no}: bad weight in {stripped!r}") from exc
+            if not math.isfinite(w):
+                raise GraphParseError(f"line {line_no}: non-finite weight in {stripped!r}")
+        ids.append(u)
+        ids.append(v)
+        ws.append(w)
+
+    for raw in stream:
+        line_no += 1
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("%"):
+            raise GraphParseError(
+                f"line {line_no}: extra entry beyond declared count {nnz}: {stripped!r}"
+            )
+
+    return EdgeList(n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), np.frombuffer(ws))
+
+
+def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
+    """Parse the plain edge-list format: one ``u v [w]`` per line, 0-based.
+
+    Lines starting with ``#`` are comments; a leading ``# n <N>`` directive
+    fixes the vertex count (needed to preserve trailing isolated vertices),
+    otherwise n is inferred as max id + 1.
+
+    Raises:
+        GraphParseError: on a malformed entry, a negative id, a non-finite
+            weight, an id at or beyond a declared n, or an n directive that
+            is negative, beyond the int64 range or not above an id read
+            before it.  Messages name the offending line number.
+    """
+    ids, ws = array("q"), array("d")
+    declared_n = None
+    max_id = -1
+    for line_no, raw in enumerate(stream, start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            toks = stripped[1:].split()
+            if len(toks) == 2 and toks[0] == "n":
+                try:
+                    declared_n = int(toks[1])
+                except ValueError as exc:
+                    raise GraphParseError(f"line {line_no}: bad n directive: {stripped!r}") from exc
+                if declared_n > _MAX_VERTICES:
+                    raise GraphParseError(
+                        f"line {line_no}: n directive exceeds the int64 id range: {stripped!r}"
+                    )
+                if declared_n < 0:
+                    raise GraphParseError(f"line {line_no}: negative n directive: {stripped!r}")
+                if declared_n <= max_id:
+                    raise GraphParseError(
+                        f"line {line_no}: n directive below vertex id {max_id} read before it: "
+                        f"{stripped!r}"
+                    )
+            continue
+        toks = stripped.split()
+        if len(toks) not in (2, 3):
+            raise GraphParseError(f"line {line_no}: expected 'u v [w]', got {stripped!r}")
+        try:
+            u, v = int(toks[0]), int(toks[1])
+            w = float(toks[2]) if len(toks) == 3 else 1.0
+        except ValueError as exc:
+            raise GraphParseError(f"line {line_no}: bad entry: {stripped!r}") from exc
+        if u < 0 or v < 0:
+            raise GraphParseError(f"line {line_no}: negative vertex id: {stripped!r}")
+        if not math.isfinite(w):
+            raise GraphParseError(f"line {line_no}: non-finite weight: {stripped!r}")
+        if declared_n is not None and (u >= declared_n or v >= declared_n):
+            raise GraphParseError(f"line {line_no}: index beyond declared n={declared_n}")
+        max_id = max(max_id, u, v)
+        if max_id >= _MAX_VERTICES:
+            raise GraphParseError(f"line {line_no}: vertex id exceeds the int64 range: {stripped!r}")
+        ids.append(u)
+        ids.append(v)
+        ws.append(w)
+    n = declared_n if declared_n is not None else max_id + 1
+    if n < 1:
+        raise GraphParseError("edge list declares no vertices")
+    return EdgeList(n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), np.frombuffer(ws))
 
 
 def load_graph_file(
@@ -219,7 +438,7 @@ def _csr_arcs(
         # in memory
         start = np.repeat(offsets[r0:r1] - lo, np.diff(offsets[r0 : r1 + 1]))
         if start.size > 1:
-            order = _stable_order(start * n + targets[lo:hi], (int(start[-1]) + 1) * n)
+            order = np.argsort(start * n + targets[lo:hi], kind="stable")
             targets[lo:hi] = targets[lo:hi][order]
             weights[lo:hi] = weights[lo:hi][order]
     merged = [targets, weights]
@@ -258,7 +477,7 @@ def _scatter(fill: np.ndarray, slices, out: np.ndarray | None = None) -> None:
     """
     for keys, values in slices:
         if out is not None and keys.size:
-            order = _stable_order(keys, fill.size)
+            order = np.argsort(keys, kind="stable")
             keys = keys[order]
             first = np.empty(keys.size, dtype=bool)
             first[0] = True
@@ -269,24 +488,6 @@ def _scatter(fill: np.ndarray, slices, out: np.ndarray | None = None) -> None:
             at += fill[keys]
             out[at] = values if np.ndim(values) == 0 else values[order]
         np.add.at(fill, keys, 1)
-
-
-def _stable_order(keys: np.ndarray, top: int) -> np.ndarray:
-    """The stable sorting order of integer keys in [0, top).
-
-    The values key * 2**b + position, b bits holding any position, are
-    distinct, so sorting them sorts stably by key, and numpy sorts int64
-    values several times faster than it stable-sorts indices.  A stable
-    argsort serves where those values would pass the int64 range.
-    """
-    b = max(keys.size - 1, 1).bit_length()
-    if top << b > np.iinfo(np.int64).max:
-        return np.argsort(keys, kind="stable")
-    packed = keys.astype(np.int64) << b
-    packed |= np.arange(keys.size)
-    packed.sort()
-    packed &= (1 << b) - 1
-    return packed
 
 
 def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -470,3 +671,20 @@ def graph_stats(g: Graph) -> GraphStats:
         undirected_edges=g.n_arcs,
         avg_degree=g.n_arcs / g.n,
     )
+
+
+# ---------------------------------------------------------------------------
+# Export
+# ---------------------------------------------------------------------------
+
+
+def save_edgelist(edges: EdgeList, path: str) -> None:
+    """Write an EdgeList in the text format parse_edgelist reads back.
+
+    Weights are written with ``repr`` of the builtin float, so parsing the
+    file gives back the same bits.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n {edges.n}\n")
+        for (u, v), w in zip(edges.entries.tolist(), edges.weights.tolist()):
+            fh.write(f"{u} {v} {w!r}\n")

@@ -438,38 +438,44 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     communities' arcs in ascending arc order and _merge_arcs sorts them
     stably by (community, target community) and sums each run with
     reduceat, so every run holds the same arcs in the same order as under
-    one sort of all arcs, and sums to the same bits.
+    one sort of all arcs, and sums to the same bits.  A first pass over
+    the blocks finds each community's merged row length; the second
+    merges each block again and writes it straight into the coarse
+    columns, allocated at their final size, so no merged block is held
+    to be joined at the end.
     """
     mapping, n_comm = normalize_labels(labels)
-    row_len = np.diff(g.offsets)
     # the vertices grouped by community, ascending within each, and the
     # position of each one's arcs in that grouped arc order
     members = np.argsort(mapping, kind="stable")
     member_arcs = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(row_len[members], out=member_arcs[1:])
+    np.cumsum(np.diff(g.offsets)[members], out=member_arcs[1:])
     first_member = np.zeros(n_comm + 1, dtype=np.int64)
     np.cumsum(np.bincount(mapping, minlength=n_comm), out=first_member[1:])
-    counts = np.zeros(n_comm, dtype=np.int64)
-    tgt_blocks: list[np.ndarray] = []
-    w_blocks: list[np.ndarray] = []
-    for c0, c1, lo, hi in _row_slices(member_arcs[first_member]):
+    blocks = list(_row_slices(member_arcs[first_member]))
+
+    def block_arcs(c0: int, c1: int, lo: int, hi: int) -> list[np.ndarray]:
+        """The arcs of communities c0..c1-1, grouped arc positions lo..hi-1,
+        as the columns [community - c0, target community, weight]."""
         verts = members[first_member[c0] : first_member[c1]]
-        lens = row_len[verts]
         # a member's arcs start at this block position and at this arc id
-        at = member_arcs[first_member[c0] : first_member[c1]] - lo
-        arc = np.arange(hi - lo) + np.repeat(g.offsets[verts] - at, lens)
-        block = [np.repeat(mapping[verts] - c0, lens), mapping[g.targets[arc]], g.weights[arc]]
-        del arc
-        counts[c0:c1], tgt, w = _merge_arcs(c1 - c0, block)
-        tgt_blocks.append(tgt)
-        w_blocks.append(w)
+        at = member_arcs[first_member[c0] : first_member[c1] + 1] - lo
+        lens = np.diff(at)
+        arc = np.arange(hi - lo) + np.repeat(g.offsets[verts] - at[:-1], lens)
+        return [np.repeat(mapping[verts] - c0, lens), mapping[g.targets[arc]], g.weights[arc]]
+
+    counts = np.zeros(n_comm, dtype=np.int64)
+    for c0, c1, lo, hi in blocks:
+        counts[c0:c1] = _merge_arcs(c1 - c0, block_arcs(c0, c1, lo, hi))[0]
+    tgt = np.empty(int(counts.sum()), dtype=np.int64)
+    w = np.empty(tgt.size, dtype=np.float64)
+    at = 0
+    for c0, c1, lo, hi in blocks:
+        _, block_tgt, block_w = _merge_arcs(c1 - c0, block_arcs(c0, c1, lo, hi))
+        tgt[at : at + block_tgt.size] = block_tgt
+        w[at : at + block_tgt.size] = block_w
+        at += block_tgt.size
     del members, member_arcs, first_member
-    # join one column at a time and drop its blocks, so no more than one
-    # column is held twice
-    tgt = np.concatenate(tgt_blocks)
-    del tgt_blocks
-    w = np.concatenate(w_blocks)
-    del w_blocks
     return _finish_graph(n_comm, counts, tgt, w), mapping
 
 
@@ -500,6 +506,7 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
             truncated = True
 
         mapping, n_comm = normalize_labels(labels)
+        del labels
         q_now = modularity(g_cur, mapping)
         stop = (
             (q_now - q_prev) <= cfg.pass_tolerance

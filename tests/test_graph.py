@@ -13,7 +13,6 @@ from commdet.graph import (
     _csr_arcs,
     _is_symmetric,
     _merge_arcs,
-    _stable_order,
     build_graph,
     graph_stats,
     parse_edgelist,
@@ -415,19 +414,6 @@ def test_merge_gives_the_same_arcs_from_int32_and_int64_ids():
     g = build_graph(EdgeList(520, np.column_stack([us, vs]), ws))
     assert g.targets.dtype == np.int64
     assert g.targets.tobytes() == wide[1].tobytes() and g.weights.tobytes() == wide[2].tobytes()
-
-
-
-@pytest.mark.parametrize("top", [50, 2**62], ids=["packed", "wide-keys"])
-def test_stable_order_is_a_stable_argsort(top):
-    """Keys packed with their positions into int64 values, and keys too
-    wide for that, sort to the order of a stable argsort."""
-    rng = np.random.default_rng(17)
-    for size in (0, 1, 2, 3, 4096, 5000):
-        keys = rng.integers(50, size=size)
-        want = np.argsort(keys, kind="stable")
-        assert np.array_equal(_stable_order(keys, top), want)
-        assert np.array_equal(_stable_order(keys.astype(np.int32), top), want)
 
 
 @pytest.mark.parametrize("symmetrize", [True, False], ids=["sym", "no-sym"])

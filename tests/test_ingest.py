@@ -276,29 +276,36 @@ MAX_LOAD_BYTES_PER_ARC = 33.8
 MAX_MOVE_BYTES_PER_ARC = 3.1
 
 # tracemalloc peaks per arc of modularity and aggregate_graph under the
-# labels of pass-0 local moving, warm: 5.3 B and 8.3 B with both running
-# over slices of about ARC_CHUNK arcs (numpy 2.4); 23.4 B and 24.6 B over
-# whole arc arrays.  The bounds leave 25% headroom
-MAX_MODULARITY_BYTES_PER_ARC = 6.6
-MAX_AGGREGATE_BYTES_PER_ARC = 10.4
+# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 7.82 B with
+# modularity's terms computed in place and aggregation writing each merged
+# block straight into the coarse columns; 5.3 B and 8.3 B when modularity
+# made a copy per term and aggregation joined its held blocks at the end,
+# both already over slices of about ARC_CHUNK arcs; 23.4 B and 24.6 B
+# over whole arc arrays.  The bounds leave 25% headroom
+MAX_MODULARITY_BYTES_PER_ARC = 6.1
+MAX_AGGREGATE_BYTES_PER_ARC = 9.8
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
-# per arc: 29.5 B (median of 9, 28.9-30.0) with the counting-sort build,
+# per arc: 28.7 B (median of 9, 27.3-28.9) with the counting-sort build,
 # 32.8 B (median of 5, 32.7-33.0) with the lexsort build, 34.7 B
 # (34.3-35.3) when the loader packed (u, v, w) records.  RSS also counts
 # what tracemalloc does not see, such as the sorts' own buffers and pages
 # the allocator keeps.  The bound leaves 25% headroom
-MAX_STATS_RSS_BYTES_PER_ARC = 36.9
+MAX_STATS_RSS_BYTES_PER_ARC = 35.8
 
 # peak RSS of ``commdet detect --out-membership`` less that of ``commdet
-# stats``, per vertex, on the planted input with 100 blocks of 200: -3.7 to
-# 11.3 B (median 1, 15 runs) with no Python object per vertex after the
-# load, so the load sets the peak; 56 to 73 B (median 68) when local
-# moving held its state in lists, modularity boxed its terms and the
-# membership file was joined into one string.  The gap is the noise of two
-# RSS readings, so the bound is set against that noise rather than as a
-# share of the measurement
+# stats``, per vertex, on the planted input with 100 blocks of 200: -8.6 to
+# 4.9 B (median 0.4, 15 runs) with the counting-sort build, aggregation
+# writing each merged block straight into the coarse columns and the
+# pass's labels freed once normalized, so the load sets the peak; -0.8 to
+# 12.7 B (median 9.6, 6 runs) when aggregation held its merged blocks and
+# joined them at the end, which the leaner load no longer hid; -3.7 to
+# 11.3 B (median 1, 15 runs) with the lexsort build; 56 to 73 B (median
+# 68) when local moving held its state in lists, modularity boxed its
+# terms and the membership file was joined into one string.  The gap is
+# the noise of two RSS readings, so the bound is set against that noise
+# rather than as a share of the measurement
 MAX_DETECT_OVER_STATS_RSS_BYTES_PER_VERTEX = 20.0
 
 

@@ -11,8 +11,8 @@ from commdet.cli import build_parser
 
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ["commdet.cli", "commdet.community", "commdet.fixtures", "commdet.formats",
-           "commdet.graph", "commdet.louvain", "commdet.parallel"]
+MODULES = ["commdet.cli", "commdet.community", "commdet.fixtures", "commdet.graph",
+           "commdet.louvain", "commdet.parallel"]
 
 
 def _commdet_imports():
