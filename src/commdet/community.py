@@ -77,16 +77,32 @@ def singleton_assignment(n: int) -> np.ndarray:
 def normalize_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """Remap labels onto [0, C) preserving first-occurrence order.
 
-    Idempotent: already-normalized input comes back unchanged.
+    Idempotent: already-normalized input comes back unchanged.  Beside
+    labels, the work holds a stable sort order, one array of ranks in
+    that order and the result, each n int64, and arrays as long as the
+    number of distinct labels.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    uniq, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    # each distinct label's rank in the order of its first occurrence; the
-    # first indices are distinct, so any sort ranks them alike, and the
-    # stable one is the sort the rest of a run already loads
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(uniq.size)
-    return rank[inverse], int(uniq.size)
+    order = np.argsort(labels, kind="stable")
+    ranks = labels[order]
+    starts = np.empty(labels.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranks[1:], ranks[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    # the sort is stable, so a run of equal labels starts at the label's
+    # first occurrence; rank the runs by it (the positions are distinct,
+    # so any sort ranks them alike)
+    run_rank = np.empty(starts.size, dtype=np.int64)
+    run_rank[np.argsort(order[starts], kind="stable")] = np.arange(starts.size)
+    # each run's rank, spread over the run by a cumulative sum of the
+    # steps between consecutive runs' ranks, then written back through
+    # the order
+    ranks[:] = 0
+    ranks[starts] = np.diff(run_rank, prepend=0)
+    np.cumsum(ranks, out=ranks)
+    out = np.empty_like(ranks)
+    out[order] = ranks
+    return out, int(starts.size)
 
 
 def _check_labels(g: Graph, labels: np.ndarray) -> np.ndarray:

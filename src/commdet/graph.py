@@ -5,10 +5,13 @@ appears as the two arcs (u, v, w) and (v, u, w); a self-loop is stored as a
 single arc (u, u, w) whose weight counts once in the vertex degree.  All
 community and modularity code in this package assumes exactly this convention.
 
-build_graph puts the arcs into rows with a stable counting sort that
-scatters a few thousand arcs at a time, so a load holds the parsed edges,
-the weight and target columns and slice-sized temporaries, but no
-arc-length source column or sort permutation.
+Vertex ids are int32 whenever the vertex count is at most 2**31 - 1 and
+int64 above that, from the parsed id pairs to Graph.targets, so a load
+never makes a widened copy of an arc-length id column.  build_graph puts
+the arcs into rows with a stable counting sort that scatters a few
+thousand arcs at a time, so a load holds the parsed edges, the weight and
+target columns and slice-sized temporaries, but no arc-length source
+column or sort permutation.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ ARC_CHUNK = 1 << 14
 # per-slice numpy calls cheap beside the work they do
 SCATTER_CHUNK = 1 << 12
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _id_dtype(n: int) -> type:
+    """The dtype of ids in [0, n): int32 when n <= 2**31 - 1, else int64."""
+    return np.int32 if n <= _INT32_MAX else np.int64
+
 
 @dataclass
 class EdgeList:
@@ -56,13 +66,14 @@ class EdgeList:
 
     Attributes:
         n: declared vertex count; every id in entries lies in [0, n).
-        entries: int64 array of shape (e, 2), one (u, v) pair of 0-based
-            vertex ids per edge.
+        entries: int32 or int64 array of shape (e, 2), one (u, v) pair of
+            0-based vertex ids per edge.
         weights: float64 array of shape (e,), the weight of each edge.
 
-    Arrays of these dtypes are kept without a copy.  Given entries alone,
-    ``EdgeList(n, [(u, v, w), ...])`` splits the tuples into the two
-    arrays; ``EdgeList(n)`` has no edges.
+    Arrays of these dtypes are kept without a copy; entries of any other
+    dtype become int64.  Given entries alone, ``EdgeList(n, [(u, v, w),
+    ...])`` splits the tuples into an int64 and a float64 array;
+    ``EdgeList(n)`` has no edges.
 
     Raises:
         ValueError: if entries is not of shape (e, 2) or weights not of
@@ -78,7 +89,9 @@ class EdgeList:
             rows = [(u, v, w) for u, v, w in self.entries]
             self.entries = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
             self.weights = [r[2] for r in rows]
-        self.entries = np.asarray(self.entries, dtype=np.int64)
+        if not (isinstance(self.entries, np.ndarray)
+                and self.entries.dtype in (np.int32, np.int64)):
+            self.entries = np.asarray(self.entries, dtype=np.int64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.entries.ndim != 2 or self.entries.shape[1] != 2:
             raise ValueError(f"entries must have shape (e, 2), got {self.entries.shape}")
@@ -94,7 +107,8 @@ class Graph:
     Attributes:
         n: vertex count.
         offsets: int64 array of length n + 1, row start positions.
-        targets: int64 array of arc endpoints, sorted within each row.
+        targets: arc endpoints, sorted within each row; int32 when n is
+            at most 2**31 - 1, int64 above that.
         weights: float64 array of arc weights, all positive and finite.
         degrees: float64 array, degrees[u] = sum of weights of arcs out of u
             (a self-loop arc counts once).
@@ -137,9 +151,10 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
     """Parse a MatrixMarket coordinate file into an EdgeList.
 
     Accepts pattern/real/integer fields and general/symmetric storage.
-    Indices are converted from 1-based to 0-based; pattern entries get
-    weight 1.  For symmetric files only the stored triangle is returned;
-    mirroring the arcs is build_graph's job.
+    Indices are converted from 1-based to 0-based and held as int32 when
+    the size line declares at most 2**31 - 1 rows, as int64 otherwise;
+    pattern entries get weight 1.  For symmetric files only the stored
+    triangle is returned; mirroring the arcs is build_graph's job.
 
     Raises:
         GraphParseError: on a malformed header or size line, an index out
@@ -199,7 +214,7 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
         size = (rows, nnz)
 
     n, nnz = size
-    ids, ws = array("q"), array("d")
+    ids, ws = array("i" if _id_dtype(n) is np.int32 else "q"), array("d")
     while len(ws) < nnz:
         raw = stream.readline()
         line_no += 1
@@ -244,7 +259,7 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
                 f"line {line_no}: extra entry beyond declared count {nnz}: {stripped!r}"
             )
 
-    return EdgeList(n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), np.frombuffer(ws))
+    return EdgeList(n, np.frombuffer(ids, dtype=ids.typecode).reshape(-1, 2), np.frombuffer(ws))
 
 
 def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
@@ -252,7 +267,9 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
 
     Lines starting with ``#`` are comments; a leading ``# n <N>`` directive
     fixes the vertex count (needed to preserve trailing isolated vertices),
-    otherwise n is inferred as max id + 1.
+    otherwise n is inferred as max id + 1.  The ids are held as int32
+    until one passes 2**31 - 1, when the ids read so far are widened to
+    int64, once.
 
     Raises:
         GraphParseError: on a malformed entry, a negative id, a non-finite
@@ -260,9 +277,12 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
             is negative, beyond the int64 range or not above an id read
             before it.  Messages name the offending line number.
     """
-    ids, ws = array("q"), array("d")
+    ids, ws = array("i"), array("d")
     declared_n = None
     max_id = -1
+    # the largest id the ids array holds; past it the ids widen to int64
+    # once, and past the int64 bound the id is rejected
+    limit = _INT32_MAX
     for line_no, raw in enumerate(stream, start=1):
         stripped = raw.strip()
         if not stripped:
@@ -301,15 +321,19 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
         if declared_n is not None and (u >= declared_n or v >= declared_n):
             raise GraphParseError(f"line {line_no}: index beyond declared n={declared_n}")
         max_id = max(max_id, u, v)
-        if max_id >= _MAX_VERTICES:
-            raise GraphParseError(f"line {line_no}: vertex id exceeds the int64 range: {stripped!r}")
+        if max_id > limit:
+            if max_id >= _MAX_VERTICES:
+                raise GraphParseError(
+                    f"line {line_no}: vertex id exceeds the int64 range: {stripped!r}"
+                )
+            ids, limit = array("q", ids), _MAX_VERTICES - 1
         ids.append(u)
         ids.append(v)
         ws.append(w)
     n = declared_n if declared_n is not None else max_id + 1
     if n < 1:
         raise GraphParseError("edge list declares no vertices")
-    return EdgeList(n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2), np.frombuffer(ws))
+    return EdgeList(n, np.frombuffer(ids, dtype=ids.typecode).reshape(-1, 2), np.frombuffer(ws))
 
 
 def load_graph_file(
@@ -385,13 +409,12 @@ def _build(
             has_loop = np.zeros(n, dtype=bool)
             has_loop[pairs[pairs[:, 0] == pairs[:, 1], 0]] = True
             loops = np.flatnonzero(~has_loop)
-        # the targets are int32 whenever the ids fit, which narrows what the
-        # row sort and the symmetry check hold; _finish_graph widens them last
-        ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
         # hand the parsed arrays over in a list the callee empties
         parsed = [pairs, ws]
         del pairs, ws
-        return _finish_graph(n, *_csr_arcs(n, parsed, symmetrize, loops, default_weight, ids))
+        return _finish_graph(
+            n, *_csr_arcs(n, parsed, symmetrize, loops, default_weight, _id_dtype(n))
+        )
     except MemoryError as exc:
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
 
@@ -508,8 +531,7 @@ def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray,
         order = np.lexsort((vs, us))
         del us
         # an int32 order takes half the room beside each permuted copy
-        if order.size <= np.iinfo(np.int32).max:
-            order = order.astype(np.int32)
+        order = order.astype(_id_dtype(order.size), copy=False)
         # permute one array at a time, so each unsorted array can be freed
         # before the next copy is made
         ws = ws[order]
@@ -569,10 +591,9 @@ def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) ->
     counts[u] is the length of row u; vs and ws are the targets and
     weights in CSR order, each row's targets strictly ascending.  The
     offsets, degrees and total are derived here, and the weights, the
-    symmetry and the total are checked.  The symmetry check runs on vs as
-    given, int32 or int64; only then are the targets widened to the
-    Graph's int64, so the wide copy never coexists with the check's
-    reverse order.
+    symmetry and the total are checked.  vs becomes the Graph's targets
+    as given, without a copy, so its dtype is the caller's: _id_dtype(n)
+    for build_graph and aggregate_graph.
     """
     if ws.size and ws.min() <= 0:
         raise ValueError("arc weights must be positive after merging")
@@ -587,7 +608,6 @@ def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) ->
         raise ValueError(
             "arc list is not symmetric; pass symmetrize=True or provide both directions"
         )
-    vs = vs.astype(np.int64, copy=False)
     degrees = np.zeros(n, dtype=np.float64)
     for r0, r1, lo, hi in _row_slices(offsets):
         # a row lies within one slice, so each degree sums its row in arc
@@ -649,7 +669,7 @@ def _is_symmetric(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
     if not np.array_equal(in_arcs, np.diff(offsets)):
         return False
     del in_arcs
-    rev = np.empty(vs.size, dtype=np.int32 if vs.size <= np.iinfo(np.int32).max else np.int64)
+    rev = np.empty(vs.size, dtype=_id_dtype(vs.size))
     _scatter(offsets[:-1].copy(), ((vs[lo:hi], np.arange(lo, hi)) for lo, hi in slices), rev)
     for r0, r1, lo, hi in _row_slices(offsets):
         r = rev[lo:hi]

@@ -46,7 +46,7 @@ from .community import (
     scan_arcs,
     singleton_assignment,
 )
-from .graph import Graph, _finish_graph, _merge_arcs, _row_slices
+from .graph import Graph, _finish_graph, _id_dtype, _merge_arcs, _row_slices
 
 __all__ = [
     "Config",
@@ -439,10 +439,11 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     stably by (community, target community) and sums each run with
     reduceat, so every run holds the same arcs in the same order as under
     one sort of all arcs, and sums to the same bits.  A first pass over
-    the blocks finds each community's merged row length; the second
-    merges each block again and writes it straight into the coarse
-    columns, allocated at their final size, so no merged block is held
-    to be joined at the end.
+    the blocks only counts each community's distinct target communities,
+    its merged row length, from one sorted key per arc; the second merges
+    each block and writes it straight into the coarse columns, allocated
+    at their final size, so no merged block is held to be joined at the
+    end.  The coarse targets are int32 when n_comm is at most 2**31 - 1.
     """
     mapping, n_comm = normalize_labels(labels)
     # the vertices grouped by community, ascending within each, and the
@@ -452,30 +453,51 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     np.cumsum(np.diff(g.offsets)[members], out=member_arcs[1:])
     first_member = np.zeros(n_comm + 1, dtype=np.int64)
     np.cumsum(np.bincount(mapping, minlength=n_comm), out=first_member[1:])
-    blocks = list(_row_slices(member_arcs[first_member]))
+    # the position of each community's first arc in that order
+    comm_arcs = member_arcs[first_member]
+    blocks = list(_row_slices(comm_arcs))
 
-    def block_arcs(c0: int, c1: int, lo: int, hi: int) -> list[np.ndarray]:
-        """The arcs of communities c0..c1-1, grouped arc positions lo..hi-1,
-        as the columns [community - c0, target community, weight]."""
+    def block_arcs(c0: int, c1: int, lo: int, hi: int) -> np.ndarray:
+        """The ids of the arcs of communities c0..c1-1, in grouped arc
+        positions lo..hi-1."""
         verts = members[first_member[c0] : first_member[c1]]
         # a member's arcs start at this block position and at this arc id
         at = member_arcs[first_member[c0] : first_member[c1] + 1] - lo
-        lens = np.diff(at)
-        arc = np.arange(hi - lo) + np.repeat(g.offsets[verts] - at[:-1], lens)
-        return [np.repeat(mapping[verts] - c0, lens), mapping[g.targets[arc]], g.weights[arc]]
+        return np.arange(hi - lo) + np.repeat(g.offsets[verts] - at[:-1], np.diff(at))
+
+    def row_lengths(c0: int, c1: int, lo: int, hi: int) -> np.ndarray:
+        """The number of distinct target communities of each community
+        c0..c1-1, grouped arc positions lo..hi-1: its merged row length."""
+        # key each arc by its community's first block position, then by
+        # target community, so the keys sort by (community, target
+        # community); a block of two or more communities has at most
+        # ARC_CHUNK arcs, so a key stays below ARC_CHUNK * n_comm
+        at = comm_arcs[c0 : c1 + 1] - lo
+        key = mapping[g.targets[block_arcs(c0, c1, lo, hi)]]
+        key += np.repeat(at[:-1] * n_comm, np.diff(at))
+        key.sort()
+        distinct = np.empty(key.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(key[1:], key[:-1], out=distinct[1:])
+        return np.diff(np.searchsorted(np.flatnonzero(distinct), at))
 
     counts = np.zeros(n_comm, dtype=np.int64)
     for c0, c1, lo, hi in blocks:
-        counts[c0:c1] = _merge_arcs(c1 - c0, block_arcs(c0, c1, lo, hi))[0]
-    tgt = np.empty(int(counts.sum()), dtype=np.int64)
+        counts[c0:c1] = row_lengths(c0, c1, lo, hi)
+    tgt = np.empty(int(counts.sum()), dtype=_id_dtype(n_comm))
     w = np.empty(tgt.size, dtype=np.float64)
     at = 0
     for c0, c1, lo, hi in blocks:
-        _, block_tgt, block_w = _merge_arcs(c1 - c0, block_arcs(c0, c1, lo, hi))
+        arc = block_arcs(c0, c1, lo, hi)
+        # the columns [community - c0, target community, weight]
+        block = [np.repeat(np.arange(c1 - c0), np.diff(comm_arcs[c0 : c1 + 1])),
+                 mapping[g.targets[arc]], g.weights[arc]]
+        del arc
+        _, block_tgt, block_w = _merge_arcs(c1 - c0, block)
         tgt[at : at + block_tgt.size] = block_tgt
         w[at : at + block_tgt.size] = block_w
         at += block_tgt.size
-    del members, member_arcs, first_member
+    del members, member_arcs, first_member, comm_arcs, block_tgt, block_w
     return _finish_graph(n_comm, counts, tgt, w), mapping
 
 

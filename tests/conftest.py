@@ -201,6 +201,16 @@ def dict_normalize_labels(labels) -> tuple[np.ndarray, int]:
     return out, len(seen)
 
 
+def unique_normalize_labels(labels) -> tuple[np.ndarray, int]:
+    """normalize_labels through np.unique: each distinct label's rank in
+    the order of its first occurrence, looked up through the inverse."""
+    labels = np.asarray(labels, dtype=np.int64)
+    uniq, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(uniq.size)
+    return rank[inverse], int(uniq.size)
+
+
 def reduceat_merge(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> tuple:
     """Row lengths, targets and weights of arcs merged by one stable sort by
     (source, target) and one reduceat over every run of equal pairs."""
@@ -219,7 +229,8 @@ def reduceat_merge(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> tu
 def lexsort_aggregate(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     """aggregate_graph as one stable sort of every arc by (community,
     target community), each run summed with reduceat, then the same checks
-    and error messages as the package's graph build."""
+    and error messages as the package's graph build.  The coarse targets
+    are int32 when there are at most 2**31 - 1 communities."""
     mapping, n_comm = normalize_labels(labels)
     us, vs = mapping[arc_sources(g)], mapping[g.targets]
     order = np.lexsort((vs, us))
@@ -243,6 +254,7 @@ def lexsort_aggregate(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
         raise ValueError("total arc weight is not finite (float64 overflow)")
     offsets = np.zeros(n_comm + 1, dtype=np.int64)
     np.cumsum(np.bincount(us, minlength=n_comm), out=offsets[1:])
+    vs = vs.astype(np.int32 if n_comm <= np.iinfo(np.int32).max else np.int64)
     return Graph(n_comm, offsets, vs, ws, degrees, total), mapping
 
 
@@ -251,7 +263,8 @@ def lexsort_build(edges: EdgeList, symmetrize: bool = True, add_self_loops: bool
     """build_graph as one stable lexsort of arc-length source, target and
     weight columns in arc order, each run summed with one reduceat, and a
     symmetry check on one lexsort by (target, source), with the same
-    checks and messages in the same order."""
+    checks and messages in the same order.  The targets are int32 when n
+    is at most 2**31 - 1, int64 above that."""
     n, pairs, ws = edges.n, edges.entries, edges.weights
     if n < 1:
         raise ValueError("empty graph: vertex count must be >= 1")
@@ -282,7 +295,6 @@ def lexsort_build(edges: EdgeList, symmetrize: bool = True, add_self_loops: bool
         raise ValueError(ASYMMETRIC)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    tgt = tgt.astype(np.int64)
     degrees = np.bincount(src, weights=w, minlength=n)
     with np.errstate(over="ignore"):
         total = float(np.sum(degrees))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commdet.community import (
     Aggregates,
@@ -27,6 +29,7 @@ from conftest import (
     oracle_labelings,
     single_edge,
     two_triangles,
+    unique_normalize_labels,
     weighted_chunk_graph,
 )
 
@@ -277,6 +280,27 @@ def test_normalize_equals_dict_loop_oracle():
         want, want_n = dict_normalize_labels(a)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert n_comm == want_n
+
+
+@st.composite
+def label_arrays(draw):
+    """Labels drawn with repeats from a pool of distinct values: small
+    ones around zero, negatives, and values far apart near the int64
+    limits, so the labels have gaps."""
+    values = st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1))
+    pool = draw(st.lists(values, min_size=1, max_size=40, unique=True))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=300)), dtype=np.int64)
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(labels=label_arrays())
+@example(labels=np.array([], dtype=np.int64))
+@example(labels=np.array([7, -3, 7, 2**62, -3, -(2**63)], dtype=np.int64))
+def test_normalize_equals_the_unique_oracle(labels):
+    got, n_comm = normalize_labels(labels)
+    want, want_n = unique_normalize_labels(labels)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert n_comm == want_n
 
 
 def test_normalize_idempotent():

@@ -399,7 +399,8 @@ def test_merge_equals_one_reduceat_over_all_arcs():
 
 def test_merge_gives_the_same_arcs_from_int32_and_int64_ids():
     """The build sorts int32 endpoint columns when the ids fit, int64
-    otherwise; both merge to the same rows, targets and weight bits."""
+    otherwise; both merge to the same rows, targets and weight bits, and
+    the graph's targets are the int32 ones."""
     rng = np.random.default_rng(10)
     us, vs = rng.integers(500, size=4000), rng.integers(500, size=4000)
     ws = rng.uniform(0.1, 10.0, 4000)
@@ -411,9 +412,11 @@ def test_merge_gives_the_same_arcs_from_int32_and_int64_ids():
     assert [a.tobytes() for a in (narrow[0], narrow[1].astype(np.int64), narrow[2])] == [
         a.tobytes() for a in wide
     ]
+    # the graph keeps the narrow targets, as every graph of at most
+    # 2**31 - 1 vertices does
     g = build_graph(EdgeList(520, np.column_stack([us, vs]), ws))
-    assert g.targets.dtype == np.int64
-    assert g.targets.tobytes() == wide[1].tobytes() and g.weights.tobytes() == wide[2].tobytes()
+    assert g.targets.dtype == np.int32
+    assert g.targets.tobytes() == narrow[1].tobytes() and g.weights.tobytes() == wide[2].tobytes()
 
 
 @pytest.mark.parametrize("symmetrize", [True, False], ids=["sym", "no-sym"])

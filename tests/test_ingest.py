@@ -1,10 +1,12 @@
 """Array-native ingest: EdgeList conversion, exact round trips, and the
 memory per arc of ingest and local moving."""
 
+import io
 import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import commdet.graph
 from commdet.community import modularity, singleton_assignment
+from commdet.fixtures import ring_of_cliques
 from commdet.graph import (
     EdgeList,
     build_graph,
@@ -42,10 +45,85 @@ def test_edgelist_splits_tuples_into_pairs_and_weights():
 
 
 def test_edgelist_keeps_its_arrays_without_a_copy():
-    pairs = np.array([[0, 1], [1, 2]], dtype=np.int64)
-    weights = np.array([2.0, 2.0])
-    el = EdgeList(3, pairs, weights)
-    assert np.shares_memory(el.entries, pairs) and np.shares_memory(el.weights, weights)
+    for ids in (np.int32, np.int64):
+        pairs = np.array([[0, 1], [1, 2]], dtype=ids)
+        weights = np.array([2.0, 2.0])
+        el = EdgeList(3, pairs, weights)
+        assert el.entries is pairs and el.weights is weights
+
+
+@pytest.mark.parametrize("pairs", [
+    np.array([[0, 1], [1, 2]], dtype=np.int16),
+    np.array([[0, 1], [1, 2]], dtype=np.uint32),
+    [[0, 1], [1, 2]],
+], ids=["int16", "uint32", "list"])
+def test_edgelist_makes_other_ids_int64(pairs):
+    el = EdgeList(3, pairs, np.ones(2))
+    assert el.entries.dtype == np.int64 and el.entries.tolist() == [[0, 1], [1, 2]]
+
+
+# ---------------------------------------------------------------------------
+# Id width: int32 when n <= 2**31 - 1, int64 above that
+# ---------------------------------------------------------------------------
+
+
+def test_id_dtype_rule():
+    assert commdet.graph._id_dtype(1) is np.int32
+    assert commdet.graph._id_dtype(2**31 - 1) is np.int32
+    assert commdet.graph._id_dtype(2**31) is np.int64
+
+
+def test_edgelist_ids_widen_once_when_an_id_passes_int32(monkeypatch):
+    """Without a # n directive the ids stay int32 up to 2**31 - 1, and the
+    first id past it widens the pairs read so far to int64, once."""
+    made = []
+
+    def recorded(typecode, initializer=()):
+        made.append((typecode, len(initializer)))
+        return array(typecode, initializer)
+
+    monkeypatch.setattr(commdet.graph, "array", recorded)
+    head = "0 1 0.5\n# a comment\n2147483647 3\n"
+    el = parse_edgelist(io.StringIO(head))
+    assert el.entries.dtype == np.int32 and el.n == 2**31
+    assert el.entries.tolist() == [[0, 1], [2**31 - 1, 3]]
+    assert made == [("i", 0), ("d", 0)]
+    made.clear()
+    el = parse_edgelist(io.StringIO(head + "4 2147483648 2.0\n5 6\n9 4294967296\n"))
+    assert made == [("i", 0), ("d", 0), ("q", 4)]
+    assert el.entries.dtype == np.int64 and el.n == 2**32 + 1
+    assert el.entries.tolist() == [[0, 1], [2**31 - 1, 3], [4, 2**31], [5, 6], [9, 2**32]]
+    assert el.weights.tolist() == [0.5, 1.0, 2.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("n, ids", [(2**31 - 1, np.int32), (2**31, np.int64)],
+                         ids=["int32-max", "past-int32"])
+def test_mtx_id_width_follows_the_size_line(n, ids):
+    """Parse only: nothing of size n is allocated."""
+    el = parse_matrix_market(io.StringIO(
+        f"%%MatrixMarket matrix coordinate real general\n{n} {n} 2\n1 {n} 0.5\n{n} 1 0.5\n"
+    ))
+    assert el.n == n and el.entries.dtype == ids
+    assert el.entries.tolist() == [[0, n - 1], [n - 1, 0]]
+
+
+def test_built_loaded_and_aggregated_graphs_have_int32_targets(tmp_path):
+    txt, mtx = tmp_path / "g.txt", tmp_path / "g.mtx"
+    txt.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
+    mtx.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n4 4 3\n2 1\n3 2\n4 3\n")
+    for g in (load_graph_file(str(txt)), load_graph_file(str(mtx), add_self_loops=True)):
+        assert g.targets.dtype == np.int32
+    g = build_graph(ring_of_cliques(6, 5))
+    levels = 0
+    while True:
+        assert g.targets.dtype == np.int32
+        labels = singleton_assignment(g.n)
+        local_moving(g, labels, 1e-6)
+        if np.unique(labels).size == g.n:
+            break
+        g, _ = aggregate_graph(g, labels)
+        levels += 1
+    assert levels >= 1
 
 
 @pytest.mark.parametrize("pairs, weights, message", [
@@ -252,10 +330,14 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # ---------------------------------------------------------------------------
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
-# (numpy 2.4): 24.3 B on the planted input with repeated pairs and 23.8 B
-# without, with the arcs scattered into rows by a counting sort in slices
-# of SCATTER_CHUNK arcs and no arc-length permutation (31.4 B with slices
-# of 16k arcs); 27.0 B with and without repeats when one int32 lexsort
+# (numpy 2.4): 23.5 B on the planted input with repeated pairs and 23.1 B
+# without, with int32 ids from the parser to the Graph's targets; at this
+# size the peak sits in _sum_runs's cut copies and the symmetry check's
+# slice temporaries rather than in the id columns.  24.3 B and 23.8 B
+# with int64 parsed pairs and the targets widened to int64 last, with the
+# arcs scattered into rows by a counting sort in slices of SCATTER_CHUNK
+# arcs and no arc-length permutation (31.4 B with slices of 16k arcs);
+# 27.0 B with and without repeats when one int32 lexsort
 # order put the arcs into rows and an int64 argsort checked symmetry, the
 # parsed id pairs and weights going to the build without a copy, the
 # pairs freed once mirrored and runs summed without an arc-length array
@@ -263,8 +345,8 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # the loader packed (u, v, w) records, 42.0 and 40.5 B with int64 columns
 # and an arc-length source column in the symmetry check, 62 B when the
 # parsed entries lived through the sort, 188 B when they were a list of
-# tuples.  The bound leaves 25% headroom
-MAX_LOAD_BYTES_PER_ARC = 33.8
+# tuples.  The bound leaves 25% headroom over 23.5 B
+MAX_LOAD_BYTES_PER_ARC = 29.3
 
 # tracemalloc peak of pass-0 local moving per arc, warm (numpy 2.4): 2.33 B
 # in async and in sync mode and 2.46 B with two threads, with the labels,
@@ -276,9 +358,11 @@ MAX_LOAD_BYTES_PER_ARC = 33.8
 MAX_MOVE_BYTES_PER_ARC = 3.1
 
 # tracemalloc peaks per arc of modularity and aggregate_graph under the
-# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 7.82 B with
-# modularity's terms computed in place and aggregation writing each merged
-# block straight into the coarse columns; 5.3 B and 8.3 B when modularity
+# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 7.71 B with
+# aggregation's first pass only counting each community's distinct target
+# communities; 7.82 B when that pass merged every block as the second
+# does, with modularity's terms computed in place and aggregation writing
+# each merged block straight into the coarse columns; 5.3 B and 8.3 B when modularity
 # made a copy per term and aggregation joined its held blocks at the end,
 # both already over slices of about ARC_CHUNK arcs; 23.4 B and 24.6 B
 # over whole arc arrays.  The bounds leave 25% headroom
@@ -287,12 +371,17 @@ MAX_AGGREGATE_BYTES_PER_ARC = 9.8
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
-# per arc: 28.7 B (median of 9, 27.3-28.9) with the counting-sort build,
-# 32.8 B (median of 5, 32.7-33.0) with the lexsort build, 34.7 B
-# (34.3-35.3) when the loader packed (u, v, w) records.  RSS also counts
+# per arc: 27.7 B (median of 9, 26.6-28.4) with int32 ids from the parser
+# to the Graph, against 27.9 B (median of 7, 27.7-28.6) measured beside
+# it with int64 parsed pairs and the targets widened last; with repeated
+# pairs _sum_runs's cut copies set this peak, and the same input without
+# them reads 22.8 B against 25.5 B (medians of 5).  28.7 B (median of 9,
+# 27.3-28.9) when first measured with the counting-sort build, 32.8 B
+# (median of 5, 32.7-33.0) with the lexsort build, 34.7 B (34.3-35.3)
+# when the loader packed (u, v, w) records.  RSS also counts
 # what tracemalloc does not see, such as the sorts' own buffers and pages
-# the allocator keeps.  The bound leaves 25% headroom
-MAX_STATS_RSS_BYTES_PER_ARC = 35.8
+# the allocator keeps.  The bound leaves 25% headroom over 27.7 B
+MAX_STATS_RSS_BYTES_PER_ARC = 34.6
 
 # peak RSS of ``commdet detect --out-membership`` less that of ``commdet
 # stats``, per vertex, on the planted input with 100 blocks of 200: -8.6 to
