@@ -129,19 +129,32 @@ def read_sweep_csv(path: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+# the most cells a geometric grid may have: far more runs than a sweep
+# needs, and a list small enough to build before the first run
+MAX_GRID_CELLS = 10_000
+
+
 def geometric_grid(start: float, stop: float, factor: float) -> list[float]:
     """Geometric sequence from start toward stop, multiplying or dividing
-    by factor; both endpoints included when exactly hit."""
-    if start <= 0 or stop <= 0:
-        raise ValueError("grid endpoints must be positive")
-    if factor <= 1:
-        raise ValueError("grid factor must be > 1")
+    by factor; both endpoints included when exactly hit.  A sequence of
+    more than MAX_GRID_CELLS values is rejected before any is made, and
+    one whose factor**i passes the float64 range when it is made."""
+    if not (0 < start < math.inf and 0 < stop < math.inf):
+        raise ValueError("grid endpoints must be positive and finite")
+    if not 1 < factor < math.inf:
+        raise ValueError("grid factor must be > 1 and finite")
     if start == stop:
         return [start]
-    steps = int(math.floor(abs(math.log(stop / start) / math.log(factor)) + 1e-9))
-    if stop > start:
-        return [start * factor**i for i in range(steps + 1)]
-    return [start / factor**i for i in range(steps + 1)]
+    # the log of each endpoint is finite where their ratio may not be
+    steps = math.floor(abs(math.log(stop) - math.log(start)) / math.log(factor) + 1e-9)
+    if steps >= MAX_GRID_CELLS:
+        raise ValueError(f"geometric grid has {steps + 1} cells, more than {MAX_GRID_CELLS}")
+    try:
+        if stop > start:
+            return [start * factor**i for i in range(steps + 1)]
+        return [start / factor**i for i in range(steps + 1)]
+    except OverflowError as exc:
+        raise ValueError(f"geometric grid factor**{steps} overflows float64") from exc
 
 
 def parse_grid(text: str) -> list[float]:

@@ -43,7 +43,7 @@ class GraphParseError(ValueError):
 
 # arcs per slice where an arc-length pass runs in slices to bound its
 # temporaries (the symmetry check, the degree pass, the modularity sums and
-# aggregation's per-block sort)
+# the row sort of the build and of aggregation)
 ARC_CHUNK = 1 << 14
 
 # arcs per slice of the build's counting sort, whose temporaries take
@@ -157,8 +157,9 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
     triangle is returned; mirroring the arcs is build_graph's job.
 
     Raises:
-        GraphParseError: on a malformed header or size line, an index out
-            of the declared range, a non-finite weight, or an entry count
+        GraphParseError: on a malformed header or size line, an entry
+            with fields missing or extra, an index out of the declared
+            range, a non-finite weight, or an entry count
             that does not match the size line.  Messages name the
             offending line number.
     """
@@ -229,6 +230,10 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
         want = 2 if pattern else 3
         if len(toks) < want:
             raise GraphParseError(f"line {line_no}: truncated entry: {stripped!r}")
+        if len(toks) > want:
+            raise GraphParseError(
+                f"line {line_no}: extra field in {fld} entry, expected {want}: {stripped!r}"
+            )
         try:
             u = int(toks[0]) - 1
             v = int(toks[1]) - 1
@@ -433,10 +438,9 @@ def _csr_arcs(
     time, so no arc-length source column or permutation is made.  parsed
     is emptied, so that when it held the only references the weights are
     freed before the target column exists, and the pairs once it is
-    filled.  Each row is then sorted stably by target, which gives the
-    arcs in stable (source, target) order, and _sum_runs merges each run
-    of a repeated pair.  Returns the row lengths, the targets (of dtype
-    ids) and the weights.
+    filled.  _sort_rows then gives the arcs in stable (source, target)
+    order, and _sum_runs merges each run of a repeated pair.  Returns the
+    row lengths, the targets (of dtype ids) and the weights.
     """
     pairs, ws = parsed
     parsed.clear()
@@ -454,16 +458,7 @@ def _csr_arcs(
     targets = np.empty(weights.size, dtype=ids)
     _scatter(offsets[:-1].copy(), _arc_slices(*ends, vs, us, loops), targets)
     del us, vs, ends
-    for r0, r1, lo, hi in _row_slices(offsets):
-        # sort by each arc's row start within the slice, then by target; a
-        # slice of many rows has at most ARC_CHUNK arcs, so the key is below
-        # ARC_CHUNK * n, inside the int64 range for any n whose offsets fit
-        # in memory
-        start = np.repeat(offsets[r0:r1] - lo, np.diff(offsets[r0 : r1 + 1]))
-        if start.size > 1:
-            order = np.argsort(start * n + targets[lo:hi], kind="stable")
-            targets[lo:hi] = targets[lo:hi][order]
-            weights[lo:hi] = weights[lo:hi][order]
+    _sort_rows(offsets, targets, weights, n)
     merged = [targets, weights]
     del targets, weights
     return _sum_runs(offsets, merged)
@@ -513,35 +508,25 @@ def _scatter(fill: np.ndarray, slices, out: np.ndarray | None = None) -> None:
         np.add.at(fill, keys, 1)
 
 
-def _merge_arcs(n: int, arcs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort arcs stably by (source, target) and sum each run of equal pairs.
+def _sort_rows(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray, n: int) -> None:
+    """Sort each row's arcs stably by target, in place, one row-aligned
+    slice at a time; targets lie in [0, n).  Arcs given in (source, arc
+    id) order come out in stable (source, target) order.
 
-    arcs is the list [sources, targets, weights] over rows 0..n-1; it is
-    emptied, so that when it held the only references each column is
-    freed as soon as it has a sorted copy.  Returns the row lengths and
-    the merged targets and weights in CSR order, as _sum_runs does.
+    The key of an arc is its row's start within the slice times n, plus
+    its target.  A slice of many rows has at most ARC_CHUNK arcs, so the
+    key is below ARC_CHUNK * n, inside the int64 range for any n whose
+    offsets fit in memory.
     """
-    us, vs, ws = arcs
-    arcs.clear()
-    # row lengths do not depend on the arc order, and in CSR order they
-    # imply every arc's source, so the sources are never permuted
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    if us.size:
-        np.cumsum(np.bincount(us, minlength=n), out=offsets[1:])
-        order = np.lexsort((vs, us))
-        del us
-        # an int32 order takes half the room beside each permuted copy
-        order = order.astype(_id_dtype(order.size), copy=False)
-        # permute one array at a time, so each unsorted array can be freed
-        # before the next copy is made
-        ws = ws[order]
-        vs = vs[order]
-        del order
-    # hand the sorted columns over in the emptied list, so that each is
-    # freed as soon as _sum_runs has its merged copy
-    arcs += vs, ws
-    del vs, ws
-    return _sum_runs(offsets, arcs)
+    for r0, r1, lo, hi in _row_slices(offsets):
+        if hi - lo > 1:
+            at = offsets[r0 : r1 + 1] - lo
+            key = np.repeat(at[:-1] * n, np.diff(at))
+            key += targets[lo:hi]
+            order = np.argsort(key, kind="stable")
+            del key
+            targets[lo:hi] = targets[lo:hi][order]
+            weights[lo:hi] = weights[lo:hi][order]
 
 
 def _sum_runs(
@@ -550,15 +535,16 @@ def _sum_runs(
     """Merge each run of repeated (source, target) pairs into one arc.
 
     arcs is the list [targets, weights] of arcs in CSR order under
-    offsets, each row's targets ascending; it is emptied, so that when it
-    held the only references each column is freed once it has been cut
-    to the merged length.  A run starts where a row starts or the target
-    changes.  Each run's weights are summed with reduceat in arc order,
-    over row-aligned slices that never split a run, so the sums are those
-    of one reduceat over all arcs; a sum past the float64 range is left
-    for _finish_graph to reject.  The merged arcs are written in place
-    over the front of the columns.  Returns the row lengths and the
-    merged targets and weights, the given columns when no pair repeats.
+    offsets, each row's targets ascending.  A run starts where a row
+    starts or the target changes.  Each run's weights are summed with
+    reduceat in arc order, over row-aligned slices that never split a
+    run, so the sums are those of one reduceat over all arcs; a sum past
+    the float64 range is left for _finish_graph to reject.  The merged
+    arcs are written in place over the front of the columns.  arcs is
+    emptied, so that when it held the only references the columns are
+    cut to the merged length in place; a column referenced elsewhere is
+    copied instead.  Returns the row lengths and the merged targets and
+    weights.
     """
     vs, ws = arcs
     arcs.clear()
@@ -579,9 +565,13 @@ def _sum_runs(
             ws[at : at + starts.size] = np.add.reduceat(ws[lo:hi], starts)
         counts[r0:r1] = np.diff(np.searchsorted(starts, offsets[r0 : r1 + 1] - lo))
         at += starts.size
-    if at < vs.size:
-        vs = vs[:at].copy()
-        ws = ws[:at].copy()
+    try:
+        # shrink in place; resize refuses a column that something else
+        # references (a view, or a tracer's copy of the frame's locals)
+        vs.resize(at)
+        ws.resize(at)
+    except ValueError:
+        vs, ws = vs[:at].copy(), ws[:at].copy()
     return counts, vs, ws
 
 

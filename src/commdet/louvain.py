@@ -46,7 +46,7 @@ from .community import (
     scan_arcs,
     singleton_assignment,
 )
-from .graph import Graph, _finish_graph, _id_dtype, _merge_arcs, _row_slices
+from .graph import Graph, _finish_graph, _id_dtype, _row_slices, _sort_rows, _sum_runs
 
 __all__ = [
     "Config",
@@ -435,69 +435,64 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
 
     The arcs are merged in blocks of whole communities, at most ARC_CHUNK
     arcs each unless one community alone has more.  A block lists its
-    communities' arcs in ascending arc order and _merge_arcs sorts them
-    stably by (community, target community) and sums each run with
-    reduceat, so every run holds the same arcs in the same order as under
-    one sort of all arcs, and sums to the same bits.  A first pass over
-    the blocks only counts each community's distinct target communities,
-    its merged row length, from one sorted key per arc; the second merges
-    each block and writes it straight into the coarse columns, allocated
-    at their final size, so no merged block is held to be joined at the
-    end.  The coarse targets are int32 when n_comm is at most 2**31 - 1.
+    communities' arcs in grouped order, members ascending and each
+    member's arcs in arc order, which is CSR form with one row per
+    community.  The build's _sort_rows sorts each row stably by target
+    community, the order one stable sort of all arcs by (community,
+    target community) gives, and _sum_runs sums each run in arc order,
+    so every run sums the same arcs in the same order, to the same bits.
+    A first pass merges each block only for its merged row lengths; the
+    second merges it again and writes it straight into the coarse
+    columns, allocated at their final size, so no merged block is held
+    to be joined at the end.  Beside the graph and the labels, the work
+    holds the members, int32 when g.n is at most 2**31 - 1, and
+    slice-sized temporaries.  The coarse targets are int32 when n_comm is
+    at most 2**31 - 1.
     """
     mapping, n_comm = normalize_labels(labels)
-    # the vertices grouped by community, ascending within each, and the
-    # position of each one's arcs in that grouped arc order
-    members = np.argsort(mapping, kind="stable")
-    member_arcs = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.diff(g.offsets)[members], out=member_arcs[1:])
+    # the vertices grouped by community, ascending within each
+    members = np.argsort(mapping, kind="stable").astype(_id_dtype(g.n), copy=False)
     first_member = np.zeros(n_comm + 1, dtype=np.int64)
     np.cumsum(np.bincount(mapping, minlength=n_comm), out=first_member[1:])
-    # the position of each community's first arc in that order
-    comm_arcs = member_arcs[first_member]
+    # the position of each community's first arc in the grouped arc order,
+    # where each member's arcs follow in arc order
+    comm_arcs = np.zeros(n_comm + 1, dtype=np.int64)
+    np.add.at(comm_arcs[1:], mapping, np.diff(g.offsets))
+    np.cumsum(comm_arcs, out=comm_arcs)
     blocks = list(_row_slices(comm_arcs))
+    ids = _id_dtype(n_comm)
 
-    def block_arcs(c0: int, c1: int, lo: int, hi: int) -> np.ndarray:
-        """The ids of the arcs of communities c0..c1-1, in grouped arc
-        positions lo..hi-1."""
+    def merged_block(c0: int, c1: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """The merged row lengths, targets and weights of communities
+        c0..c1-1, grouped arc positions lo..hi-1."""
         verts = members[first_member[c0] : first_member[c1]]
-        # a member's arcs start at this block position and at this arc id
-        at = member_arcs[first_member[c0] : first_member[c1] + 1] - lo
-        return np.arange(hi - lo) + np.repeat(g.offsets[verts] - at[:-1], np.diff(at))
+        arc = g.offsets[verts]
+        length = g.offsets[verts + 1] - arc
+        # each member's first arc id less its first position in the block
+        arc -= np.cumsum(length) - length
+        arc = np.repeat(arc, length)
+        arc += np.arange(hi - lo)
+        rows = comm_arcs[c0 : c1 + 1] - lo
+        block = [mapping[g.targets[arc]].astype(ids), g.weights[arc]]
+        del arc
+        _sort_rows(rows, *block, n_comm)
+        return _sum_runs(rows, block)
 
-    def row_lengths(c0: int, c1: int, lo: int, hi: int) -> np.ndarray:
-        """The number of distinct target communities of each community
-        c0..c1-1, grouped arc positions lo..hi-1: its merged row length."""
-        # key each arc by its community's first block position, then by
-        # target community, so the keys sort by (community, target
-        # community); a block of two or more communities has at most
-        # ARC_CHUNK arcs, so a key stays below ARC_CHUNK * n_comm
-        at = comm_arcs[c0 : c1 + 1] - lo
-        key = mapping[g.targets[block_arcs(c0, c1, lo, hi)]]
-        key += np.repeat(at[:-1] * n_comm, np.diff(at))
-        key.sort()
-        distinct = np.empty(key.size, dtype=bool)
-        distinct[:1] = True
-        np.not_equal(key[1:], key[:-1], out=distinct[1:])
-        return np.diff(np.searchsorted(np.flatnonzero(distinct), at))
-
+    # the first pass keeps each merged block's row lengths; a sorted key
+    # per arc counts them with less work, but would page in numpy's int64
+    # sort, code nothing else in detect runs, about 320 kB of peak RSS
     counts = np.zeros(n_comm, dtype=np.int64)
     for c0, c1, lo, hi in blocks:
-        counts[c0:c1] = row_lengths(c0, c1, lo, hi)
-    tgt = np.empty(int(counts.sum()), dtype=_id_dtype(n_comm))
+        counts[c0:c1] = merged_block(c0, c1, lo, hi)[0]
+    tgt = np.empty(int(counts.sum()), dtype=ids)
     w = np.empty(tgt.size, dtype=np.float64)
     at = 0
     for c0, c1, lo, hi in blocks:
-        arc = block_arcs(c0, c1, lo, hi)
-        # the columns [community - c0, target community, weight]
-        block = [np.repeat(np.arange(c1 - c0), np.diff(comm_arcs[c0 : c1 + 1])),
-                 mapping[g.targets[arc]], g.weights[arc]]
-        del arc
-        _, block_tgt, block_w = _merge_arcs(c1 - c0, block)
+        _, block_tgt, block_w = merged_block(c0, c1, lo, hi)
         tgt[at : at + block_tgt.size] = block_tgt
         w[at : at + block_tgt.size] = block_w
         at += block_tgt.size
-    del members, member_arcs, first_member, comm_arcs, block_tgt, block_w
+    del members, first_member, comm_arcs, block_tgt, block_w
     return _finish_graph(n_comm, counts, tgt, w), mapping
 
 

@@ -52,6 +52,47 @@ def test_geometric_grid_ascending_threads():
     assert geometric_grid(2, 48, 2) == [2, 4, 8, 16, 32]
 
 
+@pytest.mark.parametrize("start, stop, factor, message", [
+    (1.0, float("inf"), 10.0, "endpoints must be positive and finite"),
+    (float("nan"), 1.0, 10.0, "endpoints must be positive and finite"),
+    (1e-3, 1.0, float("inf"), "factor must be > 1 and finite"),
+    (1.0, 2.0, float("nan"), "factor must be > 1 and finite"),
+], ids=["inf-stop", "nan-start", "inf-factor", "nan-factor"])
+def test_geometric_grid_rejects_non_finite_values(start, stop, factor, message):
+    with pytest.raises(ValueError, match=message):
+        geometric_grid(start, stop, factor)
+
+
+def test_geometric_grid_rejects_more_cells_than_the_cap():
+    """1..1e6 by 1.0001 has about 138k cells; the cap rejects it before
+    building the list, and a grid at the cap is still built."""
+    with pytest.raises(ValueError, match="138163 cells, more than 10000"):
+        geometric_grid(1, 1e6, 1.0001)
+    assert len(geometric_grid(1.0, 1.01**9999, 1.01)) == 10_000
+    with pytest.raises(ValueError, match="10001 cells"):
+        geometric_grid(1.0, 1.01**10000, 1.01)
+
+
+def test_geometric_grid_spans_past_the_float64_ratio():
+    """stop / start overflows or underflows float64 here; the difference
+    of the logs does not, and a factor**i past float64 is a ValueError."""
+    assert geometric_grid(1e-300, 1e300, 1e301) == [1e-300, 1e-300 * 1e301]
+    assert geometric_grid(1e300, 1e-300, 1e301) == [1e300, 1e300 / 1e301]
+    with pytest.raises(ValueError, match=r"factor\*\*6 overflows float64"):
+        geometric_grid(1e-300, 1e300, 1e100)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1:inf:10", "grid endpoints must be positive and finite"),
+    ("1:1e6:1.0001", "more than 10000"),
+    ("1e-300:1e300:1e100", "overflows float64"),
+])
+def test_sweep_bad_geometric_grid_exits_2(grid, message, triangle_file, capsys):
+    assert main(["sweep", "tolerance", "--grid", grid, "--input", triangle_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_parse_grid_comma_list():
     assert parse_grid("1,2,4") == [1.0, 2.0, 4.0]
 

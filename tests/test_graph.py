@@ -12,7 +12,7 @@ from commdet.graph import (
     SCATTER_CHUNK,
     _csr_arcs,
     _is_symmetric,
-    _merge_arcs,
+    _sum_runs,
     build_graph,
     graph_stats,
     parse_edgelist,
@@ -96,6 +96,14 @@ def test_mm_index_out_of_range_names_line():
 def test_mm_truncated_entries():
     with pytest.raises(GraphParseError, match="truncated"):
         mm("%%MatrixMarket matrix coordinate pattern general\n4 4 4\n1 2\n2 3\n3 4\n")
+
+
+@pytest.mark.parametrize("fld, entry", [("real", "1 2 1.0 7"), ("pattern", "1 2 1.0")],
+                         ids=["real", "pattern"])
+def test_mm_extra_field_names_line(fld, entry):
+    with pytest.raises(GraphParseError, match=f"line 4: extra field in {fld} entry"):
+        mm(f"%%MatrixMarket matrix coordinate {fld} general\n2 2 2\n2 1{' 1' * (fld == 'real')}\n"
+           f"{entry}\n")
 
 
 def test_mm_non_finite_weight():
@@ -378,60 +386,19 @@ def test_symmetry_verdict_equals_lexsort_oracle():
         assert not lexsort_symmetric(arc_sources(g), g.targets, ws)
 
 
-def test_merge_equals_one_reduceat_over_all_arcs():
-    """Runs summed over row-aligned slices, with a row alone past
-    ARC_CHUNK arcs, runs of hundreds of arcs in it, runs of a few arcs in
-    the other rows and empty rows, give the bits of one reduceat."""
-    rng = np.random.default_rng(14)
-    n, hub = 3000, 3 * ARC_CHUNK
-    us = np.concatenate([np.zeros(hub, dtype=np.int64), rng.integers(1, n - 50, size=150_000)])
-    vs = np.concatenate([rng.integers(n, size=hub) % 40, rng.integers(n, size=150_000) % 25])
-    ws = rng.uniform(0.1, 10.0, us.size)
-    want = reduceat_merge(n, us, vs, ws)
-    assert want[1].size < us.size / 2
-    for ids in (np.int64, np.int32):
-        got = _merge_arcs(n, [us.astype(ids), vs.astype(ids), ws.copy()])
-        assert got[1].dtype == ids
-        assert [a.tobytes() for a in (got[0], got[1].astype(np.int64), got[2])] == [
-            a.tobytes() for a in want
-        ]
-
-
-def test_merge_gives_the_same_arcs_from_int32_and_int64_ids():
-    """The build sorts int32 endpoint columns when the ids fit, int64
-    otherwise; both merge to the same rows, targets and weight bits, and
-    the graph's targets are the int32 ones."""
-    rng = np.random.default_rng(10)
-    us, vs = rng.integers(500, size=4000), rng.integers(500, size=4000)
-    ws = rng.uniform(0.1, 10.0, 4000)
-    us, vs, ws = us[us != vs], vs[us != vs], ws[us != vs]
-    arcs = (np.concatenate([us, vs]), np.concatenate([vs, us]), np.concatenate([ws, ws]))
-    wide = _merge_arcs(520, [a.copy() for a in arcs])
-    narrow = _merge_arcs(520, [a.astype(np.int32) if a.dtype.kind == "i" else a.copy() for a in arcs])
-    assert narrow[1].dtype == np.int32 and wide[1].dtype == np.int64
-    assert [a.tobytes() for a in (narrow[0], narrow[1].astype(np.int64), narrow[2])] == [
-        a.tobytes() for a in wide
-    ]
-    # the graph keeps the narrow targets, as every graph of at most
-    # 2**31 - 1 vertices does
-    g = build_graph(EdgeList(520, np.column_stack([us, vs]), ws))
-    assert g.targets.dtype == np.int32
-    assert g.targets.tobytes() == narrow[1].tobytes() and g.weights.tobytes() == wide[2].tobytes()
-
-
 @pytest.mark.parametrize("symmetrize", [True, False], ids=["sym", "no-sym"])
 def test_scatter_gives_the_lexsort_arcs_from_int32_and_int64_ids(symmetrize):
     """The build scatters int32 targets when the ids fit, int64 otherwise;
     both give the rows, targets and weight bits of one lexsort and one
     reduceat over the arc columns, with repeated pairs, loops, inserted
-    loops, empty rows and more entries than one scatter slice."""
-    rng = np.random.default_rng(15)
-    for n, k in [(1, 0), (5, 0), (3, 7), (9, 60), (40, 700), (300, SCATTER_CHUNK + 900)]:
-        pairs = rng.integers(n - n // 3, size=(k, 2))
-        ws = rng.uniform(0.1, 10.0, k)
+    loops, empty rows and more entries than one scatter slice, and, with
+    symmetrize off, a row alone past ARC_CHUNK arcs that _sort_rows and
+    _sum_runs take in a slice of its own."""
+
+    def check(n, pairs, ws):
         loops = np.setdiff1d(np.arange(n), pairs[pairs[:, 0] == pairs[:, 1], 0])[::2]
         us, vs = pairs[:, 0], pairs[:, 1]
-        off = us != vs if symmetrize else np.zeros(k, dtype=bool)
+        off = us != vs if symmetrize else np.zeros(us.size, dtype=bool)
         want = reduceat_merge(
             n, np.concatenate([us, vs[off], loops]), np.concatenate([vs, us[off], loops]),
             np.concatenate([ws, ws[off], np.full(loops.size, 0.25)]),
@@ -442,6 +409,50 @@ def test_scatter_gives_the_lexsort_arcs_from_int32_and_int64_ids(symmetrize):
             assert [a.tobytes() for a in (got[0], got[1].astype(np.int64), got[2])] == [
                 a.tobytes() for a in want
             ]
+        return want
+
+    rng = np.random.default_rng(15)
+    for n, k in [(1, 0), (5, 0), (3, 7), (9, 60), (40, 700), (300, SCATTER_CHUNK + 900)]:
+        check(n, rng.integers(n - n // 3, size=(k, 2)), rng.uniform(0.1, 10.0, k))
+    if not symmetrize:
+        # row 0 has 3 * ARC_CHUNK arcs in runs of hundreds, rows up to
+        # n - 51 runs of a few arcs, and the last 50 rows no entries
+        n, hub = 3000, 3 * ARC_CHUNK
+        us = np.concatenate([np.zeros(hub, dtype=np.int64), rng.integers(1, n - 50, size=150_000)])
+        vs = np.concatenate([rng.integers(n, size=hub) % 40, rng.integers(n, size=150_000) % 25])
+        want = check(n, np.column_stack([us, vs]), rng.uniform(0.1, 10.0, us.size))
+        assert want[1].size < us.size / 2
+
+
+def _repeated_pairs():
+    """Rows [0 1 1 | 0 0 2] of a 3-vertex CSR: each row repeats a pair."""
+    offsets = np.array([0, 3, 6, 6])
+    return offsets, np.array([0, 1, 1, 0, 0, 2], dtype=np.int32), np.arange(1.0, 7.0)
+
+
+def test_sum_runs_cuts_the_handed_over_columns_in_place():
+    """Handed over in a list that held the only references, the columns
+    are merged and cut to length in place: no merged copy is made."""
+    offsets, vs, ws = _repeated_pairs()
+    handed = [vs, ws]
+    given = [id(vs), id(ws)]
+    del vs, ws
+    counts, vs, ws = _sum_runs(offsets, handed)
+    assert handed == [] and [id(vs), id(ws)] == given
+    assert counts.tolist() == [2, 2, 0]
+    assert vs.tolist() == [0, 1, 0, 2] and ws.tolist() == [1.0, 5.0, 9.0, 6.0]
+
+
+def test_sum_runs_copies_columns_referenced_elsewhere():
+    """A column that something else still references is not resized
+    under it; the merged arcs come back in a copy of its front."""
+    offsets, vs, ws = _repeated_pairs()
+    view = ws[1:]
+    counts, got_vs, got_ws = _sum_runs(offsets, [vs, ws])
+    assert got_vs is not vs and got_ws is not ws
+    assert vs.size == ws.size == view.size + 1 == 6
+    assert got_vs.tolist() == [0, 1, 0, 2] and got_ws.tolist() == [1.0, 5.0, 9.0, 6.0]
+    assert view.tolist() == ws[1:].tolist()
 
 
 # ---------------------------------------------------------------------------

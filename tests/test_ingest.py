@@ -330,10 +330,13 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # ---------------------------------------------------------------------------
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
-# (numpy 2.4): 23.5 B on the planted input with repeated pairs and 23.1 B
-# without, with int32 ids from the parser to the Graph's targets; at this
-# size the peak sits in _sum_runs's cut copies and the symmetry check's
-# slice temporaries rather than in the id columns.  24.3 B and 23.8 B
+# (numpy 2.4): 23.1 B on the planted input with repeated pairs and 23.2 B
+# without, with _sort_rows freeing each slice's sort key before the
+# permuted copies are made and _sum_runs cutting the merged columns in
+# place; 23.5 B and 23.1 B with int32 ids from the parser to the Graph's
+# targets, the key held through the permutation and the merged columns
+# copied, the peak then in those copies and the symmetry check's slice
+# temporaries rather than in the id columns.  24.3 B and 23.8 B
 # with int64 parsed pairs and the targets widened to int64 last, with the
 # arcs scattered into rows by a counting sort in slices of SCATTER_CHUNK
 # arcs and no arc-length permutation (31.4 B with slices of 16k arcs);
@@ -345,8 +348,8 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # the loader packed (u, v, w) records, 42.0 and 40.5 B with int64 columns
 # and an arc-length source column in the symmetry check, 62 B when the
 # parsed entries lived through the sort, 188 B when they were a list of
-# tuples.  The bound leaves 25% headroom over 23.5 B
-MAX_LOAD_BYTES_PER_ARC = 29.3
+# tuples.  The bound leaves 25% headroom over 23.2 B
+MAX_LOAD_BYTES_PER_ARC = 29.0
 
 # tracemalloc peak of pass-0 local moving per arc, warm (numpy 2.4): 2.33 B
 # in async and in sync mode and 2.46 B with two threads, with the labels,
@@ -358,34 +361,46 @@ MAX_LOAD_BYTES_PER_ARC = 29.3
 MAX_MOVE_BYTES_PER_ARC = 3.1
 
 # tracemalloc peaks per arc of modularity and aggregate_graph under the
-# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 7.71 B with
-# aggregation's first pass only counting each community's distinct target
-# communities; 7.82 B when that pass merged every block as the second
-# does, with modularity's terms computed in place and aggregation writing
+# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 6.32 B with
+# both of aggregation's passes merging each block through the build's
+# _sort_rows and _sum_runs, the members int32 and no n-length array of
+# member arc positions; 7.71 B with the first pass only counting each
+# community's distinct target communities from a sorted key per arc and
+# the blocks merged by a lexsort; 7.82 B when that pass merged every
+# block as the second did, with modularity's terms computed in place and
+# aggregation writing
 # each merged block straight into the coarse columns; 5.3 B and 8.3 B when modularity
 # made a copy per term and aggregation joined its held blocks at the end,
 # both already over slices of about ARC_CHUNK arcs; 23.4 B and 24.6 B
 # over whole arc arrays.  The bounds leave 25% headroom
 MAX_MODULARITY_BYTES_PER_ARC = 6.1
-MAX_AGGREGATE_BYTES_PER_ARC = 9.8
+MAX_AGGREGATE_BYTES_PER_ARC = 7.9
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
-# per arc: 27.7 B (median of 9, 26.6-28.4) with int32 ids from the parser
-# to the Graph, against 27.9 B (median of 7, 27.7-28.6) measured beside
-# it with int64 parsed pairs and the targets widened last; with repeated
-# pairs _sum_runs's cut copies set this peak, and the same input without
-# them reads 22.8 B against 25.5 B (medians of 5).  28.7 B (median of 9,
-# 27.3-28.9) when first measured with the counting-sort build, 32.8 B
-# (median of 5, 32.7-33.0) with the lexsort build, 34.7 B (34.3-35.3)
-# when the loader packed (u, v, w) records.  RSS also counts
-# what tracemalloc does not see, such as the sorts' own buffers and pages
-# the allocator keeps.  The bound leaves 25% headroom over 27.7 B
-MAX_STATS_RSS_BYTES_PER_ARC = 34.6
+# per arc: 23.0 B (medians of 5 in two runs, 22.0-23.4) with _sum_runs
+# cutting the merged columns in place, against 28.2 B (27.5-29.0) beside
+# it when it copied them.  27.7 B (median of 9, 26.6-28.4) with int32 ids
+# from the parser to the Graph, against 27.9 B (median of 7, 27.7-28.6)
+# measured beside it with int64 parsed pairs and the targets widened
+# last; with repeated pairs _sum_runs's cut copies set this peak, and the
+# same input without them read 22.8 B against 25.5 B (medians of 5).
+# 28.7 B (median of 9, 27.3-28.9) when first measured with the
+# counting-sort build, 32.8 B (median of 5, 32.7-33.0) with the lexsort
+# build, 34.7 B (34.3-35.3) when the loader packed (u, v, w) records.
+# RSS also counts what tracemalloc does not see, such as the sorts' own
+# buffers and pages the allocator keeps.  The bound leaves 25% headroom over 23.0 B
+MAX_STATS_RSS_BYTES_PER_ARC = 28.8
 
 # peak RSS of ``commdet detect --out-membership`` less that of ``commdet
-# stats``, per vertex, on the planted input with 100 blocks of 200: -8.6 to
-# 4.9 B (median 0.4, 15 runs) with the counting-sort build, aggregation
+# stats``, per vertex, on the planted input with 100 blocks of 200: -0.6 to
+# 11.5 B (medians 6.6 and 4.1 in two runs of 9) with _sum_runs cutting
+# the merged columns in place, which took the load's peak down to where
+# it stays, and aggregation merging its first pass's blocks rather than
+# sorting one key per arc, whose int64 sort code, paged in for
+# aggregation alone, read 14-21 B; -12.1 to 4.7 B (medians -7.0 to 0.2)
+# measured beside it with the merged columns copied.  -8.6 to 4.9 B
+# (median 0.4, 15 runs) with the counting-sort build, aggregation
 # writing each merged block straight into the coarse columns and the
 # pass's labels freed once normalized, so the load sets the peak; -0.8 to
 # 12.7 B (median 9.6, 6 runs) when aggregation held its merged blocks and
