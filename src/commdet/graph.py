@@ -575,6 +575,58 @@ def _sum_runs(
     return counts, vs, ws
 
 
+def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
+    """The graph with each community of mapping, normalized labels in
+    [0, n_comm), collapsed into one vertex.
+
+    The arcs are merged in blocks of whole communities, at most ARC_CHUNK
+    arcs each unless one community alone has more.  A block lists its
+    communities' arcs in grouped order, members ascending and each
+    member's arcs in arc order, which is CSR form with one row per
+    community.  _sort_rows sorts each row stably by target community, the
+    order one stable sort of all arcs by (community, target community)
+    gives, and _sum_runs sums each run in arc order, so every run sums the
+    same arcs in the same order, to the same bits.  Each block is merged
+    once and appended to growing target and weight buffers.  Beside the
+    graph, the work holds the members, int32 when g.n fits, and
+    slice-sized temporaries; the coarse targets are _id_dtype(n_comm).
+    """
+    # the vertices grouped by community, ascending within each
+    members = np.argsort(mapping, kind="stable").astype(_id_dtype(g.n), copy=False)
+    first_member = np.zeros(n_comm + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mapping, minlength=n_comm), out=first_member[1:])
+    # the position of each community's first arc in the grouped arc order,
+    # where each member's arcs follow in arc order
+    comm_arcs = np.zeros(n_comm + 1, dtype=np.int64)
+    np.add.at(comm_arcs[1:], mapping, np.diff(g.offsets))
+    np.cumsum(comm_arcs, out=comm_arcs)
+    ids = _id_dtype(n_comm)
+    counts = np.empty(n_comm, dtype=np.int64)
+    tgt, w = array("i" if ids is np.int32 else "q"), array("d")
+    for c0, c1, lo, hi in _row_slices(comm_arcs):
+        verts = members[first_member[c0] : first_member[c1]]
+        arc = g.offsets[verts]
+        length = g.offsets[verts + 1] - arc
+        # each member's first arc id less its first position in the block
+        arc -= np.cumsum(length) - length
+        arc = np.repeat(arc, length)
+        arc += np.arange(hi - lo)
+        rows = comm_arcs[c0 : c1 + 1] - lo
+        block = [mapping[g.targets[arc]].astype(ids), g.weights[arc]]
+        del arc
+        _sort_rows(rows, *block, n_comm)
+        counts[c0:c1], block_tgt, block_w = _sum_runs(rows, block)
+        tgt.frombytes(block_tgt.data.cast("B"))
+        w.frombytes(block_w.data.cast("B"))
+        # free the merged block before the next one is gathered: left
+        # alive, it sits among the next block's temporaries where the
+        # growing buffers would extend, which raised detect's peak RSS by
+        # 0.6 MB on a graph of 882k arcs
+        del block_tgt, block_w
+    del members, first_member, comm_arcs
+    return _finish_graph(n_comm, counts, np.frombuffer(tgt, dtype=ids), np.frombuffer(w))
+
+
 def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> Graph:
     """Check merged CSR arcs and wrap them in a Graph.
 
@@ -583,7 +635,7 @@ def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) ->
     offsets, degrees and total are derived here, and the weights, the
     symmetry and the total are checked.  vs becomes the Graph's targets
     as given, without a copy, so its dtype is the caller's: _id_dtype(n)
-    for build_graph and aggregate_graph.
+    for build_graph and _coarsen.
     """
     if ws.size and ws.min() <= 0:
         raise ValueError("arc weights must be positive after merging")

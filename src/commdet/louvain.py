@@ -41,12 +41,13 @@ import numpy as np
 
 from .community import (
     Dendrogram,
+    _check_labels,
     modularity,
     normalize_labels,
     scan_arcs,
     singleton_assignment,
 )
-from .graph import Graph, _finish_graph, _id_dtype, _row_slices, _sort_rows, _sum_runs
+from .graph import Graph, _coarsen
 
 __all__ = [
     "Config",
@@ -93,17 +94,14 @@ class Config:
             raise ValueError("tolerance_decline_factor must be >= 1")
         if not self.pass_tolerance >= 0:
             raise ValueError("pass_tolerance must be >= 0")
-        if not self.max_passes >= 1:
-            raise ValueError("max_passes must be >= 1")
-        if not self.max_iterations_per_pass >= 1:
-            raise ValueError("max_iterations_per_pass must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not (self.threads >= 1 and float(self.threads).is_integer()):
-            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
-        self.threads = int(self.threads)
-        if not self.chunk_size >= 1:
-            raise ValueError("chunk_size must be >= 1")
+        # the counts feed range(), so integral floats become int
+        for name in ("max_passes", "max_iterations_per_pass", "threads", "chunk_size"):
+            value = getattr(self, name)
+            if not (value >= 1 and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            setattr(self, name, int(value))
         if self.threads > 1 and self.mode != "async":
             raise ValueError("the threaded engine only supports async mode")
 
@@ -349,14 +347,14 @@ def _move_loop(
     gives and of the float64 community masses, and the sweep updates the
     last two in place.  So labels is updated in place, directly when
     _kernel_inputs uses it as it is and by one copy back at the end
-    otherwise.  Raises ValueError when a label lies outside [0, n).
+    otherwise.  Raises ValueError when labels is not of shape (n,) or a
+    label lies outside [0, n).
     Returns (iterations, cumulative gain, accepted moves, conflicts per
     iteration, sigma drift), where the drift is the largest absolute
     difference between the incrementally maintained community masses and
     an exact recomputation from the final labels.
     """
-    if labels.size and (labels.min() < 0 or labels.max() >= g.n):
-        raise ValueError("labels must lie in [0, n)")
+    _check_labels(g, labels)
     graph, work = _kernel_inputs(g, labels)
     sigma_tot = np.bincount(work, weights=g.degrees, minlength=g.n)
     state = (memoryview(work), memoryview(sigma_tot), g.total / 2.0)
@@ -418,7 +416,7 @@ def local_moving(
     accepted moves).  The gain is the sum of decision-time move gains; in
     async mode it matches the realized modularity increase, in sync mode
     it can overstate it.  Hitting max_iterations stops the loop without
-    raising.
+    raising; labels not of shape (g.n,) or outside [0, n) raise ValueError.
     """
     cfg = Config(mode=mode, max_iterations_per_pass=max_iterations)
     return _move_phase(g, labels, tolerance, cfg)[:3]
@@ -431,69 +429,16 @@ def aggregate_graph(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     existing self-loops) becomes the super-vertex's self-loop, so the
     coarse graph scores the same modularity under singletons as the fine
     graph does under the given labels.  Returns the coarse graph and the
-    normalized labels used as the dendrogram level.
-
-    The arcs are merged in blocks of whole communities, at most ARC_CHUNK
-    arcs each unless one community alone has more.  A block lists its
-    communities' arcs in grouped order, members ascending and each
-    member's arcs in arc order, which is CSR form with one row per
-    community.  The build's _sort_rows sorts each row stably by target
-    community, the order one stable sort of all arcs by (community,
-    target community) gives, and _sum_runs sums each run in arc order,
-    so every run sums the same arcs in the same order, to the same bits.
-    A first pass merges each block only for its merged row lengths; the
-    second merges it again and writes it straight into the coarse
-    columns, allocated at their final size, so no merged block is held
-    to be joined at the end.  Beside the graph and the labels, the work
-    holds the members, int32 when g.n is at most 2**31 - 1, and
-    slice-sized temporaries.  The coarse targets are int32 when n_comm is
-    at most 2**31 - 1.
+    normalized labels used as the dendrogram level; labels not of shape
+    (g.n,) raise ValueError.  The labels are normalized once, and
+    graph._coarsen merges each block of whole communities once, in one
+    pass, to the bits of one stable sort of all arcs by (community, target
+    community) with each run summed in arc order.
     """
+    if np.shape(labels) != (g.n,):
+        raise ValueError(f"labels must have length {g.n}, got {np.shape(labels)}")
     mapping, n_comm = normalize_labels(labels)
-    # the vertices grouped by community, ascending within each
-    members = np.argsort(mapping, kind="stable").astype(_id_dtype(g.n), copy=False)
-    first_member = np.zeros(n_comm + 1, dtype=np.int64)
-    np.cumsum(np.bincount(mapping, minlength=n_comm), out=first_member[1:])
-    # the position of each community's first arc in the grouped arc order,
-    # where each member's arcs follow in arc order
-    comm_arcs = np.zeros(n_comm + 1, dtype=np.int64)
-    np.add.at(comm_arcs[1:], mapping, np.diff(g.offsets))
-    np.cumsum(comm_arcs, out=comm_arcs)
-    blocks = list(_row_slices(comm_arcs))
-    ids = _id_dtype(n_comm)
-
-    def merged_block(c0: int, c1: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        """The merged row lengths, targets and weights of communities
-        c0..c1-1, grouped arc positions lo..hi-1."""
-        verts = members[first_member[c0] : first_member[c1]]
-        arc = g.offsets[verts]
-        length = g.offsets[verts + 1] - arc
-        # each member's first arc id less its first position in the block
-        arc -= np.cumsum(length) - length
-        arc = np.repeat(arc, length)
-        arc += np.arange(hi - lo)
-        rows = comm_arcs[c0 : c1 + 1] - lo
-        block = [mapping[g.targets[arc]].astype(ids), g.weights[arc]]
-        del arc
-        _sort_rows(rows, *block, n_comm)
-        return _sum_runs(rows, block)
-
-    # the first pass keeps each merged block's row lengths; a sorted key
-    # per arc counts them with less work, but would page in numpy's int64
-    # sort, code nothing else in detect runs, about 320 kB of peak RSS
-    counts = np.zeros(n_comm, dtype=np.int64)
-    for c0, c1, lo, hi in blocks:
-        counts[c0:c1] = merged_block(c0, c1, lo, hi)[0]
-    tgt = np.empty(int(counts.sum()), dtype=ids)
-    w = np.empty(tgt.size, dtype=np.float64)
-    at = 0
-    for c0, c1, lo, hi in blocks:
-        _, block_tgt, block_w = merged_block(c0, c1, lo, hi)
-        tgt[at : at + block_tgt.size] = block_tgt
-        w[at : at + block_tgt.size] = block_w
-        at += block_tgt.size
-    del members, first_member, comm_arcs, block_tgt, block_w
-    return _finish_graph(n_comm, counts, tgt, w), mapping
+    return _coarsen(g, mapping, n_comm), mapping
 
 
 def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
@@ -533,7 +478,7 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
         agg_ms = 0.0
         if not stop:
             t1 = time.perf_counter()
-            g_next, mapping = aggregate_graph(g_cur, mapping)
+            g_next = _coarsen(g_cur, mapping, n_comm)
             agg_ms = (time.perf_counter() - t1) * 1000.0
         pass_stats.append(
             PassStats(

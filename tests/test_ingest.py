@@ -361,16 +361,18 @@ MAX_LOAD_BYTES_PER_ARC = 29.0
 MAX_MOVE_BYTES_PER_ARC = 3.1
 
 # tracemalloc peaks per arc of modularity and aggregate_graph under the
-# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 6.32 B with
-# both of aggregation's passes merging each block through the build's
-# _sort_rows and _sum_runs, the members int32 and no n-length array of
-# member arc positions; 7.71 B with the first pass only counting each
-# community's distinct target communities from a sorted key per arc and
-# the blocks merged by a lexsort; 7.82 B when that pass merged every
-# block as the second did, with modularity's terms computed in place and
-# aggregation writing
-# each merged block straight into the coarse columns; 5.3 B and 8.3 B when modularity
-# made a copy per term and aggregation joined its held blocks at the end,
+# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 6.22 B with
+# aggregation merging each block once through the build's _sort_rows and
+# _sum_runs and appending it to growing coarse buffers; 6.32 B when a
+# first pass merged every block for its row lengths and a second merged
+# it again into columns of the final size, the members int32 and no
+# n-length array of member arc positions; 7.71 B with the first pass
+# only counting each community's distinct target communities from a
+# sorted key per arc and the blocks merged by a lexsort; 7.82 B when that
+# pass merged every block as the second did, with modularity's terms
+# computed in place and aggregation writing each merged block straight
+# into the coarse columns; 5.3 B and 8.3 B when modularity made a copy
+# per term and aggregation joined its held blocks at the end,
 # both already over slices of about ARC_CHUNK arcs; 23.4 B and 24.6 B
 # over whole arc arrays.  The bounds leave 25% headroom
 MAX_MODULARITY_BYTES_PER_ARC = 6.1
@@ -393,7 +395,9 @@ MAX_AGGREGATE_BYTES_PER_ARC = 7.9
 MAX_STATS_RSS_BYTES_PER_ARC = 28.8
 
 # peak RSS of ``commdet detect --out-membership`` less that of ``commdet
-# stats``, per vertex, on the planted input with 100 blocks of 200: -0.6 to
+# stats``, per vertex, on the planted input with 100 blocks of 200: -3.7 to
+# 4.5 B (median 0.4, 9 runs) with aggregation merging each block once,
+# 4.7 to 12.3 B (median 7.0) beside it with two merge passes; -0.6 to
 # 11.5 B (medians 6.6 and 4.1 in two runs of 9) with _sum_runs cutting
 # the merged columns in place, which took the load's peak down to where
 # it stays, and aggregation merging its first pass's blocks rather than

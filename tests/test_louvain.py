@@ -18,7 +18,7 @@ from commdet.community import (
     singleton_assignment,
 )
 from commdet.fixtures import gnp_graph
-from commdet.graph import EdgeList, Graph, build_graph
+from commdet.graph import EdgeList, Graph, _row_slices, build_graph
 from commdet.louvain import (
     Config,
     _kernel_inputs,
@@ -52,6 +52,7 @@ TRIANGLE_SPLIT = np.array([0, 0, 0, 1, 1, 1])
 
 # the package re-exports the louvain function under the module's name
 LOUVAIN_MODULE = importlib.import_module("commdet.louvain")
+GRAPH_MODULE = importlib.import_module("commdet.graph")
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,11 @@ def test_config_defaults():
         {"threads": float("inf")},
         {"chunk_size": 0},
         {"mode": "sync", "threads": 2},
+        {"max_passes": 2.5},
+        {"max_passes": float("inf")},
+        {"max_iterations_per_pass": 2.5},
+        {"max_iterations_per_pass": float("nan")},
+        {"threads": 2, "chunk_size": 2.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -95,8 +101,9 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_config_integral_float_threads_become_int():
-    cfg = Config(threads=2.0)
-    assert cfg.threads == 2 and type(cfg.threads) is int
+    for name in ("max_passes", "max_iterations_per_pass", "threads", "chunk_size"):
+        value = getattr(Config(**{name: 2.0}), name)
+        assert value == 2 and type(value) is int, name
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +245,13 @@ def test_local_moving_rejects_labels_outside_range(engine, bad):
         _run_engine(engine, two_triangles(), labels)
     assert labels.tolist() == [0, 0, 0, bad, bad, bad]
     assert sys.getswitchinterval() == interval
+
+
+@pytest.mark.parametrize("engine", ["async", "sync", "threads2"])
+@pytest.mark.parametrize("shape", [(5,), (7,), (6, 1)], ids=["short", "long", "column"])
+def test_local_moving_rejects_labels_of_another_shape(engine, shape):
+    with pytest.raises(ValueError, match=rf"^labels must have length 6, got \({shape[0]},"):
+        _run_engine(engine, two_triangles(), np.zeros(shape, dtype=np.int64))
 
 
 @pytest.mark.parametrize("engine", ["async", "sync", "threads2"])
@@ -471,6 +485,35 @@ def test_aggregate_equals_lexsort_oracle():
     assert sequential[arc_sources(ref), ref.targets].tobytes() != ref.weights.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(5,), (7,), (6, 1)], ids=["short", "long", "column"])
+def test_aggregate_rejects_labels_of_another_shape(shape):
+    message = rf"^labels must have length 6, got \({shape[0]},"
+    with pytest.raises(ValueError, match=message):
+        aggregate_graph(two_triangles(), np.zeros(shape, dtype=np.int64))
+
+
+def test_aggregate_merges_each_block_once(monkeypatch):
+    g = weighted_chunk_graph()
+    labels = dict(oracle_labelings(g))["scattered"]
+    want = aggregate_graph(g, labels)
+    mapping, n_comm = normalize_labels(labels)
+    # where each community's arcs end in the grouped arc order
+    comm_arcs = np.cumsum(np.bincount(mapping, np.diff(g.offsets), n_comm), dtype=np.int64)
+    blocks = len(list(_row_slices(np.concatenate([[0], comm_arcs]))))
+    assert blocks > 4
+    merged = []
+    sum_runs = GRAPH_MODULE._sum_runs
+
+    def counted(offsets, arcs):
+        merged.append(offsets.size - 1)
+        return sum_runs(offsets, arcs)
+
+    monkeypatch.setattr(GRAPH_MODULE, "_sum_runs", counted)
+    got = aggregate_graph(g, labels)
+    assert len(merged) == blocks and sum(merged) == n_comm
+    assert graph_bytes(got[0]) == graph_bytes(want[0])
+
+
 def _unchecked_graph(n, arcs):
     """A Graph straight from (u, v, w) arcs in CSR order, without
     build_graph's checks, so aggregation meets the input itself."""
@@ -548,6 +591,20 @@ def test_louvain_truncation_flag_on_pass_cap():
     _, rep = louvain(g, Config(max_passes=1))
     assert rep.truncated
     assert rep.n_passes == 1
+
+
+def test_louvain_normalizes_each_pass_once(monkeypatch):
+    calls = []
+
+    def counted(labels):
+        calls.append(len(labels))
+        return normalize_labels(labels)
+
+    monkeypatch.setattr(LOUVAIN_MODULE, "normalize_labels", counted)
+    g = weighted_chunk_graph()
+    _, rep = louvain(g)
+    assert rep.n_passes > 2
+    assert calls == [p.vertices for p in rep.passes]
 
 
 def test_louvain_report_counts():
