@@ -20,7 +20,7 @@ import os
 import sys
 from typing import TextIO
 
-from .community import flatten, normalize_labels, write_membership
+from .community import flatten, write_membership
 from .fixtures import cliques, random_gnp, ring_of_cliques
 from .graph import Graph, GraphParseError, graph_stats, load_graph_file, save_edgelist
 from .louvain import Config, PassStats, Report, SweepResult, louvain, sweep_threads, sweep_tolerance
@@ -248,7 +248,7 @@ def _prepare(
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg, _, g = _prepare(args, [args.out_membership, args.out_report])
     dend, report = louvain(g, cfg)
-    labels, _ = normalize_labels(flatten(dend))
+    labels = flatten(dend)
     print(
         f"Q={report.final_q:.4f} passes={report.n_passes} "
         f"iterations={report.total_iterations} wall_ms={report.wall_ms:.1f}"

@@ -143,38 +143,39 @@ def community_aggregates(
     )
 
 
-def scan_arcs(u: int, offs, tgt, wts, labs) -> tuple[dict, float]:
+def scan_arcs(u: int, offs, tgt, wts, labs) -> dict:
     """Weights from vertex u into each adjacent community, from CSR rows.
 
     offs / tgt / wts are the graph's offsets, targets and weights and labs
-    the labels, as lists or arrays.  Returns (k_map, loop_weight): k_map[c]
-    sums u's non-loop arc weights into community c and always contains u's
-    own community (0.0 when u has no non-loop neighbor there); loop_weight
-    is u's self-loop arc weight.  Arcs are summed in CSR order, and k_map
-    keys are ordered by first appearance after u's own community.
+    the labels, as lists or arrays.  Returns k_map: k_map[c] sums u's
+    non-loop arc weights into community c and always contains u's own
+    community (0.0 when u has no non-loop neighbor there).  Arcs are
+    summed in CSR order, and k_map keys are ordered by first appearance
+    after u's own community.
     """
     k_map = {labs[u]: 0.0}
-    loop_w = 0.0
     for k in range(offs[u], offs[u + 1]):
         v = tgt[k]
         if v == u:
-            loop_w += wts[k]
             continue
         c = labs[v]
         if c in k_map:
             k_map[c] += wts[k]
         else:
             k_map[c] = wts[k]
-    return k_map, loop_w
+    return k_map
 
 
 def neighbor_community_weights(
     g: Graph, labels: np.ndarray, u: int
 ) -> tuple[dict[int, float], float]:
     """scan_arcs on a Graph and label array, with builtin int keys and
-    float values."""
-    k_map, loop_w = scan_arcs(u, g.offsets, g.targets, g.weights, labels)
-    return {int(c): float(w) for c, w in k_map.items()}, float(loop_w)
+    float values, and u's self-loop weight (0.0 without one; rows are
+    merged, so u has at most one loop arc)."""
+    k_map = scan_arcs(u, g.offsets, g.targets, g.weights, labels)
+    row = slice(g.offsets[u], g.offsets[u + 1])
+    loop_w = float(g.weights[row][g.targets[row] == u].sum())
+    return {int(c): float(w) for c, w in k_map.items()}, loop_w
 
 
 def modularity(g: Graph, labels: np.ndarray) -> float:

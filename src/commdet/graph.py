@@ -11,7 +11,10 @@ never makes a widened copy of an arc-length id column.  build_graph puts
 the arcs into rows with a stable counting sort that scatters a few
 thousand arcs at a time, so a load holds the parsed edges, the weight and
 target columns and slice-sized temporaries, but no arc-length source
-column or sort permutation.
+column or sort permutation.  Each arc column has one owner: the build
+allocates its weight and target columns, has _sum_runs merge the arcs
+over their front and cuts them to length, and aggregation appends the
+merged front of each block to its coarse buffers.
 """
 
 from __future__ import annotations
@@ -348,10 +351,14 @@ def load_graph_file(
     add_self_loops: bool = False,
     default_weight: float = 1.0,
 ) -> Graph:
-    """Load and preprocess a graph from a .mtx or edge-list file."""
+    """Load and preprocess a graph from a .mtx or edge-list file.
+
+    A byte that is not UTF-8 reads as U+FFFD, so the parser rejects the
+    token that holds it with the line number, and ignores it in a comment.
+    """
     if fmt is None:
         fmt = "mtx" if str(path).endswith(".mtx") else "edgelist"
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         # the list holds the only reference to the parsed edges, and _build
         # empties it, so each array is freed as soon as the build is done with it
         held = [(parse_matrix_market if fmt == "mtx" else parse_edgelist)(fh)]
@@ -392,9 +399,19 @@ def _build(
     """build_graph over the one EdgeList in held, a list that this
     function empties and whose EdgeList it leaves unchanged.
 
-    When the list held the only reference to the EdgeList, its weights
-    are freed once they are scattered into the weight column, and its id
-    pairs once the target column is filled.
+    The arc order is the entries, then, with symmetrize on, each entry
+    whose ends differ reversed, then the inserted loops.  A stable
+    counting sort puts the arcs into rows: each row's arcs are counted,
+    then the weights and then the targets are scattered to their row's
+    fill pointer in arc order, SCATTER_CHUNK entries at a time, so no
+    arc-length source column or permutation is made.  When held had the
+    only reference to the EdgeList, its weights are freed before the
+    target column exists, and its id pairs once that column is filled.
+    _sort_rows then gives the arcs in stable (source, target) order,
+    _sum_runs merges each run of a repeated pair over the front of the
+    columns, and this function, their one owner, cuts them to the merged
+    length in place; a column that something else references (a tracer's
+    copy of the frame's locals) is copied instead.
     """
     edges = held.pop()
     n, pairs, ws = edges.n, edges.entries, edges.weights
@@ -414,54 +431,32 @@ def _build(
             has_loop = np.zeros(n, dtype=bool)
             has_loop[pairs[pairs[:, 0] == pairs[:, 1], 0]] = True
             loops = np.flatnonzero(~has_loop)
-        # hand the parsed arrays over in a list the callee empties
-        parsed = [pairs, ws]
-        del pairs, ws
-        return _finish_graph(
-            n, *_csr_arcs(n, parsed, symmetrize, loops, default_weight, _id_dtype(n))
-        )
+        us, vs = pairs[:, 0], pairs[:, 1]
+        del pairs
+        ends = (us, vs, symmetrize, loops)
+        counts = np.zeros(n, dtype=np.int64)
+        _scatter(counts, _arc_slices(*ends, vs, us, loops))
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        del counts
+        weights = np.empty(int(offsets[-1]), dtype=np.float64)
+        _scatter(offsets[:-1].copy(), _arc_slices(*ends, ws, ws, default_weight), weights)
+        del ws
+        targets = np.empty(weights.size, dtype=_id_dtype(n))
+        _scatter(offsets[:-1].copy(), _arc_slices(*ends, vs, us, loops), targets)
+        del us, vs, ends, loops
+        _sort_rows(offsets, targets, weights, n)
+        counts, at = _sum_runs(offsets, targets, weights)
+        del offsets
+        try:
+            # resize refuses a column that something else references
+            targets.resize(at)
+            weights.resize(at)
+        except ValueError:
+            targets, weights = targets[:at].copy(), weights[:at].copy()
+        return _finish_graph(n, counts, targets, weights)
     except MemoryError as exc:
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
-
-
-def _csr_arcs(
-    n: int, parsed: list[np.ndarray], symmetrize: bool, loops: np.ndarray, loop_weight: float,
-    ids,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arcs of parsed = [pairs, weights], merged and in CSR order.
-
-    The arc order is the entries, then, with symmetrize on, each entry
-    whose ends differ reversed, then a loop of loop_weight on each vertex
-    in loops.  A stable counting sort puts the arcs into rows: each row's
-    arcs are counted, then the weights and then the targets are scattered
-    to their row's fill pointer in arc order, SCATTER_CHUNK entries at a
-    time, so no arc-length source column or permutation is made.  parsed
-    is emptied, so that when it held the only references the weights are
-    freed before the target column exists, and the pairs once it is
-    filled.  _sort_rows then gives the arcs in stable (source, target)
-    order, and _sum_runs merges each run of a repeated pair.  Returns the
-    row lengths, the targets (of dtype ids) and the weights.
-    """
-    pairs, ws = parsed
-    parsed.clear()
-    us, vs = pairs[:, 0], pairs[:, 1]
-    del pairs
-    ends = (us, vs, symmetrize, loops)
-    counts = np.zeros(n, dtype=np.int64)
-    _scatter(counts, _arc_slices(*ends, vs, us, loops))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    del counts
-    weights = np.empty(int(offsets[-1]), dtype=np.float64)
-    _scatter(offsets[:-1].copy(), _arc_slices(*ends, ws, ws, loop_weight), weights)
-    del ws
-    targets = np.empty(weights.size, dtype=ids)
-    _scatter(offsets[:-1].copy(), _arc_slices(*ends, vs, us, loops), targets)
-    del us, vs, ends
-    _sort_rows(offsets, targets, weights, n)
-    merged = [targets, weights]
-    del targets, weights
-    return _sum_runs(offsets, merged)
 
 
 def _arc_slices(us, vs, symmetrize, loops, head, mirrored, loop):
@@ -529,25 +524,18 @@ def _sort_rows(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray, n:
             weights[lo:hi] = weights[lo:hi][order]
 
 
-def _sum_runs(
-    offsets: np.ndarray, arcs: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge each run of repeated (source, target) pairs into one arc.
+def _sum_runs(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, int]:
+    """Merge each run of repeated (source, target) pairs into one arc, in
+    place over the front of the columns vs and ws.
 
-    arcs is the list [targets, weights] of arcs in CSR order under
-    offsets, each row's targets ascending.  A run starts where a row
-    starts or the target changes.  Each run's weights are summed with
-    reduceat in arc order, over row-aligned slices that never split a
-    run, so the sums are those of one reduceat over all arcs; a sum past
-    the float64 range is left for _finish_graph to reject.  The merged
-    arcs are written in place over the front of the columns.  arcs is
-    emptied, so that when it held the only references the columns are
-    cut to the merged length in place; a column referenced elsewhere is
-    copied instead.  Returns the row lengths and the merged targets and
-    weights.
+    The arcs are in CSR order under offsets, each row's targets
+    ascending.  A run starts where a row starts or the target changes.
+    Each run's weights are summed with reduceat in arc order, over
+    row-aligned slices that never split a run, so the sums are those of
+    one reduceat over all arcs; a sum past the float64 range is left for
+    _finish_graph to reject.  Returns the row lengths and the merged arc
+    count at: the merged arcs are vs[:at] and ws[:at].
     """
-    vs, ws = arcs
-    arcs.clear()
     counts = np.diff(offsets)
     at = 0
     for r0, r1, lo, hi in _row_slices(offsets):
@@ -565,14 +553,7 @@ def _sum_runs(
             ws[at : at + starts.size] = np.add.reduceat(ws[lo:hi], starts)
         counts[r0:r1] = np.diff(np.searchsorted(starts, offsets[r0 : r1 + 1] - lo))
         at += starts.size
-    try:
-        # shrink in place; resize refuses a column that something else
-        # references (a view, or a tracer's copy of the frame's locals)
-        vs.resize(at)
-        ws.resize(at)
-    except ValueError:
-        vs, ws = vs[:at].copy(), ws[:at].copy()
-    return counts, vs, ws
+    return counts, at
 
 
 def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
@@ -587,9 +568,10 @@ def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
     order one stable sort of all arcs by (community, target community)
     gives, and _sum_runs sums each run in arc order, so every run sums the
     same arcs in the same order, to the same bits.  Each block is merged
-    once and appended to growing target and weight buffers.  Beside the
-    graph, the work holds the members, int32 when g.n fits, and
-    slice-sized temporaries; the coarse targets are _id_dtype(n_comm).
+    once, and its merged front is appended to growing target and weight
+    buffers.  Beside the graph, the work holds the members, int32 when
+    g.n fits, and slice-sized temporaries; the coarse targets are
+    _id_dtype(n_comm).
     """
     # the vertices grouped by community, ascending within each
     members = np.argsort(mapping, kind="stable").astype(_id_dtype(g.n), copy=False)
@@ -612,12 +594,12 @@ def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
         arc = np.repeat(arc, length)
         arc += np.arange(hi - lo)
         rows = comm_arcs[c0 : c1 + 1] - lo
-        block = [mapping[g.targets[arc]].astype(ids), g.weights[arc]]
+        block_tgt, block_w = mapping[g.targets[arc]].astype(ids), g.weights[arc]
         del arc
-        _sort_rows(rows, *block, n_comm)
-        counts[c0:c1], block_tgt, block_w = _sum_runs(rows, block)
-        tgt.frombytes(block_tgt.data.cast("B"))
-        w.frombytes(block_w.data.cast("B"))
+        _sort_rows(rows, block_tgt, block_w, n_comm)
+        counts[c0:c1], at = _sum_runs(rows, block_tgt, block_w)
+        tgt.frombytes(block_tgt[:at].data.cast("B"))
+        w.frombytes(block_w[:at].data.cast("B"))
         # free the merged block before the next one is gathered: left
         # alive, it sits among the next block's temporaries where the
         # growing buffers would extend, which raised detect's peak RSS by

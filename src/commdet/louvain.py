@@ -193,8 +193,8 @@ def _sweep_range(
     for u in range(lo_v, hi_v):
         own = labs[u]
         k_u = degs[u]
-        to_c, dq = best_move(scan_arcs(u, offs, tgt, wts, labs)[0], sigma_tot, k_u, own, m)
-        if dq > 0.0 and to_c != own:
+        to_c, dq = best_move(scan_arcs(u, offs, tgt, wts, labs), sigma_tot, k_u, own, m)
+        if to_c != own:
             if lock is None:
                 sigma_tot[own] -= k_u
                 sigma_tot[to_c] += k_u
@@ -281,9 +281,9 @@ def _sync_iteration(
     dqs = memoryview(np.zeros(n))
     for u in range(n):
         own = labs[u]
-        scan = scan_arcs(u, offs, tgt, wts, labs)[0]
+        scan = scan_arcs(u, offs, tgt, wts, labs)
         to_c, dq = best_move(scan, sigma_tot, degs[u], own, m)
-        if dq > 0.0 and to_c != own:
+        if to_c != own:
             want[u] = to_c
             dqs[u] = dq
 
@@ -354,8 +354,7 @@ def _move_loop(
     difference between the incrementally maintained community masses and
     an exact recomputation from the final labels.
     """
-    _check_labels(g, labels)
-    graph, work = _kernel_inputs(g, labels)
+    graph, work = _kernel_inputs(g, _check_labels(g, labels))
     sigma_tot = np.bincount(work, weights=g.degrees, minlength=g.n)
     state = (memoryview(work), memoryview(sigma_tot), g.total / 2.0)
 

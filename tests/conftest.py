@@ -346,7 +346,7 @@ def list_sync_iteration(offs, tgt, wts, degs, labs, sigma_tot, m):
     dqs = [0.0] * n
     for u in range(n):
         own = snap_labs[u]
-        scan = scan_arcs(u, offs, tgt, wts, snap_labs)[0]
+        scan = scan_arcs(u, offs, tgt, wts, snap_labs)
         to_c, dq = best_move(scan, snap_sigma, degs[u], own, m)
         if dq > 0.0 and to_c != own:
             want[u] = to_c

@@ -205,6 +205,25 @@ def test_detect_missing_file_exits_1(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("name, data, message", [
+    ("bad.txt", b"0 1\n1 2\n2 \xff0\n", "line 3: bad entry: '2 \ufffd0'"),
+    ("bad.mtx", b"%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n\xff 3\n",
+     "line 4: bad vertex id in '\ufffd 3'"),
+], ids=["edgelist", "mtx"])
+def test_undecodable_byte_exits_1_naming_its_line(tmp_path, capsys, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["stats", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_undecodable_byte_in_a_comment_is_ignored(tmp_path, capsys):
+    path = tmp_path / "comment.txt"
+    path.write_bytes(b"# caf\xe9\n0 1\n")
+    assert main(["stats", "--input", str(path)]) == 0
+
+
 def test_detect_sync_plus_threads_exits_2(triangle_file, capsys):
     rc = main(["detect", "--input", triangle_file, "--mode", "sync", "--threads", "2"])
     assert rc == 2

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import io
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +13,6 @@ from commdet.graph import (
     EdgeList,
     GraphParseError,
     SCATTER_CHUNK,
-    _csr_arcs,
     _is_symmetric,
     _sum_runs,
     build_graph,
@@ -33,6 +35,8 @@ from conftest import (
     validate_graph,
     weighted_chunk_graph,
 )
+
+GRAPH_MODULE = importlib.import_module("commdet.graph")
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +391,19 @@ def test_symmetry_verdict_equals_lexsort_oracle():
 
 
 @pytest.mark.parametrize("symmetrize", [True, False], ids=["sym", "no-sym"])
-def test_scatter_gives_the_lexsort_arcs_from_int32_and_int64_ids(symmetrize):
-    """The build scatters int32 targets when the ids fit, int64 otherwise;
-    both give the rows, targets and weight bits of one lexsort and one
-    reduceat over the arc columns, with repeated pairs, loops, inserted
-    loops, empty rows and more entries than one scatter slice, and, with
-    symmetrize off, a row alone past ARC_CHUNK arcs that _sort_rows and
-    _sum_runs take in a slice of its own."""
+def test_scatter_gives_the_lexsort_arcs_from_int32_and_int64_ids(symmetrize, monkeypatch):
+    """The build scatters int32 targets when the ids fit, int64 otherwise
+    (here forced by patching _id_dtype); both give the rows, targets and
+    weight bits of one lexsort and one reduceat over the arc columns,
+    with repeated pairs, loops, inserted loops, empty rows and more
+    entries than one scatter slice, and, with symmetrize off, a row alone
+    past ARC_CHUNK arcs that _sort_rows and _sum_runs take in a slice of
+    its own.  _finish_graph is patched to return the merged arcs, so the
+    one-sided arcs of symmetrize off are not rejected."""
+    monkeypatch.setattr(GRAPH_MODULE, "_finish_graph", lambda n, *arcs: arcs)
 
     def check(n, pairs, ws):
-        loops = np.setdiff1d(np.arange(n), pairs[pairs[:, 0] == pairs[:, 1], 0])[::2]
+        loops = np.setdiff1d(np.arange(n), pairs[pairs[:, 0] == pairs[:, 1], 0])
         us, vs = pairs[:, 0], pairs[:, 1]
         off = us != vs if symmetrize else np.zeros(us.size, dtype=bool)
         want = reduceat_merge(
@@ -404,7 +411,11 @@ def test_scatter_gives_the_lexsort_arcs_from_int32_and_int64_ids(symmetrize):
             np.concatenate([ws, ws[off], np.full(loops.size, 0.25)]),
         )
         for ids in (np.int32, np.int64):
-            got = _csr_arcs(n, [pairs.copy(), ws.copy()], symmetrize, loops, 0.25, ids)
+            with monkeypatch.context() as patch:
+                patch.setattr(GRAPH_MODULE, "_id_dtype", lambda n: ids)
+                got = build_graph(
+                    EdgeList(n, pairs, ws), symmetrize, add_self_loops=True, default_weight=0.25
+                )
             assert got[1].dtype == ids
             assert [a.tobytes() for a in (got[0], got[1].astype(np.int64), got[2])] == [
                 a.tobytes() for a in want
@@ -430,29 +441,44 @@ def _repeated_pairs():
     return offsets, np.array([0, 1, 1, 0, 0, 2], dtype=np.int32), np.arange(1.0, 7.0)
 
 
-def test_sum_runs_cuts_the_handed_over_columns_in_place():
-    """Handed over in a list that held the only references, the columns
-    are merged and cut to length in place: no merged copy is made."""
+def test_sum_runs_merges_over_the_front_of_the_columns():
+    """The merged arcs are written over the front of the given arrays,
+    which keep their length; the merged row lengths and arc count come
+    back."""
     offsets, vs, ws = _repeated_pairs()
-    handed = [vs, ws]
-    given = [id(vs), id(ws)]
-    del vs, ws
-    counts, vs, ws = _sum_runs(offsets, handed)
-    assert handed == [] and [id(vs), id(ws)] == given
-    assert counts.tolist() == [2, 2, 0]
-    assert vs.tolist() == [0, 1, 0, 2] and ws.tolist() == [1.0, 5.0, 9.0, 6.0]
+    counts, at = _sum_runs(offsets, vs, ws)
+    assert counts.tolist() == [2, 2, 0] and at == 4
+    assert vs.size == ws.size == 6
+    assert vs[:at].tolist() == [0, 1, 0, 2] and ws[:at].tolist() == [1.0, 5.0, 9.0, 6.0]
 
 
-def test_sum_runs_copies_columns_referenced_elsewhere():
-    """A column that something else still references is not resized
-    under it; the merged arcs come back in a copy of its front."""
-    offsets, vs, ws = _repeated_pairs()
-    view = ws[1:]
-    counts, got_vs, got_ws = _sum_runs(offsets, [vs, ws])
-    assert got_vs is not vs and got_ws is not ws
-    assert vs.size == ws.size == view.size + 1 == 6
-    assert got_vs.tolist() == [0, 1, 0, 2] and got_ws.tolist() == [1.0, 5.0, 9.0, 6.0]
-    assert view.tolist() == ws[1:].tolist()
+def test_build_under_a_tracer_reading_its_locals_gives_the_same_graph():
+    """A tracer that reads _build's frame.f_locals holds references to
+    its columns, so they cannot be cut in place; the build cuts copies
+    instead, and the graph is the same."""
+    rng = np.random.default_rng(4)
+    edges = EdgeList(50, rng.integers(50, size=(400, 2)), rng.uniform(0.1, 10.0, 400))
+    want = graph_bytes(build_graph(edges, add_self_loops=True))
+    code = GRAPH_MODULE._build.__code__
+    lines = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        assert "held" in frame.f_locals
+        lines.append(frame.f_lineno)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = build_graph(edges, add_self_loops=True)
+    finally:
+        sys.settrace(previous)
+    assert graph_bytes(got) == want
+    source, first = inspect.getsourcelines(GRAPH_MODULE._build)
+    copy_line = first + next(i for i, line in enumerate(source) if "[:at].copy()" in line)
+    assert copy_line in lines
 
 
 # ---------------------------------------------------------------------------

@@ -332,8 +332,9 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
 # (numpy 2.4): 23.1 B on the planted input with repeated pairs and 23.2 B
 # without, with _sort_rows freeing each slice's sort key before the
-# permuted copies are made and _sum_runs cutting the merged columns in
-# place; 23.5 B and 23.1 B with int32 ids from the parser to the Graph's
+# permuted copies are made and the merged columns cut in place (the
+# same readings with the cut in the build rather than in _sum_runs);
+# 23.5 B and 23.1 B with int32 ids from the parser to the Graph's
 # targets, the key held through the permutation and the merged columns
 # copied, the peak then in those copies and the symmetry check's slice
 # temporaries rather than in the id columns.  24.3 B and 23.8 B
@@ -380,12 +381,12 @@ MAX_AGGREGATE_BYTES_PER_ARC = 7.9
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
-# per arc: 23.0 B (medians of 5 in two runs, 22.0-23.4) with _sum_runs
-# cutting the merged columns in place, against 28.2 B (27.5-29.0) beside
+# per arc: 23.0 B (medians of 5 in two runs, 22.0-23.4) with the merged
+# columns cut in place, against 28.2 B (27.5-29.0) beside
 # it when it copied them.  27.7 B (median of 9, 26.6-28.4) with int32 ids
 # from the parser to the Graph, against 27.9 B (median of 7, 27.7-28.6)
 # measured beside it with int64 parsed pairs and the targets widened
-# last; with repeated pairs _sum_runs's cut copies set this peak, and the
+# last; with repeated pairs the merge's cut copies set this peak, and the
 # same input without them read 22.8 B against 25.5 B (medians of 5).
 # 28.7 B (median of 9, 27.3-28.9) when first measured with the
 # counting-sort build, 32.8 B (median of 5, 32.7-33.0) with the lexsort
@@ -398,8 +399,8 @@ MAX_STATS_RSS_BYTES_PER_ARC = 28.8
 # stats``, per vertex, on the planted input with 100 blocks of 200: -3.7 to
 # 4.5 B (median 0.4, 9 runs) with aggregation merging each block once,
 # 4.7 to 12.3 B (median 7.0) beside it with two merge passes; -0.6 to
-# 11.5 B (medians 6.6 and 4.1 in two runs of 9) with _sum_runs cutting
-# the merged columns in place, which took the load's peak down to where
+# 11.5 B (medians 6.6 and 4.1 in two runs of 9) with the merged columns
+# cut in place, which took the load's peak down to where
 # it stays, and aggregation merging its first pass's blocks rather than
 # sorting one key per arc, whose int64 sort code, paged in for
 # aggregation alone, read 14-21 B; -12.1 to 4.7 B (medians -7.0 to 0.2)

@@ -504,9 +504,9 @@ def test_aggregate_merges_each_block_once(monkeypatch):
     merged = []
     sum_runs = GRAPH_MODULE._sum_runs
 
-    def counted(offsets, arcs):
+    def counted(offsets, vs, ws):
         merged.append(offsets.size - 1)
-        return sum_runs(offsets, arcs)
+        return sum_runs(offsets, vs, ws)
 
     monkeypatch.setattr(GRAPH_MODULE, "_sum_runs", counted)
     got = aggregate_graph(g, labels)
@@ -552,6 +552,18 @@ def test_louvain_two_triangles():
     flat, n_comm = normalize_labels(flatten(d))
     assert n_comm == 2
     assert flat.tolist() == TRIANGLE_SPLIT.tolist()
+
+
+@pytest.mark.parametrize(
+    "cfg", [Config(), Config(mode="sync"), Config(threads=4, chunk_size=16)],
+    ids=["async", "sync", "threads4"],
+)
+def test_flattened_dendrogram_is_already_normalized(cfg):
+    """Every level is a first-occurrence mapping, and composing such maps
+    keeps first-occurrence order, so detect writes flatten(d) as it is."""
+    for name, g in fixture_suite():
+        flat = flatten(louvain(g, cfg)[0])
+        assert flat.tolist() == normalize_labels(flat)[0].tolist(), name
 
 
 def test_louvain_self_loops_only_graph():
