@@ -32,7 +32,6 @@ __all__ = [
     "write_report_csv",
     "write_report_json",
     "write_sweep_csv",
-    "read_sweep_csv",
 ]
 
 EXIT_OK = 0
@@ -107,21 +106,6 @@ def write_sweep_csv(fh: TextIO, rows: list[SweepResult]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(list(table[0]) if table else SWEEP_STAT_COLUMNS)
     writer.writerows(_csv_cells(row) for row in table)
-
-
-def read_sweep_csv(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            parsed = {}
-            for key, val in row.items():
-                if key in ("passes", "total_iterations", "threads"):
-                    parsed[key] = int(val)
-                else:
-                    parsed[key] = float(val)
-            rows.append(parsed)
-    return rows
 
 
 # ---------------------------------------------------------------------------

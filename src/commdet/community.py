@@ -275,8 +275,10 @@ def flatten(d: Dendrogram) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # lines formatted per write: each line is a few Python objects while its
-# block is formatted, so a block costs about 100 bytes a line
-MEMBERSHIP_BLOCK = 1 << 10
+# block is formatted, so a block costs about 100 bytes a line (the write's
+# tracemalloc peak: 103 kB with blocks of 1024 lines, 36 kB with 256), and
+# a small block keeps detect's last step under the load's peak RSS
+MEMBERSHIP_BLOCK = 1 << 8
 
 
 def write_membership(path: str, labels: np.ndarray) -> None:

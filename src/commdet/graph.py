@@ -11,10 +11,14 @@ never makes a widened copy of an arc-length id column.  build_graph puts
 the arcs into rows with a stable counting sort that scatters a few
 thousand arcs at a time, so a load holds the parsed edges, the weight and
 target columns and slice-sized temporaries, but no arc-length source
-column or sort permutation.  Each arc column has one owner: the build
-allocates its weight and target columns, has _sum_runs merge the arcs
-over their front and cuts them to length, and aggregation appends the
-merged front of each block to its coarse buffers.
+column or sort permutation.  When every arc weighs the same, as in an
+unweighted edge list or a pattern MatrixMarket file, the load makes no
+weight column at all: Graph.weights is then a read-only zero-stride view
+of that one value, unless a repeated pair has to be merged.  Each arc
+column has one owner: the build allocates its weight and target columns,
+has _sum_runs merge the arcs over their front and cuts them to length,
+and aggregation appends the merged front of each block to its coarse
+buffers, so an aggregated graph always has a full weight column.
 """
 
 from __future__ import annotations
@@ -113,6 +117,9 @@ class Graph:
         targets: arc endpoints, sorted within each row; int32 when n is
             at most 2**31 - 1, int64 above that.
         weights: float64 array of arc weights, all positive and finite.
+            When every arc weighs the same it may be a read-only
+            zero-stride view of that one value (strides == (0,)), which
+            reads, slices and indexes like a full column.
         degrees: float64 array, degrees[u] = sum of weights of arcs out of u
             (a self-loop arc counts once).
         total: sum of all degrees; equals twice the undirected edge weight
@@ -404,14 +411,18 @@ def _build(
     counting sort puts the arcs into rows: each row's arcs are counted,
     then the weights and then the targets are scattered to their row's
     fill pointer in arc order, SCATTER_CHUNK entries at a time, so no
-    arc-length source column or permutation is made.  When held had the
-    only reference to the EdgeList, its weights are freed before the
+    arc-length source column or permutation is made.  When every entry
+    and every inserted loop weighs the same w, no weight column is made:
+    a read-only zero-stride view of w stands in for it.  When held had
+    the only reference to the EdgeList, its weights are freed before the
     target column exists, and its id pairs once that column is filled.
     _sort_rows then gives the arcs in stable (source, target) order,
     _sum_runs merges each run of a repeated pair over the front of the
     columns, and this function, their one owner, cuts them to the merged
     length in place; a column that something else references (a tracer's
-    copy of the frame's locals) is copied instead.
+    copy of the frame's locals) is copied instead.  A repeated pair of a
+    uniform input is merged over a full column of w, made then, so its
+    sum adds the same values in the same order as that of any input.
     """
     edges = held.pop()
     n, pairs, ws = edges.n, edges.entries, edges.weights
@@ -422,7 +433,9 @@ def _build(
         raise ValueError(f"self-loop weight must be positive and finite, got {default_weight!r}")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError("edge endpoint outside declared vertex range")
-    if ws.size and not np.all(np.isfinite(ws)):
+    # the least and the largest weight, which are NaN if any weight is
+    seen = {float(ws.min()), float(ws.max())} if ws.size else set()
+    if not all(map(math.isfinite, seen)):
         raise ValueError("non-finite edge weight")
 
     try:
@@ -431,6 +444,10 @@ def _build(
             has_loop = np.zeros(n, dtype=bool)
             has_loop[pairs[pairs[:, 0] == pairs[:, 1], 0]] = True
             loops = np.flatnonzero(~has_loop)
+            if loops.size:
+                seen.add(float(default_weight))
+        # the weight of every arc, or None when two arcs differ in weight
+        w = seen.pop() if len(seen) == 1 else None
         us, vs = pairs[:, 0], pairs[:, 1]
         del pairs
         ends = (us, vs, symmetrize, loops)
@@ -439,21 +456,29 @@ def _build(
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         del counts
-        weights = np.empty(int(offsets[-1]), dtype=np.float64)
-        _scatter(offsets[:-1].copy(), _arc_slices(*ends, ws, ws, default_weight), weights)
+        m = int(offsets[-1])
+        if w is None:
+            weights = np.empty(m, dtype=np.float64)
+            _scatter(offsets[:-1].copy(), _arc_slices(*ends, ws, ws, default_weight), weights)
+        else:
+            weights = np.broadcast_to(np.float64(w), (m,))
         del ws
-        targets = np.empty(weights.size, dtype=_id_dtype(n))
+        targets = np.empty(m, dtype=_id_dtype(n))
         _scatter(offsets[:-1].copy(), _arc_slices(*ends, vs, us, loops), targets)
         del us, vs, ends, loops
         _sort_rows(offsets, targets, weights, n)
         counts, at = _sum_runs(offsets, targets, weights)
+        if counts is None:
+            weights = np.full(m, w)
+            counts, at = _sum_runs(offsets, targets, weights)
         del offsets
-        try:
-            # resize refuses a column that something else references
-            targets.resize(at)
-            weights.resize(at)
-        except ValueError:
-            targets, weights = targets[:at].copy(), weights[:at].copy()
+        if at < m:
+            try:
+                # resize refuses a column that something else references
+                targets.resize(at)
+                weights.resize(at)
+            except ValueError:
+                targets, weights = targets[:at].copy(), weights[:at].copy()
         return _finish_graph(n, counts, targets, weights)
     except MemoryError as exc:
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
@@ -506,7 +531,9 @@ def _scatter(fill: np.ndarray, slices, out: np.ndarray | None = None) -> None:
 def _sort_rows(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray, n: int) -> None:
     """Sort each row's arcs stably by target, in place, one row-aligned
     slice at a time; targets lie in [0, n).  Arcs given in (source, arc
-    id) order come out in stable (source, target) order.
+    id) order come out in stable (source, target) order.  A zero-stride
+    weights view holds one value, which no permutation changes, so it is
+    left as it is.
 
     The key of an arc is its row's start within the slice times n, plus
     its target.  A slice of many rows has at most ARC_CHUNK arcs, so the
@@ -521,10 +548,13 @@ def _sort_rows(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray, n:
             order = np.argsort(key, kind="stable")
             del key
             targets[lo:hi] = targets[lo:hi][order]
-            weights[lo:hi] = weights[lo:hi][order]
+            if weights.strides[0]:
+                weights[lo:hi] = weights[lo:hi][order]
 
 
-def _sum_runs(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, int]:
+def _sum_runs(
+    offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray
+) -> tuple[np.ndarray | None, int]:
     """Merge each run of repeated (source, target) pairs into one arc, in
     place over the front of the columns vs and ws.
 
@@ -534,7 +564,9 @@ def _sum_runs(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> tuple[np.n
     row-aligned slices that never split a run, so the sums are those of
     one reduceat over all arcs; a sum past the float64 range is left for
     _finish_graph to reject.  Returns the row lengths and the merged arc
-    count at: the merged arcs are vs[:at] and ws[:at].
+    count at: the merged arcs are vs[:at] and ws[:at].  A zero-stride ws
+    cannot hold a merge, so at the first run of a repeated pair this
+    returns (None, at) and has changed nothing.
     """
     counts = np.diff(offsets)
     at = 0
@@ -548,6 +580,8 @@ def _sum_runs(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> tuple[np.n
         if at == lo and starts.size == hi - lo:
             at = hi
             continue
+        if not ws.strides[0]:
+            return None, at
         vs[at : at + starts.size] = vs[lo:hi][starts]
         with np.errstate(over="ignore"):
             ws[at : at + starts.size] = np.add.reduceat(ws[lo:hi], starts)

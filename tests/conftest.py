@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import threading
 from concurrent.futures import Future
@@ -416,3 +417,13 @@ def list_move_phase(g: Graph, labels: np.ndarray, tolerance: float, cfg: Config)
         shares = [bounds[w :: cfg.threads] for w in range(min(cfg.threads, len(bounds)))]
         sweep = partial(_threaded_sweep, InlinePool(), shares, threading.Lock())
     return list_move_loop(g, labels, tolerance, cfg.max_iterations_per_pass, sweep)
+
+
+def read_sweep_csv(path: str) -> list[dict]:
+    """The rows of a sweep CSV, the counts as int and the rest as float."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [
+            {k: int(v) if k in ("passes", "total_iterations", "threads") else float(v)
+             for k, v in row.items()}
+            for row in csv.DictReader(fh)
+        ]

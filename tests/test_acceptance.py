@@ -13,7 +13,7 @@ import functools
 import numpy as np
 import pytest
 
-from commdet.cli import main, read_sweep_csv
+from commdet.cli import main
 from commdet.community import (
     community_aggregates,
     delta_modularity,
@@ -30,7 +30,7 @@ from commdet.graph import build_graph, save_edgelist
 from commdet.louvain import Config, aggregate_graph, louvain, sweep_tolerance
 from commdet.parallel import ParallelConfig, parallel_louvain
 
-from conftest import fixture_suite, sbm_graph, single_edge, two_triangles
+from conftest import fixture_suite, read_sweep_csv, sbm_graph, single_edge, two_triangles
 
 TRIANGLE_SPLIT = np.array([0, 0, 0, 1, 1, 1])
 

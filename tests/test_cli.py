@@ -12,7 +12,6 @@ from commdet.cli import (
     geometric_grid,
     main,
     parse_grid,
-    read_sweep_csv,
     write_report_csv,
     write_report_json,
 )
@@ -21,6 +20,8 @@ from commdet.fixtures import cliques, gnp_graph, random_gnp
 from commdet.graph import load_graph_file, save_edgelist
 from commdet.louvain import louvain, sweep_tolerance
 from commdet.parallel import ParallelConfig, parallel_louvain
+
+from conftest import read_sweep_csv
 
 
 @pytest.fixture

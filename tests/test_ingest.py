@@ -236,19 +236,36 @@ def build_cases(draw):
     return n, draw(st.permutations(entries))
 
 
+@st.composite
+def uniform_build_cases(draw):
+    """(n, entries) as build_cases draws them, but every entry at one
+    weight, 0.75, the inserted loops' weight, or 2.5, and copies only
+    repeated or reversed, so some inputs have no repeated pair."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, n - 1)
+    w = draw(st.sampled_from([0.75, 2.5]))
+    entries = draw(st.lists(st.tuples(ids, ids, st.just(w)), max_size=30))
+    copies = draw(st.lists(st.tuples(st.sampled_from(entries), st.booleans()), max_size=3)
+                  if entries else st.just([]))
+    for (u, v, w), reverse in copies:
+        entries.append((v, u, w) if reverse else (u, v, w))
+    return n, draw(st.permutations(entries))
+
+
 @settings(max_examples=300, database=None, deadline=None)
-@given(case=build_cases(), symmetrize=st.booleans(), loops=st.booleans())
+@given(case=st.one_of(build_cases(), uniform_build_cases()), symmetrize=st.booleans(),
+       loops=st.booleans())
 @example(case=(3, [(0, 1, 2.0), (1, 0, 2.0), (0, 1, -2.0), (1, 0, -2.0), (2, 2, 1.0)]),
          symmetrize=False, loops=False)
 @example(case=(4, [(0, 1, 3.0), (0, 1, -1.0), (1, 0, 2.0)]), symmetrize=False, loops=True)
+# uniform: without and with a repeated pair, and loops at another weight
+@example(case=(3, [(0, 1, 0.75), (1, 2, 0.75), (2, 2, 0.75)]), symmetrize=True, loops=True)
+@example(case=(3, [(0, 1, 0.75), (1, 0, 0.75), (2, 2, 0.75)]), symmetrize=True, loops=True)
+@example(case=(3, [(0, 1, 2.5), (1, 2, 2.5)]), symmetrize=True, loops=True)
 def test_build_equals_the_lexsort_build(case, symmetrize, loops):
-    """build_graph gives the lexsort oracle's graph bytes, or its
-    ValueError message."""
     n, tuples = case
-    el = EdgeList(n, tuples)
-    options = dict(symmetrize=symmetrize, add_self_loops=loops, default_weight=0.75)
-    assert _outcome(lambda: build_graph(el, **options)) == _outcome(
-        lambda: lexsort_build(el, **options)
+    _assert_builds_as_the_lexsort_build(
+        EdgeList(n, tuples), symmetrize=symmetrize, add_self_loops=loops, default_weight=0.75
     )
 
 
@@ -257,7 +274,8 @@ def test_build_equals_the_lexsort_build_over_many_slices(symmetrize):
     """Multi-slice inputs with repeated pairs and loops, repeated pairs in
     the first rows only, so later slices move down without merging, a hub
     row past ARC_CHUNK arcs, and the same arcs rebuilt from both
-    directions."""
+    directions, which repeats every pair when symmetrized; each with
+    random weights and with one weight, the inserted loops' or another."""
     rng = np.random.default_rng(16)
     pairs = rng.integers(2000, size=(40_000, 2))
     cases = [EdgeList(2100, pairs, rng.uniform(0.1, 10.0, 40_000))]
@@ -267,12 +285,37 @@ def test_build_equals_the_lexsort_build_over_many_slices(symmetrize):
     for g in (weighted_chunk_graph(), hub_graph()):
         src = np.repeat(np.arange(g.n), np.diff(g.offsets))
         cases.append(EdgeList(g.n, np.column_stack([src, g.targets]), g.weights))
+    # a path of one weight has no repeated pair
+    cases.append(EdgeList(30_001, np.column_stack([path, path + 1]), np.full(path.size, 2.5)))
+    for el, w in zip(cases[:4], [1.0, 2.5, 1.0, 2.5]):
+        cases.append(EdgeList(el.n, el.entries, np.full(len(el.weights), w)))
     for el in cases:
         for loops in (False, True):
-            options = dict(symmetrize=symmetrize, add_self_loops=loops)
-            assert _outcome(lambda: build_graph(el, **options)) == _outcome(
-                lambda: lexsort_build(el, **options)
-            )
+            _assert_builds_as_the_lexsort_build(el, symmetrize=symmetrize, add_self_loops=loops)
+
+
+def _assert_builds_as_the_lexsort_build(el, **options):
+    """build_graph gives the lexsort oracle's graph bytes, or its
+    ValueError message, and a zero-stride weights view exactly when every
+    arc weighs the same and no (source, target) pair repeats; otherwise a
+    C-contiguous weight column."""
+    want = _outcome(lambda: lexsort_build(el, **options))
+    try:
+        g = build_graph(el, **options)
+    except ValueError as exc:
+        assert str(exc) == want
+        return
+    assert graph_bytes(g) == want
+    us, vs = el.entries[:, 0], el.entries[:, 1]
+    loops = np.setdiff1d(np.arange(el.n), us[us == vs]) if options["add_self_loops"] else []
+    weights = set(el.weights.tolist())
+    if len(loops):
+        weights.add(options.get("default_weight", 1.0))
+    arcs = len(us) + options["symmetrize"] * np.count_nonzero(us != vs) + len(loops)
+    if len(weights) == 1 and arcs == g.n_arcs:
+        assert g.weights.strides == (0,)
+    else:
+        assert g.weights.flags.c_contiguous and g.weights.strides == (8,)
 
 
 # (file name, text, whether some arc lacks its reverse); each file has
@@ -330,7 +373,10 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # ---------------------------------------------------------------------------
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
-# (numpy 2.4): 23.1 B on the planted input with repeated pairs and 23.2 B
+# (numpy 2.4): 23.1 B on the unit-weight planted input with repeated pairs
+# and 23.2 B on the weighted input with and without them, with no weight
+# column made for a uniform input until a repeated pair is merged.  23.1 B
+# on the planted input with repeated pairs and 23.2 B
 # without, with _sort_rows freeing each slice's sort key before the
 # permuted copies are made and the merged columns cut in place (the
 # same readings with the cut in the build rather than in _sum_runs);
@@ -351,6 +397,12 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # parsed entries lived through the sort, 188 B when they were a list of
 # tuples.  The bound leaves 25% headroom over 23.2 B
 MAX_LOAD_BYTES_PER_ARC = 29.0
+
+# the same peak on the unit-weight planted input without repeated pairs,
+# whose graph takes a zero-stride weights view rather than a column: 15.2 B
+# (15.15), against 23.2 B when a column of ones was scattered, sorted and
+# kept.  The bound leaves 25% headroom over 15.2 B
+MAX_UNIFORM_LOAD_BYTES_PER_ARC = 19.0
 
 # tracemalloc peak of pass-0 local moving per arc, warm (numpy 2.4): 2.33 B
 # in async and in sync mode and 2.46 B with two threads, with the labels,
@@ -381,8 +433,10 @@ MAX_AGGREGATE_BYTES_PER_ARC = 7.9
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
-# per arc: 23.0 B (medians of 5 in two runs, 22.0-23.4) with the merged
-# columns cut in place, against 28.2 B (27.5-29.0) beside
+# per arc: 22.4 B (median of 5, 22.1-22.6) with no weight column made for
+# a uniform input until a repeated pair is merged, against 23.0 B
+# (22.5-23.4) measured beside it.  23.0 B (medians of 5 in two runs,
+# 22.0-23.4) with the merged columns cut in place, against 28.2 B (27.5-29.0) beside
 # it when it copied them.  27.7 B (median of 9, 26.6-28.4) with int32 ids
 # from the parser to the Graph, against 27.9 B (median of 7, 27.7-28.6)
 # measured beside it with int64 parsed pairs and the targets widened
@@ -395,10 +449,21 @@ MAX_AGGREGATE_BYTES_PER_ARC = 7.9
 # buffers and pages the allocator keeps.  The bound leaves 25% headroom over 23.0 B
 MAX_STATS_RSS_BYTES_PER_ARC = 28.8
 
+# the same on that input without repeated pairs, whose graph takes a
+# zero-stride weights view: 14.2 B (median of 5, 14.1-14.7), against
+# 23.0 B (22.5-23.3) measured beside it when a column of ones was kept.
+# The bound leaves 25% headroom over 14.2 B
+MAX_STATS_UNIFORM_RSS_BYTES_PER_ARC = 17.8
+
 # peak RSS of ``commdet detect --out-membership`` less that of ``commdet
-# stats``, per vertex, on the planted input with 100 blocks of 200: -3.7 to
-# 4.5 B (median 0.4, 9 runs) with aggregation merging each block once,
-# 4.7 to 12.3 B (median 7.0) beside it with two merge passes; -0.6 to
+# stats``, per vertex, on the planted input with 100 blocks of 200: -3.9 to
+# 10.2 B (median 0.4, 15 runs) with no weight column made for a uniform
+# input until a repeated pair is merged and the membership written 256
+# lines at a time, against -0.4 to 12.3 B (median 7.0) at the parent beside
+# it; 7.0 to 18.0 B (median 12.9), and once 24.8 B, with that build and
+# 1024-line blocks, as the lower load peak left the membership write
+# above it.  -3.7 to 4.5 B (median 0.4, 9 runs) with aggregation merging
+# each block once, 4.7 to 12.3 B (median 7.0) beside it with two merge passes; -0.6 to
 # 11.5 B (medians 6.6 and 4.1 in two runs of 9) with the merged columns
 # cut in place, which took the load's peak down to where
 # it stays, and aggregation merging its first pass's blocks rather than
@@ -418,10 +483,12 @@ MAX_STATS_RSS_BYTES_PER_ARC = 28.8
 MAX_DETECT_OVER_STATS_RSS_BYTES_PER_VERTEX = 20.0
 
 
-def _planted_edgelist(path, seed=0, blocks=25, size=200, deg_in=16, deg_out=2, repeats=True):
+def _planted_edgelist(path, seed=0, blocks=25, size=200, deg_in=16, deg_out=2, repeats=True,
+                      weighted=False):
     """Seeded planted partition in O(m): endpoint pairs drawn inside a block
     or anywhere, loops dropped, repeated pairs left for build_graph to merge
-    unless repeats is off, which keeps one entry per unordered pair."""
+    unless repeats is off, which keeps one entry per unordered pair.  The
+    weights are 1.0, or multiples of 1/1000 in (0, 1) when weighted."""
     rng = np.random.default_rng(seed)
     n = blocks * size
     e_in, e_out = n * deg_in // 2, n * deg_out // 2
@@ -433,7 +500,8 @@ def _planted_edgelist(path, seed=0, blocks=25, size=200, deg_in=16, deg_out=2, r
     if not repeats:
         pairs = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs))
         us, vs = pairs // n, pairs % n
-    save_edgelist(EdgeList(n, np.column_stack([us, vs]), np.ones(us.size)), str(path))
+    weights = rng.integers(1, 1000, size=us.size) / 1000 if weighted else np.ones(us.size)
+    save_edgelist(EdgeList(n, np.column_stack([us, vs]), weights), str(path))
 
 
 def _warm_up(tmp_path):
@@ -458,10 +526,10 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def _planted_graph(tmp_path, repeats=True):
+def _planted_graph(tmp_path, repeats=True, weighted=False):
     _warm_up(tmp_path)
     path = tmp_path / "planted.txt"
-    _planted_edgelist(path, repeats=repeats)
+    _planted_edgelist(path, repeats=repeats, weighted=weighted)
     peak, g = _traced_peak(lambda: load_graph_file(str(path)))
     assert 85_000 <= g.n_arcs <= 90_000
     return g, peak / g.n_arcs
@@ -472,7 +540,16 @@ def test_load_peak_memory_per_arc(tmp_path):
 
 
 def test_load_peak_memory_per_arc_without_repeated_pairs(tmp_path):
-    assert _planted_graph(tmp_path, repeats=False)[1] <= MAX_LOAD_BYTES_PER_ARC
+    g, per_arc = _planted_graph(tmp_path, repeats=False)
+    assert g.weights.strides == (0,)
+    assert per_arc <= MAX_UNIFORM_LOAD_BYTES_PER_ARC
+
+
+@pytest.mark.parametrize("repeats", [True, False], ids=["repeats", "no-repeats"])
+def test_weighted_load_peak_memory_per_arc(tmp_path, repeats):
+    g, per_arc = _planted_graph(tmp_path, repeats=repeats, weighted=True)
+    assert g.weights.flags.c_contiguous
+    assert per_arc <= MAX_LOAD_BYTES_PER_ARC
 
 
 def _move_peak_per_arc(tmp_path, cfg):
@@ -526,14 +603,24 @@ def _child_peak_rss(*args):
     return kib * 1024, out
 
 
-def test_stats_peak_rss_per_arc(tmp_path):
+def _stats_rss_per_arc(tmp_path, repeats):
+    """Peak RSS of ``commdet stats`` on the planted input with 600-vertex
+    blocks, less that of a bare ``import commdet.cli``, per arc."""
     path = tmp_path / "planted.txt"
-    _planted_edgelist(path, size=600)
+    _planted_edgelist(path, size=600, repeats=repeats)
     base, _ = _child_peak_rss("-c", "import commdet.cli")
     peak, out = _child_peak_rss("-m", "commdet.cli", "stats", "--input", str(path))
     arcs = int(out[0].split("|E|=")[1].split()[0])
     assert 250_000 <= arcs <= 300_000
-    assert (peak - base) / arcs <= MAX_STATS_RSS_BYTES_PER_ARC
+    return (peak - base) / arcs
+
+
+def test_stats_peak_rss_per_arc(tmp_path):
+    assert _stats_rss_per_arc(tmp_path, repeats=True) <= MAX_STATS_RSS_BYTES_PER_ARC
+
+
+def test_stats_peak_rss_per_arc_without_repeated_pairs(tmp_path):
+    assert _stats_rss_per_arc(tmp_path, repeats=False) <= MAX_STATS_UNIFORM_RSS_BYTES_PER_ARC
 
 
 def test_detect_peak_rss_over_stats_per_vertex(tmp_path):

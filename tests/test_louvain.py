@@ -18,7 +18,7 @@ from commdet.community import (
     singleton_assignment,
 )
 from commdet.fixtures import gnp_graph
-from commdet.graph import EdgeList, Graph, _row_slices, build_graph
+from commdet.graph import ARC_CHUNK, EdgeList, Graph, _row_slices, build_graph
 from commdet.louvain import (
     Config,
     _kernel_inputs,
@@ -43,6 +43,7 @@ from conftest import (
     neighbors,
     oracle_graphs,
     oracle_labelings,
+    sbm_graph,
     single_edge,
     two_triangles,
     weighted_chunk_graph,
@@ -422,6 +423,35 @@ def test_engines_equal_list_oracle_on_small_weighted_graphs(inline_pool, case, t
     g, labels = case
     _assert_engines_match_list_oracle(g, labels, tolerance, "drawn")
     _assert_engines_match_list_oracle(g, singleton_assignment(g.n), tolerance, "drawn")
+
+
+def test_engines_equal_on_a_weights_view_and_a_weight_column(inline_pool):
+    """A unit-weight graph whose weights are a zero-stride view and the
+    same graph with a materialized weight column give the same labels,
+    gain and Q bits, coarse graph bytes and whole runs in every engine."""
+    g = sbm_graph(8, 150, 0.1, 0.004, seed=3)
+    assert g.weights.strides == (0,) and g.n_arcs > ARC_CHUNK
+    full = replace(g, weights=np.ascontiguousarray(g.weights))
+    assert full.weights.strides == (8,)
+    for engine, cfg in ENGINES:
+        outcomes = []
+        for h in (g, full):
+            labels = singleton_assignment(h.n)
+            phase = _phase_outcome(_move_phase, h, labels, 1e-6, cfg)
+            mapping, n_comm = normalize_labels(labels)
+            coarse = graph_bytes(GRAPH_MODULE._coarsen(h, mapping, n_comm))
+            d, rep = louvain(h, cfg)
+            runs = ([level.tolist() for level in d.levels], d.per_level_q, rep.final_q)
+            outcomes.append((phase, repr(modularity(h, mapping)), coarse, runs))
+        assert outcomes[0] == outcomes[1], engine
+
+
+def test_a_weights_view_is_read_only_as_a_weight_column_is():
+    view, column = sbm_graph(2, 10, 0.5, 0.1, seed=1).weights, weighted_chunk_graph().weights
+    assert view.strides == (0,) and column.strides == (8,)
+    for weights in (view, column):
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 2.0
 
 
 # ---------------------------------------------------------------------------
