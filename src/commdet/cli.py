@@ -50,20 +50,14 @@ SWEEP_STAT_COLUMNS = ["final_q", "passes", "total_iterations", "wall_time_ms"]
 
 
 def _pass_row(p: PassStats) -> dict:
-    return {
-        "pass": p.index,
-        "iterations": p.iterations,
-        "q": p.q_after,
-        "local_ms": p.local_ms,
-        "agg_ms": p.agg_ms,
-        "vertices": p.vertices,
-    }
+    values = (p.index, p.iterations, p.q_after, p.local_ms, p.agg_ms, p.vertices)
+    return dict(zip(REPORT_CSV_COLUMNS, values))
 
 
 def _sweep_row(r: SweepResult) -> dict:
     """One sweep cell: its parameters, then SWEEP_STAT_COLUMNS."""
-    return dict(r.params, final_q=r.final_q, passes=r.passes,
-                total_iterations=r.total_iterations, wall_time_ms=r.wall_ms)
+    values = (r.final_q, r.passes, r.total_iterations, r.wall_ms)
+    return {**r.params, **dict(zip(SWEEP_STAT_COLUMNS, values))}
 
 
 def _csv_cells(row: dict) -> list:

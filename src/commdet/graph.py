@@ -14,11 +14,12 @@ target columns and slice-sized temporaries, but no arc-length source
 column or sort permutation.  When every arc weighs the same, as in an
 unweighted edge list or a pattern MatrixMarket file, the load makes no
 weight column at all: Graph.weights is then a read-only zero-stride view
-of that one value, unless a repeated pair has to be merged.  Each arc
-column has one owner: the build allocates its weight and target columns,
-has _sum_runs merge the arcs over their front and cuts them to length,
-and aggregation appends the merged front of each block to its coarse
-buffers, so an aggregated graph always has a full weight column.
+of that one value, unless a repeated pair has to be merged.  One merge
+step, _merge_rows, sorts and merges the rows of the build and of each
+aggregation block in one pass per slice, over the front of the columns:
+the build cuts its own columns to length, and aggregation appends each
+block's merged front to its coarse buffers, so an aggregated graph
+always has a full weight column.
 """
 
 from __future__ import annotations
@@ -416,13 +417,15 @@ def _build(
     a read-only zero-stride view of w stands in for it.  When held had
     the only reference to the EdgeList, its weights are freed before the
     target column exists, and its id pairs once that column is filled.
-    _sort_rows then gives the arcs in stable (source, target) order,
-    _sum_runs merges each run of a repeated pair over the front of the
-    columns, and this function, their one owner, cuts them to the merged
-    length in place; a column that something else references (a tracer's
-    copy of the frame's locals) is copied instead.  A repeated pair of a
-    uniform input is merged over a full column of w, made then, so its
-    sum adds the same values in the same order as that of any input.
+    _merge_rows then sorts each row by target and merges each repeated
+    pair over the front of the columns, and this function, their one
+    owner, cuts them to the merged length in place; a column that
+    something else references (a tracer's copy of the frame's locals) is
+    copied instead.  A uniform input that repeats a pair is merged again
+    over a full column of w, made then, so its sums add the same values
+    in the same order as any input's.  With symmetrize off, each arc whose
+    source is above its target takes its reverse's weight bits once the
+    symmetry check passes, so coarse graphs sum equal weights both ways.
     """
     edges = held.pop()
     n, pairs, ws = edges.n, edges.entries, edges.weights
@@ -466,11 +469,10 @@ def _build(
         targets = np.empty(m, dtype=_id_dtype(n))
         _scatter(offsets[:-1].copy(), _arc_slices(*ends, vs, us, loops), targets)
         del us, vs, ends, loops
-        _sort_rows(offsets, targets, weights, n)
-        counts, at = _sum_runs(offsets, targets, weights)
+        counts, at = _merge_rows(offsets, targets, weights, n)
         if counts is None:
             weights = np.full(m, w)
-            counts, at = _sum_runs(offsets, targets, weights)
+            counts, at = _merge_rows(offsets, targets, weights, n)
         del offsets
         if at < m:
             try:
@@ -479,7 +481,7 @@ def _build(
                 weights.resize(at)
             except ValueError:
                 targets, weights = targets[:at].copy(), weights[:at].copy()
-        return _finish_graph(n, counts, targets, weights)
+        return _finish_graph(n, counts, targets, weights, mirror=not symmetrize)
     except MemoryError as exc:
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
 
@@ -517,75 +519,48 @@ def _scatter(fill: np.ndarray, slices, out: np.ndarray | None = None) -> None:
         if out is not None and keys.size:
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
-            first = np.empty(keys.size, dtype=bool)
-            first[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            at = np.arange(keys.size)
             # each value's rank among the values of its key in the slice
-            at -= np.maximum.accumulate(np.where(first, at, 0))
+            at = np.arange(keys.size) - np.searchsorted(keys, keys)
             at += fill[keys]
             out[at] = values if np.ndim(values) == 0 else values[order]
         np.add.at(fill, keys, 1)
 
 
-def _sort_rows(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray, n: int) -> None:
-    """Sort each row's arcs stably by target, in place, one row-aligned
-    slice at a time; targets lie in [0, n).  Arcs given in (source, arc
-    id) order come out in stable (source, target) order.  A zero-stride
-    weights view holds one value, which no permutation changes, so it is
-    left as it is.
-
-    The key of an arc is its row's start within the slice times n, plus
-    its target.  A slice of many rows has at most ARC_CHUNK arcs, so the
-    key is below ARC_CHUNK * n, inside the int64 range for any n whose
-    offsets fit in memory.
-    """
-    for r0, r1, lo, hi in _row_slices(offsets):
-        if hi - lo > 1:
-            at = offsets[r0 : r1 + 1] - lo
-            key = np.repeat(at[:-1] * n, np.diff(at))
-            key += targets[lo:hi]
-            order = np.argsort(key, kind="stable")
-            del key
-            targets[lo:hi] = targets[lo:hi][order]
-            if weights.strides[0]:
-                weights[lo:hi] = weights[lo:hi][order]
-
-
-def _sum_runs(
-    offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray
+def _merge_rows(
+    offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray, n: int
 ) -> tuple[np.ndarray | None, int]:
-    """Merge each run of repeated (source, target) pairs into one arc, in
-    place over the front of the columns vs and ws.
+    """Sort each row's arcs stably by target and merge each run of a
+    repeated pair into one arc, in place over the front of vs and ws.
 
-    The arcs are in CSR order under offsets, each row's targets
-    ascending.  A run starts where a row starts or the target changes.
-    Each run's weights are summed with reduceat in arc order, over
-    row-aligned slices that never split a run, so the sums are those of
-    one reduceat over all arcs; a sum past the float64 range is left for
+    Each row-aligned slice keys its arcs by row start times n plus target
+    (targets lie in [0, n), and a slice of at most ARC_CHUNK arcs keeps
+    the key in the int64 range); a run starts where the sorted key
+    changes, and reduceat sums it in arc order, as one stable sort and
+    one reduceat over all arcs would.  An overflow is left for
     _finish_graph to reject.  Returns the row lengths and the merged arc
     count at: the merged arcs are vs[:at] and ws[:at].  A zero-stride ws
-    cannot hold a merge, so at the first run of a repeated pair this
-    returns (None, at) and has changed nothing.
+    cannot hold a merge, so at the first repeated pair this returns
+    (None, at), the slices before it sorted and the rest unchanged.
     """
     counts = np.diff(offsets)
     at = 0
     for r0, r1, lo, hi in _row_slices(offsets):
-        new_run = np.empty(hi - lo, dtype=bool)
-        new_run[:1] = True
-        np.not_equal(vs[lo + 1 : hi], vs[lo : hi - 1], out=new_run[1:])
-        new_run[offsets[r0:r1][counts[r0:r1] > 0] - lo] = True
-        starts = np.flatnonzero(new_run)
-        # deduplicated input, the common case, moves no arc
-        if at == lo and starts.size == hi - lo:
-            at = hi
+        if lo == hi:
             continue
-        if not ws.strides[0]:
+        rows = offsets[r0 : r1 + 1] - lo
+        key = np.repeat(rows[:-1] * n, np.diff(rows))
+        key += vs[lo:hi]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        del key
+        if starts.size < hi - lo and not ws.strides[0]:
             return None, at
-        vs[at : at + starts.size] = vs[lo:hi][starts]
-        with np.errstate(over="ignore"):
-            ws[at : at + starts.size] = np.add.reduceat(ws[lo:hi], starts)
-        counts[r0:r1] = np.diff(np.searchsorted(starts, offsets[r0 : r1 + 1] - lo))
+        vs[at : at + starts.size] = vs[lo:hi][order[starts]]
+        if ws.strides[0]:
+            with np.errstate(over="ignore"):
+                ws[at : at + starts.size] = np.add.reduceat(ws[lo:hi][order], starts)
+        counts[r0:r1] = np.diff(np.searchsorted(starts, rows))
         at += starts.size
     return counts, at
 
@@ -598,11 +573,11 @@ def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
     arcs each unless one community alone has more.  A block lists its
     communities' arcs in grouped order, members ascending and each
     member's arcs in arc order, which is CSR form with one row per
-    community.  _sort_rows sorts each row stably by target community, the
-    order one stable sort of all arcs by (community, target community)
-    gives, and _sum_runs sums each run in arc order, so every run sums the
-    same arcs in the same order, to the same bits.  Each block is merged
-    once, and its merged front is appended to growing target and weight
+    community.  One _merge_rows call per block sorts each row stably by
+    target community, the order one stable sort of all arcs by
+    (community, target community) gives, and sums each run in arc order,
+    so every run sums the same arcs in the same order, to the same bits.
+    Each block's merged front is appended to growing target and weight
     buffers.  Beside the graph, the work holds the members, int32 when
     g.n fits, and slice-sized temporaries; the coarse targets are
     _id_dtype(n_comm).
@@ -630,8 +605,7 @@ def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
         rows = comm_arcs[c0 : c1 + 1] - lo
         block_tgt, block_w = mapping[g.targets[arc]].astype(ids), g.weights[arc]
         del arc
-        _sort_rows(rows, block_tgt, block_w, n_comm)
-        counts[c0:c1], at = _sum_runs(rows, block_tgt, block_w)
+        counts[c0:c1], at = _merge_rows(rows, block_tgt, block_w, n_comm)
         tgt.frombytes(block_tgt[:at].data.cast("B"))
         w.frombytes(block_w[:at].data.cast("B"))
         # free the merged block before the next one is gathered: left
@@ -643,15 +617,18 @@ def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
     return _finish_graph(n_comm, counts, np.frombuffer(tgt, dtype=ids), np.frombuffer(w))
 
 
-def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> Graph:
+def _finish_graph(
+    n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray, mirror: bool = False
+) -> Graph:
     """Check merged CSR arcs and wrap them in a Graph.
 
     counts[u] is the length of row u; vs and ws are the targets and
     weights in CSR order, each row's targets strictly ascending.  The
     offsets, degrees and total are derived here, and the weights, the
-    symmetry and the total are checked.  vs becomes the Graph's targets
-    as given, without a copy, so its dtype is the caller's: _id_dtype(n)
-    for build_graph and _coarsen.
+    symmetry (which with mirror on gives both arcs of a pair one weight)
+    and the total are checked.  vs becomes the Graph's targets as given,
+    without a copy, so its dtype is the caller's: _id_dtype(n) for
+    build_graph and _coarsen.
     """
     if ws.size and ws.min() <= 0:
         raise ValueError("arc weights must be positive after merging")
@@ -662,7 +639,7 @@ def _finish_graph(n: int, counts: np.ndarray, vs: np.ndarray, ws: np.ndarray) ->
     np.cumsum(counts, out=offsets[1:])
     # the Graph type promises symmetry; catch unsymmetrized input here
     # rather than letting modularity invariants break silently downstream
-    if not _is_symmetric(offsets, vs, ws):
+    if not _is_symmetric(offsets, vs, ws, mirror):
         raise ValueError(
             "arc list is not symmetric; pass symmetrize=True or provide both directions"
         )
@@ -708,9 +685,13 @@ def _slice_rows(offsets: np.ndarray, r0: int, r1: int) -> np.ndarray:
     return np.repeat(np.arange(r1 - r0), np.diff(offsets[r0 : r1 + 1]))
 
 
-def _is_symmetric(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
+def _is_symmetric(
+    offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray, mirror: bool = False
+) -> bool:
     """Whether the arc at rank i of the (v, u) order reverses the arc at
     position i of the (u, v) order, with a weight equal to rtol 1e-12.
+    With mirror on, each arc of a symmetric graph whose source is above
+    its target then takes its reverse's weight bits.
 
     The arcs are in CSR order with strictly ascending targets per row, so
     a stable sort by target alone gives the (v, u) order, and arc j's
@@ -729,6 +710,7 @@ def _is_symmetric(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
     del in_arcs
     rev = np.empty(vs.size, dtype=_id_dtype(vs.size))
     _scatter(offsets[:-1].copy(), ((vs[lo:hi], np.arange(lo, hi)) for lo, hi in slices), rev)
+    mirror = mirror and ws.strides[0]
     for r0, r1, lo, hi in _row_slices(offsets):
         r = rev[lo:hi]
         v = vs[lo:hi]
@@ -739,6 +721,11 @@ def _is_symmetric(offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
             and np.allclose(ws[lo:hi], ws[r], rtol=1e-12, atol=0.0)
         ):
             return False
+        if mirror:
+            # the reverse of an arc whose source is above its target lies
+            # in an earlier row, checked already, and is never written
+            above = _slice_rows(offsets, r0, r1) + r0 > v
+            ws[lo:hi][above] = ws[r[above]]
     return True
 
 

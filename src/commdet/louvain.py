@@ -20,7 +20,9 @@ the int64 labels and the float64 community masses are read and written
 through memoryviews, which give the builtin int and float a list would
 hold, float bits included.  No sweep keeps a Python object per vertex, so
 a pass holds little beyond the graph itself, and the caller's labels are
-updated in place.
+updated in place.  One function, _move_phase, runs a pass's local moving
+for every engine: it checks the labels, picks the sweep, runs the
+iteration loop and measures the community-mass drift.
 
 After each pass the convergence tolerance is divided by a decline factor
 (threshold scaling), trading precision in late passes for speed.
@@ -32,10 +34,10 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -316,89 +318,62 @@ def _sync_iteration(
     return gain, moves, 0
 
 
-def _kernel_inputs(g: Graph, labels: np.ndarray) -> tuple[tuple[memoryview, ...], np.ndarray]:
-    """The graph's offsets, targets, weights and degrees, for the
-    pure-Python kernel, and the int64 labels the sweeps update.
-
-    The graph's arrays are read through memoryviews, so the kernel keeps no
-    copy of them: indexing one gives the builtin int or float that
-    tolist() would hold there, float bits included.  The labels are labels
-    itself when it is a writable C-contiguous int64 array, and otherwise an
-    int64 copy for the caller to write back.
-    """
-    arrays = (g.offsets, g.targets, g.weights, g.degrees)
-    flags = labels.flags
-    in_place = labels.dtype == np.int64 and flags.writeable and flags.c_contiguous
-    return tuple(memoryview(a) for a in arrays), labels if in_place else labels.astype(np.int64)
-
-
-def _move_loop(
-    g: Graph,
-    labels: np.ndarray,
-    tolerance: float,
-    max_iterations: int,
-    sweep: Callable[..., tuple[float, int, int]],
+def _move_phase(
+    g: Graph, labels: np.ndarray, tolerance: float, cfg: Config
 ) -> tuple[int, float, int, list[int], float]:
-    """Repeat sweep until an iteration gains <= tolerance or the cap is hit.
+    """One pass's local moving: repeat the sweep cfg picks until an
+    iteration gains <= tolerance or cfg.max_iterations_per_pass is hit.
 
-    sweep(offs, tgt, wts, degs, labs, sigma_tot, m) runs one iteration
-    over the graph and returns (gain, moves, conflicts).  Each argument but
-    m is a memoryview: of the graph's arrays, of the labels _kernel_inputs
-    gives and of the float64 community masses, and the sweep updates the
-    last two in place.  So labels is updated in place, directly when
-    _kernel_inputs uses it as it is and by one copy back at the end
-    otherwise.  Raises ValueError when labels is not of shape (n,) or a
-    label lies outside [0, n).
+    Sync sweeps with _sync_iteration, one async thread with the unlocked
+    _sweep_range.  More threads split the ids into cfg.chunk_size chunks:
+    worker w owns chunks w, w + threads, ..., so only it moves their
+    vertices; only then are the worker switch interval and a pool held.
+    A sweep(offs, tgt, wts, degs, labs, sigma_tot, m) returns (gain,
+    moves, conflicts).  Each argument but m is a memoryview, which gives
+    the builtin int or float that tolist() would hold, float bits
+    included: of the graph's arrays, which no sweep copies, and of the
+    int64 labels and float64 community masses, which it updates in place.
+    The labels are labels itself when it is a writable C-contiguous int64
+    array, else an int64 copy written back at the end.  Raises ValueError
+    when labels is not of shape (n,) or a label lies outside [0, n).
     Returns (iterations, cumulative gain, accepted moves, conflicts per
     iteration, sigma drift), where the drift is the largest absolute
     difference between the incrementally maintained community masses and
     an exact recomputation from the final labels.
     """
-    graph, work = _kernel_inputs(g, _check_labels(g, labels))
+    work = _check_labels(g, labels)
+    if not (work.flags.writeable and work.flags.c_contiguous):
+        work = work.copy()
     sigma_tot = np.bincount(work, weights=g.degrees, minlength=g.n)
-    state = (memoryview(work), memoryview(sigma_tot), g.total / 2.0)
-
-    iterations = 0
-    total_gain = 0.0
-    total_moves = 0
-    conflicts: list[int] = []
-    while True:
-        iterations += 1
-        gain, moves, clashes = sweep(*graph, *state)
-        total_gain += gain
-        total_moves += moves
-        conflicts.append(clashes)
-        if gain <= tolerance or iterations >= max_iterations:
-            break
+    state = [memoryview(a) for a in (g.offsets, g.targets, g.weights, g.degrees, work, sigma_tot)]
+    with ExitStack() as stack:
+        if cfg.mode == "sync":
+            sweep = _sync_iteration
+        elif cfg.threads == 1:
+            sweep = partial(_sweep_range, 0, g.n)
+        else:
+            bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
+            # a worker past the chunk count would own no chunk, so none is started
+            workers = min(cfg.threads, len(bounds))
+            shares = [bounds[w :: cfg.threads] for w in range(workers)]
+            stack.enter_context(_worker_switch_interval())
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+            sweep = partial(_threaded_sweep, pool, shares, threading.Lock())
+        iterations, total_gain, total_moves, conflicts = 0, 0.0, 0, []
+        while True:
+            iterations += 1
+            gain, moves, clashes = sweep(*state, g.total / 2.0)
+            total_gain += gain
+            total_moves += moves
+            conflicts.append(clashes)
+            if gain <= tolerance or iterations >= cfg.max_iterations_per_pass:
+                break
 
     if work is not labels:
         labels[:] = work
     fresh = np.bincount(work, weights=g.degrees, minlength=g.n)
     drift = float(np.max(np.abs(fresh - sigma_tot)))
     return iterations, total_gain, total_moves, conflicts, drift
-
-
-def _move_phase(
-    g: Graph, labels: np.ndarray, tolerance: float, cfg: Config
-) -> tuple[int, float, int, list[int], float]:
-    """One pass's local moving with the sweep cfg picks; see _move_loop.
-
-    Sync sweeps with _sync_iteration, one async thread with the unlocked
-    _sweep_range.  More threads split the ids into cfg.chunk_size chunks:
-    worker w owns chunks w, w + threads, ..., so only it moves their vertices.
-    """
-    cap = cfg.max_iterations_per_pass
-    if cfg.mode == "sync":
-        return _move_loop(g, labels, tolerance, cap, _sync_iteration)
-    if cfg.threads == 1:
-        return _move_loop(g, labels, tolerance, cap, partial(_sweep_range, 0, g.n))
-    bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
-    # a worker past the chunk count would own no chunk, so none is started
-    workers = min(cfg.threads, len(bounds))
-    shares = [bounds[w :: cfg.threads] for w in range(workers)]
-    with _worker_switch_interval(), ThreadPoolExecutor(max_workers=workers) as pool:
-        sweep = partial(_threaded_sweep, pool, shares, threading.Lock())
-        return _move_loop(g, labels, tolerance, cap, sweep)
 
 
 def local_moving(

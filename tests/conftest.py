@@ -191,6 +191,23 @@ def lexsort_symmetric(us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> bool:
     )
 
 
+def widest_within_rtol(a: np.ndarray) -> np.ndarray:
+    """For each weight a, the largest float b with |a - b| <= 1e-12 *
+    min(a, b): the reverse weight farthest above a that the build's
+    symmetry check accepts."""
+    a = np.asarray(a, dtype=np.float64)
+
+    def accepted(b):
+        return np.abs(a - b) <= 1e-12 * np.minimum(a, b)
+
+    b = a * (1 + 1e-12)
+    while not accepted(b).all():
+        b = np.where(accepted(b), b, np.nextafter(b, 0.0))
+    while (step := accepted(up := np.nextafter(b, np.inf))).any():
+        b = np.where(step, up, b)
+    return b
+
+
 def dict_normalize_labels(labels) -> tuple[np.ndarray, int]:
     """normalize_labels as a dict loop: each label, on first sight, takes
     the next id."""
@@ -264,8 +281,9 @@ def lexsort_build(edges: EdgeList, symmetrize: bool = True, add_self_loops: bool
     """build_graph as one stable lexsort of arc-length source, target and
     weight columns in arc order, each run summed with one reduceat, and a
     symmetry check on one lexsort by (target, source), with the same
-    checks and messages in the same order.  The targets are int32 when n
-    is at most 2**31 - 1, int64 above that."""
+    checks and messages in the same order.  With symmetrize off, each arc
+    whose source is above its target then takes its reverse's weight.
+    The targets are int32 when n is at most 2**31 - 1, int64 above that."""
     n, pairs, ws = edges.n, edges.entries, edges.weights
     if n < 1:
         raise ValueError("empty graph: vertex count must be >= 1")
@@ -294,6 +312,9 @@ def lexsort_build(edges: EdgeList, symmetrize: bool = True, add_self_loops: bool
     src = np.repeat(np.arange(n), counts)
     if not lexsort_symmetric(src, tgt, w):
         raise ValueError(ASYMMETRIC)
+    if not symmetrize:
+        above = src > tgt
+        w[above] = w[np.lexsort((src, tgt))][above]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     degrees = np.bincount(src, weights=w, minlength=n)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import commdet
@@ -21,7 +22,7 @@ from commdet.graph import load_graph_file, save_edgelist
 from commdet.louvain import louvain, sweep_tolerance
 from commdet.parallel import ParallelConfig, parallel_louvain
 
-from conftest import read_sweep_csv
+from conftest import read_sweep_csv, widest_within_rtol
 
 
 @pytest.fixture
@@ -339,6 +340,22 @@ def test_no_symmetrize_rejects_one_sided_edge_list(tmp_path, capsys):
     capsys.readouterr()
     assert main(["detect", "--input", str(path), "--no-symmetrize"]) == 1
     assert "not symmetric" in capsys.readouterr().err
+
+
+def test_detect_without_symmetrizing_pairs_within_tolerance_exits_0(tmp_path, capsys):
+    """Two 5-cliques joined by arcs i -> 5 + i whose reverse weighs the
+    most the load accepts: pass-0 aggregation sums those pairs into one
+    coarse pair each way, and rounding once put the two sums past the
+    tolerance, so detect ended in a traceback where stats exited 0."""
+    lines = [f"{b + i} {b + j} 10.0" for b in (0, 5) for i in range(5) for j in range(5) if i != j]
+    a = np.random.default_rng(2).uniform(0.5, 2.0, 5)
+    for i, (w, w_rev) in enumerate(zip(a.tolist(), widest_within_rtol(a).tolist())):
+        lines += [f"{i} {5 + i} {w!r}", f"{5 + i} {i} {w_rev!r}"]
+    path = tmp_path / "near_symmetric.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["stats", "--input", str(path), "--no-symmetrize"]) == 0
+    assert main(["detect", "--input", str(path), "--no-symmetrize"]) == 0
+    assert "Q=" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

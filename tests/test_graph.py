@@ -14,13 +14,14 @@ from commdet.graph import (
     GraphParseError,
     SCATTER_CHUNK,
     _is_symmetric,
-    _sum_runs,
+    _merge_rows,
     build_graph,
     graph_stats,
     parse_edgelist,
     parse_matrix_market,
     save_edgelist,
 )
+from commdet.louvain import aggregate_graph, louvain
 
 from conftest import (
     ASYMMETRIC,
@@ -28,12 +29,14 @@ from conftest import (
     bincount_degrees,
     graph_bytes,
     graph_to_edgelist,
+    lexsort_build,
     lexsort_symmetric,
     neighbors,
     oracle_graphs,
     reduceat_merge,
     validate_graph,
     weighted_chunk_graph,
+    widest_within_rtol,
 )
 
 GRAPH_MODULE = importlib.import_module("commdet.graph")
@@ -292,6 +295,42 @@ def test_symmetry_check_weight_tolerance_beyond_the_first_chunk(rel, symmetric):
         assert str(err.value) == ASYMMETRIC
 
 
+def _within_rtol_edges(rng, k):
+    """Both arcs of each of a random set of pairs on k vertices, in random
+    order: one arc weighs a, the other, on a random side, the widest
+    weight the symmetry check accepts for a; and a loop on every third
+    vertex."""
+    iu, iv = np.triu_indices(k, 1)
+    keep = rng.random(iu.size) < rng.uniform(0.05, 0.9)
+    iu, iv, loops = iu[keep], iv[keep], np.arange(0, k, 3)
+    a = rng.uniform(0.5, 2.0, iu.size)
+    b = widest_within_rtol(a)
+    flip = rng.random(iu.size) < 0.5
+    us, vs = np.concatenate([iu, iv, loops]), np.concatenate([iv, iu, loops])
+    ws = np.concatenate([np.where(flip, b, a), np.where(flip, a, b), rng.random(loops.size) + 1])
+    order = rng.permutation(us.size)
+    return EdgeList(k, np.column_stack([us, vs])[order], ws[order])
+
+
+def test_no_symmetrize_gives_both_arcs_of_a_pair_one_weight():
+    """Without symmetrizing, pairs whose arcs differ within the load's
+    rtol 1e-12 load with each arc holding its reverse's weight bits, as
+    in the lexsort oracle; so aggregation under any labels sums equal
+    weights both ways, and neither it nor a whole run finds a coarse
+    graph asymmetric.  The last graph has more arcs than one ARC_CHUNK."""
+    rng = np.random.default_rng(19)
+    for k in [*rng.integers(2, 40, size=300).tolist(), 260]:
+        el = _within_rtol_edges(rng, k)
+        g = build_graph(el, symmetrize=False)
+        assert graph_bytes(g) == graph_bytes(lexsort_build(el, symmetrize=False))
+        rev = np.lexsort((arc_sources(g), g.targets))
+        assert g.weights[rev].tobytes() == g.weights.tobytes()
+        for labels in (rng.integers(max(1, k // 5), size=k), rng.integers(k, size=k)):
+            aggregate_graph(g, labels)
+        louvain(g)
+    assert g.n_arcs > ARC_CHUNK
+
+
 def test_build_symmetry_independent_of_input_order():
     rng = np.random.default_rng(3)
     el = random_gnp(40, 0.15, seed=9)
@@ -397,10 +436,12 @@ def test_scatter_gives_the_lexsort_arcs_from_int32_and_int64_ids(symmetrize, mon
     weight bits of one lexsort and one reduceat over the arc columns,
     with repeated pairs, loops, inserted loops, empty rows and more
     entries than one scatter slice, and, with symmetrize off, a row alone
-    past ARC_CHUNK arcs that _sort_rows and _sum_runs take in a slice of
-    its own.  _finish_graph is patched to return the merged arcs, so the
-    one-sided arcs of symmetrize off are not rejected."""
-    monkeypatch.setattr(GRAPH_MODULE, "_finish_graph", lambda n, *arcs: arcs)
+    past ARC_CHUNK arcs that _merge_rows takes in a slice of its own.
+    _finish_graph is patched to return the merged arcs, so the one-sided
+    arcs of symmetrize off are neither rejected nor mirrored."""
+    monkeypatch.setattr(
+        GRAPH_MODULE, "_finish_graph", lambda n, counts, vs, ws, mirror=False: (counts, vs, ws)
+    )
 
     def check(n, pairs, ws):
         loops = np.setdiff1d(np.arange(n), pairs[pairs[:, 0] == pairs[:, 1], 0])
@@ -436,20 +477,24 @@ def test_scatter_gives_the_lexsort_arcs_from_int32_and_int64_ids(symmetrize, mon
 
 
 def _repeated_pairs():
-    """Rows [0 1 1 | 0 0 2] of a 3-vertex CSR: each row repeats a pair."""
+    """Rows [1 0 1 | 0 2 0] of a 3-vertex CSR: each row repeats a pair."""
     offsets = np.array([0, 3, 6, 6])
-    return offsets, np.array([0, 1, 1, 0, 0, 2], dtype=np.int32), np.arange(1.0, 7.0)
+    return offsets, np.array([1, 0, 1, 0, 2, 0], dtype=np.int32), np.arange(1.0, 7.0)
 
 
-def test_sum_runs_merges_over_the_front_of_the_columns():
-    """The merged arcs are written over the front of the given arrays,
-    which keep their length; the merged row lengths and arc count come
-    back."""
+def test_merge_rows_merges_over_the_front_of_the_columns():
+    """Each row is sorted stably by target and the merged arcs are written
+    over the front of the given arrays, which keep their length; the
+    merged row lengths and arc count come back."""
     offsets, vs, ws = _repeated_pairs()
-    counts, at = _sum_runs(offsets, vs, ws)
+    counts, at = _merge_rows(offsets, vs, ws, 3)
     assert counts.tolist() == [2, 2, 0] and at == 4
     assert vs.size == ws.size == 6
-    assert vs[:at].tolist() == [0, 1, 0, 2] and ws[:at].tolist() == [1.0, 5.0, 9.0, 6.0]
+    assert vs[:at].tolist() == [0, 1, 0, 2] and ws[:at].tolist() == [2.0, 4.0, 10.0, 5.0]
+    # a zero-stride weights view cannot hold a merge: nothing is changed
+    offsets, vs, _ = _repeated_pairs()
+    assert _merge_rows(offsets, vs, np.broadcast_to(1.0, (6,)), 3) == (None, 0)
+    assert vs.tolist() == _repeated_pairs()[1].tolist()
 
 
 def test_build_under_a_tracer_reading_its_locals_gives_the_same_graph():

@@ -375,11 +375,12 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
 # (numpy 2.4): 23.1 B on the unit-weight planted input with repeated pairs
 # and 23.2 B on the weighted input with and without them, with no weight
-# column made for a uniform input until a repeated pair is merged.  23.1 B
-# on the planted input with repeated pairs and 23.2 B
-# without, with _sort_rows freeing each slice's sort key before the
+# column made for a uniform input until a repeated pair is merged, the
+# same with one _merge_rows pass per slice sorting and merging the rows.
+# 23.1 B on the planted input with repeated pairs and 23.2 B
+# without, with the row sort freeing each slice's sort key before the
 # permuted copies are made and the merged columns cut in place (the
-# same readings with the cut in the build rather than in _sum_runs);
+# same readings with the cut in the build rather than in the run merge);
 # 23.5 B and 23.1 B with int32 ids from the parser to the Graph's
 # targets, the key held through the permutation and the merged columns
 # copied, the peak then in those copies and the symmetry check's slice
@@ -414,10 +415,14 @@ MAX_UNIFORM_LOAD_BYTES_PER_ARC = 19.0
 MAX_MOVE_BYTES_PER_ARC = 3.1
 
 # tracemalloc peaks per arc of modularity and aggregate_graph under the
-# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 6.22 B with
-# aggregation merging each block once through the build's _sort_rows and
-# _sum_runs and appending it to growing coarse buffers; 6.32 B when a
-# first pass merged every block for its row lengths and a second merged
+# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 7.66 B with
+# one _merge_rows call per block, its sorted key gathered beside the key
+# and the permutation (6.54 B with the key sorted in place, whose SIMD
+# sort code raised the bench's peak RSS by about 0.3 MB; the extra slice
+# array is a constant 131 kB, 1.4 B/arc only on this small graph); 6.22 B
+# with the block sorted by the build's row sort and merged by a second
+# walk over its slices, appended to growing coarse buffers as now; 6.32 B
+# when a first pass merged every block for its row lengths and a second merged
 # it again into columns of the final size, the members int32 and no
 # n-length array of member arc positions; 7.71 B with the first pass
 # only counting each community's distinct target communities from a

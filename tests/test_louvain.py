@@ -21,7 +21,6 @@ from commdet.fixtures import gnp_graph
 from commdet.graph import ARC_CHUNK, EdgeList, Graph, _row_slices, build_graph
 from commdet.louvain import (
     Config,
-    _kernel_inputs,
     _move_phase,
     aggregate_graph,
     best_move,
@@ -321,30 +320,48 @@ def _bits(floats):
     return [struct.pack("d", x) for x in floats]
 
 
-def _tolist_kernel_inputs(g, labels):
-    """Reference: one fresh builtin object per entry."""
-    arrays = (g.offsets, g.targets, g.weights, g.degrees)
-    return tuple(a.tolist() for a in arrays), labels.tolist()
+def _assert_views_equal_tolist(views, g, labels, name):
+    """Each memoryview a sweep receives gives, at every index, what
+    tolist() holds there: the same value, builtin type and float bits.
+    int64 labels are the caller's own array."""
+    offs, tgt, wts, degs, labs, sigma_tot = views
+    assert labs.obj is labels, name
+    refs = (g.offsets, g.targets, g.weights, g.degrees, labels, sigma_tot.obj)
+    for view, ref, kind in zip(views, refs, (int, int, float, float, int, float)):
+        got, want = [view[k] for k in range(len(view))], ref.tolist()
+        assert got == want and all(type(x) is kind for x in got), name
+        if kind is float:
+            assert _bits(got) == _bits(want), name
 
 
-def test_kernel_inputs_equal_tolist():
-    """What the kernel reads at each index is what tolist() holds there:
-    the same value, builtin type and float bits.  int64 labels are used
-    as they are."""
+def test_kernel_inputs_equal_tolist(inline_pool, monkeypatch):
+    """What every sweep reads is what tolist() holds, in async, sync and
+    threaded local moving, on weights that repeat at both ends of the
+    float64 range, many distinct weights, several ARC_CHUNKs of weighted
+    arcs and a unit-weight graph whose weights are a zero-stride view."""
+    run = {}
+
+    def recorder(sweep):
+        def recorded(*args):
+            views = [a for a in args if isinstance(a, memoryview)]
+            _assert_views_equal_tolist(views, *run["case"])
+            run["calls"] += 1
+            return sweep(*args)
+        return recorded
+
+    for name in ("_sweep_range", "_sync_iteration"):
+        monkeypatch.setattr(LOUVAIN_MODULE, name, recorder(getattr(LOUVAIN_MODULE, name)))
+    view = sbm_graph(4, 30, 0.3, 0.02, seed=1)
+    assert view.weights.strides == (0,)
     rng = np.random.default_rng(2)
-    for name, g in _kernel_cases() + [("weighted_chunks", weighted_chunk_graph())]:
+    cases = _kernel_cases() + [("weighted_chunks", weighted_chunk_graph()), ("unit_view", view)]
+    for name, g in cases:
+        engines = [Config(), Config(mode="sync"), Config(threads=2, chunk_size=max(1, g.n // 4))]
         for labels in (singleton_assignment(g.n), rng.integers(g.n, size=g.n)):
-            graph, work = _kernel_inputs(g, labels)
-            assert work is labels, name
-            labs = [memoryview(work)[k] for k in range(g.n)]
-            ref_graph, ref_labs = _tolist_kernel_inputs(g, labels)
-            assert labs == ref_labs and all(type(x) is int for x in labs), name
-            offs, tgt, wts, degs = ([view[k] for k in range(len(view))] for view in graph)
-            ref_offs, ref_tgt, ref_wts, ref_degs = ref_graph
-            assert offs == ref_offs and tgt == ref_tgt, name
-            assert all(type(x) is int for x in offs + tgt), name
-            assert all(type(x) is float for x in wts + degs), name
-            assert _bits(wts) == _bits(ref_wts) and _bits(degs) == _bits(ref_degs), name
+            for cfg in engines:
+                run.update(case=(g, labels, (name, cfg)), calls=0)
+                _move_phase(g, labels, 0.01, replace(cfg, max_iterations_per_pass=2))
+                assert run["calls"] >= 1, (name, cfg)
 
 
 # every engine through _move_phase; threads > 1 runs on an InlinePool
@@ -532,13 +549,13 @@ def test_aggregate_merges_each_block_once(monkeypatch):
     blocks = len(list(_row_slices(np.concatenate([[0], comm_arcs]))))
     assert blocks > 4
     merged = []
-    sum_runs = GRAPH_MODULE._sum_runs
+    merge_rows = GRAPH_MODULE._merge_rows
 
-    def counted(offsets, vs, ws):
+    def counted(offsets, vs, ws, n):
         merged.append(offsets.size - 1)
-        return sum_runs(offsets, vs, ws)
+        return merge_rows(offsets, vs, ws, n)
 
-    monkeypatch.setattr(GRAPH_MODULE, "_sum_runs", counted)
+    monkeypatch.setattr(GRAPH_MODULE, "_merge_rows", counted)
     got = aggregate_graph(g, labels)
     assert len(merged) == blocks and sum(merged) == n_comm
     assert graph_bytes(got[0]) == graph_bytes(want[0])

@@ -1,5 +1,6 @@
 """Every name the benchmark and the acceptance tests import from commdet,
-and every name a module exports, exists; every benchmark command line parses."""
+and every name a module exports, exists; every benchmark command line
+parses; every private helper in commdet is used."""
 
 import ast
 import importlib
@@ -66,3 +67,29 @@ def test_every_bench_argv_parses(monkeypatch):
     for w in workloads.WORKLOADS.values():
         args = parser.parse_args(w.argv("in", "m"))
         assert (args.command, args.input) == (w.kind, "in"), w.name
+
+
+def _private_definitions_and_uses():
+    """(module, name) of each module-level private function or class under
+    src/commdet, and every name the top-level statements refer to, less
+    each definition's references to itself."""
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "commdet").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom)
+                      for a in n.names}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append((path.stem, stmt.name))
+                names.discard(stmt.name)
+            used |= names
+    return defined, used
+
+
+def test_every_private_helper_is_referenced():
+    """A helper folded into its caller leaves no definition behind."""
+    defined, used = _private_definitions_and_uses()
+    assert len(defined) >= 20
+    assert [f"{m}.{name}" for m, name in defined if name not in used] == []
