@@ -25,6 +25,7 @@ always has a full weight column.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 from typing import IO, TextIO
@@ -49,16 +50,18 @@ class GraphParseError(ValueError):
     """Raised when an input graph file cannot be parsed."""
 
 
-# arcs per slice where an arc-length pass runs in slices to bound its
-# temporaries (the symmetry check, the degree pass, the modularity sums and
-# the row sort of the build and of aggregation)
-ARC_CHUNK = 1 << 14
+# arcs per slice of every arc-length pass that runs in slices to bound its
+# temporaries, about 50 bytes per arc of a slice (tracemalloc): the build's
+# counting sort, the symmetry check, the row merges, the degree pass and
+# modularity.  No merge run crosses a row and every sum adds in arc order,
+# so the slice size changes no result, only the peak and the call count.
+ARC_CHUNK = 1 << 12
 
-# arcs per slice of the build's counting sort, whose temporaries take
-# about 50 bytes per arc of a slice (tracemalloc): 4096 arcs add about
-# 2 bytes per arc to the load's peak on a graph of 87k arcs, and keep the
-# per-slice numpy calls cheap beside the work they do
-SCATTER_CHUNK = 1 << 12
+# the peak RSS per declared vertex, and per entry or inserted loop, that
+# _build assumes a run takes: detect read 119 B/vertex on a 300k-vertex
+# edge list of one edge, and 37 B/entry on a weighted 539k-entry input
+RUN_BYTES_PER_VERTEX = 128
+RUN_BYTES_PER_ENTRY = 48
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
@@ -162,119 +165,99 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
     """Parse a MatrixMarket coordinate file into an EdgeList.
 
     Accepts pattern/real/integer fields and general/symmetric storage.
-    Indices are converted from 1-based to 0-based and held as int32 when
-    the size line declares at most 2**31 - 1 rows, as int64 otherwise;
-    pattern entries get weight 1.  For symmetric files only the stored
-    triangle is returned; mirroring the arcs is build_graph's job.
+    One loop reads the stream: its first non-blank line is the header,
+    the first later line that is neither blank nor a % comment the size
+    line, and each such line after it an entry.  Indices are converted
+    from 1-based to 0-based and held as int32 when the size line declares
+    at most 2**31 - 1 rows, as int64 otherwise; pattern entries get
+    weight 1.  For symmetric files only the stored triangle is returned;
+    mirroring the arcs is build_graph's job.
 
     Raises:
         GraphParseError: on a malformed header or size line, an entry
             with fields missing or extra, an index out of the declared
-            range, a non-finite weight, or an entry count
-            that does not match the size line.  Messages name the
-            offending line number.
+            range, a non-finite weight, or an entry count that does not
+            match the size line.  Messages name the offending line, or
+            the line after the last one for a file that ends early.
     """
-    line_no = 0
-    header = None
-    while header is None:
-        raw = stream.readline()
-        line_no += 1
-        if not raw:
-            raise GraphParseError("line 1: missing MatrixMarket header")
-        if raw.strip():
-            header = raw.strip()
-
-    parts = header.split()
-    if len(parts) < 4 or parts[0] != "%%MatrixMarket" or parts[1].lower() != "matrix":
-        raise GraphParseError(f"line {line_no}: malformed MatrixMarket header: {header!r}")
-    fmt = parts[2].lower()
-    fld = parts[3].lower()
-    sym = parts[4].lower() if len(parts) > 4 else "general"
-    if fmt != "coordinate":
-        raise GraphParseError(f"line {line_no}: unsupported format {fmt!r} (need coordinate)")
-    if fld not in _MM_FIELDS:
-        raise GraphParseError(f"line {line_no}: unsupported field {fld!r}")
-    if sym not in _MM_SYMMETRIES:
-        raise GraphParseError(f"line {line_no}: unsupported symmetry {sym!r}")
-    pattern = fld == "pattern"
-
-    size = None
-    while size is None:
-        raw = stream.readline()
-        line_no += 1
-        if not raw:
-            raise GraphParseError(f"line {line_no}: missing size line")
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
+    head = ids = None
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if head is None and line:
+            head = line.split()
+            if len(head) < 4 or head[0] != "%%MatrixMarket" or head[1].lower() != "matrix":
+                raise GraphParseError(f"line {line_no}: malformed MatrixMarket header: {line!r}")
+            fmt, fld = head[2].lower(), head[3].lower()
+            sym = head[4].lower() if len(head) > 4 else "general"
+            if fmt != "coordinate":
+                raise GraphParseError(
+                    f"line {line_no}: unsupported format {fmt!r} (need coordinate)"
+                )
+            if fld not in _MM_FIELDS:
+                raise GraphParseError(f"line {line_no}: unsupported field {fld!r}")
+            if sym not in _MM_SYMMETRIES:
+                raise GraphParseError(f"line {line_no}: unsupported symmetry {sym!r}")
+            pattern = fld == "pattern"
+            want = 2 if pattern else 3
             continue
-        toks = stripped.split()
-        if len(toks) != 3:
-            raise GraphParseError(f"line {line_no}: malformed size line: {stripped!r}")
-        try:
-            rows, cols, nnz = int(toks[0]), int(toks[1]), int(toks[2])
-        except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: malformed size line: {stripped!r}") from exc
-        if rows != cols:
-            raise GraphParseError(f"line {line_no}: non-square matrix {rows}x{cols}")
-        if rows < 1 or nnz < 0:
-            raise GraphParseError(f"line {line_no}: invalid size line: {stripped!r}")
-        if rows > _MAX_VERTICES:
-            raise GraphParseError(
-                f"line {line_no}: size line declares more vertices than int64 ids allow: "
-                f"{stripped!r}"
-            )
-        size = (rows, nnz)
-
-    n, nnz = size
-    ids, ws = array("i" if _id_dtype(n) is np.int32 else "q"), array("d")
-    while len(ws) < nnz:
-        raw = stream.readline()
-        line_no += 1
-        if not raw:
-            raise GraphParseError(
-                f"line {line_no}: truncated file: expected {nnz} entries, found {len(ws)}"
-            )
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
+        if not line or line.startswith("%"):
             continue
-        toks = stripped.split()
-        want = 2 if pattern else 3
+        toks = line.split()
+        if ids is None:
+            if len(toks) != 3:
+                raise GraphParseError(f"line {line_no}: malformed size line: {line!r}")
+            try:
+                n, cols, nnz = int(toks[0]), int(toks[1]), int(toks[2])
+            except ValueError as exc:
+                raise GraphParseError(f"line {line_no}: malformed size line: {line!r}") from exc
+            if n != cols:
+                raise GraphParseError(f"line {line_no}: non-square matrix {n}x{cols}")
+            if n < 1 or nnz < 0:
+                raise GraphParseError(f"line {line_no}: invalid size line: {line!r}")
+            if n > _MAX_VERTICES:
+                raise GraphParseError(
+                    f"line {line_no}: size line declares more vertices than int64 ids allow: "
+                    f"{line!r}"
+                )
+            ids, ws = array("i" if _id_dtype(n) is np.int32 else "q"), array("d")
+            continue
+        if len(ws) == nnz:
+            raise GraphParseError(
+                f"line {line_no}: extra entry beyond declared count {nnz}: {line!r}"
+            )
         if len(toks) < want:
-            raise GraphParseError(f"line {line_no}: truncated entry: {stripped!r}")
+            raise GraphParseError(f"line {line_no}: truncated entry: {line!r}")
         if len(toks) > want:
             raise GraphParseError(
-                f"line {line_no}: extra field in {fld} entry, expected {want}: {stripped!r}"
+                f"line {line_no}: extra field in {fld} entry, expected {want}: {line!r}"
             )
         try:
             u = int(toks[0]) - 1
             v = int(toks[1]) - 1
         except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: bad vertex id in {stripped!r}") from exc
+            raise GraphParseError(f"line {line_no}: bad vertex id in {line!r}") from exc
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(
-                f"line {line_no}: index out of range 1..{n}: {stripped!r}"
-            )
+            raise GraphParseError(f"line {line_no}: index out of range 1..{n}: {line!r}")
         if pattern:
             w = 1.0
         else:
             try:
                 w = float(toks[2])
             except ValueError as exc:
-                raise GraphParseError(f"line {line_no}: bad weight in {stripped!r}") from exc
+                raise GraphParseError(f"line {line_no}: bad weight in {line!r}") from exc
             if not math.isfinite(w):
-                raise GraphParseError(f"line {line_no}: non-finite weight in {stripped!r}")
+                raise GraphParseError(f"line {line_no}: non-finite weight in {line!r}")
         ids.append(u)
         ids.append(v)
         ws.append(w)
-
-    for raw in stream:
-        line_no += 1
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("%"):
-            raise GraphParseError(
-                f"line {line_no}: extra entry beyond declared count {nnz}: {stripped!r}"
-            )
-
+    if head is None:
+        raise GraphParseError("line 1: missing MatrixMarket header")
+    if ids is None:
+        raise GraphParseError(f"line {line_no + 1}: missing size line")
+    if len(ws) < nnz:
+        raise GraphParseError(
+            f"line {line_no + 1}: truncated file: expected {nnz} entries, found {len(ws)}"
+        )
     return EdgeList(n, np.frombuffer(ids, dtype=ids.typecode).reshape(-1, 2), np.frombuffer(ws))
 
 
@@ -396,7 +379,7 @@ def build_graph(
         ValueError: if the edge list declares no vertices, the self-loop
             weight is not positive and finite, the finished graph has zero
             total weight, a merged arc weight or the total overflows
-            float64, or its arrays do not fit in memory.
+            float64, or its arrays would not fit in memory.
     """
     return _build([edges], symmetrize, add_self_loops, default_weight)
 
@@ -411,7 +394,7 @@ def _build(
     whose ends differ reversed, then the inserted loops.  A stable
     counting sort puts the arcs into rows: each row's arcs are counted,
     then the weights and then the targets are scattered to their row's
-    fill pointer in arc order, SCATTER_CHUNK entries at a time, so no
+    fill pointer in arc order, ARC_CHUNK entries at a time, so no
     arc-length source column or permutation is made.  When every entry
     and every inserted loop weighs the same w, no weight column is made:
     a read-only zero-stride view of w stands in for it.  When held had
@@ -426,6 +409,9 @@ def _build(
     in the same order as any input's.  With symmetrize off, each arc whose
     source is above its target takes its reverse's weight bits once the
     symmetry check passes, so coarse graphs sum equal weights both ways.
+    Before any n-length array, a graph whose run the RUN_BYTES_* estimate
+    puts above physical memory (a figure blind to cgroup limits) is
+    refused as a MemoryError is.
     """
     edges = held.pop()
     n, pairs, ws = edges.n, edges.entries, edges.weights
@@ -442,6 +428,9 @@ def _build(
         raise ValueError("non-finite edge weight")
 
     try:
+        need = RUN_BYTES_PER_VERTEX * n + RUN_BYTES_PER_ENTRY * (ws.size + n * add_self_loops)
+        if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+            raise MemoryError(f"an estimated {need >> 20} MiB exceeds physical memory")
         loops = np.empty(0, dtype=np.int64)
         if add_self_loops:
             has_loop = np.zeros(n, dtype=bool)
@@ -488,20 +477,20 @@ def _build(
 
 def _arc_slices(us, vs, symmetrize, loops, head, mirrored, loop):
     """The arcs in arc order, as (sources, values) slices of at most
-    SCATTER_CHUNK arcs: each entry (us[i], vs[i]) with value head[i],
+    ARC_CHUNK arcs: each entry (us[i], vs[i]) with value head[i],
     then, with symmetrize on, each entry whose ends differ reversed, with
     value mirrored[i], then a loop on each vertex of loops, with value
     loop, an array as long as loops or one value."""
-    for lo in range(0, us.size, SCATTER_CHUNK):
-        hi = lo + SCATTER_CHUNK
+    for lo in range(0, us.size, ARC_CHUNK):
+        hi = lo + ARC_CHUNK
         yield us[lo:hi], head[lo:hi]
     if symmetrize:
-        for lo in range(0, us.size, SCATTER_CHUNK):
-            hi = lo + SCATTER_CHUNK
+        for lo in range(0, us.size, ARC_CHUNK):
+            hi = lo + ARC_CHUNK
             off = us[lo:hi] != vs[lo:hi]
             yield vs[lo:hi][off], mirrored[lo:hi][off]
-    for lo in range(0, loops.size, SCATTER_CHUNK):
-        hi = lo + SCATTER_CHUNK
+    for lo in range(0, loops.size, ARC_CHUNK):
+        hi = lo + ARC_CHUNK
         yield loops[lo:hi], loop if np.ndim(loop) == 0 else loop[lo:hi]
 
 
@@ -513,7 +502,8 @@ def _scatter(fill: np.ndarray, slices, out: np.ndarray | None = None) -> None:
     slice with the same key, so out holds each key's values in the order
     the slices give them, and fill then points past them.  values is an
     array like keys or one value.  With out None, fill only counts the
-    keys.  The temporaries are a few arrays as long as one slice.
+    keys.  The temporaries are a few arrays as long as one slice, which
+    every caller cuts at ARC_CHUNK arcs.
     """
     for keys, values in slices:
         if out is not None and keys.size:
@@ -664,7 +654,8 @@ def _finish_graph(
 
 
 def _row_slices(offsets: np.ndarray):
-    """Split the rows of a CSR offset array into consecutive ranges.
+    """Split the rows of a CSR offset array into consecutive ranges, the
+    slices of the row merges, the symmetry check, degrees and modularity.
 
     Yields (r0, r1, lo, hi): rows r0..r1-1, whose arcs are lo..hi-1.  A
     range holds at most ARC_CHUNK arcs unless its single row has more, and
@@ -702,7 +693,7 @@ def _is_symmetric(
     The comparisons run over row-aligned slices, so only the reverse
     order is arc-length; the verdict is that of comparing whole columns.
     """
-    slices = [(lo, min(lo + SCATTER_CHUNK, vs.size)) for lo in range(0, vs.size, SCATTER_CHUNK)]
+    slices = [(lo, min(lo + ARC_CHUNK, vs.size)) for lo in range(0, vs.size, ARC_CHUNK)]
     in_arcs = np.zeros(offsets.size - 1, dtype=np.int64)
     _scatter(in_arcs, ((vs[lo:hi], None) for lo, hi in slices))
     if not np.array_equal(in_arcs, np.diff(offsets)):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,37 @@ def test_graph_too_large_to_allocate_exits_1(tmp_path, command):
     assert res.returncode == 1
     assert res.stderr.startswith("error: a graph with 2000000000001 vertices does not fit")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("fmt", ["txt", "mtx"])
+@pytest.mark.parametrize("command", ["detect", "stats"])
+def test_graph_over_physical_memory_exits_1_before_allocating(tmp_path, capsys, monkeypatch,
+                                                               command, fmt):
+    # 64 MiB of physical memory: the build's estimate for a million
+    # vertices is 122 MiB, for a thousand well under one
+    sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 1 << 14, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+    out = ["--out-membership", str(tmp_path / "m.txt")] if command == "detect" else []
+    for n in (1_000_000, 1000):
+        path = tmp_path / f"graph{n}.{fmt}"
+        path.write_text(f"%%MatrixMarket matrix coordinate pattern general\n{n} {n} 1\n1 2\n"
+                        if fmt == "mtx" else f"# n {n}\n0 1\n")
+        tracemalloc.start()
+        try:
+            code = main([command, "--input", str(path), *out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        if n == 1000:
+            assert (code, err) == (0, "")
+        else:
+            # refused before its first n-length array, 8 MB as int64
+            assert peak < 4 << 20
+            assert code == 1
+            assert err == ("error: a graph with 1000000 vertices does not fit in memory: "
+                           "an estimated 122 MiB exceeds physical memory\n")
 
 
 def test_detect_missing_file_exits_1(capsys):

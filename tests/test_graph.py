@@ -12,7 +12,6 @@ from commdet.graph import (
     ARC_CHUNK,
     EdgeList,
     GraphParseError,
-    SCATTER_CHUNK,
     _is_symmetric,
     _merge_rows,
     build_graph,
@@ -116,6 +115,26 @@ def test_mm_extra_field_names_line(fld, entry):
 def test_mm_non_finite_weight():
     with pytest.raises(GraphParseError, match="non-finite"):
         mm("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 inf\n")
+
+
+MM_PATTERN = "%%MatrixMarket matrix coordinate pattern general\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (MM_PATTERN + "\n% c\n", "line 4: missing size line"),
+    (MM_PATTERN + "3 3 2\n1 2\n\n% c\n", "line 6: truncated file: expected 2 entries, found 1"),
+    (MM_PATTERN + "3 3 2\n1 2", "line 4: truncated file: expected 2 entries, found 1"),
+    (MM_PATTERN + "2 2 1\n1 2\n% c\n2 1\n", "line 5: extra entry beyond declared count 1: '2 1'"),
+    ("\n\n" + MM_PATTERN + "3 3\n", "line 4: malformed size line: '3 3'"),
+    ("\n \n\n", "line 1: missing MatrixMarket header"),
+], ids=["no-size-line", "short-then-comment", "short-without-newline", "extra-after-comment",
+        "blank-lines-before-header", "blank-lines-only"])
+def test_mm_errors_at_the_end_of_the_file_name_their_line(text, message):
+    """An early end names the line after the file's last; blank and
+    comment lines count."""
+    with pytest.raises(GraphParseError) as err:
+        mm(text)
+    assert str(err.value) == message
 
 
 def test_mm_extra_entries_rejected():
@@ -464,7 +483,7 @@ def test_scatter_gives_the_lexsort_arcs_from_int32_and_int64_ids(symmetrize, mon
         return want
 
     rng = np.random.default_rng(15)
-    for n, k in [(1, 0), (5, 0), (3, 7), (9, 60), (40, 700), (300, SCATTER_CHUNK + 900)]:
+    for n, k in [(1, 0), (5, 0), (3, 7), (9, 60), (40, 700), (300, ARC_CHUNK + 900)]:
         check(n, rng.integers(n - n // 3, size=(k, 2)), rng.uniform(0.1, 10.0, k))
     if not symmetrize:
         # row 0 has 3 * ARC_CHUNK arcs in runs of hundreds, rows up to

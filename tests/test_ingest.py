@@ -19,6 +19,8 @@ import commdet.graph
 from commdet.community import modularity, singleton_assignment
 from commdet.fixtures import ring_of_cliques
 from commdet.graph import (
+    RUN_BYTES_PER_ENTRY,
+    RUN_BYTES_PER_VERTEX,
     EdgeList,
     build_graph,
     load_graph_file,
@@ -373,7 +375,10 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # ---------------------------------------------------------------------------
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
-# (numpy 2.4): 23.1 B on the unit-weight planted input with repeated pairs
+# (numpy 2.4): 19.9 B on the unit-weight planted input with repeated pairs,
+# 20.3 B on the weighted input with them and 19.9 B without, with every
+# arc pass, the counting sort's included, in slices of ARC_CHUNK = 4096
+# arcs.  23.1 B on the unit-weight planted input with repeated pairs
 # and 23.2 B on the weighted input with and without them, with no weight
 # column made for a uniform input until a repeated pair is merged, the
 # same with one _merge_rows pass per slice sorting and merging the rows.
@@ -386,8 +391,8 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # copied, the peak then in those copies and the symmetry check's slice
 # temporaries rather than in the id columns.  24.3 B and 23.8 B
 # with int64 parsed pairs and the targets widened to int64 last, with the
-# arcs scattered into rows by a counting sort in slices of SCATTER_CHUNK
-# arcs and no arc-length permutation (31.4 B with slices of 16k arcs);
+# arcs scattered into rows by a counting sort in slices of 4096 arcs
+# and no arc-length permutation (31.4 B with slices of 16k arcs);
 # 27.0 B with and without repeats when one int32 lexsort
 # order put the arcs into rows and an int64 argsort checked symmetry, the
 # parsed id pairs and weights going to the build without a copy, the
@@ -396,17 +401,20 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # the loader packed (u, v, w) records, 42.0 and 40.5 B with int64 columns
 # and an arc-length source column in the symmetry check, 62 B when the
 # parsed entries lived through the sort, 188 B when they were a list of
-# tuples.  The bound leaves 25% headroom over 23.2 B
-MAX_LOAD_BYTES_PER_ARC = 29.0
+# tuples.  The bound leaves 25% headroom over 20.26 B
+MAX_LOAD_BYTES_PER_ARC = 25.3
 
 # the same peak on the unit-weight planted input without repeated pairs,
-# whose graph takes a zero-stride weights view rather than a column: 15.2 B
-# (15.15), against 23.2 B when a column of ones was scattered, sorted and
-# kept.  The bound leaves 25% headroom over 15.2 B
-MAX_UNIFORM_LOAD_BYTES_PER_ARC = 19.0
+# whose graph takes a zero-stride weights view rather than a column: 12.04 B
+# with every arc pass in slices of 4096 arcs; 15.2 B (15.15) with the row
+# merge and the symmetry comparisons in slices of 16k, against 23.2 B when
+# a column of ones was scattered, sorted and kept.  The bound leaves 25%
+# headroom over 12.04 B
+MAX_UNIFORM_LOAD_BYTES_PER_ARC = 15.1
 
-# tracemalloc peak of pass-0 local moving per arc, warm (numpy 2.4): 2.33 B
-# in async and in sync mode and 2.46 B with two threads, with the labels,
+# tracemalloc peak of pass-0 local moving per arc, warm (numpy 2.4): 2.36 B
+# in async and in sync mode and 2.48 B with two threads, as before the arc
+# passes took slices of 4096 arcs; 2.33 B and 2.46 B with the labels,
 # community masses and sync decisions in arrays and no sync snapshot; 4.99,
 # 7.88 and 5.03 B when they and the snapshots were lists, 24.7 and 28.0 B
 # (async, sync) with arc lists sharing one object per vertex id and per
@@ -415,7 +423,8 @@ MAX_UNIFORM_LOAD_BYTES_PER_ARC = 19.0
 MAX_MOVE_BYTES_PER_ARC = 3.1
 
 # tracemalloc peaks per arc of modularity and aggregate_graph under the
-# labels of pass-0 local moving, warm (numpy 2.4): 4.83 B and 7.66 B with
+# labels of pass-0 local moving, warm (numpy 2.4): 2.28 B and 2.36 B over
+# row slices and blocks of about 4096 arcs; 4.83 B and 7.66 B with
 # one _merge_rows call per block, its sorted key gathered beside the key
 # and the permutation (6.54 B with the key sorted in place, whose SIMD
 # sort code raised the bench's peak RSS by about 0.3 MB; the extra slice
@@ -431,10 +440,10 @@ MAX_MOVE_BYTES_PER_ARC = 3.1
 # computed in place and aggregation writing each merged block straight
 # into the coarse columns; 5.3 B and 8.3 B when modularity made a copy
 # per term and aggregation joined its held blocks at the end,
-# both already over slices of about ARC_CHUNK arcs; 23.4 B and 24.6 B
+# all of these over slices of about 16k arcs; 23.4 B and 24.6 B
 # over whole arc arrays.  The bounds leave 25% headroom
-MAX_MODULARITY_BYTES_PER_ARC = 6.1
-MAX_AGGREGATE_BYTES_PER_ARC = 7.9
+MAX_MODULARITY_BYTES_PER_ARC = 2.9
+MAX_AGGREGATE_BYTES_PER_ARC = 3.0
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
@@ -635,3 +644,19 @@ def test_detect_peak_rss_over_stats_per_vertex(tmp_path):
     detect, _ = _child_peak_rss("-m", "commdet.cli", "detect", "--input", str(path),
                                 "--out-membership", str(tmp_path / "membership.txt"))
     assert (detect - stats) / 20_000 <= MAX_DETECT_OVER_STATS_RSS_BYTES_PER_VERTEX
+
+
+@pytest.mark.parametrize("loops", [False, True], ids=["plain", "self-loops"])
+def test_detect_peak_rss_per_vertex_stays_under_the_memory_estimate(tmp_path, loops):
+    """The build's memory check counts RUN_BYTES_PER_VERTEX per vertex and
+    RUN_BYTES_PER_ENTRY per entry and inserted loop.  On a graph of one
+    edge and 400k vertices, detect's peak RSS less that of a bare import
+    stays under that estimate, with and without a loop on every vertex."""
+    n = 400_000
+    path = tmp_path / "sparse.txt"
+    path.write_text(f"# n {n}\n0 1\n")
+    base, _ = _child_peak_rss("-c", "import commdet.cli")
+    peak, _ = _child_peak_rss("-m", "commdet.cli", "detect", "--input", str(path),
+                              *["--add-self-loops"] * loops,
+                              "--out-membership", str(tmp_path / "membership.txt"))
+    assert peak - base <= n * (RUN_BYTES_PER_VERTEX + RUN_BYTES_PER_ENTRY * loops)

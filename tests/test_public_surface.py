@@ -1,9 +1,10 @@
 """Every name the benchmark and the acceptance tests import from commdet,
 and every name a module exports, exists; every benchmark command line
-parses; every private helper in commdet is used."""
+parses; every private helper and module constant in commdet is used."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -69,11 +70,12 @@ def test_every_bench_argv_parses(monkeypatch):
         assert (args.command, args.input) == (w.kind, "in"), w.name
 
 
-def _private_definitions_and_uses():
-    """(module, name) of each module-level private function or class under
-    src/commdet, and every name the top-level statements refer to, less
-    each definition's references to itself."""
-    defined, used = [], set()
+def _definitions_and_uses():
+    """(module, name) of each module-level private function or class and
+    of each module-level UPPER_CASE constant under src/commdet, and every
+    name the top-level statements refer to, less each definition's
+    references to itself."""
+    helpers, constants, used = [], [], set()
     for path in sorted((ROOT / "src" / "commdet").glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
@@ -82,14 +84,27 @@ def _private_definitions_and_uses():
                       for a in n.names}
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if stmt.name.startswith("_") and not stmt.name.startswith("__"):
-                    defined.append((path.stem, stmt.name))
+                    helpers.append((path.stem, stmt.name))
                 names.discard(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                        constants.append((path.stem, target.id))
+                        names.discard(target.id)
             used |= names
-    return defined, used
+    return helpers, constants, used
 
 
 def test_every_private_helper_is_referenced():
     """A helper folded into its caller leaves no definition behind."""
-    defined, used = _private_definitions_and_uses()
-    assert len(defined) >= 20
-    assert [f"{m}.{name}" for m, name in defined if name not in used] == []
+    helpers, _, used = _definitions_and_uses()
+    assert len(helpers) >= 20
+    assert [f"{m}.{name}" for m, name in helpers if name not in used] == []
+
+
+def test_every_module_constant_is_referenced():
+    """A constant whose last user is gone leaves no assignment behind."""
+    _, constants, used = _definitions_and_uses()
+    assert len(constants) >= 15
+    assert [f"{m}.{name}" for m, name in constants if name not in used] == []
