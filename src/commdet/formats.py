@@ -1,0 +1,324 @@
+"""The two text formats, read a block of lines at a time.
+
+Each format has a reader: the state one block of lines leaves for the
+next, a line loop that reads one line at a time and is the only source
+of the format's GraphParseError, and a bulk path that splits a block once
+and converts it with numpy, used only for a block that it proves the
+line loop would read without error, to the same ids and weights.
+_read_blocks drives a reader over a stream; graph.py collects the blocks
+into an EdgeList or counts and places them straight into a CSR graph.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import islice
+
+import numpy as np
+
+
+class GraphParseError(ValueError):
+    """Raised when an input graph file cannot be parsed."""
+
+
+# lines per block of a text file's parse: each block is split once and
+# converted in bulk, and its temporaries, about 200 bytes per line of
+# tokens and line strings (tracemalloc), sit beside the load's columns
+BLOCK_LINES = 1536
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_MM_FIELDS = ("pattern", "real", "integer")
+_MM_SYMMETRIES = ("general", "symmetric")
+# the largest vertex count whose n + 1 CSR offsets fit an int64
+_MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
+
+
+def _split_entries(toks: list, lines: int, k: int, weights: bool):
+    """The (pairs, weights) of a block of lines whose tokens, split from
+    the lines joined by " ; ", are toks, if every line has exactly k in
+    (2, 3) tokens and numpy converts each id and weight as int() and
+    float(), the line loop's conversions, do; else None.
+
+    Only the joints are ";" tokens, so the lines have k tokens each
+    exactly when every (k + 1)-th token is one and the count fits.
+    pairs is int64 of shape (lines, 2); weights is float64, or None for
+    two-token lines or when weights is off.
+    """
+    if len(toks) != (k + 1) * lines - 1 or toks[k :: k + 1].count(";") != lines - 1:
+        return None
+    del toks[k :: k + 1]
+    ws = None
+    try:
+        if k == 3:
+            column = toks[2::3]
+            del toks[2::3]
+            if weights:
+                ws = np.array(column, dtype=np.float64)
+            del column
+        pairs = np.array(toks, dtype=np.int64).reshape(lines, 2)
+    except (ValueError, OverflowError):
+        return None
+    if ws is not None and not np.isfinite(ws).all():
+        return None
+    return pairs, ws
+
+
+class _EdgeListReader:
+    """The edge-list parse: the state that one block of lines leaves for
+    the next, the bulk path for a block and the line loop, the only
+    source of the format's errors."""
+
+    comment = "#"
+    # the ids stay int32 unless one passes 2**31 - 1, whatever n is
+    int64_ids = False
+
+    def __init__(self) -> None:
+        self.declared_n: int | None = None
+        self.max_id = -1
+        self.n: int | None = None
+
+    @property
+    def bound(self) -> int | None:
+        """The vertex count declared so far, if any."""
+        return self.declared_n
+
+    def bulk(self, toks: list, lines: int, weights: bool):
+        """The block's entries as parse_lines gives them, or None when the
+        block might not parse cleanly; the state moves only on success."""
+        k = (len(toks) + 1) // lines - 1
+        block = _split_entries(toks, lines, k, weights) if k in (2, 3) else None
+        if block is None:
+            return None
+        top = int(block[0].max())
+        limit = _MAX_VERTICES if self.declared_n is None else self.declared_n
+        if block[0].min() < 0 or top >= limit:
+            return None
+        self.max_id = max(self.max_id, top)
+        return block
+
+    def parse_lines(self, lines: list, line_no: int):
+        """The entries of lines, the first of them line line_no, read one
+        line at a time."""
+        ids, ws = [], []
+        declared_n, max_id = self.declared_n, self.max_id
+        for line_no, raw in enumerate(lines, start=line_no):
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                toks = stripped[1:].split()
+                if len(toks) == 2 and toks[0] == "n":
+                    try:
+                        declared_n = int(toks[1])
+                    except ValueError as exc:
+                        raise GraphParseError(
+                            f"line {line_no}: bad n directive: {stripped!r}"
+                        ) from exc
+                    if declared_n > _MAX_VERTICES:
+                        raise GraphParseError(
+                            f"line {line_no}: n directive exceeds the int64 id range: {stripped!r}"
+                        )
+                    if declared_n < 0:
+                        raise GraphParseError(f"line {line_no}: negative n directive: {stripped!r}")
+                    if declared_n <= max_id:
+                        raise GraphParseError(
+                            f"line {line_no}: n directive below vertex id {max_id} read before it: "
+                            f"{stripped!r}"
+                        )
+                continue
+            toks = stripped.split()
+            if len(toks) not in (2, 3):
+                raise GraphParseError(f"line {line_no}: expected 'u v [w]', got {stripped!r}")
+            try:
+                u, v = int(toks[0]), int(toks[1])
+                w = float(toks[2]) if len(toks) == 3 else 1.0
+            except ValueError as exc:
+                raise GraphParseError(f"line {line_no}: bad entry: {stripped!r}") from exc
+            if u < 0 or v < 0:
+                raise GraphParseError(f"line {line_no}: negative vertex id: {stripped!r}")
+            if not math.isfinite(w):
+                raise GraphParseError(f"line {line_no}: non-finite weight: {stripped!r}")
+            if declared_n is not None and (u >= declared_n or v >= declared_n):
+                raise GraphParseError(f"line {line_no}: index beyond declared n={declared_n}")
+            max_id = max(max_id, u, v)
+            if max_id >= _MAX_VERTICES:
+                raise GraphParseError(
+                    f"line {line_no}: vertex id exceeds the int64 range: {stripped!r}"
+                )
+            ids += (u, v)
+            ws.append(w)
+        self.declared_n, self.max_id = declared_n, max_id
+        return np.array(ids, dtype=np.int64).reshape(-1, 2), np.array(ws, dtype=np.float64)
+
+    def finish(self, line_no: int) -> None:
+        """Set n once the last of line_no lines is read."""
+        self.n = self.declared_n if self.declared_n is not None else self.max_id + 1
+        if self.n < 1:
+            raise GraphParseError("edge list declares no vertices")
+
+
+class _MatrixMarketReader:
+    """The MatrixMarket parse, in the shape of _EdgeListReader: the first
+    non-blank line is the header, the first later line that is neither
+    blank nor a % comment the size line, and each such line after it an
+    entry."""
+
+    comment = "%"
+
+    def __init__(self) -> None:
+        self.head: list | None = None
+        self.n: int | None = None
+        self.nnz: int | None = None
+        self.entries = 0
+
+    @property
+    def bound(self) -> int | None:
+        """The vertex count of the size line, once read."""
+        return self.n
+
+    def bulk(self, toks: list, lines: int, weights: bool):
+        """The block's entries as parse_lines gives them, or None when the
+        block might not parse cleanly; the state moves only on success."""
+        if self.nnz is None or self.entries + lines > self.nnz:
+            return None
+        block = _split_entries(toks, lines, self.want, weights)
+        if block is None:
+            return None
+        pairs = block[0]
+        pairs -= 1
+        if pairs.min() < 0 or pairs.max() >= self.n:
+            return None
+        self.entries += lines
+        return block
+
+    def parse_lines(self, lines: list, line_no: int):
+        """The entries of lines, the first of them line line_no, read one
+        line at a time."""
+        ids, ws = [], []
+        for line_no, raw in enumerate(lines, start=line_no):
+            line = raw.strip()
+            if self.head is None and line:
+                self._header(line, line_no)
+                continue
+            if not line or line.startswith("%"):
+                continue
+            toks = line.split()
+            if self.n is None:
+                self._size(toks, line, line_no)
+                continue
+            if self.entries == self.nnz:
+                raise GraphParseError(
+                    f"line {line_no}: extra entry beyond declared count {self.nnz}: {line!r}"
+                )
+            if len(toks) < self.want:
+                raise GraphParseError(f"line {line_no}: truncated entry: {line!r}")
+            if len(toks) > self.want:
+                raise GraphParseError(
+                    f"line {line_no}: extra field in {self.field} entry, expected {self.want}: "
+                    f"{line!r}"
+                )
+            try:
+                u = int(toks[0]) - 1
+                v = int(toks[1]) - 1
+            except ValueError as exc:
+                raise GraphParseError(f"line {line_no}: bad vertex id in {line!r}") from exc
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise GraphParseError(f"line {line_no}: index out of range 1..{self.n}: {line!r}")
+            if self.want == 2:
+                w = 1.0
+            else:
+                try:
+                    w = float(toks[2])
+                except ValueError as exc:
+                    raise GraphParseError(f"line {line_no}: bad weight in {line!r}") from exc
+                if not math.isfinite(w):
+                    raise GraphParseError(f"line {line_no}: non-finite weight in {line!r}")
+            ids += (u, v)
+            ws.append(w)
+            self.entries += 1
+        return np.array(ids, dtype=np.int64).reshape(-1, 2), np.array(ws, dtype=np.float64)
+
+    def _header(self, line: str, line_no: int) -> None:
+        head = line.split()
+        if len(head) < 4 or head[0] != "%%MatrixMarket" or head[1].lower() != "matrix":
+            raise GraphParseError(f"line {line_no}: malformed MatrixMarket header: {line!r}")
+        fmt, fld = head[2].lower(), head[3].lower()
+        sym = head[4].lower() if len(head) > 4 else "general"
+        if fmt != "coordinate":
+            raise GraphParseError(f"line {line_no}: unsupported format {fmt!r} (need coordinate)")
+        if fld not in _MM_FIELDS:
+            raise GraphParseError(f"line {line_no}: unsupported field {fld!r}")
+        if sym not in _MM_SYMMETRIES:
+            raise GraphParseError(f"line {line_no}: unsupported symmetry {sym!r}")
+        self.head, self.field = head, fld
+        self.want = 2 if fld == "pattern" else 3
+
+    def _size(self, toks: list, line: str, line_no: int) -> None:
+        if len(toks) != 3:
+            raise GraphParseError(f"line {line_no}: malformed size line: {line!r}")
+        try:
+            n, cols, nnz = int(toks[0]), int(toks[1]), int(toks[2])
+        except ValueError as exc:
+            raise GraphParseError(f"line {line_no}: malformed size line: {line!r}") from exc
+        if n != cols:
+            raise GraphParseError(f"line {line_no}: non-square matrix {n}x{cols}")
+        if n < 1 or nnz < 0:
+            raise GraphParseError(f"line {line_no}: invalid size line: {line!r}")
+        if n > _MAX_VERTICES:
+            raise GraphParseError(
+                f"line {line_no}: size line declares more vertices than int64 ids allow: {line!r}"
+            )
+        self.n, self.nnz = n, nnz
+        # the ids are int64 when the declared n does not fit int32
+        self.int64_ids = n > _INT32_MAX
+
+    def finish(self, line_no: int) -> None:
+        """Check the end of the file, once the last of line_no lines is read."""
+        if self.head is None:
+            raise GraphParseError("line 1: missing MatrixMarket header")
+        if self.n is None:
+            raise GraphParseError(f"line {line_no + 1}: missing size line")
+        if self.entries < self.nnz:
+            raise GraphParseError(
+                f"line {line_no + 1}: truncated file: expected {self.nnz} entries, "
+                f"found {self.entries}"
+            )
+
+
+def _read_blocks(stream, reader, weights: bool = True, digests: list | None = None,
+                 expect: list | None = None):
+    """Yield the (pairs, weights) of each block of BLOCK_LINES lines of
+    stream, then call reader.finish.
+
+    The lines are joined by " ; " and split once.  A block with no
+    comment character and no ";" of its own whose lines the bulk path
+    proves clean is converted by it; any other block goes through the
+    reader's line loop, which raises the format's errors, so a block
+    either gives what the loop gives or fails as the loop does.  With
+    weights off, the bulk path leaves the weights unread (None).  Each
+    block's digest, the hash of its joined text, is appended to digests;
+    with expect, the digests of an earlier read, a block that differs
+    from its counterpart, or a different block count, raises
+    GraphParseError before the block is parsed.
+    """
+    line_no = 0
+    while lines := list(islice(stream, BLOCK_LINES)):
+        text = " ; ".join(lines)
+        if digests is not None:
+            digests.append(hash(text))
+            i = len(digests) - 1
+            if expect is not None and (i >= len(expect) or expect[i] != digests[i]):
+                raise GraphParseError(f"line {line_no + 1}: the file changed while it was read")
+        block = None
+        if reader.comment not in text and text.count(";") == len(lines) - 1:
+            toks = text.split()
+            del text
+            block = reader.bulk(toks, len(lines), weights)
+            del toks
+        yield block if block is not None else reader.parse_lines(lines, line_no + 1)
+        line_no += len(lines)
+        # free the lines before the next block's are read
+        del lines, block
+    if expect is not None and len(digests) != len(expect):
+        raise GraphParseError(f"line {line_no + 1}: the file changed while it was read")
+    reader.finish(line_no)

@@ -6,31 +6,48 @@ single arc (u, u, w) whose weight counts once in the vertex degree.  All
 community and modularity code in this package assumes exactly this convention.
 
 Vertex ids are int32 whenever the vertex count is at most 2**31 - 1 and
-int64 above that, from the parsed id pairs to Graph.targets, so a load
-never makes a widened copy of an arc-length id column.  build_graph puts
-the arcs into rows with a stable counting sort that scatters a few
-thousand arcs at a time, so a load holds the parsed edges, the weight and
-target columns and slice-sized temporaries, but no arc-length source
-column or sort permutation.  When every arc weighs the same, as in an
-unweighted edge list or a pattern MatrixMarket file, the load makes no
-weight column at all: Graph.weights is then a read-only zero-stride view
-of that one value, unless a repeated pair has to be merged.  One merge
-step, _merge_rows, sorts and merges the rows of the build and of each
-aggregation block in one pass per slice, over the front of the columns:
-the build cuts its own columns to length, and aggregation appends each
-block's merged front to its coarse buffers, so an aggregated graph
-always has a full weight column.
+int64 above that, so a load never makes a widened copy of an arc-length
+id column.  Every build makes two passes over blocks of entries: a count
+pass counts each row's forward, mirrored and loop arcs, and a placement
+pass writes each block's targets, and weights, to their rows' fill
+pointers, a stable counting sort that keeps the arc order of the entries,
+their mirrored copies, then the inserted loops.  load_graph_file reads a
+regular file once per pass, a block of lines at a time (formats.py), so
+no EdgeList is made: the count pass checks the file and learns n and the
+weight range, and the placement pass checks that each block of lines is
+the one the count pass read, so a file changed between the passes fails
+with GraphParseError.  A pipe, which cannot be read twice, is parsed once
+into an EdgeList; build_graph passes over slices of an EdgeList.  When
+every arc weighs the same, as in an unweighted edge list or a pattern
+MatrixMarket file, the load makes no weight column at all: Graph.weights
+is then a read-only zero-stride view of that one value, unless a repeated
+pair has to be merged.  One merge step, _merge_rows, sorts and merges the
+rows of the build and of each aggregation block in one pass per slice,
+over the front of the columns: the build cuts its own columns to length,
+and aggregation appends each block's merged front to its coarse buffers,
+so an aggregated graph always has a full weight column.  The symmetry
+check finds each arc's reverse by a binary search in its target's row,
+so no reverse column is made.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 from array import array
 from dataclasses import dataclass, field
 from typing import IO, TextIO
 
 import numpy as np
+
+from .formats import (
+    _INT32_MAX,
+    GraphParseError,
+    _EdgeListReader,
+    _MatrixMarketReader,
+    _read_blocks,
+)
 
 __all__ = [
     "EdgeList",
@@ -46,14 +63,10 @@ __all__ = [
 ]
 
 
-class GraphParseError(ValueError):
-    """Raised when an input graph file cannot be parsed."""
-
-
 # arcs per slice of every arc-length pass that runs in slices to bound its
-# temporaries, about 50 bytes per arc of a slice (tracemalloc): the build's
-# counting sort, the symmetry check, the row merges, the degree pass and
-# modularity.  No merge run crosses a row and every sum adds in arc order,
+# temporaries, about 50 bytes per arc of a slice (tracemalloc): the
+# placement of an EdgeList, the symmetry check, the row merges, the degree
+# pass and modularity.  No merge run crosses a row and every sum adds in arc order,
 # so the slice size changes no result, only the peak and the call count.
 ARC_CHUNK = 1 << 12
 
@@ -62,8 +75,6 @@ ARC_CHUNK = 1 << 12
 # edge list of one edge, and 37 B/entry on a weighted 539k-entry input
 RUN_BYTES_PER_VERTEX = 128
 RUN_BYTES_PER_ENTRY = 48
-
-_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _id_dtype(n: int) -> type:
@@ -155,23 +166,36 @@ class GraphStats:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_MM_FIELDS = ("pattern", "real", "integer")
-_MM_SYMMETRIES = ("general", "symmetric")
-# the largest vertex count whose n + 1 CSR offsets fit an int64
-_MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
+def _parse(stream, reader) -> EdgeList:
+    """The EdgeList of a stream, as the line loop reads it: the ids are
+    held as int32 until one passes 2**31 - 1, when the ids read so far
+    are widened to int64, once, or at the end if reader.int64_ids."""
+    ids, ws = array("i"), array("d")
+    for pairs, w in _read_blocks(stream, reader):
+        ws.frombytes((w if w is not None else np.ones(len(pairs))).tobytes())
+        if ids.typecode == "i" and pairs.size and pairs.max() > _INT32_MAX:
+            first = int(np.argmax(pairs.max(axis=1) > _INT32_MAX))
+            ids.frombytes(pairs[:first].astype(np.int32).tobytes())
+            ids, pairs = array("q", ids), pairs[first:]
+        ids.frombytes(pairs.astype(ids.typecode).tobytes())
+    if ids.typecode == "i" and reader.int64_ids:
+        ids = array("q", ids)
+    return EdgeList(reader.n, np.frombuffer(ids, dtype=ids.typecode).reshape(-1, 2),
+                    np.frombuffer(ws))
 
 
 def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
     """Parse a MatrixMarket coordinate file into an EdgeList.
 
     Accepts pattern/real/integer fields and general/symmetric storage.
-    One loop reads the stream: its first non-blank line is the header,
-    the first later line that is neither blank nor a % comment the size
-    line, and each such line after it an entry.  Indices are converted
-    from 1-based to 0-based and held as int32 when the size line declares
-    at most 2**31 - 1 rows, as int64 otherwise; pattern entries get
-    weight 1.  For symmetric files only the stored triangle is returned;
-    mirroring the arcs is build_graph's job.
+    The first non-blank line is the header, the first later line that is
+    neither blank nor a % comment the size line, and each such line after
+    it an entry.  Indices are converted from 1-based to 0-based and held
+    as int32 when the size line declares at most 2**31 - 1 rows, as int64
+    otherwise; pattern entries get weight 1.  For symmetric files only
+    the stored triangle is returned; mirroring the arcs is build_graph's
+    job.  The stream is read in blocks of lines, as load_graph_file reads
+    a file.
 
     Raises:
         GraphParseError: on a malformed header or size line, an entry
@@ -180,95 +204,18 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
             match the size line.  Messages name the offending line, or
             the line after the last one for a file that ends early.
     """
-    head = ids = None
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if head is None and line:
-            head = line.split()
-            if len(head) < 4 or head[0] != "%%MatrixMarket" or head[1].lower() != "matrix":
-                raise GraphParseError(f"line {line_no}: malformed MatrixMarket header: {line!r}")
-            fmt, fld = head[2].lower(), head[3].lower()
-            sym = head[4].lower() if len(head) > 4 else "general"
-            if fmt != "coordinate":
-                raise GraphParseError(
-                    f"line {line_no}: unsupported format {fmt!r} (need coordinate)"
-                )
-            if fld not in _MM_FIELDS:
-                raise GraphParseError(f"line {line_no}: unsupported field {fld!r}")
-            if sym not in _MM_SYMMETRIES:
-                raise GraphParseError(f"line {line_no}: unsupported symmetry {sym!r}")
-            pattern = fld == "pattern"
-            want = 2 if pattern else 3
-            continue
-        if not line or line.startswith("%"):
-            continue
-        toks = line.split()
-        if ids is None:
-            if len(toks) != 3:
-                raise GraphParseError(f"line {line_no}: malformed size line: {line!r}")
-            try:
-                n, cols, nnz = int(toks[0]), int(toks[1]), int(toks[2])
-            except ValueError as exc:
-                raise GraphParseError(f"line {line_no}: malformed size line: {line!r}") from exc
-            if n != cols:
-                raise GraphParseError(f"line {line_no}: non-square matrix {n}x{cols}")
-            if n < 1 or nnz < 0:
-                raise GraphParseError(f"line {line_no}: invalid size line: {line!r}")
-            if n > _MAX_VERTICES:
-                raise GraphParseError(
-                    f"line {line_no}: size line declares more vertices than int64 ids allow: "
-                    f"{line!r}"
-                )
-            ids, ws = array("i" if _id_dtype(n) is np.int32 else "q"), array("d")
-            continue
-        if len(ws) == nnz:
-            raise GraphParseError(
-                f"line {line_no}: extra entry beyond declared count {nnz}: {line!r}"
-            )
-        if len(toks) < want:
-            raise GraphParseError(f"line {line_no}: truncated entry: {line!r}")
-        if len(toks) > want:
-            raise GraphParseError(
-                f"line {line_no}: extra field in {fld} entry, expected {want}: {line!r}"
-            )
-        try:
-            u = int(toks[0]) - 1
-            v = int(toks[1]) - 1
-        except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: bad vertex id in {line!r}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"line {line_no}: index out of range 1..{n}: {line!r}")
-        if pattern:
-            w = 1.0
-        else:
-            try:
-                w = float(toks[2])
-            except ValueError as exc:
-                raise GraphParseError(f"line {line_no}: bad weight in {line!r}") from exc
-            if not math.isfinite(w):
-                raise GraphParseError(f"line {line_no}: non-finite weight in {line!r}")
-        ids.append(u)
-        ids.append(v)
-        ws.append(w)
-    if head is None:
-        raise GraphParseError("line 1: missing MatrixMarket header")
-    if ids is None:
-        raise GraphParseError(f"line {line_no + 1}: missing size line")
-    if len(ws) < nnz:
-        raise GraphParseError(
-            f"line {line_no + 1}: truncated file: expected {nnz} entries, found {len(ws)}"
-        )
-    return EdgeList(n, np.frombuffer(ids, dtype=ids.typecode).reshape(-1, 2), np.frombuffer(ws))
+    return _parse(stream, _MatrixMarketReader())
 
 
 def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
     """Parse the plain edge-list format: one ``u v [w]`` per line, 0-based.
 
-    Lines starting with ``#`` are comments; a leading ``# n <N>`` directive
-    fixes the vertex count (needed to preserve trailing isolated vertices),
+    Lines starting with ``#`` are comments; a ``# n <N>`` directive fixes
+    the vertex count (needed to preserve trailing isolated vertices),
     otherwise n is inferred as max id + 1.  The ids are held as int32
     until one passes 2**31 - 1, when the ids read so far are widened to
-    int64, once.
+    int64, once.  The stream is read in blocks of lines, as
+    load_graph_file reads a file.
 
     Raises:
         GraphParseError: on a malformed entry, a negative id, a non-finite
@@ -276,63 +223,45 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
             is negative, beyond the int64 range or not above an id read
             before it.  Messages name the offending line number.
     """
-    ids, ws = array("i"), array("d")
-    declared_n = None
-    max_id = -1
-    # the largest id the ids array holds; past it the ids widen to int64
-    # once, and past the int64 bound the id is rejected
-    limit = _INT32_MAX
-    for line_no, raw in enumerate(stream, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            toks = stripped[1:].split()
-            if len(toks) == 2 and toks[0] == "n":
-                try:
-                    declared_n = int(toks[1])
-                except ValueError as exc:
-                    raise GraphParseError(f"line {line_no}: bad n directive: {stripped!r}") from exc
-                if declared_n > _MAX_VERTICES:
-                    raise GraphParseError(
-                        f"line {line_no}: n directive exceeds the int64 id range: {stripped!r}"
-                    )
-                if declared_n < 0:
-                    raise GraphParseError(f"line {line_no}: negative n directive: {stripped!r}")
-                if declared_n <= max_id:
-                    raise GraphParseError(
-                        f"line {line_no}: n directive below vertex id {max_id} read before it: "
-                        f"{stripped!r}"
-                    )
-            continue
-        toks = stripped.split()
-        if len(toks) not in (2, 3):
-            raise GraphParseError(f"line {line_no}: expected 'u v [w]', got {stripped!r}")
-        try:
-            u, v = int(toks[0]), int(toks[1])
-            w = float(toks[2]) if len(toks) == 3 else 1.0
-        except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: bad entry: {stripped!r}") from exc
-        if u < 0 or v < 0:
-            raise GraphParseError(f"line {line_no}: negative vertex id: {stripped!r}")
-        if not math.isfinite(w):
-            raise GraphParseError(f"line {line_no}: non-finite weight: {stripped!r}")
-        if declared_n is not None and (u >= declared_n or v >= declared_n):
-            raise GraphParseError(f"line {line_no}: index beyond declared n={declared_n}")
-        max_id = max(max_id, u, v)
-        if max_id > limit:
-            if max_id >= _MAX_VERTICES:
-                raise GraphParseError(
-                    f"line {line_no}: vertex id exceeds the int64 range: {stripped!r}"
-                )
-            ids, limit = array("q", ids), _MAX_VERTICES - 1
-        ids.append(u)
-        ids.append(v)
-        ws.append(w)
-    n = declared_n if declared_n is not None else max_id + 1
-    if n < 1:
-        raise GraphParseError("edge list declares no vertices")
-    return EdgeList(n, np.frombuffer(ids, dtype=ids.typecode).reshape(-1, 2), np.frombuffer(ws))
+    return _parse(stream, _EdgeListReader())
+
+
+class _FileBlocks:
+    """The entries of a regular file, read and checked afresh by every
+    call of blocks; each call after the first raises GraphParseError
+    unless each block of lines is the one the first call read."""
+
+    def __init__(self, path: str, reader: type) -> None:
+        self.path, self.reader_type = path, reader
+        self.reader = reader()
+        self.digests: list | None = None
+
+    @property
+    def n(self) -> int | None:
+        return self.reader.n
+
+    @property
+    def bound(self) -> int | None:
+        return self.reader.bound
+
+    def blocks(self, weights: bool = True):
+        self.reader = self.reader_type()
+        expect, self.digests = self.digests, []
+        with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
+            yield from _read_blocks(fh, self.reader, weights, self.digests, expect)
+
+
+class _EdgeListBlocks:
+    """The entries of an EdgeList, in slices of ARC_CHUNK entries."""
+
+    def __init__(self, edges: EdgeList) -> None:
+        self.edges = edges
+        self.n = self.bound = edges.n
+
+    def blocks(self, weights: bool = True):
+        pairs, ws = self.edges.entries, self.edges.weights
+        for lo in range(0, ws.size, ARC_CHUNK):
+            yield pairs[lo : lo + ARC_CHUNK], ws[lo : lo + ARC_CHUNK]
 
 
 def load_graph_file(
@@ -344,15 +273,22 @@ def load_graph_file(
 ) -> Graph:
     """Load and preprocess a graph from a .mtx or edge-list file.
 
-    A byte that is not UTF-8 reads as U+FFFD, so the parser rejects the
-    token that holds it with the line number, and ignores it in a comment.
+    A regular file is read twice, a block of lines at a time: the count
+    pass checks it and counts each row's arcs, the placement pass writes
+    the arcs to their rows, and no EdgeList is made.  A file that changes
+    between the passes fails with GraphParseError.  Anything else, such
+    as a pipe, is parsed once into an EdgeList and built.  A byte that is
+    not UTF-8 reads as U+FFFD, so the parser rejects the token that holds
+    it with the line number, and ignores it in a comment.
     """
     if fmt is None:
         fmt = "mtx" if str(path).endswith(".mtx") else "edgelist"
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        # the list holds the only reference to the parsed edges, and _build
-        # empties it, so each array is freed as soon as the build is done with it
-        held = [(parse_matrix_market if fmt == "mtx" else parse_edgelist)(fh)]
+    reader = _MatrixMarketReader if fmt == "mtx" else _EdgeListReader
+    if stat.S_ISREG(os.stat(path).st_mode):
+        held = [_FileBlocks(path, reader)]
+    else:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            held = [_parse(fh, reader())]
     return _build(held, symmetrize, add_self_loops, default_weight)
 
 
@@ -384,80 +320,213 @@ def build_graph(
     return _build([edges], symmetrize, add_self_loops, default_weight)
 
 
-def _build(
-    held: list[EdgeList], symmetrize: bool, add_self_loops: bool, default_weight: float
-) -> Graph:
-    """build_graph over the one EdgeList in held, a list that this
-    function empties and whose EdgeList it leaves unchanged.
+# the cgroup v2 and v1 files that hold a container's memory limit
+_CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
-    The arc order is the entries, then, with symmetrize on, each entry
-    whose ends differ reversed, then the inserted loops.  A stable
-    counting sort puts the arcs into rows: each row's arcs are counted,
-    then the weights and then the targets are scattered to their row's
-    fill pointer in arc order, ARC_CHUNK entries at a time, so no
-    arc-length source column or permutation is made.  When every entry
-    and every inserted loop weighs the same w, no weight column is made:
-    a read-only zero-stride view of w stands in for it.  When held had
-    the only reference to the EdgeList, its weights are freed before the
-    target column exists, and its id pairs once that column is filled.
-    _merge_rows then sorts each row by target and merges each repeated
-    pair over the front of the columns, and this function, their one
-    owner, cuts them to the merged length in place; a column that
-    something else references (a tracer's copy of the frame's locals) is
-    copied instead.  A uniform input that repeats a pair is merged again
-    over a full column of w, made then, so its sums add the same values
-    in the same order as any input's.  With symmetrize off, each arc whose
-    source is above its target takes its reverse's weight bits once the
-    symmetry check passes, so coarse graphs sum equal weights both ways.
-    Before any n-length array, a graph whose run the RUN_BYTES_* estimate
-    puts above physical memory (a figure blind to cgroup limits) is
-    refused as a MemoryError is.
+
+def _cgroup_memory_limit() -> int | None:
+    """The memory limit in bytes of the first readable cgroup file, or
+    None: v2 writes "max" and v1 a value near 2**63 for no limit."""
+    for path in _CGROUP_MEMORY_FILES:
+        try:
+            with open(path, encoding="ascii") as fh:
+                text = fh.read().strip()
+        except (OSError, ValueError):
+            continue
+        return int(text) if text.isdigit() and int(text) < 1 << 62 else None
+    return None
+
+
+def _memory_limit() -> tuple[int, str]:
+    """The smaller of physical memory and the cgroup limit, and its name."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    cgroup = _cgroup_memory_limit()
+    if cgroup is not None and cgroup < physical:
+        return cgroup, "the cgroup memory limit"
+    return physical, "physical memory"
+
+
+class _RowCounts:
+    """The count pass: for each row, its forward arcs (the entries from
+    it), its mirrored arcs (with symmetrize on, the entries into it from
+    another vertex) and whether an entry is a loop on it (with loop
+    insertion on), plus the entry count and the weight range, over blocks
+    of entries.
+
+    The count arrays grow to the rows seen, or at once to the declared
+    vertex count, only while the RUN_BYTES_* estimate for that many rows
+    and the entries so far stays within the memory limit; past it the
+    counting stops, and refuse raises once the pass is over.
     """
-    edges = held.pop()
-    n, pairs, ws = edges.n, edges.entries, edges.weights
-    del edges
-    if n < 1:
-        raise ValueError("empty graph: vertex count must be >= 1")
-    if add_self_loops and not (math.isfinite(default_weight) and default_weight > 0):
-        raise ValueError(f"self-loop weight must be positive and finite, got {default_weight!r}")
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        raise ValueError("edge endpoint outside declared vertex range")
-    # the least and the largest weight, which are NaN if any weight is
-    seen = {float(ws.min()), float(ws.max())} if ws.size else set()
-    if not all(map(math.isfinite, seen)):
-        raise ValueError("non-finite edge weight")
 
+    def __init__(self, symmetrize: bool, add_self_loops: bool) -> None:
+        self.limit, self.limit_name = _memory_limit()
+        self.loops = add_self_loops
+        self.fwd = np.zeros(0, dtype=np.int64)
+        self.mir = np.zeros(0, dtype=np.int64) if symmetrize else None
+        self.has_loop = np.zeros(0, dtype=bool) if add_self_loops else None
+        self.entries = 0
+        self.lo, self.hi = math.inf, -math.inf
+        self.stopped = False
+
+    def _need(self, n: int) -> int:
+        return RUN_BYTES_PER_VERTEX * n + RUN_BYTES_PER_ENTRY * (self.entries + n * self.loops)
+
+    def refuse(self, n: int) -> None:
+        """Raise MemoryError when the run's estimate for n vertices and
+        the entries counted is above the memory limit."""
+        need = self._need(n)
+        if need > self.limit:
+            raise MemoryError(f"an estimated {need >> 20} MiB exceeds {self.limit_name}")
+
+    def add(self, pairs: np.ndarray, ws: np.ndarray | None, bound: int | None) -> None:
+        """Count a block: pairs of ids and their weights, None for 1.0."""
+        if not len(pairs):
+            return
+        self.entries += len(pairs)
+        lo, hi = (1.0, 1.0) if ws is None else (float(ws.min()), float(ws.max()))
+        self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
+        size = int(pairs.max()) + 1
+        if self.stopped or size > self.fwd.size and not self._grow(size, bound):
+            self.stopped = True
+            return
+        us, vs = pairs[:, 0], pairs[:, 1]
+        np.add.at(self.fwd, us, 1)
+        if self.mir is not None:
+            off = us != vs
+            np.add.at(self.mir, vs[off], 1)
+        if self.has_loop is not None:
+            self.has_loop[us[us == vs]] = True
+
+    def count(self, source) -> None:
+        """Count every block of a source."""
+        for pairs, ws in source.blocks():
+            self.add(pairs, ws, source.bound)
+
+    def _grow(self, size: int, bound: int | None) -> bool:
+        """Widen the counts to the declared bound, or to twice their
+        size, or to size rows, the first that the estimate allows."""
+        sizes = [max(size, 2 * self.fwd.size), size]
+        if bound is not None and bound >= size:
+            sizes.insert(0, bound)
+        for cap in sizes:
+            if self._need(cap) <= self.limit:
+                self.fit(cap)
+                return True
+        return False
+
+    def fit(self, n: int) -> None:
+        """Resize the count arrays, none of which has a view, to n rows;
+        new rows count zero."""
+        for a in (self.fwd, self.mir, self.has_loop):
+            if a is not None:
+                a.resize(n, refcheck=False)
+
+    def regions(self) -> tuple[np.ndarray, list, int]:
+        """Each row's region starts, the counts consumed: an n + 1 buffer,
+        0 then the start of each row's last region (mirrored with
+        symmetrize on, else forward), and the fill pointers of the
+        regions in arc order, forward first, the last of them that
+        buffer's tail.  A row holds its forward arcs, then its mirrored
+        ones, then its inserted loop; once every arc is placed, the last
+        fill pointer of a row with a loop to insert is the loop's
+        position, and adding the loop indicator makes the buffer the
+        row offsets.  Also returns the arc count."""
+        fwd, mir = self.fwd, self.mir
+        offsets = np.zeros(fwd.size + 1, dtype=np.int64)
+        tail = offsets[1:]
+        tail += fwd
+        if mir is not None:
+            tail += mir
+        if self.has_loop is not None:
+            tail += ~self.has_loop
+        np.cumsum(tail, out=tail)
+        m = int(tail[-1])
+        if mir is not None:
+            np.add(offsets[:-1], fwd, out=mir)
+        fwd[:] = offsets[:-1]
+        tail[:] = fwd if mir is None else mir
+        self.fwd = self.mir = None
+        return offsets, ([tail] if mir is None else [fwd, tail]), m
+
+
+def _build(
+    held: list, symmetrize: bool, add_self_loops: bool, default_weight: float
+) -> Graph:
+    """build_graph over the one source in held, an EdgeList or the
+    _FileBlocks of a regular file, in a list that this function empties;
+    an EdgeList is left unchanged.
+
+    Two passes over the source's blocks of entries make the CSR columns.
+    The count pass (_RowCounts) counts each row's forward, mirrored and
+    loop arcs; the placement pass writes each block's targets, and its
+    weights unless every entry and inserted loop weighs the same, to
+    their rows' fill pointers in a stable counting sort, so each row
+    holds its forward arcs in entry order, then its mirrored arcs in
+    entry order, then its inserted loop: the arc order of the entries,
+    then each entry whose ends differ reversed, then the loops.  No
+    arc-length source column or permutation is made.  When every entry
+    and every inserted loop weighs the same w, a read-only zero-stride
+    view of w stands in for the weight column.  _merge_rows then sorts
+    each row by target and merges each repeated pair over the front of
+    the columns, and this function, their one owner, cuts them to the
+    merged length in place; a column that something else references (a
+    tracer's copy of the frame's locals) is copied instead.  A uniform
+    input that repeats a pair is merged again over a full column of w,
+    made then, so its sums add the same values in the same order as any
+    input's.  With symmetrize off, each arc whose source is above its
+    target takes its reverse's weight bits once the symmetry check
+    passes, so coarse graphs sum equal weights both ways.  A graph whose
+    run the RUN_BYTES_* estimate puts above the smaller of physical
+    memory and the cgroup limit is refused as a MemoryError is, before
+    any n-length array.
+    """
+    source = held.pop()
+    n = source.n
+    if isinstance(source, EdgeList):
+        if n < 1:
+            raise ValueError("empty graph: vertex count must be >= 1")
+        _check_loop_weight(add_self_loops, default_weight)
+        pairs, ws = source.entries, source.weights
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError("edge endpoint outside declared vertex range")
+        # the least and the largest weight, which are NaN if any weight is
+        if ws.size and not all(map(math.isfinite, (float(ws.min()), float(ws.max())))):
+            raise ValueError("non-finite edge weight")
+        del pairs, ws
+        source = _EdgeListBlocks(source)
     try:
-        need = RUN_BYTES_PER_VERTEX * n + RUN_BYTES_PER_ENTRY * (ws.size + n * add_self_loops)
-        if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-            raise MemoryError(f"an estimated {need >> 20} MiB exceeds physical memory")
-        loops = np.empty(0, dtype=np.int64)
-        if add_self_loops:
-            has_loop = np.zeros(n, dtype=bool)
-            has_loop[pairs[pairs[:, 0] == pairs[:, 1], 0]] = True
-            loops = np.flatnonzero(~has_loop)
-            if loops.size:
-                seen.add(float(default_weight))
+        rows = _RowCounts(symmetrize, add_self_loops)
+        if n is not None:
+            rows.refuse(n)
+        rows.count(source)
+        if n is None:
+            n = source.n
+            _check_loop_weight(add_self_loops, default_weight)
+            rows.refuse(n)
+        rows.fit(n)
+        seen = {rows.lo, rows.hi} if rows.entries else set()
+        has_loop = rows.has_loop
+        if add_self_loops and not has_loop.all():
+            seen.add(float(default_weight))
         # the weight of every arc, or None when two arcs differ in weight
         w = seen.pop() if len(seen) == 1 else None
-        us, vs = pairs[:, 0], pairs[:, 1]
-        del pairs
-        ends = (us, vs, symmetrize, loops)
-        counts = np.zeros(n, dtype=np.int64)
-        _scatter(counts, _arc_slices(*ends, vs, us, loops))
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        del counts
-        m = int(offsets[-1])
-        if w is None:
-            weights = np.empty(m, dtype=np.float64)
-            _scatter(offsets[:-1].copy(), _arc_slices(*ends, ws, ws, default_weight), weights)
-        else:
-            weights = np.broadcast_to(np.float64(w), (m,))
-        del ws
+        offsets, fills, m = rows.regions()
+        del rows
         targets = np.empty(m, dtype=_id_dtype(n))
-        _scatter(offsets[:-1].copy(), _arc_slices(*ends, vs, us, loops), targets)
-        del us, vs, ends, loops
+        weights = np.empty(m) if w is None else np.broadcast_to(np.float64(w), (m,))
+        _place_blocks(source, fills, targets, weights)
+        del source, fills
+        if has_loop is not None:
+            tail = offsets[1:]
+            for lo in range(0, n, ARC_CHUNK):
+                missing = ~has_loop[lo : lo + ARC_CHUNK]
+                at = tail[lo : lo + ARC_CHUNK][missing]
+                targets[at] = np.flatnonzero(missing) + lo
+                if weights.strides[0]:
+                    weights[at] = default_weight
+                tail[lo : lo + ARC_CHUNK] += missing
+            del tail, has_loop
         counts, at = _merge_rows(offsets, targets, weights, n)
         if counts is None:
             weights = np.full(m, w)
@@ -475,45 +544,45 @@ def _build(
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
 
 
-def _arc_slices(us, vs, symmetrize, loops, head, mirrored, loop):
-    """The arcs in arc order, as (sources, values) slices of at most
-    ARC_CHUNK arcs: each entry (us[i], vs[i]) with value head[i],
-    then, with symmetrize on, each entry whose ends differ reversed, with
-    value mirrored[i], then a loop on each vertex of loops, with value
-    loop, an array as long as loops or one value."""
-    for lo in range(0, us.size, ARC_CHUNK):
-        hi = lo + ARC_CHUNK
-        yield us[lo:hi], head[lo:hi]
-    if symmetrize:
-        for lo in range(0, us.size, ARC_CHUNK):
-            hi = lo + ARC_CHUNK
-            off = us[lo:hi] != vs[lo:hi]
-            yield vs[lo:hi][off], mirrored[lo:hi][off]
-    for lo in range(0, loops.size, ARC_CHUNK):
-        hi = lo + ARC_CHUNK
-        yield loops[lo:hi], loop if np.ndim(loop) == 0 else loop[lo:hi]
+def _check_loop_weight(add_self_loops: bool, default_weight: float) -> None:
+    if add_self_loops and not (math.isfinite(default_weight) and default_weight > 0):
+        raise ValueError(f"self-loop weight must be positive and finite, got {default_weight!r}")
 
 
-def _scatter(fill: np.ndarray, slices, out: np.ndarray | None = None) -> None:
-    """A stable counting sort of (keys, values) slices into out.
+def _place_blocks(source, fills: list, targets: np.ndarray, weights: np.ndarray) -> None:
+    """The placement pass: each block's arcs to their regions' fill
+    pointers, forward arcs by source and, with two fill arrays, mirrored
+    arcs by target; the weights are read only for a weight column."""
+    column = bool(weights.strides[0])
+    for pairs, ws in source.blocks(weights=column):
+        us, vs = pairs[:, 0], pairs[:, 1]
+        ws = 1.0 if ws is None else ws
+        forward = [(targets, vs), (weights, ws)] if column else [(targets, vs)]
+        _place(fills[0], us, *forward)
+        if len(fills) > 1:
+            off = us != vs
+            mirrored = [(targets, us[off])]
+            if column:
+                mirrored.append((weights, ws if np.ndim(ws) == 0 else ws[off]))
+            _place(fills[1], vs[off], *mirrored)
 
-    fill[k] is the position in out of the next value of key k.  Each value
-    goes to its key's fill pointer plus the number of earlier values of its
-    slice with the same key, so out holds each key's values in the order
-    the slices give them, and fill then points past them.  values is an
-    array like keys or one value.  With out None, fill only counts the
-    keys.  The temporaries are a few arrays as long as one slice, which
-    every caller cuts at ARC_CHUNK arcs.
-    """
-    for keys, values in slices:
-        if out is not None and keys.size:
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            # each value's rank among the values of its key in the slice
-            at = np.arange(keys.size) - np.searchsorted(keys, keys)
-            at += fill[keys]
-            out[at] = values if np.ndim(values) == 0 else values[order]
-        np.add.at(fill, keys, 1)
+
+def _place(fill: np.ndarray, keys: np.ndarray, *columns) -> None:
+    """One step of a stable counting sort: the block's i-th value of each
+    (out, values) column goes to out at its key's fill pointer plus the
+    number of earlier keys of the block equal to keys[i], and the
+    pointers then move past the block.  values is an array aligned with
+    keys or one value.  The temporaries are a few block-length arrays."""
+    if not keys.size:
+        return
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # each key's rank among the equal keys of the block
+    at = np.arange(keys.size) - np.searchsorted(keys, keys)
+    at += fill[keys]
+    for out, values in columns:
+        out[at] = values if np.ndim(values) == 0 else values[order]
+    np.add.at(fill, keys, 1)
 
 
 def _merge_rows(
@@ -524,7 +593,7 @@ def _merge_rows(
 
     Each row-aligned slice keys its arcs by row start times n plus target
     (targets lie in [0, n), and a slice of at most ARC_CHUNK arcs keeps
-    the key in the int64 range); a run starts where the sorted key
+    the key in the int64 range, in int32 when it fits); a run starts where the sorted key
     changes, and reduceat sums it in arc order, as one stable sort and
     one reduceat over all arcs would.  An overflow is left for
     _finish_graph to reject.  Returns the row lengths and the merged arc
@@ -538,7 +607,9 @@ def _merge_rows(
         if lo == hi:
             continue
         rows = offsets[r0 : r1 + 1] - lo
-        key = np.repeat(rows[:-1] * n, np.diff(rows))
+        # int32 keys when they fit: the same sort order at half the size
+        wide = (hi - lo + 1) * n > _INT32_MAX
+        key = np.repeat((rows[:-1] * n).astype(np.int64 if wide else np.int32), np.diff(rows))
         key += vs[lo:hi]
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -552,6 +623,8 @@ def _merge_rows(
                 ws[at : at + starts.size] = np.add.reduceat(ws[lo:hi][order], starts)
         counts[r0:r1] = np.diff(np.searchsorted(starts, rows))
         at += starts.size
+        # free this slice's arrays before the next slice makes its own
+        del order, starts
     return counts, at
 
 
@@ -567,27 +640,42 @@ def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
     target community, the order one stable sort of all arcs by
     (community, target community) gives, and sums each run in arc order,
     so every run sums the same arcs in the same order, to the same bits.
-    Each block's merged front is appended to growing target and weight
-    buffers.  Beside the graph, the work holds the members, int32 when
-    g.n fits, and slice-sized temporaries; the coarse targets are
+    Each block's merged front is written after the previous one into
+    target and weight columns as long as an upper bound of the coarse
+    arc count, which are cut to length at the end: unlike buffers grown
+    block by block, they are never moved, and only their written pages
+    are resident.  Beside the graph, the work holds the members, int32
+    when g.n fits, and slice-sized temporaries; the coarse targets are
     _id_dtype(n_comm).
     """
-    # the vertices grouped by community, ascending within each
-    members = np.argsort(mapping, kind="stable").astype(_id_dtype(g.n), copy=False)
     first_member = np.zeros(n_comm + 1, dtype=np.int64)
     np.cumsum(np.bincount(mapping, minlength=n_comm), out=first_member[1:])
-    # the position of each community's first arc in the grouped arc order,
+    # the vertices grouped by community, ascending within each, and the
+    # position of each community's first arc in the grouped arc order,
     # where each member's arcs follow in arc order
+    members = np.empty(g.n, dtype=_id_dtype(g.n))
+    fill = first_member[:-1].copy()
     comm_arcs = np.zeros(n_comm + 1, dtype=np.int64)
-    np.add.at(comm_arcs[1:], mapping, np.diff(g.offsets))
+    for lo in range(0, g.n, ARC_CHUNK):
+        hi = min(lo + ARC_CHUNK, g.n)
+        _place(fill, mapping[lo:hi], (members, np.arange(lo, hi)))
+        np.add.at(comm_arcs[1:], mapping[lo:hi], np.diff(g.offsets[lo : hi + 1]))
+    del fill
     np.cumsum(comm_arcs, out=comm_arcs)
     ids = _id_dtype(n_comm)
     counts = np.empty(n_comm, dtype=np.int64)
-    tgt, w = array("i" if ids is np.int32 else "q"), array("d")
+    # a block merges into at most one arc per row and coarse target, so
+    # columns of this length hold every block; only the pages written are
+    # resident, and the columns are cut to length at the end
+    bound = sum(min(hi - lo, (c1 - c0) * n_comm) for c0, c1, lo, hi in _row_slices(comm_arcs))
+    tgt, w = np.empty(bound, dtype=ids), np.empty(bound)
+    end = 0
     for c0, c1, lo, hi in _row_slices(comm_arcs):
         verts = members[first_member[c0] : first_member[c1]]
         arc = g.offsets[verts]
         length = g.offsets[verts + 1] - arc
+        # a view of members, which it would keep alive past their del
+        del verts
         # each member's first arc id less its first position in the block
         arc -= np.cumsum(length) - length
         arc = np.repeat(arc, length)
@@ -596,15 +684,17 @@ def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
         block_tgt, block_w = mapping[g.targets[arc]].astype(ids), g.weights[arc]
         del arc
         counts[c0:c1], at = _merge_rows(rows, block_tgt, block_w, n_comm)
-        tgt.frombytes(block_tgt[:at].data.cast("B"))
-        w.frombytes(block_w[:at].data.cast("B"))
-        # free the merged block before the next one is gathered: left
-        # alive, it sits among the next block's temporaries where the
-        # growing buffers would extend, which raised detect's peak RSS by
-        # 0.6 MB on a graph of 882k arcs
+        tgt[end : end + at] = block_tgt[:at]
+        w[end : end + at] = block_w[:at]
+        end += at
+        # free the merged block before the next one is gathered, so the
+        # next block's temporaries can take its place
         del block_tgt, block_w
     del members, first_member, comm_arcs
-    return _finish_graph(n_comm, counts, np.frombuffer(tgt, dtype=ids), np.frombuffer(w))
+    # no view of either column exists, so resizing in place is safe
+    tgt.resize(end, refcheck=False)
+    w.resize(end, refcheck=False)
+    return _finish_graph(n_comm, counts, tgt, w)
 
 
 def _finish_graph(
@@ -679,44 +769,65 @@ def _slice_rows(offsets: np.ndarray, r0: int, r1: int) -> np.ndarray:
 def _is_symmetric(
     offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray, mirror: bool = False
 ) -> bool:
-    """Whether the arc at rank i of the (v, u) order reverses the arc at
-    position i of the (u, v) order, with a weight equal to rtol 1e-12.
-    With mirror on, each arc of a symmetric graph whose source is above
-    its target then takes its reverse's weight bits.
+    """Whether every arc (u, v) has a reverse (v, u) whose weight equals
+    its own to rtol 1e-12.  With mirror on, each arc of a symmetric graph
+    whose source is above its target then takes its reverse's weight bits.
 
     The arcs are in CSR order with strictly ascending targets per row, so
-    a stable sort by target alone gives the (v, u) order, and arc j's
-    source is the row whose offsets bracket j.  The verdict is false
-    unless every vertex has as many arcs in as out; then each vertex's
-    in-arcs start, in that order, where its own row does, and a counting
-    sort scatters the arc ids there, into an int32 array when they fit.
-    The comparisons run over row-aligned slices, so only the reverse
-    order is arc-length; the verdict is that of comparing whole columns.
+    each arc's reverse, if any, follows the last target below its source
+    in its target's row.  A binary search per row-aligned slice finds that
+    target for every arc of the slice at once, in steps of descending
+    powers of two, as many as the longest row searched has bits; the
+    temporaries are a few slice-length arrays, and no arc-length array is
+    made.  Each arc (u, v) found reversed maps to a distinct arc (v, u),
+    so the verdict is that of comparing the (u, v) order with the (v, u)
+    order.
     """
-    slices = [(lo, min(lo + ARC_CHUNK, vs.size)) for lo in range(0, vs.size, ARC_CHUNK)]
-    in_arcs = np.zeros(offsets.size - 1, dtype=np.int64)
-    _scatter(in_arcs, ((vs[lo:hi], None) for lo, hi in slices))
-    if not np.array_equal(in_arcs, np.diff(offsets)):
-        return False
-    del in_arcs
-    rev = np.empty(vs.size, dtype=_id_dtype(vs.size))
-    _scatter(offsets[:-1].copy(), ((vs[lo:hi], np.arange(lo, hi)) for lo, hi in slices), rev)
     mirror = mirror and ws.strides[0]
+    last = vs.size - 1
     for r0, r1, lo, hi in _row_slices(offsets):
-        r = rev[lo:hi]
+        if lo == hi:
+            continue
         v = vs[lo:hi]
-        if not (
-            np.array_equal(_slice_rows(offsets, r0, r1) + r0, vs[r])
-            and np.all(offsets[v] <= r)
-            and np.all(r < offsets[v + 1])
-            and np.allclose(ws[lo:hi], ws[r], rtol=1e-12, atol=0.0)
-        ):
+        src = np.repeat(np.arange(r0, r1, dtype=vs.dtype), np.diff(offsets[r0 : r1 + 1]))
+        end = offsets[1:][v]
+        # the last position in row v whose target is below the source, or
+        # the position before the row
+        rev = offsets[v]
+        rev -= 1
+        probe, got = np.empty_like(rev), np.empty_like(v)
+        up, below = np.empty(v.size, dtype=bool), np.empty(v.size, dtype=bool)
+        # the largest power of two up to the longest row's length
+        step = 1 << int((end - rev).max() - 1).bit_length() >> 1
+        while step:
+            np.add(rev, step, out=probe)
+            np.less(probe, end, out=up)
+            # a probe past the row reads a clipped position, unused
+            np.minimum(probe, last, out=probe)
+            # mode clip: unbuffered, and every probe is in range already
+            up &= np.less(np.take(vs, probe, out=got, mode="clip"), src, out=below)
+            np.add(rev, step, out=rev, where=up)
+            step >>= 1
+        rev += 1
+        if not (np.all(np.less(rev, end, out=up)) and np.array_equal(vs[rev], src)):
+            return False
+        del end, probe, got, below
+        # np.allclose(ws[lo:hi], ws[rev], rtol=1e-12, atol=0.0) for the
+        # finite weights that _finish_graph has checked, in place
+        back = ws[rev]
+        diff = ws[lo:hi] - back
+        np.abs(diff, out=diff)
+        np.abs(back, out=back)
+        back *= 1e-12
+        if not np.all(np.less_equal(diff, back, out=up)):
             return False
         if mirror:
             # the reverse of an arc whose source is above its target lies
             # in an earlier row, checked already, and is never written
-            above = _slice_rows(offsets, r0, r1) + r0 > v
-            ws[lo:hi][above] = ws[r[above]]
+            np.greater(src, v, out=up)
+            ws[lo:hi][up] = ws[rev[up]]
+        # free this slice's arrays before the next slice makes its own
+        del src, rev, up, back, diff
     return True
 
 

@@ -44,12 +44,15 @@ import numpy as np
 from .community import (
     Dendrogram,
     _check_labels,
+    _label_sums,
+    _relabel,
+    _singleton_modularity,
     modularity,
     normalize_labels,
     scan_arcs,
     singleton_assignment,
 )
-from .graph import Graph, _coarsen
+from .graph import ARC_CHUNK, Graph, _coarsen
 
 __all__ = [
     "Config",
@@ -344,7 +347,7 @@ def _move_phase(
     work = _check_labels(g, labels)
     if not (work.flags.writeable and work.flags.c_contiguous):
         work = work.copy()
-    sigma_tot = np.bincount(work, weights=g.degrees, minlength=g.n)
+    sigma_tot = _label_sums(work, g.degrees, g.n)
     state = [memoryview(a) for a in (g.offsets, g.targets, g.weights, g.degrees, work, sigma_tot)]
     with ExitStack() as stack:
         if cfg.mode == "sync":
@@ -371,9 +374,27 @@ def _move_phase(
 
     if work is not labels:
         labels[:] = work
-    fresh = np.bincount(work, weights=g.degrees, minlength=g.n)
-    drift = float(np.max(np.abs(fresh - sigma_tot)))
-    return iterations, total_gain, total_moves, conflicts, drift
+    return iterations, total_gain, total_moves, conflicts, _mass_drift(work, g.degrees, sigma_tot)
+
+
+def _mass_drift(labels: np.ndarray, degrees: np.ndarray, sigma_tot: np.ndarray) -> float:
+    """The largest |recount - sigma_tot| over communities, recount being
+    _label_sums(labels, degrees, n): each community's degrees summed in
+    vertex order.  The recount is made for at most 16 ranges of
+    communities in turn, each over slices of ARC_CHUNK vertices, so the
+    check makes no n-length array; the sums keep their order and bits."""
+    n = sigma_tot.size
+    step = max(ARC_CHUNK, -(-n // 16))
+    drifts = []
+    for c0 in range(0, n, step):
+        part = np.zeros(min(step, n - c0))
+        for lo in range(0, labels.size, ARC_CHUNK):
+            lab = labels[lo : lo + ARC_CHUNK]
+            inside = (lab >= c0) & (lab < c0 + step)
+            np.add.at(part, lab[inside] - c0, degrees[lo : lo + ARC_CHUNK][inside])
+        part -= sigma_tot[c0 : c0 + step]
+        drifts.append(np.max(np.abs(part, out=part)))
+    return float(np.max(drifts))
 
 
 def local_moving(
@@ -428,7 +449,7 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
     pass_stats: list[PassStats] = []
     g_cur = g
     tol = cfg.tolerance_initial
-    q_prev = modularity(g_cur, singleton_assignment(g_cur.n))
+    q_prev = _singleton_modularity(g_cur)
     truncated = False
     max_drift = 0.0
 
@@ -441,7 +462,9 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
         if iters >= cfg.max_iterations_per_pass:
             truncated = True
 
-        mapping, n_comm = normalize_labels(labels)
+        # the pass's labels become its dendrogram level
+        n_comm = _relabel(labels)
+        mapping = labels
         del labels
         q_now = modularity(g_cur, mapping)
         stop = (

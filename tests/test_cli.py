@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import commdet
+import commdet.graph
 from commdet.cli import (
     geometric_grid,
     main,
@@ -232,6 +233,54 @@ def test_graph_over_physical_memory_exits_1_before_allocating(tmp_path, capsys, 
             assert code == 1
             assert err == ("error: a graph with 1000000 vertices does not fit in memory: "
                            "an estimated 122 MiB exceeds physical memory\n")
+
+
+@pytest.mark.parametrize("cgroup, physical, named", [
+    (64 << 20, None, "the cgroup memory limit"),
+    (1 << 30, 64 << 20, "physical memory"),
+], ids=["cgroup-smaller", "physical-smaller"])
+def test_memory_refusal_takes_the_smaller_of_physical_memory_and_the_cgroup_limit(
+    tmp_path, capsys, monkeypatch, cgroup, physical, named
+):
+    """The refusal compares the estimate with the smaller of the two limits
+    and names it; a thousand vertices still load under either."""
+    monkeypatch.setattr(commdet.graph, "_cgroup_memory_limit", lambda: cgroup)
+    if physical is not None:
+        sysconf = os.sysconf
+        fake = {"SC_PHYS_PAGES": physical >> 12, "SC_PAGE_SIZE": 1 << 12}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+    for n in (1_000_000, 1000):
+        path = tmp_path / f"graph{n}.txt"
+        path.write_text(f"# n {n}\n0 1\n")
+        code = main(["stats", "--input", str(path)])
+        err = capsys.readouterr().err
+        if n == 1000:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1
+            assert err == ("error: a graph with 1000000 vertices does not fit in memory: "
+                           f"an estimated 122 MiB exceeds {named}\n")
+
+
+@pytest.mark.parametrize("v2, v1, limit", [
+    ("max\n", "1073741824\n", None),
+    (None, "9223372036854771712\n", None),
+    ("67108864\n", "1073741824\n", 64 << 20),
+    (None, "1073741824\n", 1 << 30),
+    (None, None, None),
+    ("garbage\n", None, None),
+], ids=["v2-max", "v1-sentinel", "v2", "v1", "none", "unreadable"])
+def test_cgroup_memory_limit_reads_the_first_cgroup_file(tmp_path, monkeypatch, v2, v1, limit):
+    """v2's memory.max, else v1's memory.limit_in_bytes; "max" and v1's
+    value near 2**63 mean no limit."""
+    paths = []
+    for name, text in (("memory.max", v2), ("memory.limit_in_bytes", v1)):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        paths.append(str(path))
+    monkeypatch.setattr(commdet.graph, "_CGROUP_MEMORY_FILES", tuple(paths))
+    assert commdet.graph._cgroup_memory_limit() == limit
 
 
 def test_detect_missing_file_exits_1(capsys):

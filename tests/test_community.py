@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from commdet.community import (
     Aggregates,
     Dendrogram,
+    _relabel,
+    _singleton_modularity,
     community_aggregates,
     delta_modularity,
     flatten,
@@ -122,6 +124,32 @@ def test_relabeling_invariance_is_exact():
         a = rng.integers(0, g.n, g.n)
         norm, _ = normalize_labels(a)
         assert modularity(g, a) == modularity(g, norm)
+
+
+def test_relabel_in_place_equals_the_dict_loop_oracle():
+    """_relabel writes the first-occurrence mapping over labels in [0, n)
+    and returns its count: few and many distinct labels, singletons, and
+    more labels than one slice of ARC_CHUNK."""
+    rng = np.random.default_rng(8)
+    cases = [rng.integers(0, int(rng.integers(1, n + 1)), n) for n in (1, 2, 7, 40, 300)]
+    cases += [np.arange(50)[::-1].copy(), rng.integers(0, 30, 3 * ARC_CHUNK + 5),
+              rng.permutation(2 * ARC_CHUNK)]
+    for labels in cases:
+        labels = labels.astype(np.int64)
+        want, count = dict_normalize_labels(labels)
+        assert _relabel(labels) == count
+        assert labels.tobytes() == want.tobytes()
+
+
+def test_singleton_modularity_equals_modularity_of_singletons():
+    """louvain's starting Q, computed over slices with no n-length array,
+    has the bits of modularity under singletons: graphs with and without
+    loops, and one of many slices."""
+    graphs = [g for _, g in oracle_graphs()] + [weighted_chunk_graph()]
+    graphs += [build_graph(EdgeList(5, [(0, 0, 2.0), (1, 2, 0.5), (3, 3, 1e-3)]),
+                           add_self_loops=True, default_weight=0.25)]
+    for g in graphs:
+        assert repr(_singleton_modularity(g)) == repr(modularity(g, singleton_assignment(g.n)))
 
 
 def test_modularity_rejects_bad_labels(triangles):

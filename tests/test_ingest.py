@@ -3,8 +3,10 @@ memory per arc of ingest and local moving."""
 
 import io
 import os
+import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from array import array
 
@@ -15,13 +17,16 @@ import commdet
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import commdet.formats
 import commdet.graph
 from commdet.community import modularity, singleton_assignment
+from commdet.cli import main
 from commdet.fixtures import ring_of_cliques
 from commdet.graph import (
     RUN_BYTES_PER_ENTRY,
     RUN_BYTES_PER_VERTEX,
     EdgeList,
+    GraphParseError,
     build_graph,
     load_graph_file,
     parse_edgelist,
@@ -144,17 +149,187 @@ def test_edgelist_rejects_a_bad_shape(pairs, weights, message):
     ("a.txt", "# n 3\n0 1 0.5\n1 2\n"),
     ("a.mtx", "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 0.5\n2 3 1\n"),
 ])
-def test_load_graph_file_runs_the_public_parser_once(tmp_path, monkeypatch, name, text):
+def test_load_graph_file_reads_a_regular_file_twice_and_makes_no_edgelist(
+    tmp_path, monkeypatch, name, text
+):
+    """A regular file is opened for the count pass and the placement pass
+    and never parsed into an EdgeList, and gives the graph of its parse."""
     path = tmp_path / name
     path.write_text(text)
-    calls = []
-    for parser in ("parse_edgelist", "parse_matrix_market"):
-        def counted(stream, parse=getattr(commdet.graph, parser), parser=parser):
-            calls.append(parser)
-            return parse(stream)
-        monkeypatch.setattr(commdet.graph, parser, counted)
-    load_graph_file(str(path))
-    assert calls == ["parse_matrix_market" if name.endswith(".mtx") else "parse_edgelist"]
+    parse = parse_matrix_market if name.endswith(".mtx") else parse_edgelist
+    with open(path, encoding="utf-8") as fh:
+        want = graph_bytes(build_graph(parse(fh)))
+    opened, made = [], []
+    monkeypatch.setattr(commdet.graph, "open", _recording_open(opened), raising=False)
+    monkeypatch.setattr(EdgeList, "__post_init__", lambda self: made.append(self))
+    assert graph_bytes(load_graph_file(str(path))) == want
+    assert opened == [str(path)] * 2 and made == []
+
+
+def _recording_open(opened, before_second=None):
+    """open that records each path opened outside /sys, and calls
+    before_second() just before the second such open."""
+    def recording(file, *args, **kwargs):
+        if not str(file).startswith("/sys/"):
+            opened.append(str(file))
+            if len(opened) == 2 and before_second is not None:
+                before_second()
+        return open(file, *args, **kwargs)
+    return recording
+
+
+def test_load_graph_file_parses_a_pipe_once(tmp_path):
+    """A pipe cannot be read twice: it is parsed into an EdgeList once."""
+    text = "# n 4\n0 1 0.5\n1 2\n2 0 2.0\n"
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    want = graph_bytes(load_graph_file(str(path), add_self_loops=True))
+    fifo = tmp_path / "pipe.txt"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        got = graph_bytes(load_graph_file(str(fifo), add_self_loops=True))
+    finally:
+        writer.join()
+    assert got == want
+
+
+# (file name, text of the count pass, text of the placement pass, the
+# first line of the first block of two lines that differs)
+CHANGED_FILES = [
+    ("target.txt", "# n 4\n0 1\n1 2\n2 3\n", "# n 4\n0 1\n1 3\n2 3\n", 3),
+    ("weight.txt", "0 1 1.0\n1 2 1.0\n", "0 1 1.0\n1 2 2.0\n", 1),
+    ("longer.txt", "0 1\n1 2\n", "0 1\n1 2\n2 0\n", 3),
+    ("shorter.mtx", "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n",
+     "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n", 3),
+    ("invalid.mtx", "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 0.5\n2 3 1\n",
+     "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 0.5\n2 x 1\n", 3),
+]
+
+
+@pytest.mark.parametrize("name, first, second, line", CHANGED_FILES,
+                         ids=[c[0] for c in CHANGED_FILES])
+def test_a_file_changed_between_the_passes_exits_1_with_a_message(
+    tmp_path, monkeypatch, capsys, name, first, second, line
+):
+    """Each block of lines the placement pass reads must be the one the
+    count pass read, so a change to the ids, the weights or the length
+    of the file, or one that makes it invalid, ends with exit code 1 and
+    the first line of the first block that differs, never with a
+    traceback or a graph mixed from two files."""
+    monkeypatch.setattr(commdet.formats, "BLOCK_LINES", 2)
+    path = tmp_path / name
+    message = f"line {line}: the file changed while it was read"
+    for run in ("load", "cli"):
+        path.write_text(first)
+        monkeypatch.setattr(commdet.graph, "open",
+                            _recording_open([], lambda: path.write_text(second)), raising=False)
+        if run == "load":
+            with pytest.raises(GraphParseError, match=f"^{message}$"):
+                load_graph_file(str(path))
+        else:
+            assert main(["stats", "--input", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# tokens that the bulk path and the line loop must read alike: separators,
+# non-ASCII digits, signs, the int32 and int64 edges, non-finite weights
+ODD_IDS = ["1_000", "\u0661\u0662", "+3", "-1", "-0", "2147483647", "2147483648",
+           "9223372036854775806", "9223372036854775808", "1.0", "0x1", "x", ";"]
+ODD_WEIGHTS = ["1e400", "nan", "inf", "-inf", "1_0.5", "\u0661.\u0665", "1e308", "abc",
+               "5e-324", "-2.5", "0"]
+
+
+def _odd_line(rng, fmt):
+    """A line that some block may hold beside clean ones."""
+    tok = lambda: rng.choice([str(rng.randrange(1, 6)), *ODD_IDS])
+    return rng.choice([
+        "", "  \t", "# a comment", "% a comment", f"# n {rng.randrange(0, 9)}",
+        f"{tok()}", f"{tok()} {tok()}", f"{tok()} {tok()} {rng.choice(ODD_WEIGHTS)}",
+        f"{tok()} {tok()} 1.5 2", f"{tok()}\t{tok()}", "1 2;", "1 2 # x",
+    ])
+
+
+def _random_text(rng, fmt):
+    """A seeded text of mostly clean lines, CRLF ends here and there."""
+    n = rng.randrange(1, 8)
+    weighted = rng.random() < 0.5
+    lines = []
+    for _ in range(rng.randrange(0, 30)):
+        if rng.random() < 0.08:
+            lines.append(_odd_line(rng, fmt))
+            continue
+        base = 1 if fmt == "mtx" else 0
+        u, v = rng.randrange(base, n + base), rng.randrange(base, n + base)
+        mixed = fmt == "edgelist" and rng.random() < 0.05
+        lines.append(f"{u} {v} {rng.choice(['0.5', '2', '1e-3', '3.25'])}"
+                     if weighted != mixed else f"{u} {v}")
+    if fmt == "mtx":
+        field = ("real" if weighted else "pattern") if rng.random() < 0.9 else "integer"
+        sym = rng.choice(["general", "symmetric"])
+        nnz = sum(1 for line in lines if line[:1].isdigit()) + rng.choice([0, 0, 0, 1, -1])
+        lines = [f"%%MatrixMarket matrix coordinate {field} {sym}", f"{n} {n} {max(nnz, 0)}",
+                 *lines]
+    elif rng.random() < 0.7:
+        lines.insert(rng.randrange(0, min(3, len(lines) + 1)), f"# n {n}")
+    ends = [rng.choice(["\n", "\n", "\n", "\r\n"]) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _parse_outcome(parse, text):
+    """The EdgeList's n, dtypes and bytes, or the exception's type and message."""
+    try:
+        el = parse(io.StringIO(text))
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc), str(exc)
+    return el.n, el.entries.dtype.str, el.entries.tobytes(), el.weights.dtype.str, el.weights.tobytes()
+
+
+def _typed_outcome(build):
+    """The built graph's bytes, or the type and message of its ValueError."""
+    try:
+        return graph_bytes(build())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "mtx"])
+def test_bulk_parse_equals_the_line_loop_on_random_texts(tmp_path, monkeypatch, fmt):
+    """On seeded random texts, read in blocks of 1, 3 and 2048 lines,
+    parse_* returns the line loop's EdgeList bytes and dtypes or raises
+    its exact exception, and load_graph_file, which counts and places
+    the same blocks, builds the graph of that EdgeList or fails as its
+    build does.  The line loop alone is the reference: the bulk path
+    patched away, every block goes through it."""
+    parse = parse_matrix_market if fmt == "mtx" else parse_edgelist
+    split = commdet.formats._split_entries
+    bulk = []
+
+    def counted(*args):
+        block = split(*args)
+        bulk.append(block is not None)
+        return block
+
+    monkeypatch.setattr(commdet.formats, "_split_entries", counted)
+    rng = random.Random(21 if fmt == "mtx" else 12)
+    path = tmp_path / ("g.mtx" if fmt == "mtx" else "g.txt")
+    for case in range(300):
+        text = _random_text(rng, fmt)
+        with monkeypatch.context() as patch:
+            patch.setattr(commdet.formats, "_split_entries", lambda *args: None)
+            want = _parse_outcome(parse, text)
+        loops = case % 2 == 1
+        want_graph = want if isinstance(want[0], type) else _typed_outcome(
+            lambda: build_graph(parse(io.StringIO(text)), add_self_loops=loops))
+        path.write_bytes(text.encode("utf-8"))
+        for lines in (1, 3, 2048):
+            monkeypatch.setattr(commdet.formats, "BLOCK_LINES", lines)
+            assert _parse_outcome(parse, text) == want, (lines, text)
+            got = _typed_outcome(lambda: load_graph_file(str(path), add_self_loops=loops))
+            assert got == want_graph, (lines, text)
+    # the bulk path read a good share of the blocks
+    assert 0.3 < sum(bulk) / len(bulk) < 0.95
 
 
 def test_build_graph_leaves_entries_unchanged():
@@ -375,7 +550,15 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # ---------------------------------------------------------------------------
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
-# (numpy 2.4): 19.9 B on the unit-weight planted input with repeated pairs,
+# (numpy 2.4): 15.0 B on the unit-weight planted input with repeated pairs,
+# 19.5 B on the weighted input with them and 19.0 B without, with a regular
+# file read twice in blocks of 1536 lines, a count pass and a placement
+# pass, no EdgeList and a symmetry check by binary search rather than a
+# reverse column; 15.8, 17.4 and 16.9 B with blocks of 1024 lines, whose
+# smaller load peak left detect's later phases above it, and 15.0, 21.4
+# and 20.9 B with blocks of 2048 (a block's tokens are a constant 0.3 MB,
+# 3.5 B/arc only on this small graph).
+# 19.9 B on the unit-weight planted input with repeated pairs,
 # 20.3 B on the weighted input with them and 19.9 B without, with every
 # arc pass, the counting sort's included, in slices of ARC_CHUNK = 4096
 # arcs.  23.1 B on the unit-weight planted input with repeated pairs
@@ -401,16 +584,29 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 # the loader packed (u, v, w) records, 42.0 and 40.5 B with int64 columns
 # and an arc-length source column in the symmetry check, 62 B when the
 # parsed entries lived through the sort, 188 B when they were a list of
-# tuples.  The bound leaves 25% headroom over 20.26 B
-MAX_LOAD_BYTES_PER_ARC = 25.3
+# tuples.  The bound leaves 25% headroom over 19.5 B
+MAX_LOAD_BYTES_PER_ARC = 24.4
 
 # the same peak on the unit-weight planted input without repeated pairs,
-# whose graph takes a zero-stride weights view rather than a column: 12.04 B
+# whose graph takes a zero-stride weights view rather than a column: 10.7 B
+# read in two passes with no EdgeList in blocks of 1536 lines (8.78 B in
+# blocks of 1024, 12.48 B in blocks of 2048); 12.04 B
 # with every arc pass in slices of 4096 arcs; 15.2 B (15.15) with the row
 # merge and the symmetry comparisons in slices of 16k, against 23.2 B when
 # a column of ones was scattered, sorted and kept.  The bound leaves 25%
-# headroom over 12.04 B
-MAX_UNIFORM_LOAD_BYTES_PER_ARC = 15.1
+# headroom over 10.7 B
+MAX_UNIFORM_LOAD_BYTES_PER_ARC = 13.4
+
+# tracemalloc peak of build_graph per arc on the parse of the same inputs,
+# the EdgeList made before tracing: 15.0 B on the unit-weight input with
+# repeated pairs, 16.0 and 15.5 B on the weighted one with and without
+# them, 7.1 B on the unit-weight one without them, with the count pass and
+# the placement pass over slices of the EdgeList; 19.9 B (11.9 B without
+# repeated pairs) when the arcs were scattered in one stable counting sort
+# and the symmetry check scattered a reverse column.  The bounds are those
+# older readings, which the build is not to exceed
+MAX_BUILD_BYTES_PER_ARC = 19.9
+MAX_UNIFORM_BUILD_BYTES_PER_ARC = 11.9
 
 # tracemalloc peak of pass-0 local moving per arc, warm (numpy 2.4): 2.36 B
 # in async and in sync mode and 2.48 B with two threads, as before the arc
@@ -447,7 +643,10 @@ MAX_AGGREGATE_BYTES_PER_ARC = 3.0
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
-# per arc: 22.4 B (median of 5, 22.1-22.6) with no weight column made for
+# per arc: 19.7 B (median of 5, 19.2-20.2) with the file read in two
+# passes in blocks of 1536 lines and no EdgeList, 18.8 B (18.1-18.9) in
+# blocks of 1024 and 19.8 B (19.3-20.3) in blocks of 2048, against 21.0 B (21.0-22.0) beside it with the EdgeList
+# parsed first.  22.4 B (median of 5, 22.1-22.6) with no weight column made for
 # a uniform input until a repeated pair is merged, against 23.0 B
 # (22.5-23.4) measured beside it.  23.0 B (medians of 5 in two runs,
 # 22.0-23.4) with the merged columns cut in place, against 28.2 B (27.5-29.0) beside
@@ -460,17 +659,32 @@ MAX_AGGREGATE_BYTES_PER_ARC = 3.0
 # counting-sort build, 32.8 B (median of 5, 32.7-33.0) with the lexsort
 # build, 34.7 B (34.3-35.3) when the loader packed (u, v, w) records.
 # RSS also counts what tracemalloc does not see, such as the sorts' own
-# buffers and pages the allocator keeps.  The bound leaves 25% headroom over 23.0 B
-MAX_STATS_RSS_BYTES_PER_ARC = 28.8
+# buffers and pages the allocator keeps.  The bound leaves 25% headroom over 19.7 B
+MAX_STATS_RSS_BYTES_PER_ARC = 24.6
 
 # the same on that input without repeated pairs, whose graph takes a
-# zero-stride weights view: 14.2 B (median of 5, 14.1-14.7), against
+# zero-stride weights view: 11.8 B (median of 5, 11.8-12.2) read in two
+# passes in blocks of 1536 lines (11.0 B in blocks of 1024, 11.1 B in
+# blocks of 2048), against
+# 13.0 B (12.2-13.2) beside it with the EdgeList parsed first; 14.2 B (median of 5, 14.1-14.7), against
 # 23.0 B (22.5-23.3) measured beside it when a column of ones was kept.
-# The bound leaves 25% headroom over 14.2 B
-MAX_STATS_UNIFORM_RSS_BYTES_PER_ARC = 17.8
+# The bound leaves 25% headroom over 11.8 B
+MAX_STATS_UNIFORM_RSS_BYTES_PER_ARC = 14.8
 
 # peak RSS of ``commdet detect --out-membership`` less that of ``commdet
-# stats``, per vertex, on the planted input with 100 blocks of 200: -3.9 to
+# stats``, per vertex, on the planted input with 100 blocks of 200: 3.3 to
+# 11.7 B (median 8.7, 10 runs) with the file read in two passes in blocks
+# of 1536 lines and no EdgeList, the move phase's drift checked without an
+# n-length recount, the starting Q under singletons summed over row
+# slices, coarse columns written into one allocation and each pass
+# relabeled in place through an int64 table; -0.2 to 13.9 B (medians 5.0
+# and 7.9) in blocks of 2048 lines, 7.4 to 17.8 B (median 14.2) in blocks
+# of 1024, and medians of 13.3 and 17.1 B in blocks of 2048 with an int32
+# relabel table.  Every run compiles the package, and the later phases
+# reuse the compiler's freed memory, so the reading also moves with the
+# source text: medians of 5 and 18 B on trees that differed only in one
+# comment.  With cached bytecode it read 15.4 to 26.8 B (median 20.5).
+# -3.9 to
 # 10.2 B (median 0.4, 15 runs) with no weight column made for a uniform
 # input until a repeated pair is merged and the membership written 256
 # lines at a time, against -0.4 to 12.3 B (median 7.0) at the parent beside
@@ -564,6 +778,24 @@ def test_weighted_load_peak_memory_per_arc(tmp_path, repeats):
     g, per_arc = _planted_graph(tmp_path, repeats=repeats, weighted=True)
     assert g.weights.flags.c_contiguous
     assert per_arc <= MAX_LOAD_BYTES_PER_ARC
+
+
+@pytest.mark.parametrize("repeats, weighted", [(True, False), (True, True), (False, True),
+                                              (False, False)],
+                         ids=["repeats", "weighted-repeats", "weighted", "uniform"])
+def test_build_peak_memory_per_arc(tmp_path, repeats, weighted):
+    """build_graph of a parsed EdgeList, which the caller holds, peaks
+    no higher per arc than the load did before it counted and placed."""
+    _warm_up(tmp_path)
+    path = tmp_path / "planted.txt"
+    _planted_edgelist(path, repeats=repeats, weighted=weighted)
+    with open(path, encoding="utf-8") as fh:
+        edges = parse_edgelist(fh)
+    peak, g = _traced_peak(lambda: build_graph(edges))
+    uniform = not (repeats or weighted)
+    assert (g.weights.strides == (0,)) == uniform
+    bound = MAX_UNIFORM_BUILD_BYTES_PER_ARC if uniform else MAX_BUILD_BYTES_PER_ARC
+    assert peak / g.n_arcs <= bound
 
 
 def _move_peak_per_arc(tmp_path, cfg):

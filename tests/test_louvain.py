@@ -652,14 +652,35 @@ def test_louvain_truncation_flag_on_pass_cap():
     assert rep.n_passes == 1
 
 
+def test_mass_drift_equals_the_whole_array_drift():
+    """_mass_drift, over ranges of communities and slices of vertices,
+    gives the bits of the largest |bincount(labels, degrees) - sigma_tot|,
+    with one range and with several."""
+    rng = np.random.default_rng(21)
+    for n in (7, ARC_CHUNK + 1, 3 * ARC_CHUNK + 7):
+        labels = rng.integers(0, n, n)
+        labels[: n // 2] = rng.integers(0, max(n // 50, 1), n // 2)
+        degrees = rng.uniform(0.1, 10.0, n)
+        sigma = np.bincount(labels, weights=degrees, minlength=n)
+        sigma[rng.integers(0, n, 5)] *= 1.0 + rng.uniform(-1e-12, 1e-12, 5)
+        want = float(np.max(np.abs(np.bincount(labels, weights=degrees, minlength=n) - sigma)))
+        assert repr(LOUVAIN_MODULE._mass_drift(labels, degrees, sigma)) == repr(want)
+
+
 def test_louvain_normalizes_each_pass_once(monkeypatch):
+    """Each pass relabels its labels in place, once; _relabel gives
+    normalize_labels' mapping."""
     calls = []
+    relabel = LOUVAIN_MODULE._relabel
 
     def counted(labels):
         calls.append(len(labels))
-        return normalize_labels(labels)
+        want = normalize_labels(labels)
+        assert relabel(labels) == want[1]
+        assert labels.tobytes() == want[0].tobytes()
+        return want[1]
 
-    monkeypatch.setattr(LOUVAIN_MODULE, "normalize_labels", counted)
+    monkeypatch.setattr(LOUVAIN_MODULE, "_relabel", counted)
     g = weighted_chunk_graph()
     _, rep = louvain(g)
     assert rep.n_passes > 2
