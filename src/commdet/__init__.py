@@ -4,9 +4,8 @@ Core pieces: CSR graphs (:mod:`commdet.graph`), modularity scoring and
 move bookkeeping (:mod:`commdet.community`), the Louvain engine with
 async/sync local moving, threaded async local moving
 (``Config.threads``) and threshold scaling (:mod:`commdet.louvain`), and
-synthetic fixtures (:mod:`commdet.fixtures`).  :mod:`commdet.parallel`
-keeps the threaded engine's former names as aliases.  ``commdet.cli``
-wires them into the ``commdet`` command.
+synthetic fixtures (:mod:`commdet.fixtures`).  ``commdet.cli`` wires
+them into the ``commdet`` command.
 """
 
 from .community import (
@@ -28,8 +27,11 @@ from .graph import (
     parse_edgelist,
     parse_matrix_market,
 )
-from .louvain import Config, Report, aggregate_graph, local_moving, louvain, sweep_tolerance
-from .parallel import ParallelConfig, parallel_louvain, sweep_threads
+from .louvain import (Config, Report, aggregate_graph, local_moving, louvain, sweep_threads,
+                      sweep_tolerance)
+
+# the benchmark's traced runs import Config under this name
+ParallelConfig = Config
 
 __version__ = "0.1.0"
 
@@ -52,7 +54,6 @@ __all__ = [
     "modularity",
     "modularity_bruteforce",
     "normalize_labels",
-    "parallel_louvain",
     "parse_edgelist",
     "parse_matrix_market",
     "singleton_assignment",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import EdgeList, Graph, build_graph
+from .graph import EdgeList, Graph, _check_fits, build_graph
 
 __all__ = ["cliques", "ring_of_cliques", "random_gnp", "gnp_graph"]
 
@@ -27,6 +27,8 @@ def cliques(k: int, count: int, bridges: int = 0) -> EdgeList:
         raise ValueError("clique count must be >= 1")
     if not 0 <= bridges <= k:
         raise ValueError("bridges must lie in [0, k]")
+    # triu_indices takes k * k bytes, and each edge about 64 at the peak (tracemalloc)
+    _check_fits(count * k, k * k + 64 * (count * (k * (k - 1) // 2) + bridges * (count - 1)))
     a, b = np.triu_indices(k, k=1)
     base = np.repeat(np.arange(count) * k, a.size)
     i = np.repeat(np.arange(count - 1), bridges)
@@ -58,6 +60,9 @@ def random_gnp(
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    # triu_indices takes n * n bytes and 16 per candidate pair, the draw and
+    # its mask 9 more, and each edge about 32 at the peak (tracemalloc)
+    _check_fits(n, n * n + int((25 + 32 * p) * (n * (n - 1) // 2)))
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p

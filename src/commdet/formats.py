@@ -16,6 +16,8 @@ from itertools import islice
 
 import numpy as np
 
+__all__ = ["GraphParseError"]
+
 
 class GraphParseError(ValueError):
     """Raised when an input graph file cannot be parsed."""

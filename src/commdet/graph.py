@@ -11,7 +11,8 @@ id column.  Every build makes two passes over blocks of entries: a count
 pass counts each row's forward, mirrored and loop arcs, and a placement
 pass writes each block's targets, and weights, to their rows' fill
 pointers, a stable counting sort that keeps the arc order of the entries,
-their mirrored copies, then the inserted loops.  load_graph_file reads a
+their mirrored copies, then the inserted loops, each column written by
+the one placement step, _place.  load_graph_file reads a
 regular file once per pass, a block of lines at a time (formats.py), so
 no EdgeList is made: the count pass checks the file and learns n and the
 weight range, and the placement pass checks that each block of lines is
@@ -346,6 +347,15 @@ def _memory_limit() -> tuple[int, str]:
     return physical, "physical memory"
 
 
+def _check_fits(n: int, need: int) -> None:
+    """Raise ValueError when a run on n vertices takes an estimated need
+    bytes, more than the smaller of physical memory and the cgroup limit."""
+    limit, name = _memory_limit()
+    if need > limit:
+        raise ValueError(f"a graph with {n} vertices does not fit in memory: "
+                         f"an estimated {need >> 20} MiB exceeds {name}")
+
+
 class _RowCounts:
     """The count pass: for each row, its forward arcs (the entries from
     it), its mirrored arcs (with symmetrize on, the entries into it from
@@ -356,11 +366,11 @@ class _RowCounts:
     The count arrays grow to the rows seen, or at once to the declared
     vertex count, only while the RUN_BYTES_* estimate for that many rows
     and the entries so far stays within the memory limit; past it the
-    counting stops, and refuse raises once the pass is over.
+    counting stops, and _build refuses the run once the pass is over.
     """
 
     def __init__(self, symmetrize: bool, add_self_loops: bool) -> None:
-        self.limit, self.limit_name = _memory_limit()
+        self.limit = _memory_limit()[0]
         self.loops = add_self_loops
         self.fwd = np.zeros(0, dtype=np.int64)
         self.mir = np.zeros(0, dtype=np.int64) if symmetrize else None
@@ -369,15 +379,9 @@ class _RowCounts:
         self.lo, self.hi = math.inf, -math.inf
         self.stopped = False
 
-    def _need(self, n: int) -> int:
+    def need(self, n: int) -> int:
+        """The RUN_BYTES_* estimate for n rows and the entries so far."""
         return RUN_BYTES_PER_VERTEX * n + RUN_BYTES_PER_ENTRY * (self.entries + n * self.loops)
-
-    def refuse(self, n: int) -> None:
-        """Raise MemoryError when the run's estimate for n vertices and
-        the entries counted is above the memory limit."""
-        need = self._need(n)
-        if need > self.limit:
-            raise MemoryError(f"an estimated {need >> 20} MiB exceeds {self.limit_name}")
 
     def add(self, pairs: np.ndarray, ws: np.ndarray | None, bound: int | None) -> None:
         """Count a block: pairs of ids and their weights, None for 1.0."""
@@ -398,11 +402,6 @@ class _RowCounts:
         if self.has_loop is not None:
             self.has_loop[us[us == vs]] = True
 
-    def count(self, source) -> None:
-        """Count every block of a source."""
-        for pairs, ws in source.blocks():
-            self.add(pairs, ws, source.bound)
-
     def _grow(self, size: int, bound: int | None) -> bool:
         """Widen the counts to the declared bound, or to twice their
         size, or to size rows, the first that the estimate allows."""
@@ -410,7 +409,7 @@ class _RowCounts:
         if bound is not None and bound >= size:
             sizes.insert(0, bound)
         for cap in sizes:
-            if self._need(cap) <= self.limit:
+            if self.need(cap) <= self.limit:
                 self.fit(cap)
                 return True
         return False
@@ -478,8 +477,8 @@ def _build(
     target takes its reverse's weight bits once the symmetry check
     passes, so coarse graphs sum equal weights both ways.  A graph whose
     run the RUN_BYTES_* estimate puts above the smaller of physical
-    memory and the cgroup limit is refused as a MemoryError is, before
-    any n-length array.
+    memory and the cgroup limit is refused (_check_fits) with the
+    message a MemoryError gets, before any n-length array.
     """
     source = held.pop()
     n = source.n
@@ -498,12 +497,15 @@ def _build(
     try:
         rows = _RowCounts(symmetrize, add_self_loops)
         if n is not None:
-            rows.refuse(n)
-        rows.count(source)
+            _check_fits(n, rows.need(n))
+        for pairs, ws in source.blocks():
+            rows.add(pairs, ws, source.bound)
+        # the last block can be a view that would keep a parsed EdgeList alive
+        pairs = ws = None
         if n is None:
             n = source.n
             _check_loop_weight(add_self_loops, default_weight)
-            rows.refuse(n)
+            _check_fits(n, rows.need(n))
         rows.fit(n)
         seen = {rows.lo, rows.hi} if rows.entries else set()
         has_loop = rows.has_loop
@@ -518,15 +520,10 @@ def _build(
         _place_blocks(source, fills, targets, weights)
         del source, fills
         if has_loop is not None:
-            tail = offsets[1:]
             for lo in range(0, n, ARC_CHUNK):
-                missing = ~has_loop[lo : lo + ARC_CHUNK]
-                at = tail[lo : lo + ARC_CHUNK][missing]
-                targets[at] = np.flatnonzero(missing) + lo
-                if weights.strides[0]:
-                    weights[at] = default_weight
-                tail[lo : lo + ARC_CHUNK] += missing
-            del tail, has_loop
+                ids = np.flatnonzero(~has_loop[lo : lo + ARC_CHUNK]) + lo
+                _place(offsets[1:], ids, (targets, ids), (weights, default_weight))
+            del has_loop
         counts, at = _merge_rows(offsets, targets, weights, n)
         if counts is None:
             weights = np.full(m, w)
@@ -553,18 +550,14 @@ def _place_blocks(source, fills: list, targets: np.ndarray, weights: np.ndarray)
     """The placement pass: each block's arcs to their regions' fill
     pointers, forward arcs by source and, with two fill arrays, mirrored
     arcs by target; the weights are read only for a weight column."""
-    column = bool(weights.strides[0])
-    for pairs, ws in source.blocks(weights=column):
+    for pairs, ws in source.blocks(weights=bool(weights.strides[0])):
         us, vs = pairs[:, 0], pairs[:, 1]
         ws = 1.0 if ws is None else ws
-        forward = [(targets, vs), (weights, ws)] if column else [(targets, vs)]
-        _place(fills[0], us, *forward)
+        _place(fills[0], us, (targets, vs), (weights, ws))
         if len(fills) > 1:
             off = us != vs
-            mirrored = [(targets, us[off])]
-            if column:
-                mirrored.append((weights, ws if np.ndim(ws) == 0 else ws[off]))
-            _place(fills[1], vs[off], *mirrored)
+            _place(fills[1], vs[off], (targets, us[off]),
+                   (weights, ws if np.ndim(ws) == 0 else ws[off]))
 
 
 def _place(fill: np.ndarray, keys: np.ndarray, *columns) -> None:
@@ -572,7 +565,8 @@ def _place(fill: np.ndarray, keys: np.ndarray, *columns) -> None:
     (out, values) column goes to out at its key's fill pointer plus the
     number of earlier keys of the block equal to keys[i], and the
     pointers then move past the block.  values is an array aligned with
-    keys or one value.  The temporaries are a few block-length arrays."""
+    keys or one value; a zero-stride out, the read-only view of a uniform
+    weight, is skipped.  The temporaries are a few block-length arrays."""
     if not keys.size:
         return
     order = np.argsort(keys, kind="stable")
@@ -581,7 +575,8 @@ def _place(fill: np.ndarray, keys: np.ndarray, *columns) -> None:
     at = np.arange(keys.size) - np.searchsorted(keys, keys)
     at += fill[keys]
     for out, values in columns:
-        out[at] = values if np.ndim(values) == 0 else values[order]
+        if out.strides[0]:
+            out[at] = values if np.ndim(values) == 0 else values[order]
     np.add.at(fill, keys, 1)
 
 
@@ -849,9 +844,12 @@ def save_edgelist(edges: EdgeList, path: str) -> None:
     """Write an EdgeList in the text format parse_edgelist reads back.
 
     Weights are written with ``repr`` of the builtin float, so parsing the
-    file gives back the same bits.
+    file gives back the same bits.  The edges are listed ARC_CHUNK at a
+    time, as a whole-array tolist would take some 200 bytes per edge.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n {edges.n}\n")
-        for (u, v), w in zip(edges.entries.tolist(), edges.weights.tolist()):
-            fh.write(f"{u} {v} {w!r}\n")
+        for lo in range(0, edges.weights.size, ARC_CHUNK):
+            rows = edges.entries[lo : lo + ARC_CHUNK].tolist()
+            for (u, v), w in zip(rows, edges.weights[lo : lo + ARC_CHUNK].tolist()):
+                fh.write(f"{u} {v} {w!r}\n")

@@ -464,9 +464,7 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
 
         # the pass's labels become its dendrogram level
         n_comm = _relabel(labels)
-        mapping = labels
-        del labels
-        q_now = modularity(g_cur, mapping)
+        q_now = modularity(g_cur, labels)
         stop = (
             (q_now - q_prev) <= cfg.pass_tolerance
             or moves == 0
@@ -475,7 +473,7 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
         agg_ms = 0.0
         if not stop:
             t1 = time.perf_counter()
-            g_next = _coarsen(g_cur, mapping, n_comm)
+            g_next = _coarsen(g_cur, labels, n_comm)
             agg_ms = (time.perf_counter() - t1) * 1000.0
         pass_stats.append(
             PassStats(
@@ -488,17 +486,15 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
                 conflicts=conflicts,
             )
         )
+        # a last pass keeps its level when it moved anything without
+        # losing quality (racy or synchronous passes can end below their
+        # start; such a level would put a dip in per_level_q); a no-move
+        # first pass keeps an identity level so the dendrogram is never empty
+        if not stop or (moves > 0 and q_now >= q_prev) or not levels:
+            levels.append(labels)
+            per_q.append(q_now)
         if stop:
-            # keep the level when it moved anything without losing quality
-            # (racy or synchronous passes can end below their start; such a
-            # level would put a dip in per_level_q); keep an identity level
-            # for a no-move first pass so the dendrogram is never empty
-            if (moves > 0 and q_now >= q_prev) or not levels:
-                levels.append(mapping)
-                per_q.append(q_now)
             break
-        levels.append(mapping)
-        per_q.append(q_now)
         g_cur = g_next
         q_prev = q_now
         tol = max(tol / cfg.tolerance_decline_factor, TOLERANCE_FLOOR)

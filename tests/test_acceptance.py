@@ -28,7 +28,7 @@ from commdet.community import (
 from commdet.fixtures import cliques, gnp_graph, ring_of_cliques
 from commdet.graph import build_graph, save_edgelist
 from commdet.louvain import Config, aggregate_graph, louvain, sweep_tolerance
-from commdet.parallel import ParallelConfig, parallel_louvain
+from commdet.louvain import Config as ParallelConfig, louvain as parallel_louvain
 
 from conftest import fixture_suite, read_sweep_csv, sbm_graph, single_edge, two_triangles
 

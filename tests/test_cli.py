@@ -21,8 +21,7 @@ from commdet.cli import (
 from commdet.community import read_membership
 from commdet.fixtures import cliques, gnp_graph, random_gnp
 from commdet.graph import load_graph_file, save_edgelist
-from commdet.louvain import louvain, sweep_tolerance
-from commdet.parallel import ParallelConfig, parallel_louvain
+from commdet.louvain import Config, louvain, sweep_tolerance
 
 from conftest import read_sweep_csv, widest_within_rtol
 
@@ -463,7 +462,7 @@ def test_report_csv_round_trip(tmp_path):
 
 def test_report_json_round_trip(tmp_path):
     g = gnp_graph(60, 0.1, seed=4)
-    _, rep = parallel_louvain(g, ParallelConfig(threads=2, chunk_size=8))
+    _, rep = louvain(g, Config(threads=2, chunk_size=8))
     path = str(tmp_path / "report.json")
     write_report_json(path, rep)
     back = _read_json(path)
@@ -812,6 +811,29 @@ def test_gen_writes_builtin_numbers(tmp_path, capsys):
 def test_gen_invalid_params_exit_2(tmp_path, capsys):
     assert main(["gen", "cliques", "--k", "1", "--out", str(tmp_path / "x.txt")]) == 2
     assert main(["gen", "random", "--p", "1.5", "--out", str(tmp_path / "y.txt")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["random", "--n", "200000"],
+                                  ["cliques", "--k", "100000", "--count", "2"]],
+                         ids=["random", "cliques"])
+def test_gen_over_memory_exits_2_before_allocating(tmp_path, argv):
+    # the generators' arrays would take hundreds of GiB (37 GiB for the
+    # first request alone); the address-space cap makes an allocation
+    # fail rather than page on a host that overcommits memory
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from commdet.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "g.txt"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(commdet.__file__)))
+    res = subprocess.run([sys.executable, "-c", script, "gen", *argv, "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: a graph with 200000 vertices does not fit in memory: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert not out.exists()
 
 
 def test_gen_ring_of_cliques_detectable(tmp_path, capsys):

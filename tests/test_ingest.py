@@ -439,6 +439,11 @@ def uniform_build_cases(draw):
 @example(case=(3, [(0, 1, 0.75), (1, 2, 0.75), (2, 2, 0.75)]), symmetrize=True, loops=True)
 @example(case=(3, [(0, 1, 0.75), (1, 0, 0.75), (2, 2, 0.75)]), symmetrize=True, loops=True)
 @example(case=(3, [(0, 1, 2.5), (1, 2, 2.5)]), symmetrize=True, loops=True)
+# uniform, loops inserted at the entries' weight, not symmetrized: without
+# and with a repeated pair
+@example(case=(3, [(0, 1, 0.75), (1, 0, 0.75)]), symmetrize=False, loops=True)
+@example(case=(3, [(0, 1, 0.75), (1, 0, 0.75), (1, 0, 0.75), (0, 1, 0.75)]), symmetrize=False,
+         loops=True)
 def test_build_equals_the_lexsort_build(case, symmetrize, loops):
     n, tuples = case
     _assert_builds_as_the_lexsort_build(
@@ -496,7 +501,9 @@ def _assert_builds_as_the_lexsort_build(el, **options):
 
 
 # (file name, text, whether some arc lacks its reverse); each file has
-# repeated and reversed pairs, a self-loop and trailing isolated vertices
+# repeated and reversed pairs, a self-loop and trailing isolated vertices,
+# and the uniform one, whose pairs repeat only when symmetrized, takes no
+# weight column unsymmetrized, without loops or with loops of its weight, 1
 LOAD_FILES = [
     ("one_sided.txt", "# n 8\n0 1 0.5\n0 1 0.25\n1 0 2.0\n2 2 3.0\n3 4\n4 3\n5 1 1.5\n", True),
     ("both_sides.txt", "# n 6\n0 1 0.5\n1 0 0.5\n2 1\n1 2\n2 2 4.0\n0 1 0.1\n1 0 0.1\n", False),
@@ -504,6 +511,8 @@ LOAD_FILES = [
                     "1 2 0.5\n2 1 0.5\n1 2 1.5\n3 3 2.0\n2 1 1.5\n4 5 1.0\n5 4 1.0\n", False),
     ("symmetric.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n6 6 4\n"
                       "2 1\n3 1\n3 3\n2 1\n", True),
+    ("uniform.txt", "# n 7\n0 1 1.0\n1 0 1.0\n2 2 1.0\n3 4 1.0\n1 2 1.0\n4 3 1.0\n2 1 1.0\n",
+     False),
 ]
 LOAD_OPTIONS = [
     {},
@@ -528,12 +537,13 @@ def test_load_graph_file_equals_build_of_the_parse(tmp_path, name, text, one_sid
     path.write_text(text)
     parse = parse_matrix_market if name.endswith(".mtx") else parse_edgelist
 
-    def parse_then_build():
+    def parse_then(build):
         with open(path, encoding="utf-8") as fh:
-            return build_graph(parse(fh), **options)
+            return build(parse(fh), **options)
 
     loaded = _outcome(lambda: load_graph_file(str(path), **options))
-    assert loaded == _outcome(parse_then_build)
+    assert loaded == _outcome(lambda: parse_then(build_graph))
+    assert loaded == _outcome(lambda: parse_then(lexsort_build))
     # only a one-sided file read without symmetrizing fails to build
     failed = one_sided and options.get("symmetrize") is False
     assert isinstance(loaded, str) == failed

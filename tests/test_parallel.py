@@ -7,31 +7,30 @@ import pytest
 
 from commdet.community import flatten, modularity, singleton_assignment
 from commdet.fixtures import gnp_graph
-from commdet.louvain import Config, _move_phase, local_moving, louvain
-from commdet.parallel import ParallelConfig, parallel_louvain, sweep_threads
+from commdet.louvain import Config, _move_phase, local_moving, louvain, sweep_threads
 
 from conftest import InlinePool, sbm_graph, two_triangles
 
 
 def test_parallel_config_validation():
     with pytest.raises(ValueError, match="threads"):
-        ParallelConfig(threads=0)
+        Config(threads=0)
     with pytest.raises(ValueError, match="chunk_size"):
-        ParallelConfig(chunk_size=0)
+        Config(chunk_size=0)
     with pytest.raises(ValueError, match="tolerance"):
-        ParallelConfig(tolerance_initial=0.0)
+        Config(tolerance_initial=0.0)
 
 
 def test_parallel_rejects_sync_mode():
     with pytest.raises(ValueError, match="async"):
-        parallel_louvain(two_triangles(), ParallelConfig(mode="sync", threads=2))
+        louvain(two_triangles(), Config(mode="sync", threads=2))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_single_thread_bit_identical_to_sequential(seed):
     g = gnp_graph(150, 0.05, seed=seed)
     d_seq, r_seq = louvain(g, Config())
-    d_par, r_par = parallel_louvain(g, ParallelConfig(threads=1))
+    d_par, r_par = louvain(g, Config(threads=1))
     assert len(d_seq.levels) == len(d_par.levels)
     for a, b in zip(d_seq.levels, d_par.levels):
         assert np.array_equal(a, b)
@@ -46,7 +45,7 @@ def test_single_thread_local_moving_matches_sequential_phase():
     a1 = singleton_assignment(g.n)
     a2 = singleton_assignment(g.n)
     it1, gain1, mv1 = local_moving(g, a1, 0.01)
-    it2, gain2, mv2, conflicts, drift = _move_phase(g, a2, 0.01, ParallelConfig(threads=1))
+    it2, gain2, mv2, conflicts, drift = _move_phase(g, a2, 0.01, Config(threads=1))
     assert a1.tolist() == a2.tolist()
     assert (it1, gain1, mv1) == (it2, gain2, mv2)
     assert conflicts == [0] * it2
@@ -54,7 +53,7 @@ def test_single_thread_local_moving_matches_sequential_phase():
 
 
 def test_four_threads_recover_two_triangles():
-    d, rep = parallel_louvain(two_triangles(), ParallelConfig(threads=4, chunk_size=2))
+    d, rep = louvain(two_triangles(), Config(threads=4, chunk_size=2))
     assert rep.final_q == pytest.approx(0.5, abs=1e-9)
     flat = flatten(d)
     assert flat[0] == flat[1] == flat[2]
@@ -92,7 +91,7 @@ def test_parallel_iteration_cap_respected():
     g = gnp_graph(80, 0.1, seed=6)
     labels = singleton_assignment(g.n)
     iters, _, _, _, _ = _move_phase(
-        g, labels, 1e-12, ParallelConfig(threads=4, chunk_size=8, max_iterations_per_pass=2)
+        g, labels, 1e-12, Config(threads=4, chunk_size=8, max_iterations_per_pass=2)
     )
     assert iters == 2
 
@@ -100,7 +99,7 @@ def test_parallel_iteration_cap_respected():
 def test_sweep_threads_rows_and_single_thread_row():
     g = sbm_graph(16, 20, 0.35, 0.005, seed=21)
     _, r_seq = louvain(g, Config())
-    rows = sweep_threads(g, [1, 2, 4], ParallelConfig(chunk_size=16))
+    rows = sweep_threads(g, [1, 2, 4], Config(chunk_size=16))
     assert [r.params["threads"] for r in rows] == [1, 2, 4]
     assert rows[0].final_q == r_seq.final_q
     assert rows[0].total_iterations == r_seq.total_iterations
@@ -166,7 +165,7 @@ def test_overlapping_runs_restore_switch_interval(monkeypatch):
     def run(name):
         try:
             _move_phase(g, singleton_assignment(g.n), 0.01,
-                        ParallelConfig(threads=2, chunk_size=8))
+                        Config(threads=2, chunk_size=8))
         except Exception as exc:  # surfaced in the main thread below
             errors.append(exc)
         finally:
