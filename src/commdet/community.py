@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .graph import ARC_CHUNK, Graph, _row_slices, _slice_rows
+from .graph import ARC_CHUNK, Graph, _row_slices
 
 __all__ = [
     "Aggregates",
@@ -224,28 +223,6 @@ def modularity(g: Graph, labels: np.ndarray) -> float:
     terms /= g.total
     terms -= np.square(sigma_tot, out=sigma_tot)
     return math.fsum(terms)
-
-
-def _singleton_modularity(g: Graph) -> float:
-    """modularity(g, singleton_assignment(g.n)), to the same bits, with no
-    n-length array: alone in its community, each vertex's mass is its
-    degree (0.0 plus it) and its internal weight its loop's, so the terms
-    are computed over row-aligned slices and fed to the one math.fsum."""
-    if g.total <= 0:
-        raise ValueError("modularity undefined for zero-total graph")
-
-    def terms():
-        for r0, r1, lo, hi in _row_slices(g.offsets):
-            src = _slice_rows(g.offsets, r0, r1)
-            loop = src + r0 == g.targets[lo:hi]
-            inside = np.zeros(r1 - r0)
-            np.add.at(inside, src[loop], g.weights[lo:hi][loop])
-            frac = g.degrees[r0:r1] / g.total
-            inside /= g.total
-            inside -= np.square(frac, out=frac)
-            yield inside
-
-    return math.fsum(chain.from_iterable(terms()))
 
 
 def modularity_bruteforce(g: Graph, labels: np.ndarray) -> float:

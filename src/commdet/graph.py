@@ -470,9 +470,9 @@ def _build(
     each row by target and merges each repeated pair over the front of
     the columns, and this function, their one owner, cuts them to the
     merged length in place; a column that something else references (a
-    tracer's copy of the frame's locals) is copied instead.  A uniform
-    input that repeats a pair is merged again over a full column of w,
-    made then, so its sums add the same values in the same order as any
+    tracer's copy of the frame's locals) is copied instead.  At a uniform
+    input's first repeated pair, _merge_rows swaps the view for a full
+    column of w, whose sums add the same values in the same order as any
     input's.  With symmetrize off, each arc whose source is above its
     target takes its reverse's weight bits once the symmetry check
     passes, so coarse graphs sum equal weights both ways.  A graph whose
@@ -524,10 +524,7 @@ def _build(
                 ids = np.flatnonzero(~has_loop[lo : lo + ARC_CHUNK]) + lo
                 _place(offsets[1:], ids, (targets, ids), (weights, default_weight))
             del has_loop
-        counts, at = _merge_rows(offsets, targets, weights, n)
-        if counts is None:
-            weights = np.full(m, w)
-            counts, at = _merge_rows(offsets, targets, weights, n)
+        counts, at, weights = _merge_rows(offsets, targets, weights, n)
         del offsets
         if at < m:
             try:
@@ -582,7 +579,7 @@ def _place(fill: np.ndarray, keys: np.ndarray, *columns) -> None:
 
 def _merge_rows(
     offsets: np.ndarray, vs: np.ndarray, ws: np.ndarray, n: int
-) -> tuple[np.ndarray | None, int]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Sort each row's arcs stably by target and merge each run of a
     repeated pair into one arc, in place over the front of vs and ws.
 
@@ -591,10 +588,10 @@ def _merge_rows(
     the key in the int64 range, in int32 when it fits); a run starts where the sorted key
     changes, and reduceat sums it in arc order, as one stable sort and
     one reduceat over all arcs would.  An overflow is left for
-    _finish_graph to reject.  Returns the row lengths and the merged arc
-    count at: the merged arcs are vs[:at] and ws[:at].  A zero-stride ws
-    cannot hold a merge, so at the first repeated pair this returns
-    (None, at), the slices before it sorted and the rest unchanged.
+    _finish_graph to reject.  Returns (row lengths, at, ws): the merged
+    arcs are vs[:at] and ws[:at].  A zero-stride ws, the read-only view
+    of a uniform weight, cannot hold a merge, so at the first repeated
+    pair a full column of its value replaces it.
     """
     counts = np.diff(offsets)
     at = 0
@@ -611,7 +608,7 @@ def _merge_rows(
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         del key
         if starts.size < hi - lo and not ws.strides[0]:
-            return None, at
+            ws = np.full(ws.size, ws[0])
         vs[at : at + starts.size] = vs[lo:hi][order[starts]]
         if ws.strides[0]:
             with np.errstate(over="ignore"):
@@ -620,7 +617,7 @@ def _merge_rows(
         at += starts.size
         # free this slice's arrays before the next slice makes its own
         del order, starts
-    return counts, at
+    return counts, at, ws
 
 
 def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
@@ -678,7 +675,7 @@ def _coarsen(g: Graph, mapping: np.ndarray, n_comm: int) -> Graph:
         rows = comm_arcs[c0 : c1 + 1] - lo
         block_tgt, block_w = mapping[g.targets[arc]].astype(ids), g.weights[arc]
         del arc
-        counts[c0:c1], at = _merge_rows(rows, block_tgt, block_w, n_comm)
+        counts[c0:c1], at, block_w = _merge_rows(rows, block_tgt, block_w, n_comm)
         tgt[end : end + at] = block_tgt[:at]
         w[end : end + at] = block_w[:at]
         end += at

@@ -34,7 +34,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -46,7 +46,6 @@ from .community import (
     _check_labels,
     _label_sums,
     _relabel,
-    _singleton_modularity,
     modularity,
     normalize_labels,
     scan_arcs,
@@ -220,43 +219,42 @@ def _sweep_range(
 def _threaded_sweep(pool: ThreadPoolExecutor, shares, lock, *state) -> tuple[float, int, int]:
     """One threaded iteration: worker w runs _sweep_range over each chunk of
     shares[w] in order, every move under lock; the chunks' gains, moves and
-    conflicts are summed in worker order."""
+    conflicts are summed in worker order.  The workers start together once
+    the last share is submitted, so none sweeps alone while the pool is
+    still starting the others."""
+    go = threading.Event()
 
     def work(chunks):
+        go.wait()
         return [_sweep_range(lo, hi, *state, lock) for lo, hi in chunks]
 
-    futures = [pool.submit(work, chunks) for chunks in shares]
+    try:
+        futures = [pool.submit(work, chunks) for chunks in shares]
+    finally:
+        # a submit that raises must not leave the started workers waiting
+        go.set()
     gains, moves, conflicts = zip(*(row for f in futures for row in f.result()))
     return sum(gains), sum(moves), sum(conflicts)
 
 
-# the switch interval belongs to the whole process, so the count of live
-# threaded runs that share it does too
-_switch_lock = threading.Lock()
-_switch_users = 0
-_saved_interval = 0.0
+# the switch interval belongs to the whole process, so phases share it in turn
+_phase_lock = threading.Lock()
 
 
 @contextmanager
-def _worker_switch_interval():
-    """Hold the worker switch interval while any threaded run is live.
-
-    The first run in saves the process interval and the last run out
-    restores it, so overlapping runs leave it as they found it.
-    """
-    global _switch_users, _saved_interval
-    with _switch_lock:
-        if _switch_users == 0:
-            _saved_interval = sys.getswitchinterval()
-            sys.setswitchinterval(WORKER_SWITCH_INTERVAL)
-        _switch_users += 1
-    try:
-        yield
-    finally:
-        with _switch_lock:
-            _switch_users -= 1
-            if _switch_users == 0:
-                sys.setswitchinterval(_saved_interval)
+def _threaded_phase(shares):
+    """Yield one threaded phase's sweep: _threaded_sweep over shares on a
+    pool of one worker per share, with one move lock.  Phases take turns
+    on _phase_lock; each sets the worker switch interval and restores the
+    interval it found."""
+    with _phase_lock:
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(WORKER_SWITCH_INTERVAL)
+        try:
+            with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+                yield partial(_threaded_sweep, pool, shares, threading.Lock())
+        finally:
+            sys.setswitchinterval(saved)
 
 
 def _sync_iteration(
@@ -330,12 +328,13 @@ def _move_phase(
     Sync sweeps with _sync_iteration, one async thread with the unlocked
     _sweep_range.  More threads split the ids into cfg.chunk_size chunks:
     worker w owns chunks w, w + threads, ..., so only it moves their
-    vertices; only then are the worker switch interval and a pool held.
-    A sweep(offs, tgt, wts, degs, labs, sigma_tot, m) returns (gain,
-    moves, conflicts).  Each argument but m is a memoryview, which gives
-    the builtin int or float that tolist() would hold, float bits
-    included: of the graph's arrays, which no sweep copies, and of the
-    int64 labels and float64 community masses, which it updates in place.
+    vertices; _threaded_phase holds their pool and switch interval for
+    the phase, and a nullcontext yields the other sweeps.  A sweep(offs,
+    tgt, wts, degs, labs, sigma_tot, m) returns (gain, moves, conflicts).
+    Each argument but m is a memoryview, which gives the builtin int or
+    float that tolist() would hold, float bits included: of the graph's
+    arrays, which no sweep copies, and of the int64 labels and float64
+    community masses, which it updates in place.
     The labels are labels itself when it is a writable C-contiguous int64
     array, else an int64 copy written back at the end.  Raises ValueError
     when labels is not of shape (n,) or a label lies outside [0, n).
@@ -349,20 +348,17 @@ def _move_phase(
         work = work.copy()
     sigma_tot = _label_sums(work, g.degrees, g.n)
     state = [memoryview(a) for a in (g.offsets, g.targets, g.weights, g.degrees, work, sigma_tot)]
-    with ExitStack() as stack:
-        if cfg.mode == "sync":
-            sweep = _sync_iteration
-        elif cfg.threads == 1:
-            sweep = partial(_sweep_range, 0, g.n)
-        else:
-            bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
-            # a worker past the chunk count would own no chunk, so none is started
-            workers = min(cfg.threads, len(bounds))
-            shares = [bounds[w :: cfg.threads] for w in range(workers)]
-            stack.enter_context(_worker_switch_interval())
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-            sweep = partial(_threaded_sweep, pool, shares, threading.Lock())
-        iterations, total_gain, total_moves, conflicts = 0, 0.0, 0, []
+    if cfg.mode == "sync":
+        phase = nullcontext(_sync_iteration)
+    elif cfg.threads == 1:
+        phase = nullcontext(partial(_sweep_range, 0, g.n))
+    else:
+        bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
+        # a worker past the chunk count would own no chunk, so none is started
+        workers = min(cfg.threads, len(bounds))
+        phase = _threaded_phase([bounds[w :: cfg.threads] for w in range(workers)])
+    iterations, total_gain, total_moves, conflicts = 0, 0.0, 0, []
+    with phase as sweep:
         while True:
             iterations += 1
             gain, moves, clashes = sweep(*state, g.total / 2.0)
@@ -449,7 +445,7 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
     pass_stats: list[PassStats] = []
     g_cur = g
     tol = cfg.tolerance_initial
-    q_prev = _singleton_modularity(g_cur)
+    q_prev = modularity(g_cur, singleton_assignment(g_cur.n))
     truncated = False
     max_drift = 0.0
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import csv
 import math
 import threading
-from concurrent.futures import Future
-from functools import partial
+from functools import cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -340,9 +340,10 @@ def graph_bytes(g: Graph) -> tuple:
 
 
 class InlinePool:
-    """A ThreadPoolExecutor stand-in that runs each task when it is
-    submitted, in the calling thread, so a threaded sweep is deterministic
-    and starts no thread."""
+    """A ThreadPoolExecutor stand-in that runs each task in the calling
+    thread when its result is first asked for, so a threaded sweep, which
+    reads the results in submit order after its last submit, is
+    deterministic and starts no thread."""
 
     def __init__(self, max_workers=None):
         pass
@@ -354,9 +355,7 @@ class InlinePool:
         return False
 
     def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+        return SimpleNamespace(result=cache(partial(fn, *args)))
 
 
 def list_sync_iteration(offs, tgt, wts, degs, labs, sigma_tot, m):

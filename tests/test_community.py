@@ -7,7 +7,6 @@ from commdet.community import (
     Aggregates,
     Dendrogram,
     _relabel,
-    _singleton_modularity,
     community_aggregates,
     delta_modularity,
     flatten,
@@ -139,17 +138,6 @@ def test_relabel_in_place_equals_the_dict_loop_oracle():
         want, count = dict_normalize_labels(labels)
         assert _relabel(labels) == count
         assert labels.tobytes() == want.tobytes()
-
-
-def test_singleton_modularity_equals_modularity_of_singletons():
-    """louvain's starting Q, computed over slices with no n-length array,
-    has the bits of modularity under singletons: graphs with and without
-    loops, and one of many slices."""
-    graphs = [g for _, g in oracle_graphs()] + [weighted_chunk_graph()]
-    graphs += [build_graph(EdgeList(5, [(0, 0, 2.0), (1, 2, 0.5), (3, 3, 1e-3)]),
-                           add_self_loops=True, default_weight=0.25)]
-    for g in graphs:
-        assert repr(_singleton_modularity(g)) == repr(modularity(g, singleton_assignment(g.n)))
 
 
 def test_modularity_rejects_bad_labels(triangles):

@@ -506,14 +506,41 @@ def test_merge_rows_merges_over_the_front_of_the_columns():
     over the front of the given arrays, which keep their length; the
     merged row lengths and arc count come back."""
     offsets, vs, ws = _repeated_pairs()
-    counts, at = _merge_rows(offsets, vs, ws, 3)
-    assert counts.tolist() == [2, 2, 0] and at == 4
+    counts, at, merged = _merge_rows(offsets, vs, ws, 3)
+    assert counts.tolist() == [2, 2, 0] and at == 4 and merged is ws
     assert vs.size == ws.size == 6
     assert vs[:at].tolist() == [0, 1, 0, 2] and ws[:at].tolist() == [2.0, 4.0, 10.0, 5.0]
-    # a zero-stride weights view cannot hold a merge: nothing is changed
+    # a zero-stride weights view cannot hold a merge: a full column of
+    # its value takes its place and holds the merged weights
     offsets, vs, _ = _repeated_pairs()
-    assert _merge_rows(offsets, vs, np.broadcast_to(1.0, (6,)), 3) == (None, 0)
-    assert vs.tolist() == _repeated_pairs()[1].tolist()
+    counts, at, merged = _merge_rows(offsets, vs, np.broadcast_to(1.0, (6,)), 3)
+    assert counts.tolist() == [2, 2, 0] and at == 4
+    assert merged.size == 6 and merged.strides[0] and merged.flags.writeable
+    assert vs[:at].tolist() == [0, 1, 0, 2] and merged[:at].tolist() == [1.0, 2.0, 2.0, 1.0]
+
+
+@pytest.mark.parametrize("loops", [False, True])
+def test_uniform_build_with_repeated_pairs_merges_once(loops, monkeypatch):
+    """A uniform weight with repeated pairs over many slices: the build
+    calls _merge_rows once, and its graph is the lexsort build's."""
+    rng = np.random.default_rng(8)
+    n = 3 * ARC_CHUNK
+    pairs = rng.integers(n, size=(4 * ARC_CHUNK, 2))
+    # the first pair repeats in the last slice
+    pairs[-1] = pairs[0]
+    el = EdgeList(n, pairs, np.full(len(pairs), 2.5))
+    want = graph_bytes(lexsort_build(el, add_self_loops=loops, default_weight=2.5))
+    calls = []
+    merge_rows = GRAPH_MODULE._merge_rows
+
+    def counted(*args):
+        calls.append(args[2].strides[0])
+        return merge_rows(*args)
+
+    monkeypatch.setattr(GRAPH_MODULE, "_merge_rows", counted)
+    assert graph_bytes(build_graph(el, add_self_loops=loops, default_weight=2.5)) == want
+    # one call, given the zero-stride view of the uniform weight
+    assert calls == [0]
 
 
 def test_build_under_a_tracer_reading_its_locals_gives_the_same_graph():

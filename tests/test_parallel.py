@@ -1,3 +1,4 @@
+import importlib
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +11,8 @@ from commdet.fixtures import gnp_graph
 from commdet.louvain import Config, _move_phase, local_moving, louvain, sweep_threads
 
 from conftest import InlinePool, sbm_graph, two_triangles
+
+LOUVAIN_MODULE = importlib.import_module("commdet.louvain")
 
 
 def test_parallel_config_validation():
@@ -139,45 +142,77 @@ def test_pool_starts_a_worker_per_nonempty_share(threads, chunk_size, workers, m
     assert all(chunks for (chunks,) in submits)
 
 
-def test_overlapping_runs_restore_switch_interval(monkeypatch):
-    # force the interleaving A enters, B enters, A leaves, B leaves: both
-    # runs meet inside their worker pools, and B leaves only after A's
-    # call has returned
-    both_in = threading.Barrier(2, timeout=10)
-    a_done = threading.Event()
+def test_threaded_phases_take_turns_and_restore_switch_interval(monkeypatch):
+    # A holds its pool until B has had time to enter one too; B may enter
+    # only after A's pool has exited, and each pool runs at the worker
+    # switch interval
+    a_in, b_in = threading.Event(), threading.Event()
+    events = []
 
-    class GatedPool(ThreadPoolExecutor):
+    class SpyPool(ThreadPoolExecutor):
         def __enter__(self):
-            both_in.wait()
+            name = threading.current_thread().name
+            events.append((name, sys.getswitchinterval()))
+            (a_in if name == "A" else b_in).set()
             return super().__enter__()
 
         def __exit__(self, *exc):
-            out = super().__exit__(*exc)
-            if threading.current_thread().name == "B":
-                assert a_done.wait(timeout=10)
-            return out
+            name = threading.current_thread().name
+            if name == "A":
+                b_in.wait(timeout=0.5)
+            events.append((name, sys.getswitchinterval()))
+            return super().__exit__(*exc)
 
-    # the package re-exports the louvain function under the module's name
-    monkeypatch.setattr(sys.modules["commdet.louvain"], "ThreadPoolExecutor", GatedPool)
+    monkeypatch.setattr(LOUVAIN_MODULE, "ThreadPoolExecutor", SpyPool)
     g = gnp_graph(40, 0.1, seed=1)
     errors = []
 
-    def run(name):
+    def run():
         try:
-            _move_phase(g, singleton_assignment(g.n), 0.01,
-                        Config(threads=2, chunk_size=8))
+            _move_phase(g, singleton_assignment(g.n), 0.01, Config(threads=2, chunk_size=8))
         except Exception as exc:  # surfaced in the main thread below
             errors.append(exc)
-        finally:
-            if name == "A":
-                a_done.set()
 
     original = sys.getswitchinterval()
-    runners = [threading.Thread(target=run, args=(name,), name=name) for name in "AB"]
-    for t in runners:
-        t.start()
+    runners = [threading.Thread(target=run, name=name) for name in "AB"]
+    runners[0].start()
+    assert a_in.wait(timeout=10)
+    runners[1].start()
     for t in runners:
         t.join(timeout=30)
         assert not t.is_alive()
     assert not errors
+    interval = pytest.approx(LOUVAIN_MODULE.WORKER_SWITCH_INTERVAL)
+    assert events == [("A", interval), ("A", interval), ("B", interval), ("B", interval)]
     assert sys.getswitchinterval() == original
+
+
+def test_no_worker_begins_its_share_before_the_last_submit(monkeypatch):
+    # a real pool; each submit is recorded once it returns, and each
+    # chunk sweep as it begins in its worker
+    events = []
+    sweep_range = LOUVAIN_MODULE._sweep_range
+
+    class SpyPool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            events.append("submit")
+            return future
+
+    def spy_range(*args):
+        events.append("begin")
+        return sweep_range(*args)
+
+    monkeypatch.setattr(LOUVAIN_MODULE, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(LOUVAIN_MODULE, "_sweep_range", spy_range)
+    g = sbm_graph(8, 40, 0.3, 0.01, seed=5)
+    iterations = _move_phase(g, singleton_assignment(g.n), 0.01,
+                             Config(threads=4, chunk_size=32))[0]
+    assert events.count("submit") == 4 * iterations
+    submitted = 0
+    for event in events:
+        if event == "submit":
+            submitted += 1
+        else:
+            # every share of the iteration is submitted before any begins
+            assert submitted and submitted % 4 == 0

@@ -99,3 +99,20 @@ def test_every_module_constant_is_referenced():
     _, constants, used = _definitions_and_uses()
     assert len(constants) >= 15
     assert [f"{m}.{name}" for m, name in constants if name not in used] == []
+
+
+def test_process_global_state_has_one_owner():
+    """Only louvain._threaded_phase sets the switch interval, and no
+    module rebinds a global of its own."""
+    setters, globals_ = [], []
+    for path in sorted((ROOT / "src" / "commdet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "setswitchinterval":
+                    setters.append(f"{path.stem}.{func.name}")
+        globals_ += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert sorted(set(setters)) == ["louvain._threaded_phase"]
+    assert globals_ == []
