@@ -287,16 +287,18 @@ def delta_modularity(
 
 
 def flatten(d: Dendrogram) -> np.ndarray:
-    """Compose all dendrogram levels into one original-vertex assignment."""
+    """Compose all dendrogram levels into one original-vertex assignment;
+    raise ValueError for a negative label or a level whose length is not
+    one past the largest label of the level before it."""
     if not d.levels:
         raise ValueError("cannot flatten an empty dendrogram")
-    acc = np.asarray(d.levels[0], dtype=np.int64)
-    for k, lev in enumerate(d.levels[1:], start=1):
+    for k, lev in enumerate(d.levels):
         lev = np.asarray(lev, dtype=np.int64)
-        width = int(acc.max()) + 1
-        if lev.shape[0] != width:
+        if lev.size and lev.min() < 0:
+            raise ValueError(f"level {k} has a negative label")
+        if k and lev.shape[0] != (width := int(acc.max()) + 1):
             raise ValueError(f"level {k} has {lev.shape[0]} entries, expected {width}")
-        acc = lev[acc]
+        acc = lev[acc] if k else lev
     return acc
 
 

@@ -169,15 +169,13 @@ class GraphStats:
 
 def _parse(stream, reader) -> EdgeList:
     """The EdgeList of a stream, as the line loop reads it: the ids are
-    held as int32 until one passes 2**31 - 1, when the ids read so far
-    are widened to int64, once, or at the end if reader.int64_ids."""
+    int32 until a block holds one past 2**31 - 1, when the earlier blocks'
+    ids are widened to int64, once, or at the end if reader.int64_ids."""
     ids, ws = array("i"), array("d")
     for pairs, w in _read_blocks(stream, reader):
         ws.frombytes((w if w is not None else np.ones(len(pairs))).tobytes())
         if ids.typecode == "i" and pairs.size and pairs.max() > _INT32_MAX:
-            first = int(np.argmax(pairs.max(axis=1) > _INT32_MAX))
-            ids.frombytes(pairs[:first].astype(np.int32).tobytes())
-            ids, pairs = array("q", ids), pairs[first:]
+            ids = array("q", ids)
         ids.frombytes(pairs.astype(ids.typecode).tobytes())
     if ids.typecode == "i" and reader.int64_ids:
         ids = array("q", ids)
@@ -214,9 +212,9 @@ def parse_edgelist(stream: TextIO | IO[str]) -> EdgeList:
     Lines starting with ``#`` are comments; a ``# n <N>`` directive fixes
     the vertex count (needed to preserve trailing isolated vertices),
     otherwise n is inferred as max id + 1.  The ids are held as int32
-    until one passes 2**31 - 1, when the ids read so far are widened to
-    int64, once.  The stream is read in blocks of lines, as
-    load_graph_file reads a file.
+    until a block holds one past 2**31 - 1, when the earlier blocks' ids
+    are widened to int64, once.  The stream is read in blocks of lines,
+    as load_graph_file reads a file.
 
     Raises:
         GraphParseError: on a malformed entry, a negative id, a non-finite
@@ -469,16 +467,16 @@ def _build(
     view of w stands in for the weight column.  _merge_rows then sorts
     each row by target and merges each repeated pair over the front of
     the columns, and this function, their one owner, cuts them to the
-    merged length in place; a column that something else references (a
-    tracer's copy of the frame's locals) is copied instead.  At a uniform
-    input's first repeated pair, _merge_rows swaps the view for a full
-    column of w, whose sums add the same values in the same order as any
-    input's.  With symmetrize off, each arc whose source is above its
-    target takes its reverse's weight bits once the symmetry check
-    passes, so coarse graphs sum equal weights both ways.  A graph whose
-    run the RUN_BYTES_* estimate puts above the smaller of physical
-    memory and the cgroup limit is refused (_check_fits) with the
-    message a MemoryError gets, before any n-length array.
+    merged length in place (a tracer's copy of the frame's locals holds
+    the same arrays, cut with them).  At a uniform input's first repeated pair,
+    _merge_rows swaps the view for a full column of w, whose sums add the
+    same values in the same order as any input's.  With symmetrize off,
+    each arc whose source is above its target takes its reverse's weight
+    bits once the symmetry check passes, so coarse graphs sum equal
+    weights both ways.  After the count pass, a run of any source that
+    the RUN_BYTES_* estimate puts above the smaller of physical memory
+    and the cgroup limit is refused (_check_fits) with the message a
+    MemoryError gets, before any n-length array or placement.
     """
     source = held.pop()
     n = source.n
@@ -496,16 +494,13 @@ def _build(
         source = _EdgeListBlocks(source)
     try:
         rows = _RowCounts(symmetrize, add_self_loops)
-        if n is not None:
-            _check_fits(n, rows.need(n))
         for pairs, ws in source.blocks():
             rows.add(pairs, ws, source.bound)
         # the last block can be a view that would keep a parsed EdgeList alive
         pairs = ws = None
-        if n is None:
-            n = source.n
-            _check_loop_weight(add_self_loops, default_weight)
-            _check_fits(n, rows.need(n))
+        n = source.n
+        _check_loop_weight(add_self_loops, default_weight)
+        _check_fits(n, rows.need(n))
         rows.fit(n)
         seen = {rows.lo, rows.hi} if rows.entries else set()
         has_loop = rows.has_loop
@@ -527,12 +522,9 @@ def _build(
         counts, at, weights = _merge_rows(offsets, targets, weights, n)
         del offsets
         if at < m:
-            try:
-                # resize refuses a column that something else references
-                targets.resize(at)
-                weights.resize(at)
-            except ValueError:
-                targets, weights = targets[:at].copy(), weights[:at].copy()
+            # a merge leaves an owned weight column, and no column has a view
+            targets.resize(at, refcheck=False)
+            weights.resize(at, refcheck=False)
         return _finish_graph(n, counts, targets, weights, mirror=not symmetrize)
     except MemoryError as exc:
         raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
@@ -584,8 +576,8 @@ def _merge_rows(
     repeated pair into one arc, in place over the front of vs and ws.
 
     Each row-aligned slice keys its arcs by row start times n plus target
-    (targets lie in [0, n), and a slice of at most ARC_CHUNK arcs keeps
-    the key in the int64 range, in int32 when it fits); a run starts where the sorted key
+    in int64 (targets lie in [0, n), and a slice of at most ARC_CHUNK
+    arcs keeps the key in range); a run starts where the sorted key
     changes, and reduceat sums it in arc order, as one stable sort and
     one reduceat over all arcs would.  An overflow is left for
     _finish_graph to reject.  Returns (row lengths, at, ws): the merged
@@ -599,9 +591,7 @@ def _merge_rows(
         if lo == hi:
             continue
         rows = offsets[r0 : r1 + 1] - lo
-        # int32 keys when they fit: the same sort order at half the size
-        wide = (hi - lo + 1) * n > _INT32_MAX
-        key = np.repeat((rows[:-1] * n).astype(np.int64 if wide else np.int32), np.diff(rows))
+        key = np.repeat(rows[:-1] * n, np.diff(rows))
         key += vs[lo:hi]
         order = np.argsort(key, kind="stable")
         key = key[order]

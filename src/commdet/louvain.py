@@ -407,8 +407,11 @@ def local_moving(
     accepted moves).  The gain is the sum of decision-time move gains; in
     async mode it matches the realized modularity increase, in sync mode
     it can overstate it.  Hitting max_iterations stops the loop without
-    raising; labels not of shape (g.n,) or outside [0, n) raise ValueError.
+    raising; labels not of shape (g.n,) or outside [0, n) and a negative
+    or NaN tolerance raise ValueError.
     """
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     cfg = Config(mode=mode, max_iterations_per_pass=max_iterations)
     return _move_phase(g, labels, tolerance, cfg)[:3]
 
@@ -461,11 +464,8 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
         # the pass's labels become its dendrogram level
         n_comm = _relabel(labels)
         q_now = modularity(g_cur, labels)
-        stop = (
-            (q_now - q_prev) <= cfg.pass_tolerance
-            or moves == 0
-            or n_comm >= g_cur.n
-        )
+        # a pass without moves leaves every vertex alone: n_comm == g_cur.n
+        stop = (q_now - q_prev) <= cfg.pass_tolerance or n_comm >= g_cur.n
         agg_ms = 0.0
         if not stop:
             t1 = time.perf_counter()
@@ -500,7 +500,7 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
     dend = Dendrogram(levels=levels, per_level_q=per_q)
     report = Report(
         passes=pass_stats,
-        final_q=per_q[-1] if per_q else q_prev,
+        final_q=per_q[-1],
         total_iterations=sum(p.iterations for p in pass_stats),
         wall_ms=(time.perf_counter() - t_start) * 1000.0,
         truncated=truncated,

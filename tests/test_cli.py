@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -259,6 +260,57 @@ def test_memory_refusal_takes_the_smaller_of_physical_memory_and_the_cgroup_limi
             assert code == 1
             assert err == ("error: a graph with 1000000 vertices does not fit in memory: "
                            f"an estimated 122 MiB exceeds {named}\n")
+
+
+def _crossing_entries(monkeypatch):
+    """64 MiB of physical memory and an edge list whose entries push the
+    build's estimate past it partway through the count pass: n sits 100
+    vertices under the limit's vertex count, three blocks of 4096 entries
+    hold ids below 1000, and the last ten targets are n - 1 ... n - 10."""
+    monkeypatch.setattr(commdet.graph, "_cgroup_memory_limit", lambda: None)
+    sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 1 << 14, "SC_PAGE_SIZE": 1 << 12}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+    n = (64 << 20) // commdet.graph.RUN_BYTES_PER_VERTEX - 100
+    pairs = np.random.default_rng(0).integers(1000, size=(3 * 4096, 2))
+    pairs[-10:, 1] = n - 1 - np.arange(10)
+    return n, pairs
+
+
+CROSSING_REFUSAL = ("a graph with 524188 vertices does not fit in memory: "
+                    "an estimated 64 MiB exceeds physical memory")
+
+
+def test_an_edgelist_that_crosses_the_budget_while_counted_is_refused(monkeypatch):
+    """The refusal follows the count pass for an EdgeList as for a file,
+    so rows the stopped count pass never sized are not placed into."""
+    n, pairs = _crossing_entries(monkeypatch)
+    edges = commdet.graph.EdgeList(n, pairs, np.ones(len(pairs)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            commdet.graph.build_graph(edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == CROSSING_REFUSAL
+    # refused before its first n-length array, 4 MB as int64
+    assert peak < 4 << 20
+
+
+def test_a_pipe_that_crosses_the_budget_while_counted_exits_1(tmp_path, capsys, monkeypatch):
+    n, pairs = _crossing_entries(monkeypatch)
+    text = f"# n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs.tolist())
+    fifo = tmp_path / "pipe.txt"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        code = main(["stats", "--input", str(fifo)])
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert (code, capsys.readouterr().err) == (1, f"error: {CROSSING_REFUSAL}\n")
 
 
 @pytest.mark.parametrize("v2, v1, limit", [

@@ -351,6 +351,17 @@ def test_flatten_rejects_empty_and_inconsistent():
         flatten(Dendrogram(levels=[np.array([0, 0, 1]), np.array([0])]))
 
 
+@pytest.mark.parametrize("levels, k", [
+    ([[0, 0, -1], [7]], 0),
+    ([[0, 0, 1], [0, -1]], 1),
+    ([[0, 1], [0, 1], [0, -5]], 2),
+], ids=["first", "second", "last"])
+def test_flatten_rejects_a_negative_label_on_any_level(levels, k):
+    """A negative label would index from the end of the next level."""
+    with pytest.raises(ValueError, match=rf"^level {k} has a negative label$"):
+        flatten(Dendrogram(levels=[np.array(lev) for lev in levels]))
+
+
 def test_flatten_matches_per_vertex_walk():
     rng = np.random.default_rng(12)
     n = 30

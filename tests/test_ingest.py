@@ -82,7 +82,8 @@ def test_id_dtype_rule():
 
 def test_edgelist_ids_widen_once_when_an_id_passes_int32(monkeypatch):
     """Without a # n directive the ids stay int32 up to 2**31 - 1, and the
-    first id past it widens the pairs read so far to int64, once."""
+    first block with an id past it widens the ids of the earlier blocks to
+    int64, once; that block and the later ones are appended as int64."""
     made = []
 
     def recorded(typecode, initializer=()):
@@ -90,6 +91,8 @@ def test_edgelist_ids_widen_once_when_an_id_passes_int32(monkeypatch):
         return array(typecode, initializer)
 
     monkeypatch.setattr(commdet.graph, "array", recorded)
+    # blocks of two lines: the first id past int32 is in the second block
+    monkeypatch.setattr(commdet.formats, "BLOCK_LINES", 2)
     head = "0 1 0.5\n# a comment\n2147483647 3\n"
     el = parse_edgelist(io.StringIO(head))
     assert el.entries.dtype == np.int32 and el.n == 2**31
@@ -97,7 +100,8 @@ def test_edgelist_ids_widen_once_when_an_id_passes_int32(monkeypatch):
     assert made == [("i", 0), ("d", 0)]
     made.clear()
     el = parse_edgelist(io.StringIO(head + "4 2147483648 2.0\n5 6\n9 4294967296\n"))
-    assert made == [("i", 0), ("d", 0), ("q", 4)]
+    # one int64 array, of the first block's ids: the pair (0, 1)
+    assert made == [("i", 0), ("d", 0), ("q", 2)]
     assert el.entries.dtype == np.int64 and el.n == 2**32 + 1
     assert el.entries.tolist() == [[0, 1], [2**31 - 1, 3], [4, 2**31], [5, 6], [9, 2**32]]
     assert el.weights.tolist() == [0.5, 1.0, 2.0, 1.0, 1.0]

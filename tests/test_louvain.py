@@ -230,6 +230,18 @@ def test_local_moving_rejects_unknown_mode():
         local_moving(g, singleton_assignment(2), 0.01, mode="jacobian")
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0], ids=["nan", "negative"])
+def test_local_moving_rejects_a_tolerance_no_gain_can_meet(tolerance):
+    """A NaN or negative tolerance would run every one of max_iterations
+    sweeps; 0 stays valid."""
+    g = single_edge()
+    labels = singleton_assignment(2)
+    with pytest.raises(ValueError, match=rf"^tolerance must be >= 0, got {tolerance!r}$"):
+        local_moving(g, labels, tolerance)
+    assert labels.tolist() == [0, 1]
+    assert local_moving(g, labels, 0.0)[0] >= 1
+
+
 def _run_engine(engine, g, labels):
     if engine == "threads2":
         return _move_phase(g, labels, 0.01, Config(threads=2, chunk_size=2))

@@ -116,3 +116,22 @@ def test_process_global_state_has_one_owner():
         globals_ += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Global)]
     assert sorted(set(setters)) == ["louvain._threaded_phase"]
     assert globals_ == []
+
+
+def test_the_build_has_one_budget_check_and_every_resize_skips_the_refcheck():
+    """graph._build makes one _check_fits call, after the count pass, for
+    every source; and every resize passes refcheck=False, as its caller
+    owns the array and holds no view of it, so no copy fallback exists."""
+    checks, resizes = None, []
+    for path in sorted((ROOT / "src" / "commdet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" == "graph._build":
+                checks = [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                          and isinstance(call.func, ast.Name) and call.func.id == "_check_fits"]
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "resize"):
+                refcheck = [ast.unparse(k.value) for k in node.keywords if k.arg == "refcheck"]
+                resizes.append((f"{path.stem}:{node.lineno}", refcheck))
+    assert checks is not None and len(checks) == 1
+    assert resizes and all(refcheck == ["False"] for _, refcheck in resizes), resizes
