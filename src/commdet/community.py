@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import ARC_CHUNK, Graph, _row_slices
+from .graph import ARC_CHUNK, Graph, _integers, _row_slices
 
 __all__ = [
     "Aggregates",
@@ -80,9 +80,9 @@ def normalize_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     Idempotent: already-normalized input comes back unchanged.  Labels
     in [0, n) are relabeled by _relabel on a copy; any others are first
     ranked by value with np.unique, which keeps their first-occurrence
-    order.
+    order.  Labels that are not integers raise ValueError.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, "labels")
     if labels.size and (labels.min() < 0 or labels.max() >= labels.size):
         out = np.unique(labels, return_inverse=True)[1].reshape(-1).astype(np.int64, copy=False)
     else:
@@ -117,7 +117,7 @@ def _relabel(labels: np.ndarray) -> int:
 
 
 def _check_labels(g: Graph, labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, "labels")
     if labels.shape != (g.n,):
         raise ValueError(f"labels must have length {g.n}, got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= g.n):
@@ -288,12 +288,13 @@ def delta_modularity(
 
 def flatten(d: Dendrogram) -> np.ndarray:
     """Compose all dendrogram levels into one original-vertex assignment;
-    raise ValueError for a negative label or a level whose length is not
-    one past the largest label of the level before it."""
+    raise ValueError for a label that is not an integer or is negative,
+    or a level whose length is not one past the largest label of the
+    level before it."""
     if not d.levels:
         raise ValueError("cannot flatten an empty dendrogram")
     for k, lev in enumerate(d.levels):
-        lev = np.asarray(lev, dtype=np.int64)
+        lev = _integers(lev, f"level {k} labels")
         if lev.size and lev.min() < 0:
             raise ValueError(f"level {k} has a negative label")
         if k and lev.shape[0] != (width := int(acc.max()) + 1):
@@ -315,8 +316,9 @@ MEMBERSHIP_BLOCK = 1 << 8
 
 def write_membership(path: str, labels: np.ndarray) -> None:
     """One "u labels[u]" line per vertex, written MEMBERSHIP_BLOCK lines at
-    a time, so the text of the whole file is never held at once."""
-    labels = np.asarray(labels, dtype=np.int64)
+    a time, so the text of the whole file is never held at once; labels
+    that are not integers raise ValueError."""
+    labels = _integers(labels, "labels")
     with open(path, "w", encoding="utf-8") as fh:
         for lo in range(0, labels.size, MEMBERSHIP_BLOCK):
             block = labels[lo : lo + MEMBERSHIP_BLOCK].tolist()

@@ -2,11 +2,11 @@
 
 Each format has a reader: the state one block of lines leaves for the
 next, a line loop that reads one line at a time and is the only source
-of the format's GraphParseError, and a bulk path that splits a block once
-and converts it with numpy, used only for a block that it proves the
-line loop would read without error, to the same ids and weights.
-_read_blocks drives a reader over a stream; graph.py collects the blocks
-into an EdgeList or counts and places them straight into a CSR graph.
+of the format's GraphParseError, and a bulk path that splits every block
+once and converts it with numpy, kept only when _split_entries proves
+the line loop would read it without error, to the same ids and weights.
+_read_blocks drives a reader over a stream; graph.py, which alone sets
+the ids' width, collects the blocks or counts and places them.
 """
 
 from __future__ import annotations
@@ -28,23 +28,38 @@ class GraphParseError(ValueError):
 # tokens and line strings (tracemalloc), sit beside the load's columns
 BLOCK_LINES = 1536
 
-_INT32_MAX = int(np.iinfo(np.int32).max)
 _MM_FIELDS = ("pattern", "real", "integer")
 _MM_SYMMETRIES = ("general", "symmetric")
 # the largest vertex count whose n + 1 CSR offsets fit an int64
 _MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
 
 
-def _split_entries(toks: list, lines: int, k: int, weights: bool):
-    """The (pairs, weights) of a block of lines whose tokens, split from
-    the lines joined by " ; ", are toks, if every line has exactly k in
-    (2, 3) tokens and numpy converts each id and weight as int() and
-    float(), the line loop's conversions, do; else None.
+def _entry_error(pairs: np.ndarray, ws: np.ndarray | None, bound: int) -> str | None:
+    """The message of the entry rule that pairs and ws break, or None:
+    every id lies in [0, bound) and every weight, if any, is finite.  The
+    min and max, NaN if any weight is, make no entry-length temporary."""
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= bound):
+        return "edge endpoint outside declared vertex range"
+    if ws is not None and ws.size and not np.isfinite((ws.min(), ws.max())).all():
+        return "non-finite edge weight"
+    return None
 
-    Only the joints are ";" tokens, so the lines have k tokens each
-    exactly when every (k + 1)-th token is one and the count fits.
-    pairs is int64 of shape (lines, 2); weights is float64, or None for
-    two-token lines or when weights is off.
+
+def _split_entries(toks: list, lines: int, k: int, weights: bool, base: int, bound: int):
+    """The (pairs, weights) of a block of lines whose tokens, split from
+    the lines joined by " ; ", are toks, if every (k + 1)-th token is a
+    joint, ";", and numpy converts the others as int() and float() do (the
+    weights only with weights on) to ids less base in [0, bound) and
+    finite weights; else None.  pairs is int64 of shape (lines, 2).
+
+    The line loop then reads the same entries.  No token holding "#", "%"
+    or ";" converts, and a comment line starts with one.  With weights on,
+    the joints are thus the only ";" tokens and each line holds k numbers.
+    Weights are off only in a file's placement pass, whose count pass read
+    the block, so each line is blank, a comment or an entry of 2 or k
+    tokens.  A line starting a group is an entry, or its first token or
+    joint would fall on an id; if a token short, a blank line follows,
+    its joint in the slot.  So no line holds over k tokens, hence each k.
     """
     if len(toks) != (k + 1) * lines - 1 or toks[k :: k + 1].count(";") != lines - 1:
         return None
@@ -60,19 +75,14 @@ def _split_entries(toks: list, lines: int, k: int, weights: bool):
         pairs = np.array(toks, dtype=np.int64).reshape(lines, 2)
     except (ValueError, OverflowError):
         return None
-    if ws is not None and not np.isfinite(ws).all():
-        return None
-    return pairs, ws
+    pairs -= base
+    return None if _entry_error(pairs, ws, bound) else (pairs, ws)
 
 
 class _EdgeListReader:
     """The edge-list parse: the state that one block of lines leaves for
     the next, the bulk path for a block and the line loop, the only
     source of the format's errors."""
-
-    comment = "#"
-    # the ids stay int32 unless one passes 2**31 - 1, whatever n is
-    int64_ids = False
 
     def __init__(self) -> None:
         self.declared_n: int | None = None
@@ -88,14 +98,10 @@ class _EdgeListReader:
         """The block's entries as parse_lines gives them, or None when the
         block might not parse cleanly; the state moves only on success."""
         k = (len(toks) + 1) // lines - 1
-        block = _split_entries(toks, lines, k, weights) if k in (2, 3) else None
-        if block is None:
-            return None
-        top = int(block[0].max())
-        limit = _MAX_VERTICES if self.declared_n is None else self.declared_n
-        if block[0].min() < 0 or top >= limit:
-            return None
-        self.max_id = max(self.max_id, top)
+        bound = _MAX_VERTICES if self.declared_n is None else self.declared_n
+        block = _split_entries(toks, lines, k, weights, 0, bound) if k in (2, 3) else None
+        if block is not None:
+            self.max_id = max(self.max_id, int(block[0].max()))
         return block
 
     def parse_lines(self, lines: list, line_no: int):
@@ -165,8 +171,6 @@ class _MatrixMarketReader:
     blank nor a % comment the size line, and each such line after it an
     entry."""
 
-    comment = "%"
-
     def __init__(self) -> None:
         self.head: list | None = None
         self.n: int | None = None
@@ -183,14 +187,9 @@ class _MatrixMarketReader:
         block might not parse cleanly; the state moves only on success."""
         if self.nnz is None or self.entries + lines > self.nnz:
             return None
-        block = _split_entries(toks, lines, self.want, weights)
-        if block is None:
-            return None
-        pairs = block[0]
-        pairs -= 1
-        if pairs.min() < 0 or pairs.max() >= self.n:
-            return None
-        self.entries += lines
+        block = _split_entries(toks, lines, self.want, weights, 1, self.n)
+        if block is not None:
+            self.entries += lines
         return block
 
     def parse_lines(self, lines: list, line_no: int):
@@ -271,8 +270,6 @@ class _MatrixMarketReader:
                 f"line {line_no}: size line declares more vertices than int64 ids allow: {line!r}"
             )
         self.n, self.nnz = n, nnz
-        # the ids are int64 when the declared n does not fit int32
-        self.int64_ids = n > _INT32_MAX
 
     def finish(self, line_no: int) -> None:
         """Check the end of the file, once the last of line_no lines is read."""
@@ -292,9 +289,9 @@ def _read_blocks(stream, reader, weights: bool = True, digests: list | None = No
     """Yield the (pairs, weights) of each block of BLOCK_LINES lines of
     stream, then call reader.finish.
 
-    The lines are joined by " ; " and split once.  A block with no
-    comment character and no ";" of its own whose lines the bulk path
-    proves clean is converted by it; any other block goes through the
+    The lines are joined by " ; " and split once, and every block is
+    offered to the reader's bulk path, which converts it only if
+    _split_entries proves it clean; any other block goes through the
     reader's line loop, which raises the format's errors, so a block
     either gives what the loop gives or fails as the loop does.  With
     weights off, the bulk path leaves the weights unread (None).  Each
@@ -311,12 +308,10 @@ def _read_blocks(stream, reader, weights: bool = True, digests: list | None = No
             i = len(digests) - 1
             if expect is not None and (i >= len(expect) or expect[i] != digests[i]):
                 raise GraphParseError(f"line {line_no + 1}: the file changed while it was read")
-        block = None
-        if reader.comment not in text and text.count(";") == len(lines) - 1:
-            toks = text.split()
-            del text
-            block = reader.bulk(toks, len(lines), weights)
-            del toks
+        toks = text.split()
+        del text
+        block = reader.bulk(toks, len(lines), weights)
+        del toks
         yield block if block is not None else reader.parse_lines(lines, line_no + 1)
         line_no += len(lines)
         # free the lines before the next block's are read

@@ -43,10 +43,10 @@ from typing import IO, TextIO
 import numpy as np
 
 from .formats import (
-    _INT32_MAX,
     GraphParseError,
     _EdgeListReader,
     _MatrixMarketReader,
+    _entry_error,
     _read_blocks,
 )
 
@@ -77,10 +77,32 @@ ARC_CHUNK = 1 << 12
 RUN_BYTES_PER_VERTEX = 128
 RUN_BYTES_PER_ENTRY = 48
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
 
 def _id_dtype(n: int) -> type:
     """The dtype of ids in [0, n): int32 when n <= 2**31 - 1, else int64."""
     return np.int32 if n <= _INT32_MAX else np.int64
+
+
+def _integers(values, name: str, keep: tuple = (np.int64,)) -> np.ndarray:
+    """values as an array of integers, the one conversion of vertex ids
+    and community labels: an array of a dtype in keep as it is, without
+    a copy, and any other integer or bool values, or floats that all are
+    integers, as int64.  Raises ValueError naming name for other values,
+    such as 0.5 or NaN, which a cast would truncate."""
+    a = np.asarray(values)
+    if a.dtype in keep:
+        return a
+    if a.dtype.kind in "iub":
+        return a.astype(np.int64)
+    if a.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            out = a.astype(np.int64)
+        # a fraction, NaN, an infinity or a float past int64 casts to another value
+        if (out == a).all():
+            return out
+    raise ValueError(f"{name} must be integers")
 
 
 @dataclass
@@ -94,13 +116,13 @@ class EdgeList:
         weights: float64 array of shape (e,), the weight of each edge.
 
     Arrays of these dtypes are kept without a copy; entries of any other
-    dtype become int64.  Given entries alone, ``EdgeList(n, [(u, v, w),
-    ...])`` splits the tuples into an int64 and a float64 array;
-    ``EdgeList(n)`` has no edges.
+    integer dtype, or floats that all are integers, become int64.  Given
+    entries alone, ``EdgeList(n, [(u, v, w), ...])`` splits the tuples
+    into an int64 and a float64 array; ``EdgeList(n)`` has no edges.
 
     Raises:
-        ValueError: if entries is not of shape (e, 2) or weights not of
-            length e.
+        ValueError: if an id is not an integer, or entries is not of
+            shape (e, 2) or weights not of length e.
     """
 
     n: int
@@ -110,11 +132,9 @@ class EdgeList:
     def __post_init__(self) -> None:
         if self.weights is None:
             rows = [(u, v, w) for u, v, w in self.entries]
-            self.entries = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2)
+            self.entries = np.reshape([r[:2] for r in rows], (-1, 2))
             self.weights = [r[2] for r in rows]
-        if not (isinstance(self.entries, np.ndarray)
-                and self.entries.dtype in (np.int32, np.int64)):
-            self.entries = np.asarray(self.entries, dtype=np.int64)
+        self.entries = _integers(self.entries, "entries", (np.int32, np.int64))
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.entries.ndim != 2 or self.entries.shape[1] != 2:
             raise ValueError(f"entries must have shape (e, 2), got {self.entries.shape}")
@@ -168,17 +188,15 @@ class GraphStats:
 # ---------------------------------------------------------------------------
 
 def _parse(stream, reader) -> EdgeList:
-    """The EdgeList of a stream, as the line loop reads it: the ids are
-    int32 until a block holds one past 2**31 - 1, when the earlier blocks'
-    ids are widened to int64, once, or at the end if reader.int64_ids."""
+    """The EdgeList of a stream, as the line loop reads it: in either
+    format the ids are int32 until a block holds one past 2**31 - 1, when
+    the earlier blocks' ids are widened to int64, once."""
     ids, ws = array("i"), array("d")
     for pairs, w in _read_blocks(stream, reader):
         ws.frombytes((w if w is not None else np.ones(len(pairs))).tobytes())
         if ids.typecode == "i" and pairs.size and pairs.max() > _INT32_MAX:
             ids = array("q", ids)
         ids.frombytes(pairs.astype(ids.typecode).tobytes())
-    if ids.typecode == "i" and reader.int64_ids:
-        ids = array("q", ids)
     return EdgeList(reader.n, np.frombuffer(ids, dtype=ids.typecode).reshape(-1, 2),
                     np.frombuffer(ws))
 
@@ -190,8 +208,9 @@ def parse_matrix_market(stream: TextIO | IO[str]) -> EdgeList:
     The first non-blank line is the header, the first later line that is
     neither blank nor a % comment the size line, and each such line after
     it an entry.  Indices are converted from 1-based to 0-based and held
-    as int32 when the size line declares at most 2**31 - 1 rows, as int64
-    otherwise; pattern entries get weight 1.  For symmetric files only
+    as int32 until a block holds one past 2**31 - 1, whatever the size
+    line declares, when the earlier blocks' ids are widened to int64,
+    once; pattern entries get weight 1.  For symmetric files only
     the stored triangle is returned; mirroring the arcs is build_graph's
     job.  The stream is read in blocks of lines, as load_graph_file reads
     a file.
@@ -484,13 +503,8 @@ def _build(
         if n < 1:
             raise ValueError("empty graph: vertex count must be >= 1")
         _check_loop_weight(add_self_loops, default_weight)
-        pairs, ws = source.entries, source.weights
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-            raise ValueError("edge endpoint outside declared vertex range")
-        # the least and the largest weight, which are NaN if any weight is
-        if ws.size and not all(map(math.isfinite, (float(ws.min()), float(ws.max())))):
-            raise ValueError("non-finite edge weight")
-        del pairs, ws
+        if (error := _entry_error(source.entries, source.weights, n)) is not None:
+            raise ValueError(error)
         source = _EdgeListBlocks(source)
     try:
         rows = _RowCounts(symmetrize, add_self_loops)

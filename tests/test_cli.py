@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -21,7 +22,13 @@ from commdet.cli import (
 )
 from commdet.community import read_membership
 from commdet.fixtures import cliques, gnp_graph, random_gnp
-from commdet.graph import load_graph_file, save_edgelist
+from commdet.graph import (
+    GraphParseError,
+    load_graph_file,
+    parse_edgelist,
+    parse_matrix_market,
+    save_edgelist,
+)
 from commdet.louvain import Config, louvain, sweep_tolerance
 
 from conftest import read_sweep_csv, widest_within_rtol
@@ -140,6 +147,35 @@ def test_detect_malformed_mtx_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "truncated" in err
+
+
+MM_REAL = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("array.mtx", "%%MatrixMarket matrix array real general\n3 3\n",
+     "line 1: unsupported format 'array' (need coordinate)"),
+    ("skew.mtx", "%%MatrixMarket matrix coordinate real skew-symmetric\n3 3 1\n1 2 1\n",
+     "line 1: unsupported symmetry 'skew-symmetric'"),
+    ("size.mtx", MM_REAL + "3 x 1\n1 2 1\n", "line 2: malformed size line: '3 x 1'"),
+    ("empty.mtx", MM_REAL + "0 0 0\n", "line 2: invalid size line: '0 0 0'"),
+    ("count.mtx", MM_REAL + "3 3 -1\n", "line 2: invalid size line: '3 3 -1'"),
+    ("weight.mtx", MM_REAL + "3 3 1\n1 2 abc\n", "line 3: bad weight in '1 2 abc'"),
+    ("n.txt", "# n x\n0 1\n", "line 1: bad n directive: '# n x'"),
+], ids=["array", "skew-symmetric", "size-token", "no-vertices", "negative-count", "weight",
+        "n-directive"])
+def test_a_malformed_file_fails_with_its_message(tmp_path, capsys, name, text, message):
+    """The parse and the load raise the same GraphParseError, and stats
+    exits 1 with it as its one stderr line, no traceback."""
+    path = tmp_path / name
+    path.write_text(text)
+    parse = parse_matrix_market if name.endswith(".mtx") else parse_edgelist
+    for read in (lambda: parse(io.StringIO(text)), lambda: load_graph_file(str(path))):
+        with pytest.raises(GraphParseError) as err:
+            read()
+        assert str(err.value) == message
+    assert main(["stats", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from commdet.community import (
     Aggregates,
     Dendrogram,
+    _check_labels,
     _relabel,
     community_aggregates,
     delta_modularity,
@@ -20,6 +21,7 @@ from commdet.community import (
 )
 from commdet.fixtures import gnp_graph
 from commdet.graph import ARC_CHUNK, EdgeList, build_graph
+from commdet.louvain import aggregate_graph, local_moving
 
 from conftest import (
     arc_sources,
@@ -147,6 +149,48 @@ def test_modularity_rejects_bad_labels(triangles):
         modularity(triangles, np.array([0, 0, 0, 0, 0, 9]))
 
 
+@pytest.mark.parametrize("labels", [
+    [0.2, 0.9, 0.5, 1.1, 1.7, 1.3],
+    [np.nan, 0, 0, 1, 1, 1],
+    [np.inf, 0, 0, 1, 1, 1],
+    [1e30, 0, 0, 1, 1, 1],
+], ids=["fractions", "nan", "inf", "past-int64"])
+def test_labels_that_are_not_integers_are_refused(tmp_path, labels):
+    """No label is truncated to an integer or made a community of NaN."""
+    g = two_triangles()
+    uses = [
+        lambda: modularity(g, labels),
+        lambda: community_aggregates(g, labels),
+        lambda: normalize_labels(labels),
+        lambda: aggregate_graph(g, labels),
+        lambda: local_moving(g, np.array(labels), 1e-6),
+        lambda: flatten(Dendrogram([np.array(labels)])),
+        lambda: write_membership(str(tmp_path / "members.txt"), labels),
+    ]
+    for use in uses:
+        with pytest.raises(ValueError, match="must be integers$"):
+            use()
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([0, 0, 0, 1, 1, 1], dtype=np.int32),
+    np.array([0, 0, 0, 1, 1, 1], dtype=np.uint8),
+    np.array([False, False, False, True, True, True]),
+    [0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+    [0, 0, 0, 1, 1, 1],
+], ids=["int32", "uint8", "bool", "integral-floats", "list"])
+def test_integer_labels_of_any_dtype_read_as_int64(labels):
+    g = two_triangles()
+    assert _check_labels(g, labels).dtype == np.int64
+    assert modularity(g, labels) == modularity(g, TRIANGLE_SPLIT)
+    assert normalize_labels(labels)[0].tolist() == TRIANGLE_SPLIT.tolist()
+
+
+def test_int64_labels_are_checked_without_a_copy():
+    labels = TRIANGLE_SPLIT.astype(np.int64)
+    assert _check_labels(two_triangles(), labels) is labels
+
+
 # ---------------------------------------------------------------------------
 # Aggregates
 # ---------------------------------------------------------------------------
@@ -157,6 +201,11 @@ def test_aggregates_two_triangles():
     assert agg.sigma_tot.tolist() == [6.0, 6.0]
     assert agg.sigma_in.tolist() == [6.0, 6.0]
     assert agg.sizes.tolist() == [3, 3]
+
+
+def test_aggregates_reject_fewer_slots_than_labels():
+    with pytest.raises(ValueError, match=r"^n_communities smaller than max label \+ 1$"):
+        community_aggregates(two_triangles(), TRIANGLE_SPLIT, n_communities=1)
 
 
 def test_aggregates_bridged_triangles():

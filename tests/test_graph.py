@@ -238,6 +238,19 @@ def test_build_rejects_zero_total():
         build_graph(EdgeList(3, []))
 
 
+@pytest.mark.parametrize("pair, weight, message", [
+    ([0, 3], 1.0, "edge endpoint outside declared vertex range"),
+    ([-1, 2], 1.0, "edge endpoint outside declared vertex range"),
+    ([1, 2], float("nan"), "non-finite edge weight"),
+    ([1, 2], float("inf"), "non-finite edge weight"),
+], ids=["beyond-n", "negative", "nan", "inf"])
+def test_build_rejects_a_bad_entry(pair, weight, message):
+    edges = EdgeList(3, np.array([[0, 1], pair]), np.array([1.0, weight]))
+    with pytest.raises(ValueError) as err:
+        build_graph(edges)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "entries, match",
     [

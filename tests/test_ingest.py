@@ -63,10 +63,22 @@ def test_edgelist_keeps_its_arrays_without_a_copy():
     np.array([[0, 1], [1, 2]], dtype=np.int16),
     np.array([[0, 1], [1, 2]], dtype=np.uint32),
     [[0, 1], [1, 2]],
-], ids=["int16", "uint32", "list"])
+    np.array([[0.0, 1.0], [1.0, 2.0]]),
+], ids=["int16", "uint32", "list", "integral-floats"])
 def test_edgelist_makes_other_ids_int64(pairs):
     el = EdgeList(3, pairs, np.ones(2))
     assert el.entries.dtype == np.int64 and el.entries.tolist() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EdgeList(3, np.array([[0.5, 1.7]]), np.array([1.0])),
+    lambda: EdgeList(3, np.array([[np.nan, 1.0]]), np.array([1.0])),
+    lambda: EdgeList(3, [(0.5, 1.7, 1.0)]),
+], ids=["fractions", "nan", "tuples"])
+def test_edgelist_refuses_ids_that_are_not_integers(make):
+    """An id is never truncated: 0.5 would read as vertex 0."""
+    with pytest.raises(ValueError, match="^entries must be integers$"):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +119,19 @@ def test_edgelist_ids_widen_once_when_an_id_passes_int32(monkeypatch):
     assert el.weights.tolist() == [0.5, 1.0, 2.0, 1.0, 1.0]
 
 
-@pytest.mark.parametrize("n, ids", [(2**31 - 1, np.int32), (2**31, np.int64)],
-                         ids=["int32-max", "past-int32"])
-def test_mtx_id_width_follows_the_size_line(n, ids):
-    """Parse only: nothing of size n is allocated."""
+@pytest.mark.parametrize("n, top, ids", [
+    (2**31, 2**31 - 1, np.int32), (2**31 + 1, 2**31, np.int64), (2**40, 5, np.int32),
+], ids=["int32-max", "past-int32", "size-line-past-int32"])
+def test_mtx_id_width_follows_the_largest_id(n, top, ids):
+    """MatrixMarket ids follow the edge-list rule: int32 until an id
+    passes 2**31 - 1, whatever the size line declares.  Parse only:
+    nothing of size n is allocated."""
     el = parse_matrix_market(io.StringIO(
-        f"%%MatrixMarket matrix coordinate real general\n{n} {n} 2\n1 {n} 0.5\n{n} 1 0.5\n"
+        f"%%MatrixMarket matrix coordinate real general\n{n} {n} 2\n1 {top + 1} 0.5\n"
+        f"{top + 1} 1 0.5\n"
     ))
     assert el.n == n and el.entries.dtype == ids
-    assert el.entries.tolist() == [[0, n - 1], [n - 1, 0]]
+    assert el.entries.tolist() == [[0, top], [top, 0]]
 
 
 def test_built_loaded_and_aggregated_graphs_have_int32_targets(tmp_path):
@@ -209,6 +225,7 @@ CHANGED_FILES = [
      "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n", 3),
     ("invalid.mtx", "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 0.5\n2 3 1\n",
      "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 0.5\n2 x 1\n", 3),
+    ("cut.txt", "0 1\n1 2\n2 3\n3 0\n", "0 1\n1 2\n", 3),
 ]
 
 
@@ -565,163 +582,54 @@ def test_saved_weights_are_builtin_float_reprs(tmp_path):
 
 # tracemalloc peak of load_graph_file per arc of the finished graph, warm
 # (numpy 2.4): 15.0 B on the unit-weight planted input with repeated pairs,
-# 19.5 B on the weighted input with them and 19.0 B without, with a regular
-# file read twice in blocks of 1536 lines, a count pass and a placement
-# pass, no EdgeList and a symmetry check by binary search rather than a
-# reverse column; 15.8, 17.4 and 16.9 B with blocks of 1024 lines, whose
-# smaller load peak left detect's later phases above it, and 15.0, 21.4
-# and 20.9 B with blocks of 2048 (a block's tokens are a constant 0.3 MB,
-# 3.5 B/arc only on this small graph).
-# 19.9 B on the unit-weight planted input with repeated pairs,
-# 20.3 B on the weighted input with them and 19.9 B without, with every
-# arc pass, the counting sort's included, in slices of ARC_CHUNK = 4096
-# arcs.  23.1 B on the unit-weight planted input with repeated pairs
-# and 23.2 B on the weighted input with and without them, with no weight
-# column made for a uniform input until a repeated pair is merged, the
-# same with one _merge_rows pass per slice sorting and merging the rows.
-# 23.1 B on the planted input with repeated pairs and 23.2 B
-# without, with the row sort freeing each slice's sort key before the
-# permuted copies are made and the merged columns cut in place (the
-# same readings with the cut in the build rather than in the run merge);
-# 23.5 B and 23.1 B with int32 ids from the parser to the Graph's
-# targets, the key held through the permutation and the merged columns
-# copied, the peak then in those copies and the symmetry check's slice
-# temporaries rather than in the id columns.  24.3 B and 23.8 B
-# with int64 parsed pairs and the targets widened to int64 last, with the
-# arcs scattered into rows by a counting sort in slices of 4096 arcs
-# and no arc-length permutation (31.4 B with slices of 16k arcs);
-# 27.0 B with and without repeats when one int32 lexsort
-# order put the arcs into rows and an int64 argsort checked symmetry, the
-# parsed id pairs and weights going to the build without a copy, the
-# pairs freed once mirrored and runs summed without an arc-length array
-# of run starts; 33.7 and 32.5 B when
-# the loader packed (u, v, w) records, 42.0 and 40.5 B with int64 columns
-# and an arc-length source column in the symmetry check, 62 B when the
-# parsed entries lived through the sort, 188 B when they were a list of
-# tuples.  The bound leaves 25% headroom over 19.5 B
+# 19.2 B on the weighted input with them and 18.7 B without.  The bound
+# leaves 27% headroom over 19.2 B
 MAX_LOAD_BYTES_PER_ARC = 24.4
 
 # the same peak on the unit-weight planted input without repeated pairs,
-# whose graph takes a zero-stride weights view rather than a column: 10.7 B
-# read in two passes with no EdgeList in blocks of 1536 lines (8.78 B in
-# blocks of 1024, 12.48 B in blocks of 2048); 12.04 B
-# with every arc pass in slices of 4096 arcs; 15.2 B (15.15) with the row
-# merge and the symmetry comparisons in slices of 16k, against 23.2 B when
-# a column of ones was scattered, sorted and kept.  The bound leaves 25%
-# headroom over 10.7 B
+# whose graph takes a zero-stride weights view rather than a column:
+# 10.6 B.  The bound leaves 27% headroom
 MAX_UNIFORM_LOAD_BYTES_PER_ARC = 13.4
 
 # tracemalloc peak of build_graph per arc on the parse of the same inputs,
-# the EdgeList made before tracing: 15.0 B on the unit-weight input with
-# repeated pairs, 16.0 and 15.5 B on the weighted one with and without
-# them, 7.1 B on the unit-weight one without them, with the count pass and
-# the placement pass over slices of the EdgeList; 19.9 B (11.9 B without
-# repeated pairs) when the arcs were scattered in one stable counting sort
-# and the symmetry check scattered a reverse column.  The bounds are those
-# older readings, which the build is not to exceed
+# the EdgeList made before tracing: 15.1 B on the unit-weight input with
+# repeated pairs, 15.8 and 15.3 B on the weighted one with and without
+# them, 7.4 B on the unit-weight one without them.  The bounds leave 26%
+# headroom over 15.8 B and 61% over 7.4 B
 MAX_BUILD_BYTES_PER_ARC = 19.9
 MAX_UNIFORM_BUILD_BYTES_PER_ARC = 11.9
 
-# tracemalloc peak of pass-0 local moving per arc, warm (numpy 2.4): 2.36 B
-# in async and in sync mode and 2.48 B with two threads, as before the arc
-# passes took slices of 4096 arcs; 2.33 B and 2.46 B with the labels,
-# community masses and sync decisions in arrays and no sync snapshot; 4.99,
-# 7.88 and 5.03 B when they and the snapshots were lists, 24.7 and 28.0 B
-# (async, sync) with arc lists sharing one object per vertex id and per
-# distinct weight, 79 B when tolist() boxed a fresh int and float per arc.
-# The bound leaves 25% headroom over the largest
+# tracemalloc peak of pass-0 local moving per arc, warm (numpy 2.4): 2.20 B
+# in async mode, 2.21 B in sync mode and 2.35 B with two threads.  The
+# bound leaves 32% headroom over the largest
 MAX_MOVE_BYTES_PER_ARC = 3.1
 
 # tracemalloc peaks per arc of modularity and aggregate_graph under the
-# labels of pass-0 local moving, warm (numpy 2.4): 2.28 B and 2.36 B over
-# row slices and blocks of about 4096 arcs; 4.83 B and 7.66 B with
-# one _merge_rows call per block, its sorted key gathered beside the key
-# and the permutation (6.54 B with the key sorted in place, whose SIMD
-# sort code raised the bench's peak RSS by about 0.3 MB; the extra slice
-# array is a constant 131 kB, 1.4 B/arc only on this small graph); 6.22 B
-# with the block sorted by the build's row sort and merged by a second
-# walk over its slices, appended to growing coarse buffers as now; 6.32 B
-# when a first pass merged every block for its row lengths and a second merged
-# it again into columns of the final size, the members int32 and no
-# n-length array of member arc positions; 7.71 B with the first pass
-# only counting each community's distinct target communities from a
-# sorted key per arc and the blocks merged by a lexsort; 7.82 B when that
-# pass merged every block as the second did, with modularity's terms
-# computed in place and aggregation writing each merged block straight
-# into the coarse columns; 5.3 B and 8.3 B when modularity made a copy
-# per term and aggregation joined its held blocks at the end,
-# all of these over slices of about 16k arcs; 23.4 B and 24.6 B
-# over whole arc arrays.  The bounds leave 25% headroom
+# labels of pass-0 local moving, warm (numpy 2.4): 1.68 B and 2.996 B.
+# The bounds leave 72% and 0.1% headroom
 MAX_MODULARITY_BYTES_PER_ARC = 2.9
 MAX_AGGREGATE_BYTES_PER_ARC = 3.0
 
 # peak RSS of ``commdet stats`` on the planted input with 600-vertex blocks
 # (266k arcs, repeated pairs), less that of a bare ``import commdet.cli``,
-# per arc: 19.7 B (median of 5, 19.2-20.2) with the file read in two
-# passes in blocks of 1536 lines and no EdgeList, 18.8 B (18.1-18.9) in
-# blocks of 1024 and 19.8 B (19.3-20.3) in blocks of 2048, against 21.0 B (21.0-22.0) beside it with the EdgeList
-# parsed first.  22.4 B (median of 5, 22.1-22.6) with no weight column made for
-# a uniform input until a repeated pair is merged, against 23.0 B
-# (22.5-23.4) measured beside it.  23.0 B (medians of 5 in two runs,
-# 22.0-23.4) with the merged columns cut in place, against 28.2 B (27.5-29.0) beside
-# it when it copied them.  27.7 B (median of 9, 26.6-28.4) with int32 ids
-# from the parser to the Graph, against 27.9 B (median of 7, 27.7-28.6)
-# measured beside it with int64 parsed pairs and the targets widened
-# last; with repeated pairs the merge's cut copies set this peak, and the
-# same input without them read 22.8 B against 25.5 B (medians of 5).
-# 28.7 B (median of 9, 27.3-28.9) when first measured with the
-# counting-sort build, 32.8 B (median of 5, 32.7-33.0) with the lexsort
-# build, 34.7 B (34.3-35.3) when the loader packed (u, v, w) records.
-# RSS also counts what tracemalloc does not see, such as the sorts' own
-# buffers and pages the allocator keeps.  The bound leaves 25% headroom over 19.7 B
+# per arc: 19.7 B (median of 5, 19.1-20.1).  RSS also counts what
+# tracemalloc does not see, such as the sorts' own buffers and pages the
+# allocator keeps.  The bound leaves 25% headroom over 19.7 B
 MAX_STATS_RSS_BYTES_PER_ARC = 24.6
 
 # the same on that input without repeated pairs, whose graph takes a
-# zero-stride weights view: 11.8 B (median of 5, 11.8-12.2) read in two
-# passes in blocks of 1536 lines (11.0 B in blocks of 1024, 11.1 B in
-# blocks of 2048), against
-# 13.0 B (12.2-13.2) beside it with the EdgeList parsed first; 14.2 B (median of 5, 14.1-14.7), against
-# 23.0 B (22.5-23.3) measured beside it when a column of ones was kept.
-# The bound leaves 25% headroom over 11.8 B
+# zero-stride weights view: 11.8 B (median of 5, 11.6-11.9).  The bound
+# leaves 25% headroom over 11.8 B
 MAX_STATS_UNIFORM_RSS_BYTES_PER_ARC = 14.8
 
 # peak RSS of ``commdet detect --out-membership`` less that of ``commdet
-# stats``, per vertex, on the planted input with 100 blocks of 200: 3.3 to
-# 11.7 B (median 8.7, 10 runs) with the file read in two passes in blocks
-# of 1536 lines and no EdgeList, the move phase's drift checked without an
-# n-length recount, the starting Q under singletons summed over row
-# slices, coarse columns written into one allocation and each pass
-# relabeled in place through an int64 table; -0.2 to 13.9 B (medians 5.0
-# and 7.9) in blocks of 2048 lines, 7.4 to 17.8 B (median 14.2) in blocks
-# of 1024, and medians of 13.3 and 17.1 B in blocks of 2048 with an int32
-# relabel table.  Every run compiles the package, and the later phases
-# reuse the compiler's freed memory, so the reading also moves with the
-# source text: medians of 5 and 18 B on trees that differed only in one
-# comment.  With cached bytecode it read 15.4 to 26.8 B (median 20.5).
-# -3.9 to
-# 10.2 B (median 0.4, 15 runs) with no weight column made for a uniform
-# input until a repeated pair is merged and the membership written 256
-# lines at a time, against -0.4 to 12.3 B (median 7.0) at the parent beside
-# it; 7.0 to 18.0 B (median 12.9), and once 24.8 B, with that build and
-# 1024-line blocks, as the lower load peak left the membership write
-# above it.  -3.7 to 4.5 B (median 0.4, 9 runs) with aggregation merging
-# each block once, 4.7 to 12.3 B (median 7.0) beside it with two merge passes; -0.6 to
-# 11.5 B (medians 6.6 and 4.1 in two runs of 9) with the merged columns
-# cut in place, which took the load's peak down to where
-# it stays, and aggregation merging its first pass's blocks rather than
-# sorting one key per arc, whose int64 sort code, paged in for
-# aggregation alone, read 14-21 B; -12.1 to 4.7 B (medians -7.0 to 0.2)
-# measured beside it with the merged columns copied.  -8.6 to 4.9 B
-# (median 0.4, 15 runs) with the counting-sort build, aggregation
-# writing each merged block straight into the coarse columns and the
-# pass's labels freed once normalized, so the load sets the peak; -0.8 to
-# 12.7 B (median 9.6, 6 runs) when aggregation held its merged blocks and
-# joined them at the end, which the leaner load no longer hid; -3.7 to
-# 11.3 B (median 1, 15 runs) with the lexsort build; 56 to 73 B (median
-# 68) when local moving held its state in lists, modularity boxed its
-# terms and the membership file was joined into one string.  The gap is
-# the noise of two RSS readings, so the bound is set against that noise
-# rather than as a share of the measurement
+# stats``, per vertex, on the planted input with 100 blocks of 200: 12.5 to
+# 29.9 B (median 19.1, 10 runs, the CLI spawned outside the checkout with
+# cached bytecode).  The later phases reuse memory the load and the
+# compiler freed, so the reading moves with the heap's layout, and with
+# the source text, more than with the code's work.  The gap is the noise
+# of two RSS readings, so the bound is set against that noise rather
+# than as a share of the measurement
 MAX_DETECT_OVER_STATS_RSS_BYTES_PER_VERTEX = 20.0
 
 

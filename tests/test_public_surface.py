@@ -135,3 +135,26 @@ def test_the_build_has_one_budget_check_and_every_resize_skips_the_refcheck():
                 resizes.append((f"{path.stem}:{node.lineno}", refcheck))
     assert checks is not None and len(checks) == 1
     assert resizes and all(refcheck == ["False"] for _, refcheck in resizes), resizes
+
+
+def test_the_readers_have_one_entry_rule_and_graph_alone_decides_the_id_width():
+    """No module defines or reads an int64_ids flag or a reader comment
+    attribute (the bulk path needs no pre-scan), only graph.py assigns
+    _INT32_MAX, and each entry error message is written once, in
+    formats._entry_error, which _split_entries and the build share."""
+    flags, widths, text = [], [], ""
+    for path in sorted((ROOT / "src" / "commdet").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        text += source
+        for node in ast.walk(ast.parse(source)):
+            # a class attribute's definition is a Name, its reads Attributes
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if isinstance(node, (ast.Attribute, ast.Name)) and name in ("int64_ids", "comment"):
+                flags.append(f"{path.stem}:{node.lineno}")
+            if isinstance(node, ast.Assign):
+                widths += [path.stem for t in node.targets
+                           if isinstance(t, ast.Name) and t.id == "_INT32_MAX"]
+    assert flags == []
+    assert widths == ["graph"]
+    for message in ("edge endpoint outside declared vertex range", "non-finite edge weight"):
+        assert text.count(message) == 1, message
