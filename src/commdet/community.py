@@ -283,7 +283,18 @@ def delta_modularity(
     k_new = float(k_to.get(to_c, 0.0))
     k_from = float(k_to.get(from_c, 0.0))
     s_from_wo = float(agg.sigma_tot[from_c]) - k_u
-    return (k_new - k_from) / m - k_u * (float(agg.sigma_tot[to_c]) - s_from_wo) / (2.0 * m * m)
+    a, b = _gain_terms(k_u, m)
+    return (k_new - k_from) / m - a * (float(agg.sigma_tot[to_c]) - s_from_wo) / b
+
+
+def _gain_terms(k_u: float, m: float) -> tuple[float, float]:
+    """(a, b) so that moving a vertex of degree k_u gains (k_c - k_from) / m
+    - a * (sigma_c - s_from_wo) / b: (k_u, 2m^2) for 1e-150 < m < 1e150,
+    else (k_u / 2m, m), whose factors stay near 1 at any weight scale; m
+    is 0 only for one loop of the least denormal, with no move to score."""
+    if m and not 1e-150 < m < 1e150:
+        return k_u / (2.0 * m), m
+    return k_u, 2.0 * m * m
 
 
 def flatten(d: Dendrogram) -> np.ndarray:

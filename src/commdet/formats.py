@@ -89,11 +89,6 @@ class _EdgeListReader:
         self.max_id = -1
         self.n: int | None = None
 
-    @property
-    def bound(self) -> int | None:
-        """The vertex count declared so far, if any."""
-        return self.declared_n
-
     def bulk(self, toks: list, lines: int, weights: bool):
         """The block's entries as parse_lines gives them, or None when the
         block might not parse cleanly; the state moves only on success."""
@@ -176,11 +171,6 @@ class _MatrixMarketReader:
         self.n: int | None = None
         self.nnz: int | None = None
         self.entries = 0
-
-    @property
-    def bound(self) -> int | None:
-        """The vertex count of the size line, once read."""
-        return self.n
 
     def bulk(self, toks: list, lines: int, weights: bool):
         """The block's entries as parse_lines gives them, or None when the

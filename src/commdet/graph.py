@@ -10,25 +10,26 @@ int64 above that, so a load never makes a widened copy of an arc-length
 id column.  Every build makes two passes over blocks of entries: a count
 pass counts each row's forward, mirrored and loop arcs, and a placement
 pass writes each block's targets, and weights, to their rows' fill
-pointers, a stable counting sort that keeps the arc order of the entries,
-their mirrored copies, then the inserted loops, each column written by
-the one placement step, _place.  load_graph_file reads a
+pointers, a stable counting sort that keeps the arc order of the
+entries, their mirrored copies, then the inserted loops, each column
+written by the one placement step, _place.  load_graph_file reads a
 regular file once per pass, a block of lines at a time (formats.py), so
 no EdgeList is made: the count pass checks the file and learns n and the
 weight range, and the placement pass checks that each block of lines is
 the one the count pass read, so a file changed between the passes fails
-with GraphParseError.  A pipe, which cannot be read twice, is parsed once
-into an EdgeList; build_graph passes over slices of an EdgeList.  When
-every arc weighs the same, as in an unweighted edge list or a pattern
-MatrixMarket file, the load makes no weight column at all: Graph.weights
-is then a read-only zero-stride view of that one value, unless a repeated
-pair has to be merged.  One merge step, _merge_rows, sorts and merges the
-rows of the build and of each aggregation block in one pass per slice,
-over the front of the columns: the build cuts its own columns to length,
-and aggregation appends each block's merged front to its coarse buffers,
-so an aggregated graph always has a full weight column.  The symmetry
-check finds each arc's reverse by a binary search in its target's row,
-so no reverse column is made.
+with GraphParseError.  A pipe, which cannot be read twice, is parsed
+once into an EdgeList, whose blocks are slices of ARC_CHUNK entries:
+_build reads any source with n and blocks(weights), and checks no
+argument.  When every arc weighs the same, as in an unweighted edge list
+or a pattern MatrixMarket file, the load makes no weight column at all:
+Graph.weights is then a read-only zero-stride view of that one value,
+unless a repeated pair has to be merged.  One merge step, _merge_rows,
+sorts and merges the rows of the build and of each aggregation block in
+one pass per slice, over the front of the columns: the build cuts its
+own columns to length, and aggregation appends each block's merged front
+to its coarse buffers, so an aggregated graph always has a full weight
+column.  The symmetry check finds each arc's reverse by a binary search
+in its target's row, so no reverse column is made.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ class EdgeList:
     integer dtype, or floats that all are integers, become int64.  Given
     entries alone, ``EdgeList(n, [(u, v, w), ...])`` splits the tuples
     into an int64 and a float64 array; ``EdgeList(n)`` has no edges.
+    blocks() yields it to a build as a file's reader yields a file.
 
     Raises:
         ValueError: if an id is not an integer, or entries is not of
@@ -141,6 +143,11 @@ class EdgeList:
         e = len(self.entries)
         if self.weights.shape != (e,):
             raise ValueError(f"weights must have shape ({e},), got {self.weights.shape}")
+
+    def blocks(self, weights: bool = True):
+        """Slices of ARC_CHUNK entries and their weights, yielded either way."""
+        for lo in range(0, self.weights.size, ARC_CHUNK):
+            yield self.entries[lo : lo + ARC_CHUNK], self.weights[lo : lo + ARC_CHUNK]
 
 
 @dataclass(frozen=True)
@@ -258,28 +265,11 @@ class _FileBlocks:
     def n(self) -> int | None:
         return self.reader.n
 
-    @property
-    def bound(self) -> int | None:
-        return self.reader.bound
-
     def blocks(self, weights: bool = True):
         self.reader = self.reader_type()
         expect, self.digests = self.digests, []
         with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
             yield from _read_blocks(fh, self.reader, weights, self.digests, expect)
-
-
-class _EdgeListBlocks:
-    """The entries of an EdgeList, in slices of ARC_CHUNK entries."""
-
-    def __init__(self, edges: EdgeList) -> None:
-        self.edges = edges
-        self.n = self.bound = edges.n
-
-    def blocks(self, weights: bool = True):
-        pairs, ws = self.edges.entries, self.edges.weights
-        for lo in range(0, ws.size, ARC_CHUNK):
-            yield pairs[lo : lo + ARC_CHUNK], ws[lo : lo + ARC_CHUNK]
 
 
 def load_graph_file(
@@ -295,13 +285,16 @@ def load_graph_file(
     pass checks it and counts each row's arcs, the placement pass writes
     the arcs to their rows, and no EdgeList is made.  A file that changes
     between the passes fails with GraphParseError.  Anything else, such
-    as a pipe, is parsed once into an EdgeList and built.  A byte that is
-    not UTF-8 reads as U+FFFD, so the parser rejects the token that holds
-    it with the line number, and ignores it in a comment.
+    as a pipe, is parsed once into an EdgeList, checked by its reader, and
+    built.  A byte that is not UTF-8 reads as U+FFFD, so the parser
+    rejects the token that holds it with the line number, and ignores it
+    in a comment.  A bad self-loop weight is refused before the path is
+    read, with build_graph's ValueError.
     """
     if fmt is None:
         fmt = "mtx" if str(path).endswith(".mtx") else "edgelist"
     reader = _MatrixMarketReader if fmt == "mtx" else _EdgeListReader
+    _check_loop_weight(add_self_loops, default_weight)
     if stat.S_ISREG(os.stat(path).st_mode):
         held = [_FileBlocks(path, reader)]
     else:
@@ -330,11 +323,18 @@ def build_graph(
     are kept as-is.
 
     Raises:
-        ValueError: if the edge list declares no vertices, the self-loop
-            weight is not positive and finite, the finished graph has zero
-            total weight, a merged arc weight or the total overflows
-            float64, or its arrays would not fit in memory.
+        ValueError: in this order, if the edge list declares no vertices,
+            the self-loop weight is not positive and finite, an entry has
+            an id outside [0, n) or a non-finite weight; then if the
+            finished graph has zero total weight, a merged arc weight or
+            the total overflows float64, or its arrays would not fit in
+            memory.
     """
+    if edges.n < 1:
+        raise ValueError("empty graph: vertex count must be >= 1")
+    _check_loop_weight(add_self_loops, default_weight)
+    if (error := _entry_error(edges.entries, edges.weights, edges.n)) is not None:
+        raise ValueError(error)
     return _build([edges], symmetrize, add_self_loops, default_weight)
 
 
@@ -380,10 +380,10 @@ class _RowCounts:
     insertion on), plus the entry count and the weight range, over blocks
     of entries.
 
-    The count arrays grow to the rows seen, or at once to the declared
-    vertex count, only while the RUN_BYTES_* estimate for that many rows
-    and the entries so far stays within the memory limit; past it the
-    counting stops, and _build refuses the run once the pass is over.
+    The count arrays grow to the rows seen (_grow) only while the
+    RUN_BYTES_* estimate for that many rows and the entries so far stays
+    within the memory limit; past it the counting stops, and _build
+    refuses the run once the pass is over.  fit(n) sets the final size.
     """
 
     def __init__(self, symmetrize: bool, add_self_loops: bool) -> None:
@@ -400,7 +400,7 @@ class _RowCounts:
         """The RUN_BYTES_* estimate for n rows and the entries so far."""
         return RUN_BYTES_PER_VERTEX * n + RUN_BYTES_PER_ENTRY * (self.entries + n * self.loops)
 
-    def add(self, pairs: np.ndarray, ws: np.ndarray | None, bound: int | None) -> None:
+    def add(self, pairs: np.ndarray, ws: np.ndarray | None) -> None:
         """Count a block: pairs of ids and their weights, None for 1.0."""
         if not len(pairs):
             return
@@ -408,7 +408,7 @@ class _RowCounts:
         lo, hi = (1.0, 1.0) if ws is None else (float(ws.min()), float(ws.max()))
         self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
         size = int(pairs.max()) + 1
-        if self.stopped or size > self.fwd.size and not self._grow(size, bound):
+        if self.stopped or size > self.fwd.size and not self._grow(size):
             self.stopped = True
             return
         us, vs = pairs[:, 0], pairs[:, 1]
@@ -419,13 +419,10 @@ class _RowCounts:
         if self.has_loop is not None:
             self.has_loop[us[us == vs]] = True
 
-    def _grow(self, size: int, bound: int | None) -> bool:
-        """Widen the counts to the declared bound, or to twice their
-        size, or to size rows, the first that the estimate allows."""
-        sizes = [max(size, 2 * self.fwd.size), size]
-        if bound is not None and bound >= size:
-            sizes.insert(0, bound)
-        for cap in sizes:
+    def _grow(self, size: int) -> bool:
+        """Widen the counts to the larger of twice their size and size
+        rows, else to size rows, the first that the estimate allows."""
+        for cap in (max(size, 2 * self.fwd.size), size):
             if self.need(cap) <= self.limit:
                 self.fit(cap)
                 return True
@@ -469,9 +466,10 @@ class _RowCounts:
 def _build(
     held: list, symmetrize: bool, add_self_loops: bool, default_weight: float
 ) -> Graph:
-    """build_graph over the one source in held, an EdgeList or the
-    _FileBlocks of a regular file, in a list that this function empties;
-    an EdgeList is left unchanged.
+    """build_graph over the one source in held, a list this function
+    empties: anything with n and blocks(weights), such as an EdgeList,
+    left unchanged, or a file's _FileBlocks, taken as it is, for the
+    caller checks the arguments and a reader the entries of a file.
 
     Two passes over the source's blocks of entries make the CSR columns.
     The count pass (_RowCounts) counts each row's forward, mirrored and
@@ -499,21 +497,13 @@ def _build(
     """
     source = held.pop()
     n = source.n
-    if isinstance(source, EdgeList):
-        if n < 1:
-            raise ValueError("empty graph: vertex count must be >= 1")
-        _check_loop_weight(add_self_loops, default_weight)
-        if (error := _entry_error(source.entries, source.weights, n)) is not None:
-            raise ValueError(error)
-        source = _EdgeListBlocks(source)
     try:
         rows = _RowCounts(symmetrize, add_self_loops)
         for pairs, ws in source.blocks():
-            rows.add(pairs, ws, source.bound)
+            rows.add(pairs, ws)
         # the last block can be a view that would keep a parsed EdgeList alive
         pairs = ws = None
         n = source.n
-        _check_loop_weight(add_self_loops, default_weight)
         _check_fits(n, rows.need(n))
         rows.fit(n)
         seen = {rows.lo, rows.hi} if rows.entries else set()
@@ -850,7 +840,6 @@ def save_edgelist(edges: EdgeList, path: str) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n {edges.n}\n")
-        for lo in range(0, edges.weights.size, ARC_CHUNK):
-            rows = edges.entries[lo : lo + ARC_CHUNK].tolist()
-            for (u, v), w in zip(rows, edges.weights[lo : lo + ARC_CHUNK].tolist()):
+        for pairs, ws in edges.blocks():
+            for (u, v), w in zip(pairs.tolist(), ws.tolist()):
                 fh.write(f"{u} {v} {w!r}\n")

@@ -44,6 +44,7 @@ import numpy as np
 from .community import (
     Dendrogram,
     _check_labels,
+    _gain_terms,
     _label_sums,
     _relabel,
     modularity,
@@ -154,17 +155,17 @@ def best_move(
     Returns (community, gain).  When no candidate improves modularity the
     vertex stays put and the result is (from_c, 0.0).  Exact gain ties are
     broken toward the lowest community id.  The gain is delta_modularity's
-    expression, evaluated in the same float operation order.
+    expression, scaled by the same _gain_terms, in the same float order.
     """
     k_from = scan[from_c]
     s_from_wo = sigma_tot[from_c] - k_u
-    two_m_sq = 2.0 * m * m
+    a, b = _gain_terms(k_u, m)
     best_c = from_c
     best_dq = 0.0
     for c, k_c in scan.items():
         if c == from_c:
             continue
-        dq = (k_c - k_from) / m - k_u * (sigma_tot[c] - s_from_wo) / two_m_sq
+        dq = (k_c - k_from) / m - a * (sigma_tot[c] - s_from_wo) / b
         if dq > best_dq or (dq == best_dq and dq > 0.0 and c < best_c):
             best_dq = dq
             best_c = c

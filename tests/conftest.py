@@ -21,11 +21,12 @@ def two_triangles() -> Graph:
     return build_graph(cliques(3, 2))
 
 
-def bridged_triangles() -> Graph:
-    """Two triangles joined by a single bridge edge (2-3)."""
+def bridged_triangles(weight: float = 1.0) -> Graph:
+    """Two triangles joined by a single bridge edge (2-3), every edge of
+    the given weight."""
     edges = cliques(3, 2)
     return build_graph(EdgeList(edges.n, np.vstack([edges.entries, [(2, 3)]]),
-                                np.append(edges.weights, 1.0)))
+                                np.append(edges.weights, 1.0) * weight))
 
 
 def single_edge() -> Graph:

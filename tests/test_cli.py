@@ -133,6 +133,18 @@ def test_detect_two_triangles_prints_q(triangle_file, tmp_path, capsys):
     assert labels.tolist() == [0, 0, 0, 1, 1, 1]
 
 
+@pytest.mark.parametrize("text", ["0 1 5e-324\n", "0 0 5e-324\n"], ids=["edge", "loop"])
+@pytest.mark.parametrize("engine", [["--mode", "async"], ["--mode", "sync"], ["--threads", "2"]],
+                         ids=["async", "sync", "threads2"])
+def test_detect_on_the_least_denormal_weight_exits_0(tmp_path, capsys, text, engine):
+    """A loop of weight 5e-324 halves to m = 0, which leaves no move to score."""
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    rc = main(["detect", "--input", str(path), *engine,
+               "--out-membership", str(tmp_path / "members.txt")])
+    assert (rc, capsys.readouterr().err) == (0, "")
+
+
 def test_detect_zero_tolerance_exits_2(triangle_file, capsys):
     rc = main(["detect", "--input", triangle_file, "--tolerance", "0"])
     err = capsys.readouterr().err

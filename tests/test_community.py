@@ -295,6 +295,19 @@ def test_delta_requires_nonempty_source():
         delta_modularity(g, agg, 0, {2: 0.0}, 2, 0)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e154, 1e300])
+def test_delta_does_not_depend_on_the_weight_scale(scale):
+    """At these scales 2m^2 underflows to 0 or overflows float64, so the
+    gain's terms are scaled by m first."""
+    a = np.array([0, 0, 0, 1, 1, 1])
+    for u in range(6):
+        dqs = []
+        for g in (bridged_triangles(), bridged_triangles(scale)):
+            k_map, _ = neighbor_community_weights(g, a, u)
+            dqs.append(delta_modularity(g, community_aggregates(g, a), u, k_map, a[u], 1 - a[u]))
+        assert dqs[1] == pytest.approx(dqs[0], abs=1e-12), u
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_delta_matches_recomputation_exhaustively(seed):
     rng = np.random.default_rng(seed)

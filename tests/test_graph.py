@@ -222,6 +222,19 @@ def test_build_rejects_a_bad_self_loop_weight(weight):
     build_graph(EdgeList(2, [(0, 1, 1.0)]), default_weight=weight)
 
 
+def test_load_refuses_a_bad_self_loop_weight_before_reading_the_path(tmp_path, monkeypatch):
+    calls = []
+    stat = GRAPH_MODULE.os.stat
+    monkeypatch.setattr(GRAPH_MODULE.os, "stat", lambda *a, **k: calls.append(a) or stat(*a, **k))
+    monkeypatch.setattr(GRAPH_MODULE, "open", lambda *a, **k: calls.append(a) or open(*a, **k),
+                        raising=False)
+    with pytest.raises(ValueError) as info:
+        GRAPH_MODULE.load_graph_file(str(tmp_path / "missing.txt"), add_self_loops=True,
+                                     default_weight=0.0)
+    assert str(info.value) == "self-loop weight must be positive and finite, got 0.0"
+    assert calls == []
+
+
 def test_build_merges_parallel_arcs():
     g = build_graph(EdgeList(2, [(0, 1, 1.0), (1, 0, 2.0)]))
     assert g.targets.tolist() == [1, 0]

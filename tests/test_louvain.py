@@ -625,6 +625,17 @@ def test_flattened_dendrogram_is_already_normalized(cfg):
         assert flat.tolist() == normalize_labels(flat)[0].tolist(), name
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e154, 1e300])
+@pytest.mark.parametrize("cfg", [cfg for _, cfg in ENGINES], ids=[name for name, _ in ENGINES])
+def test_louvain_does_not_depend_on_the_weight_scale(cfg, scale):
+    """Modularity has no weight scale, and neither has the partition: at
+    these scales 2m^2 underflows to 0 or overflows float64."""
+    want_d, want = louvain(bridged_triangles(), cfg)
+    d, rep = louvain(bridged_triangles(scale), cfg)
+    assert [lev.tolist() for lev in d.levels] == [lev.tolist() for lev in want_d.levels]
+    assert rep.final_q == pytest.approx(want.final_q, abs=1e-12)
+
+
 def test_louvain_self_loops_only_graph():
     g = build_graph(EdgeList(4, []), add_self_loops=True)
     d, rep = louvain(g)

@@ -158,3 +158,33 @@ def test_the_readers_have_one_entry_rule_and_graph_alone_decides_the_id_width():
     assert widths == ["graph"]
     for message in ("edge endpoint outside declared vertex range", "non-finite edge weight"):
         assert text.count(message) == 1, message
+
+
+def test_the_build_reads_any_source_as_it_is_and_nothing_pre_sizes_the_counts():
+    """graph._build calls no isinstance and checks no argument, for each
+    entry point checks its own; no class defines a bound and no
+    expression reads one (the bound parameters of the entry rule are id
+    bounds); and the move gain's 2m^2 is written once, in the one rule
+    that scales it."""
+    build_calls, bounds, text = None, [], ""
+    for path in sorted((ROOT / "src" / "commdet").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        text += source
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" == "graph._build":
+                build_calls = {call.func.id for call in ast.walk(node)
+                               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+            if isinstance(node, ast.ClassDef):
+                # a method or property, or a class attribute; an instance
+                # attribute is an Attribute, found below
+                for stmt in node.body:
+                    targets = getattr(stmt, "targets", []) + [getattr(stmt, "target", None)]
+                    if getattr(stmt, "name", None) == "bound" or any(
+                            isinstance(t, ast.Name) and t.id == "bound" for t in targets):
+                        bounds.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.Attribute) and node.attr == "bound":
+                bounds.append(f"{path.stem}:{node.lineno}")
+    assert build_calls is not None and "_check_fits" in build_calls
+    assert build_calls & {"isinstance", "_check_loop_weight", "_entry_error"} == set()
+    assert bounds == []
+    assert text.count("2.0 * m * m") == 1
