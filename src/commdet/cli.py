@@ -60,17 +60,16 @@ def _sweep_row(r: SweepResult) -> dict:
     return {**r.params, **dict(zip(SWEEP_STAT_COLUMNS, values))}
 
 
-def _csv_cells(row: dict) -> list:
-    """A row's values as CSV cells; floats as repr, which round-trips exactly."""
-    return [repr(v) if isinstance(v, float) else v for v in row.values()]
+def _write_csv(fh: TextIO, header: list, rows) -> None:
+    """The header, then each row's values; floats as repr, which round-trips exactly."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row.values()] for row in rows)
 
 
 def write_report_csv(path: str, report: Report) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_CSV_COLUMNS)
-        for p in report.passes:
-            writer.writerow(_csv_cells(_pass_row(p)))
+        _write_csv(fh, REPORT_CSV_COLUMNS, map(_pass_row, report.passes))
 
 
 def write_report_json(path: str, report: Report) -> None:
@@ -97,9 +96,7 @@ def _dump_json(path: str, payload) -> None:
 def write_sweep_csv(fh: TextIO, rows: list[SweepResult]) -> None:
     """Sweep table on an open text file: one row per grid cell, param columns first."""
     table = [_sweep_row(r) for r in rows]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(list(table[0]) if table else SWEEP_STAT_COLUMNS)
-    writer.writerows(_csv_cells(row) for row in table)
+    _write_csv(fh, list(table[0]) if table else SWEEP_STAT_COLUMNS, table)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The two text formats, read a block of lines at a time.
 
 Each format has a reader: the state one block of lines leaves for the
-next, a line loop that reads one line at a time and is the only source
-of the format's GraphParseError, and a bulk path that splits every block
-once and converts it with numpy, kept only when _split_entries proves
-the line loop would read it without error, to the same ids and weights.
+next, an entry method that reads one stripped line under the format's
+rules and is the only source of its GraphParseError, and a bulk path
+that splits every block once and converts it with numpy, kept only when
+_split_entries proves the line loop would read it without error, to the
+same ids and weights.  One line loop, _parse_lines, serves both readers.
 _read_blocks drives a reader over a stream; graph.py, which alone sets
 the ids' width, collects the blocks or counts and places them.
 """
@@ -35,14 +36,17 @@ _MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
 
 
 def _entry_error(pairs: np.ndarray, ws: np.ndarray | None, bound: int) -> str | None:
-    """The message of the entry rule that pairs and ws break, or None:
-    every id lies in [0, bound) and every weight, if any, is finite.  The
-    min and max, NaN if any weight is, make no entry-length temporary."""
+    """The message of the entry rule that pairs and ws break, or None: ids
+    in [0, bound), then weights, if any, finite, then positive.  The min
+    and max, NaN if any weight is, make no entry-length temporary."""
     if pairs.size and (pairs.min() < 0 or pairs.max() >= bound):
         return "edge endpoint outside declared vertex range"
-    if ws is not None and ws.size and not np.isfinite((ws.min(), ws.max())).all():
+    if ws is None or not ws.size:
+        return None
+    least, most = ws.min(), ws.max()
+    if not np.isfinite((least, most)).all():
         return "non-finite edge weight"
-    return None
+    return "non-positive edge weight" if least <= 0 else None
 
 
 def _split_entries(toks: list, lines: int, k: int, weights: bool, base: int, bound: int):
@@ -50,9 +54,9 @@ def _split_entries(toks: list, lines: int, k: int, weights: bool, base: int, bou
     the lines joined by " ; ", are toks, if every (k + 1)-th token is a
     joint, ";", and numpy converts the others as int() and float() do (the
     weights only with weights on) to ids less base in [0, bound) and
-    finite weights; else None.  pairs is int64 of shape (lines, 2).
+    finite, positive weights; else None.  pairs is int64 of shape (lines, 2).
 
-    The line loop then reads the same entries.  No token holding "#", "%"
+    _parse_lines then reads the same entries.  No token holding "#", "%"
     or ";" converts, and a comment line starts with one.  With weights on,
     the joints are thus the only ";" tokens and each line holds k numbers.
     Weights are off only in a file's placement pass, whose count pass read
@@ -79,10 +83,24 @@ def _split_entries(toks: list, lines: int, k: int, weights: bool, base: int, bou
     return None if _entry_error(pairs, ws, bound) else (pairs, ws)
 
 
+def _parse_lines(reader, lines: list, line_no: int):
+    """The entries of lines, the first of them line line_no: each line is
+    stripped, a blank one skipped, and reader.entry gives the (u, v, w) of
+    any other, or None for a line that holds no entry."""
+    ids, ws = [], []
+    entry = reader.entry
+    for line_no, raw in enumerate(lines, start=line_no):
+        line = raw.strip()
+        if line and (read := entry(line, line_no)) is not None:
+            ids += read[:2]
+            ws.append(read[2])
+    return np.array(ids, dtype=np.int64).reshape(-1, 2), np.array(ws, dtype=np.float64)
+
+
 class _EdgeListReader:
     """The edge-list parse: the state that one block of lines leaves for
-    the next, the bulk path for a block and the line loop, the only
-    source of the format's errors."""
+    the next, the bulk path for a block and the entry rule for a line, the
+    only source of the format's errors."""
 
     def __init__(self) -> None:
         self.declared_n: int | None = None
@@ -90,7 +108,7 @@ class _EdgeListReader:
         self.n: int | None = None
 
     def bulk(self, toks: list, lines: int, weights: bool):
-        """The block's entries as parse_lines gives them, or None when the
+        """The block's entries as _parse_lines gives them, or None when the
         block might not parse cleanly; the state moves only on success."""
         k = (len(toks) + 1) // lines - 1
         bound = _MAX_VERTICES if self.declared_n is None else self.declared_n
@@ -99,59 +117,48 @@ class _EdgeListReader:
             self.max_id = max(self.max_id, int(block[0].max()))
         return block
 
-    def parse_lines(self, lines: list, line_no: int):
-        """The entries of lines, the first of them line line_no, read one
-        line at a time."""
-        ids, ws = [], []
-        declared_n, max_id = self.declared_n, self.max_id
-        for line_no, raw in enumerate(lines, start=line_no):
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                toks = stripped[1:].split()
-                if len(toks) == 2 and toks[0] == "n":
-                    try:
-                        declared_n = int(toks[1])
-                    except ValueError as exc:
-                        raise GraphParseError(
-                            f"line {line_no}: bad n directive: {stripped!r}"
-                        ) from exc
-                    if declared_n > _MAX_VERTICES:
-                        raise GraphParseError(
-                            f"line {line_no}: n directive exceeds the int64 id range: {stripped!r}"
-                        )
-                    if declared_n < 0:
-                        raise GraphParseError(f"line {line_no}: negative n directive: {stripped!r}")
-                    if declared_n <= max_id:
-                        raise GraphParseError(
-                            f"line {line_no}: n directive below vertex id {max_id} read before it: "
-                            f"{stripped!r}"
-                        )
-                continue
-            toks = stripped.split()
-            if len(toks) not in (2, 3):
-                raise GraphParseError(f"line {line_no}: expected 'u v [w]', got {stripped!r}")
-            try:
-                u, v = int(toks[0]), int(toks[1])
-                w = float(toks[2]) if len(toks) == 3 else 1.0
-            except ValueError as exc:
-                raise GraphParseError(f"line {line_no}: bad entry: {stripped!r}") from exc
-            if u < 0 or v < 0:
-                raise GraphParseError(f"line {line_no}: negative vertex id: {stripped!r}")
-            if not math.isfinite(w):
-                raise GraphParseError(f"line {line_no}: non-finite weight: {stripped!r}")
-            if declared_n is not None and (u >= declared_n or v >= declared_n):
-                raise GraphParseError(f"line {line_no}: index beyond declared n={declared_n}")
-            max_id = max(max_id, u, v)
-            if max_id >= _MAX_VERTICES:
-                raise GraphParseError(
-                    f"line {line_no}: vertex id exceeds the int64 range: {stripped!r}"
-                )
-            ids += (u, v)
-            ws.append(w)
-        self.declared_n, self.max_id = declared_n, max_id
-        return np.array(ids, dtype=np.int64).reshape(-1, 2), np.array(ws, dtype=np.float64)
+    def entry(self, line: str, line_no: int):
+        """The (u, v, w) of line line_no, or None for a comment."""
+        if line.startswith("#"):
+            toks = line[1:].split()
+            if len(toks) == 2 and toks[0] == "n":
+                try:
+                    declared_n = int(toks[1])
+                except ValueError as exc:
+                    raise GraphParseError(f"line {line_no}: bad n directive: {line!r}") from exc
+                if declared_n > _MAX_VERTICES:
+                    raise GraphParseError(
+                        f"line {line_no}: n directive exceeds the int64 id range: {line!r}"
+                    )
+                if declared_n < 0:
+                    raise GraphParseError(f"line {line_no}: negative n directive: {line!r}")
+                if declared_n <= self.max_id:
+                    raise GraphParseError(
+                        f"line {line_no}: n directive below vertex id {self.max_id} read "
+                        f"before it: {line!r}"
+                    )
+                self.declared_n = declared_n
+            return None
+        toks = line.split()
+        if len(toks) not in (2, 3):
+            raise GraphParseError(f"line {line_no}: expected 'u v [w]', got {line!r}")
+        try:
+            u, v = int(toks[0]), int(toks[1])
+            w = float(toks[2]) if len(toks) == 3 else 1.0
+        except ValueError as exc:
+            raise GraphParseError(f"line {line_no}: bad entry: {line!r}") from exc
+        if u < 0 or v < 0:
+            raise GraphParseError(f"line {line_no}: negative vertex id: {line!r}")
+        if not math.isfinite(w):
+            raise GraphParseError(f"line {line_no}: non-finite weight: {line!r}")
+        if w <= 0:
+            raise GraphParseError(f"line {line_no}: non-positive weight: {line!r}")
+        if self.declared_n is not None and (u >= self.declared_n or v >= self.declared_n):
+            raise GraphParseError(f"line {line_no}: index beyond declared n={self.declared_n}")
+        self.max_id = max(self.max_id, u, v)
+        if self.max_id >= _MAX_VERTICES:
+            raise GraphParseError(f"line {line_no}: vertex id exceeds the int64 range: {line!r}")
+        return u, v, w
 
     def finish(self, line_no: int) -> None:
         """Set n once the last of line_no lines is read."""
@@ -173,7 +180,7 @@ class _MatrixMarketReader:
         self.entries = 0
 
     def bulk(self, toks: list, lines: int, weights: bool):
-        """The block's entries as parse_lines gives them, or None when the
+        """The block's entries as _parse_lines gives them, or None when the
         block might not parse cleanly; the state moves only on success."""
         if self.nnz is None or self.entries + lines > self.nnz:
             return None
@@ -182,52 +189,45 @@ class _MatrixMarketReader:
             self.entries += lines
         return block
 
-    def parse_lines(self, lines: list, line_no: int):
-        """The entries of lines, the first of them line line_no, read one
-        line at a time."""
-        ids, ws = [], []
-        for line_no, raw in enumerate(lines, start=line_no):
-            line = raw.strip()
-            if self.head is None and line:
-                self._header(line, line_no)
-                continue
-            if not line or line.startswith("%"):
-                continue
-            toks = line.split()
-            if self.n is None:
-                self._size(toks, line, line_no)
-                continue
-            if self.entries == self.nnz:
-                raise GraphParseError(
-                    f"line {line_no}: extra entry beyond declared count {self.nnz}: {line!r}"
-                )
-            if len(toks) < self.want:
-                raise GraphParseError(f"line {line_no}: truncated entry: {line!r}")
-            if len(toks) > self.want:
-                raise GraphParseError(
-                    f"line {line_no}: extra field in {self.field} entry, expected {self.want}: "
-                    f"{line!r}"
-                )
+    def entry(self, line: str, line_no: int):
+        """The (u, v, w) of line line_no, or None for the header, a comment
+        or the size line, which _header and _size read."""
+        if self.head is None:
+            return self._header(line, line_no)
+        if line.startswith("%"):
+            return None
+        toks = line.split()
+        if self.n is None:
+            return self._size(toks, line, line_no)
+        if self.entries == self.nnz:
+            raise GraphParseError(
+                f"line {line_no}: extra entry beyond declared count {self.nnz}: {line!r}"
+            )
+        if len(toks) < self.want:
+            raise GraphParseError(f"line {line_no}: truncated entry: {line!r}")
+        if len(toks) > self.want:
+            raise GraphParseError(
+                f"line {line_no}: extra field in {self.field} entry, expected {self.want}: "
+                f"{line!r}"
+            )
+        try:
+            u, v = int(toks[0]) - 1, int(toks[1]) - 1
+        except ValueError as exc:
+            raise GraphParseError(f"line {line_no}: bad vertex id in {line!r}") from exc
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise GraphParseError(f"line {line_no}: index out of range 1..{self.n}: {line!r}")
+        w = 1.0
+        if self.want == 3:
             try:
-                u = int(toks[0]) - 1
-                v = int(toks[1]) - 1
+                w = float(toks[2])
             except ValueError as exc:
-                raise GraphParseError(f"line {line_no}: bad vertex id in {line!r}") from exc
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphParseError(f"line {line_no}: index out of range 1..{self.n}: {line!r}")
-            if self.want == 2:
-                w = 1.0
-            else:
-                try:
-                    w = float(toks[2])
-                except ValueError as exc:
-                    raise GraphParseError(f"line {line_no}: bad weight in {line!r}") from exc
-                if not math.isfinite(w):
-                    raise GraphParseError(f"line {line_no}: non-finite weight in {line!r}")
-            ids += (u, v)
-            ws.append(w)
-            self.entries += 1
-        return np.array(ids, dtype=np.int64).reshape(-1, 2), np.array(ws, dtype=np.float64)
+                raise GraphParseError(f"line {line_no}: bad weight in {line!r}") from exc
+            if not math.isfinite(w):
+                raise GraphParseError(f"line {line_no}: non-finite weight in {line!r}")
+            if w <= 0:
+                raise GraphParseError(f"line {line_no}: non-positive weight in {line!r}")
+        self.entries += 1
+        return u, v, w
 
     def _header(self, line: str, line_no: int) -> None:
         head = line.split()
@@ -281,9 +281,10 @@ def _read_blocks(stream, reader, weights: bool = True, digests: list | None = No
 
     The lines are joined by " ; " and split once, and every block is
     offered to the reader's bulk path, which converts it only if
-    _split_entries proves it clean; any other block goes through the
-    reader's line loop, which raises the format's errors, so a block
-    either gives what the loop gives or fails as the loop does.  With
+    _split_entries proves it clean; any other block goes through the line
+    loop, _parse_lines over reader.entry, which raises the format's
+    errors, so a block either gives what the loop gives or fails as the
+    loop does.  With
     weights off, the bulk path leaves the weights unread (None).  Each
     block's digest, the hash of its joined text, is appended to digests;
     with expect, the digests of an earlier read, a block that differs
@@ -302,7 +303,7 @@ def _read_blocks(stream, reader, weights: bool = True, digests: list | None = No
         del text
         block = reader.bulk(toks, len(lines), weights)
         del toks
-        yield block if block is not None else reader.parse_lines(lines, line_no + 1)
+        yield block if block is not None else _parse_lines(reader, lines, line_no + 1)
         line_no += len(lines)
         # free the lines before the next block's are read
         del lines, block

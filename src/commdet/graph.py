@@ -325,10 +325,10 @@ def build_graph(
     Raises:
         ValueError: in this order, if the edge list declares no vertices,
             the self-loop weight is not positive and finite, an entry has
-            an id outside [0, n) or a non-finite weight; then if the
-            finished graph has zero total weight, a merged arc weight or
-            the total overflows float64, or its arrays would not fit in
-            memory.
+            an id outside [0, n), a non-finite or a non-positive weight;
+            then if the finished graph has zero total weight, a merged arc
+            weight or the total overflows float64, or its arrays would not
+            fit in memory.
     """
     if edges.n < 1:
         raise ValueError("empty graph: vertex count must be >= 1")
@@ -690,14 +690,12 @@ def _finish_graph(
 
     counts[u] is the length of row u; vs and ws are the targets and
     weights in CSR order, each row's targets strictly ascending.  The
-    offsets, degrees and total are derived here, and the weights, the
-    symmetry (which with mirror on gives both arcs of a pair one weight)
-    and the total are checked.  vs becomes the Graph's targets as given,
-    without a copy, so its dtype is the caller's: _id_dtype(n) for
-    build_graph and _coarsen.
+    offsets, degrees and total are derived here.  The weights, sums of
+    positive entries, need only be finite; they, the symmetry (which with
+    mirror on gives both arcs of a pair one weight) and the total are
+    checked.  vs becomes the Graph's targets as given, without a copy, so
+    its dtype is the caller's: _id_dtype(n) for build_graph and _coarsen.
     """
-    if ws.size and ws.min() <= 0:
-        raise ValueError("arc weights must be positive after merging")
     if ws.size and not np.isfinite(ws.max()):
         raise ValueError("merged arc weight is not finite (float64 overflow)")
 

@@ -11,9 +11,9 @@ passes.  With ``Config.threads`` above one, an asynchronous sweep is split
 into contiguous vertex chunks that worker threads race over one shared
 label array and one shared community-mass array: reads are unsynchronized
 (a reader may see a stale label or mass), and each accepted move applies
-its label write and its two mass adjustments as one indivisible block
-under a mutex, so races perturb the search trajectory but never the
-bookkeeping.  One thread is the plain sequential sweep, bit for bit.
+its label write and its two mass adjustments as one block under a mutex,
+so races perturb the search trajectory but never the bookkeeping.  One
+thread runs the same move block under a nullcontext, bit for bit.
 
 The kernel is pure Python over flat numpy arrays: the graph's CSR arrays,
 the int64 labels and the float64 community masses are read and written
@@ -182,14 +182,14 @@ def _sweep_range(
     labs: memoryview,
     sigma_tot: memoryview,
     m: float,
-    lock=None,
+    lock=nullcontext(),
 ) -> tuple[float, int, int]:
     """Greedy move sweep over vertices [lo_v, hi_v) in ascending id order.
 
-    labs and sigma_tot are updated in place as moves are accepted.  With a
-    lock the label write and the two sigma_tot adjustments of each move
-    happen as one indivisible block (the shared-state contract of the
-    threaded engine); without one this is the plain sequential inner loop.
+    labs and sigma_tot are updated in place: each accepted move's label
+    write and two sigma_tot adjustments run as one block under lock, the
+    threaded engine's mutex, or by default one shared nullcontext, so one
+    thread runs the same lines and, with no other writer, counts no conflict.
     Returns (summed gain, move count, conflict count).
     """
     gain = 0.0
@@ -200,18 +200,13 @@ def _sweep_range(
         k_u = degs[u]
         to_c, dq = best_move(scan_arcs(u, offs, tgt, wts, labs), sigma_tot, k_u, own, m)
         if to_c != own:
-            if lock is None:
+            s_seen = sigma_tot[to_c]
+            with lock:
+                if sigma_tot[to_c] != s_seen:
+                    conflicts += 1
                 sigma_tot[own] -= k_u
                 sigma_tot[to_c] += k_u
                 labs[u] = to_c
-            else:
-                s_seen = sigma_tot[to_c]
-                with lock:
-                    if sigma_tot[to_c] != s_seen:
-                        conflicts += 1
-                    sigma_tot[own] -= k_u
-                    sigma_tot[to_c] += k_u
-                    labs[u] = to_c
             gain += dq
             moves += 1
     return gain, moves, conflicts
@@ -326,7 +321,7 @@ def _move_phase(
     """One pass's local moving: repeat the sweep cfg picks until an
     iteration gains <= tolerance or cfg.max_iterations_per_pass is hit.
 
-    Sync sweeps with _sync_iteration, one async thread with the unlocked
+    Sync sweeps with _sync_iteration, one async thread with the mutex-free
     _sweep_range.  More threads split the ids into cfg.chunk_size chunks:
     worker w owns chunks w, w + threads, ..., so only it moves their
     vertices; _threaded_phase holds their pool and switch interval for
@@ -336,17 +331,17 @@ def _move_phase(
     float that tolist() would hold, float bits included: of the graph's
     arrays, which no sweep copies, and of the int64 labels and float64
     community masses, which it updates in place.
-    The labels are labels itself when it is a writable C-contiguous int64
-    array, else an int64 copy written back at the end.  Raises ValueError
-    when labels is not of shape (n,) or a label lies outside [0, n).
+    The labels are labels itself if int64, strided or not, else their
+    int64 conversion, written back at the end.  Raises ValueError before
+    any sweep when labels is not of shape (n,), in [0, n) or writable.
     Returns (iterations, cumulative gain, accepted moves, conflicts per
     iteration, sigma drift), where the drift is the largest absolute
     difference between the incrementally maintained community masses and
     an exact recomputation from the final labels.
     """
     work = _check_labels(g, labels)
-    if not (work.flags.writeable and work.flags.c_contiguous):
-        work = work.copy()
+    if not np.asarray(labels).flags.writeable:
+        raise ValueError("labels are read-only: local moving updates them in place")
     sigma_tot = _label_sums(work, g.degrees, g.n)
     state = [memoryview(a) for a in (g.offsets, g.targets, g.weights, g.degrees, work, sigma_tot)]
     if cfg.mode == "sync":
@@ -408,8 +403,8 @@ def local_moving(
     accepted moves).  The gain is the sum of decision-time move gains; in
     async mode it matches the realized modularity increase, in sync mode
     it can overstate it.  Hitting max_iterations stops the loop without
-    raising; labels not of shape (g.n,) or outside [0, n) and a negative
-    or NaN tolerance raise ValueError.
+    raising; labels not of shape (g.n,), outside [0, n) or read-only and
+    a negative or NaN tolerance raise ValueError.
     """
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")

@@ -260,8 +260,6 @@ def lexsort_aggregate(g: Graph, labels: np.ndarray) -> tuple[Graph, np.ndarray]:
     with np.errstate(over="ignore"):
         ws = np.add.reduceat(ws, starts)
     us, vs = us[starts], vs[starts]
-    if ws.min() <= 0:
-        raise ValueError("arc weights must be positive after merging")
     if not np.isfinite(ws.max()):
         raise ValueError("merged arc weight is not finite (float64 overflow)")
     if not lexsort_symmetric(us, vs, ws):
@@ -294,6 +292,8 @@ def lexsort_build(edges: EdgeList, symmetrize: bool = True, add_self_loops: bool
         raise ValueError("edge endpoint outside declared vertex range")
     if ws.size and not np.all(np.isfinite(ws)):
         raise ValueError("non-finite edge weight")
+    if ws.size and not np.all(ws > 0):
+        raise ValueError("non-positive edge weight")
     us, vs = pairs[:, 0], pairs[:, 1]
     off = us != vs if symmetrize else np.zeros(us.size, dtype=bool)
     missing = np.empty(0, dtype=np.int64)
@@ -306,8 +306,6 @@ def lexsort_build(edges: EdgeList, symmetrize: bool = True, add_self_loops: bool
     tgt = np.concatenate([vs, us[off], missing]).astype(ids)
     w = np.concatenate([ws, ws[off], np.full(missing.size, float(default_weight))])
     counts, tgt, w = reduceat_merge(n, src, tgt, w)
-    if w.size and w.min() <= 0:
-        raise ValueError("arc weights must be positive after merging")
     if w.size and not np.isfinite(w.max()):
         raise ValueError("merged arc weight is not finite (float64 overflow)")
     src = np.repeat(np.arange(n), counts)

@@ -190,6 +190,31 @@ def test_a_malformed_file_fails_with_its_message(tmp_path, capsys, name, text, m
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("netted.txt", "0 1 -1\n0 1 2\n", "line 1: non-positive weight: '0 1 -1'"),
+    ("zero.txt", "0 1 0\n", "line 1: non-positive weight: '0 1 0'"),
+    ("negative.txt", "0 1 -1\n", "line 1: non-positive weight: '0 1 -1'"),
+    ("negative.mtx", MM_REAL + "3 3 1\n1 2 -3\n", "line 3: non-positive weight in '1 2 -3'"),
+], ids=["netted-positive", "zero", "negative", "mtx-negative"])
+def test_a_non_positive_weight_exits_1_naming_its_line(tmp_path, capsys, name, text, message):
+    """From a file and from a pipe, even when a repeated pair would net
+    the weight positive."""
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["stats", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    fifo = tmp_path / f"pipe-{name}"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        code = main(["stats", "--input", str(fifo)])
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "name, text",
     [

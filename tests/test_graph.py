@@ -15,6 +15,7 @@ from commdet.graph import (
     _merge_rows,
     build_graph,
     graph_stats,
+    load_graph_file,
     parse_edgelist,
     parse_matrix_market,
     save_edgelist,
@@ -173,6 +174,21 @@ def test_edgelist_id_beyond_declared_n():
         parse_edgelist(io.StringIO("# n 2\n0 5\n"))
 
 
+def test_a_non_positive_weight_deep_in_a_clean_edgelist_names_its_line(tmp_path):
+    """Every block of clean lines takes the bulk path, so only its refusal
+    of the 0 weight, which the pair's first entry would net positive,
+    hands the second block to the line loop that names the line."""
+    lines = [f"{i} {i + 1} 1.5\n" for i in range(2000)]
+    lines[1699] = "0 1 0\n"
+    path = tmp_path / "g.txt"
+    path.write_text("".join(lines))
+    for read in (lambda: parse_edgelist(io.StringIO("".join(lines))),
+                 lambda: load_graph_file(str(path))):
+        with pytest.raises(GraphParseError) as err:
+            read()
+        assert str(err.value) == "line 1700: non-positive weight: '0 1 0'"
+
+
 def test_ids_across_the_int32_limit_parse_exactly():
     want = (2**31 + 1, [[2**31 - 1, 2**31]], [0.5])
     el = parse_edgelist(io.StringIO("2147483647 2147483648 0.5\n"))
@@ -256,12 +272,27 @@ def test_build_rejects_zero_total():
     ([-1, 2], 1.0, "edge endpoint outside declared vertex range"),
     ([1, 2], float("nan"), "non-finite edge weight"),
     ([1, 2], float("inf"), "non-finite edge weight"),
-], ids=["beyond-n", "negative", "nan", "inf"])
+    ([1, 2], 0.0, "non-positive edge weight"),
+    ([1, 2], -0.0, "non-positive edge weight"),
+], ids=["beyond-n", "negative", "nan", "inf", "zero", "negative-zero"])
 def test_build_rejects_a_bad_entry(pair, weight, message):
     edges = EdgeList(3, np.array([[0, 1], pair]), np.array([1.0, weight]))
     with pytest.raises(ValueError) as err:
         build_graph(edges)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(0, 1, -1.0), (0, 1, 2.0)], "non-positive edge weight"),
+    ([(0, 1, -1.0), (0, 1, float("nan"))], "non-finite edge weight"),
+], ids=["netted-positive", "nan-first"])
+def test_build_refuses_each_non_positive_weight_after_the_non_finite_ones(entries, message):
+    """A repeated pair that would sum to a positive weight is refused all
+    the same, and a NaN beside a negative weight is reported as NaN."""
+    for build in (build_graph, lexsort_build):
+        with pytest.raises(ValueError) as err:
+            build(EdgeList(2, entries))
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

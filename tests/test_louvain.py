@@ -282,12 +282,20 @@ def test_local_moving_updates_int32_and_strided_labels_in_place(engine, inline_p
 
 
 @pytest.mark.parametrize("engine", ["async", "sync", "threads2"])
-def test_local_moving_rejects_read_only_labels(engine, inline_pool):
-    labels = singleton_assignment(6)
-    labels.flags.writeable = False
-    with pytest.raises(ValueError, match="read-only"):
-        _run_engine(engine, two_triangles(), labels)
-    assert labels.tolist() == list(range(6))
+def test_local_moving_rejects_read_only_labels(engine, inline_pool, monkeypatch):
+    """Refused before the first sweep, whether or not the dtype converts."""
+    swept = []
+    for name in ("_sweep_range", "_sync_iteration"):
+        sweep = getattr(LOUVAIN_MODULE, name)
+        monkeypatch.setattr(LOUVAIN_MODULE, name,
+                            lambda *args, sweep=sweep: swept.append(1) or sweep(*args))
+    for dtype in (np.int64, np.int32):
+        labels = np.arange(6, dtype=dtype)
+        labels.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            _run_engine(engine, two_triangles(), labels)
+        assert labels.tolist() == list(range(6))
+    assert swept == []
 
 
 def test_async_every_accepted_move_improves_q():

@@ -156,7 +156,8 @@ def test_the_readers_have_one_entry_rule_and_graph_alone_decides_the_id_width():
                            if isinstance(t, ast.Name) and t.id == "_INT32_MAX"]
     assert flags == []
     assert widths == ["graph"]
-    for message in ("edge endpoint outside declared vertex range", "non-finite edge weight"):
+    for message in ("edge endpoint outside declared vertex range", "non-finite edge weight",
+                    "non-positive edge weight"):
         assert text.count(message) == 1, message
 
 
@@ -188,3 +189,35 @@ def test_the_build_reads_any_source_as_it_is_and_nothing_pre_sizes_the_counts():
     assert build_calls & {"isinstance", "_check_loop_weight", "_entry_error"} == set()
     assert bounds == []
     assert text.count("2.0 * m * m") == 1
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((ROOT / "src" / "commdet" / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(_tree(module))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_each_per_item_step_is_written_once():
+    """_sweep_range applies every move in one block under its lock, which
+    is never None; the readers keep their line rules in entry and share
+    formats._parse_lines; cli.py builds one csv.writer; and _finish_graph
+    tests no weight for <= 0, as every entry was refused unless positive."""
+    sweep = _function("louvain", "_sweep_range")
+    assert len([n for n in ast.walk(sweep) if isinstance(n, ast.With)]) == 1
+    assert not [n for n in ast.walk(sweep) if isinstance(n, ast.Compare)
+                and any(isinstance(c, ast.Constant) and c.value is None for c in n.comparators)]
+    methods = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+               for node in _tree("formats").body if isinstance(node, ast.ClassDef)}
+    assert not [c for c, names in methods.items() if "parse_lines" in names]
+    assert all("entry" in methods[c] for c in ("_EdgeListReader", "_MatrixMarketReader"))
+    writers = [n for n in ast.walk(_tree("cli")) if isinstance(n, ast.Call)
+               and ast.unparse(n.func) == "csv.writer"]
+    assert len(writers) == 1
+    finish = _function("graph", "_finish_graph")
+    weight_tests = [ast.unparse(n) for n in ast.walk(finish) if isinstance(n, ast.Compare)
+                    and "ws" in {x.id for x in ast.walk(n.left) if isinstance(x, ast.Name)}
+                    and any(isinstance(op, ast.LtE) for op in n.ops)]
+    assert weight_tests == []
