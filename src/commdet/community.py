@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .formats import _quote
 from .graph import ARC_CHUNK, Graph, _integers, _row_slices
 
 __all__ = [
@@ -351,7 +352,7 @@ def read_membership(path: str) -> np.ndarray:
                 u, c = int(toks[0]), int(toks[1])
             except ValueError as exc:
                 raise ValueError(
-                    f"line {line_no}: non-integer vertex or community: {stripped!r}"
+                    f"line {line_no}: non-integer vertex or community: {_quote(stripped)}"
                 ) from exc
             if u in pairs:
                 raise ValueError(f"line {line_no}: duplicate vertex {u}")

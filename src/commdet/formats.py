@@ -6,8 +6,8 @@ rules and is the only source of its GraphParseError, and a bulk path
 that splits every block once and converts it with numpy, kept only when
 _split_entries proves the line loop would read it without error, to the
 same ids and weights.  One line loop, _parse_lines, serves both readers.
-_read_blocks drives a reader over a stream; graph.py, which alone sets
-the ids' width, collects the blocks or counts and places them.
+_read_blocks yields each block of a stream as int64 pairs and float64
+weights; graph.py, which alone sets the ids' width, collects or places them.
 """
 
 from __future__ import annotations
@@ -35,13 +35,18 @@ _MM_SYMMETRIES = ("general", "symmetric")
 _MAX_VERTICES = int(np.iinfo(np.int64).max) - 1
 
 
-def _entry_error(pairs: np.ndarray, ws: np.ndarray | None, bound: int) -> str | None:
+def _quote(text: str) -> str:
+    """repr(text); past 80 characters, that of the first 80 and the count left out."""
+    return repr(text) if len(text) <= 80 else f"{text[:80]!r} and {len(text) - 80} more characters"
+
+
+def _entry_error(pairs: np.ndarray, ws: np.ndarray, bound: int) -> str | None:
     """The message of the entry rule that pairs and ws break, or None: ids
-    in [0, bound), then weights, if any, finite, then positive.  The min
-    and max, NaN if any weight is, make no entry-length temporary."""
+    in [0, bound), then weights finite, then positive.  The min and max,
+    NaN if any weight is, make no entry-length temporary."""
     if pairs.size and (pairs.min() < 0 or pairs.max() >= bound):
         return "edge endpoint outside declared vertex range"
-    if ws is None or not ws.size:
+    if not ws.size:
         return None
     least, most = ws.min(), ws.max()
     if not np.isfinite((least, most)).all():
@@ -49,33 +54,24 @@ def _entry_error(pairs: np.ndarray, ws: np.ndarray | None, bound: int) -> str | 
     return "non-positive edge weight" if least <= 0 else None
 
 
-def _split_entries(toks: list, lines: int, k: int, weights: bool, base: int, bound: int):
+def _split_entries(toks: list, lines: int, k: int, base: int, bound: int):
     """The (pairs, weights) of a block of lines whose tokens, split from
     the lines joined by " ; ", are toks, if every (k + 1)-th token is a
-    joint, ";", and numpy converts the others as int() and float() do (the
-    weights only with weights on) to ids less base in [0, bound) and
-    finite, positive weights; else None.  pairs is int64 of shape (lines, 2).
+    joint, ";", and numpy converts the others as int() and float() do to
+    ids less base in [0, bound) and finite, positive weights, 1.0 if k is
+    2; else None.  pairs is int64 of shape (lines, 2), the weights float64.
 
     _parse_lines then reads the same entries.  No token holding "#", "%"
-    or ";" converts, and a comment line starts with one.  With weights on,
-    the joints are thus the only ";" tokens and each line holds k numbers.
-    Weights are off only in a file's placement pass, whose count pass read
-    the block, so each line is blank, a comment or an entry of 2 or k
-    tokens.  A line starting a group is an entry, or its first token or
-    joint would fall on an id; if a token short, a blank line follows,
-    its joint in the slot.  So no line holds over k tokens, hence each k.
+    or ";" converts, and a comment line starts with one, so the joints
+    are the only ";" tokens and each line holds k numbers.
     """
     if len(toks) != (k + 1) * lines - 1 or toks[k :: k + 1].count(";") != lines - 1:
         return None
     del toks[k :: k + 1]
-    ws = None
     try:
+        ws = np.array(toks[2::3], dtype=np.float64) if k == 3 else np.ones(lines)
         if k == 3:
-            column = toks[2::3]
             del toks[2::3]
-            if weights:
-                ws = np.array(column, dtype=np.float64)
-            del column
         pairs = np.array(toks, dtype=np.int64).reshape(lines, 2)
     except (ValueError, OverflowError):
         return None
@@ -107,12 +103,12 @@ class _EdgeListReader:
         self.max_id = -1
         self.n: int | None = None
 
-    def bulk(self, toks: list, lines: int, weights: bool):
+    def bulk(self, toks: list, lines: int):
         """The block's entries as _parse_lines gives them, or None when the
         block might not parse cleanly; the state moves only on success."""
         k = (len(toks) + 1) // lines - 1
         bound = _MAX_VERTICES if self.declared_n is None else self.declared_n
-        block = _split_entries(toks, lines, k, weights, 0, bound) if k in (2, 3) else None
+        block = _split_entries(toks, lines, k, 0, bound) if k in (2, 3) else None
         if block is not None:
             self.max_id = max(self.max_id, int(block[0].max()))
         return block
@@ -125,39 +121,39 @@ class _EdgeListReader:
                 try:
                     declared_n = int(toks[1])
                 except ValueError as exc:
-                    raise GraphParseError(f"line {line_no}: bad n directive: {line!r}") from exc
+                    raise GraphParseError(
+                        f"line {line_no}: bad n directive: {_quote(line)}") from exc
                 if declared_n > _MAX_VERTICES:
                     raise GraphParseError(
-                        f"line {line_no}: n directive exceeds the int64 id range: {line!r}"
-                    )
+                        f"line {line_no}: n directive exceeds the int64 id range: {_quote(line)}")
                 if declared_n < 0:
-                    raise GraphParseError(f"line {line_no}: negative n directive: {line!r}")
+                    raise GraphParseError(f"line {line_no}: negative n directive: {_quote(line)}")
                 if declared_n <= self.max_id:
                     raise GraphParseError(
                         f"line {line_no}: n directive below vertex id {self.max_id} read "
-                        f"before it: {line!r}"
-                    )
+                        f"before it: {_quote(line)}")
                 self.declared_n = declared_n
             return None
         toks = line.split()
         if len(toks) not in (2, 3):
-            raise GraphParseError(f"line {line_no}: expected 'u v [w]', got {line!r}")
+            raise GraphParseError(f"line {line_no}: expected 'u v [w]', got {_quote(line)}")
         try:
             u, v = int(toks[0]), int(toks[1])
             w = float(toks[2]) if len(toks) == 3 else 1.0
         except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: bad entry: {line!r}") from exc
+            raise GraphParseError(f"line {line_no}: bad entry: {_quote(line)}") from exc
         if u < 0 or v < 0:
-            raise GraphParseError(f"line {line_no}: negative vertex id: {line!r}")
+            raise GraphParseError(f"line {line_no}: negative vertex id: {_quote(line)}")
         if not math.isfinite(w):
-            raise GraphParseError(f"line {line_no}: non-finite weight: {line!r}")
+            raise GraphParseError(f"line {line_no}: non-finite weight: {_quote(line)}")
         if w <= 0:
-            raise GraphParseError(f"line {line_no}: non-positive weight: {line!r}")
+            raise GraphParseError(f"line {line_no}: non-positive weight: {_quote(line)}")
         if self.declared_n is not None and (u >= self.declared_n or v >= self.declared_n):
             raise GraphParseError(f"line {line_no}: index beyond declared n={self.declared_n}")
         self.max_id = max(self.max_id, u, v)
         if self.max_id >= _MAX_VERTICES:
-            raise GraphParseError(f"line {line_no}: vertex id exceeds the int64 range: {line!r}")
+            raise GraphParseError(
+                f"line {line_no}: vertex id exceeds the int64 range: {_quote(line)}")
         return u, v, w
 
     def finish(self, line_no: int) -> None:
@@ -179,12 +175,12 @@ class _MatrixMarketReader:
         self.nnz: int | None = None
         self.entries = 0
 
-    def bulk(self, toks: list, lines: int, weights: bool):
+    def bulk(self, toks: list, lines: int):
         """The block's entries as _parse_lines gives them, or None when the
         block might not parse cleanly; the state moves only on success."""
         if self.nnz is None or self.entries + lines > self.nnz:
             return None
-        block = _split_entries(toks, lines, self.want, weights, 1, self.n)
+        block = _split_entries(toks, lines, self.want, 1, self.n)
         if block is not None:
             self.entries += lines
         return block
@@ -201,64 +197,64 @@ class _MatrixMarketReader:
             return self._size(toks, line, line_no)
         if self.entries == self.nnz:
             raise GraphParseError(
-                f"line {line_no}: extra entry beyond declared count {self.nnz}: {line!r}"
-            )
+                f"line {line_no}: extra entry beyond declared count {self.nnz}: {_quote(line)}")
         if len(toks) < self.want:
-            raise GraphParseError(f"line {line_no}: truncated entry: {line!r}")
+            raise GraphParseError(f"line {line_no}: truncated entry: {_quote(line)}")
         if len(toks) > self.want:
             raise GraphParseError(
                 f"line {line_no}: extra field in {self.field} entry, expected {self.want}: "
-                f"{line!r}"
-            )
+                f"{_quote(line)}")
         try:
             u, v = int(toks[0]) - 1, int(toks[1]) - 1
         except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: bad vertex id in {line!r}") from exc
+            raise GraphParseError(f"line {line_no}: bad vertex id in {_quote(line)}") from exc
         if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphParseError(f"line {line_no}: index out of range 1..{self.n}: {line!r}")
+            raise GraphParseError(
+                f"line {line_no}: index out of range 1..{self.n}: {_quote(line)}")
         w = 1.0
         if self.want == 3:
             try:
                 w = float(toks[2])
             except ValueError as exc:
-                raise GraphParseError(f"line {line_no}: bad weight in {line!r}") from exc
+                raise GraphParseError(f"line {line_no}: bad weight in {_quote(line)}") from exc
             if not math.isfinite(w):
-                raise GraphParseError(f"line {line_no}: non-finite weight in {line!r}")
+                raise GraphParseError(f"line {line_no}: non-finite weight in {_quote(line)}")
             if w <= 0:
-                raise GraphParseError(f"line {line_no}: non-positive weight in {line!r}")
+                raise GraphParseError(f"line {line_no}: non-positive weight in {_quote(line)}")
         self.entries += 1
         return u, v, w
 
     def _header(self, line: str, line_no: int) -> None:
         head = line.split()
         if len(head) < 4 or head[0] != "%%MatrixMarket" or head[1].lower() != "matrix":
-            raise GraphParseError(f"line {line_no}: malformed MatrixMarket header: {line!r}")
+            raise GraphParseError(f"line {line_no}: malformed MatrixMarket header: {_quote(line)}")
         fmt, fld = head[2].lower(), head[3].lower()
         sym = head[4].lower() if len(head) > 4 else "general"
         if fmt != "coordinate":
-            raise GraphParseError(f"line {line_no}: unsupported format {fmt!r} (need coordinate)")
+            raise GraphParseError(
+                f"line {line_no}: unsupported format {_quote(fmt)} (need coordinate)")
         if fld not in _MM_FIELDS:
-            raise GraphParseError(f"line {line_no}: unsupported field {fld!r}")
+            raise GraphParseError(f"line {line_no}: unsupported field {_quote(fld)}")
         if sym not in _MM_SYMMETRIES:
-            raise GraphParseError(f"line {line_no}: unsupported symmetry {sym!r}")
+            raise GraphParseError(f"line {line_no}: unsupported symmetry {_quote(sym)}")
         self.head, self.field = head, fld
         self.want = 2 if fld == "pattern" else 3
 
     def _size(self, toks: list, line: str, line_no: int) -> None:
         if len(toks) != 3:
-            raise GraphParseError(f"line {line_no}: malformed size line: {line!r}")
+            raise GraphParseError(f"line {line_no}: malformed size line: {_quote(line)}")
         try:
             n, cols, nnz = int(toks[0]), int(toks[1]), int(toks[2])
         except ValueError as exc:
-            raise GraphParseError(f"line {line_no}: malformed size line: {line!r}") from exc
+            raise GraphParseError(f"line {line_no}: malformed size line: {_quote(line)}") from exc
         if n != cols:
             raise GraphParseError(f"line {line_no}: non-square matrix {n}x{cols}")
         if n < 1 or nnz < 0:
-            raise GraphParseError(f"line {line_no}: invalid size line: {line!r}")
+            raise GraphParseError(f"line {line_no}: invalid size line: {_quote(line)}")
         if n > _MAX_VERTICES:
             raise GraphParseError(
-                f"line {line_no}: size line declares more vertices than int64 ids allow: {line!r}"
-            )
+                f"line {line_no}: size line declares more vertices than int64 ids allow: "
+                f"{_quote(line)}")
         self.n, self.nnz = n, nnz
 
     def finish(self, line_no: int) -> None:
@@ -274,22 +270,19 @@ class _MatrixMarketReader:
             )
 
 
-def _read_blocks(stream, reader, weights: bool = True, digests: list | None = None,
-                 expect: list | None = None):
-    """Yield the (pairs, weights) of each block of BLOCK_LINES lines of
-    stream, then call reader.finish.
+def _read_blocks(stream, reader, digests: list | None = None, expect: list | None = None):
+    """Yield the (pairs, weights), int64 and float64 arrays, of each block
+    of BLOCK_LINES lines of stream, then call reader.finish.
 
     The lines are joined by " ; " and split once, and every block is
     offered to the reader's bulk path, which converts it only if
     _split_entries proves it clean; any other block goes through the line
     loop, _parse_lines over reader.entry, which raises the format's
     errors, so a block either gives what the loop gives or fails as the
-    loop does.  With
-    weights off, the bulk path leaves the weights unread (None).  Each
-    block's digest, the hash of its joined text, is appended to digests;
-    with expect, the digests of an earlier read, a block that differs
-    from its counterpart, or a different block count, raises
-    GraphParseError before the block is parsed.
+    loop does.  Each block's digest, the hash of its joined text, is
+    appended to digests; with expect, the digests of an earlier read, a
+    block that differs from its counterpart, or a different block count,
+    raises GraphParseError before the block is parsed.
     """
     line_no = 0
     while lines := list(islice(stream, BLOCK_LINES)):
@@ -301,7 +294,7 @@ def _read_blocks(stream, reader, weights: bool = True, digests: list | None = No
                 raise GraphParseError(f"line {line_no + 1}: the file changed while it was read")
         toks = text.split()
         del text
-        block = reader.bulk(toks, len(lines), weights)
+        block = reader.bulk(toks, len(lines))
         del toks
         yield block if block is not None else _parse_lines(reader, lines, line_no + 1)
         line_no += len(lines)

@@ -19,8 +19,8 @@ weight range, and the placement pass checks that each block of lines is
 the one the count pass read, so a file changed between the passes fails
 with GraphParseError.  A pipe, which cannot be read twice, is parsed
 once into an EdgeList, whose blocks are slices of ARC_CHUNK entries:
-_build reads any source with n and blocks(weights), and checks no
-argument.  When every arc weighs the same, as in an unweighted edge list
+_build reads any source with n and blocks(), and checks no argument
+itself.  When every arc weighs the same, as in an unweighted edge list
 or a pattern MatrixMarket file, the load makes no weight column at all:
 Graph.weights is then a read-only zero-stride view of that one value,
 unless a repeated pair has to be merged.  One merge step, _merge_rows,
@@ -144,8 +144,8 @@ class EdgeList:
         if self.weights.shape != (e,):
             raise ValueError(f"weights must have shape ({e},), got {self.weights.shape}")
 
-    def blocks(self, weights: bool = True):
-        """Slices of ARC_CHUNK entries and their weights, yielded either way."""
+    def blocks(self):
+        """Slices of ARC_CHUNK entries and their weights."""
         for lo in range(0, self.weights.size, ARC_CHUNK):
             yield self.entries[lo : lo + ARC_CHUNK], self.weights[lo : lo + ARC_CHUNK]
 
@@ -200,7 +200,7 @@ def _parse(stream, reader) -> EdgeList:
     the earlier blocks' ids are widened to int64, once."""
     ids, ws = array("i"), array("d")
     for pairs, w in _read_blocks(stream, reader):
-        ws.frombytes((w if w is not None else np.ones(len(pairs))).tobytes())
+        ws.frombytes(w.tobytes())
         if ids.typecode == "i" and pairs.size and pairs.max() > _INT32_MAX:
             ids = array("q", ids)
         ids.frombytes(pairs.astype(ids.typecode).tobytes())
@@ -265,11 +265,11 @@ class _FileBlocks:
     def n(self) -> int | None:
         return self.reader.n
 
-    def blocks(self, weights: bool = True):
+    def blocks(self):
         self.reader = self.reader_type()
         expect, self.digests = self.digests, []
         with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
-            yield from _read_blocks(fh, self.reader, weights, self.digests, expect)
+            yield from _read_blocks(fh, self.reader, self.digests, expect)
 
 
 def load_graph_file(
@@ -400,13 +400,12 @@ class _RowCounts:
         """The RUN_BYTES_* estimate for n rows and the entries so far."""
         return RUN_BYTES_PER_VERTEX * n + RUN_BYTES_PER_ENTRY * (self.entries + n * self.loops)
 
-    def add(self, pairs: np.ndarray, ws: np.ndarray | None) -> None:
-        """Count a block: pairs of ids and their weights, None for 1.0."""
+    def add(self, pairs: np.ndarray, ws: np.ndarray) -> None:
+        """Count a block: pairs of ids and their weights."""
         if not len(pairs):
             return
         self.entries += len(pairs)
-        lo, hi = (1.0, 1.0) if ws is None else (float(ws.min()), float(ws.max()))
-        self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
+        self.lo, self.hi = min(self.lo, float(ws.min())), max(self.hi, float(ws.max()))
         size = int(pairs.max()) + 1
         if self.stopped or size > self.fwd.size and not self._grow(size):
             self.stopped = True
@@ -467,7 +466,7 @@ def _build(
     held: list, symmetrize: bool, add_self_loops: bool, default_weight: float
 ) -> Graph:
     """build_graph over the one source in held, a list this function
-    empties: anything with n and blocks(weights), such as an EdgeList,
+    empties: anything with n and blocks(), such as an EdgeList,
     left unchanged, or a file's _FileBlocks, taken as it is, for the
     caller checks the arguments and a reader the entries of a file.
 
@@ -521,7 +520,8 @@ def _build(
         if has_loop is not None:
             for lo in range(0, n, ARC_CHUNK):
                 ids = np.flatnonzero(~has_loop[lo : lo + ARC_CHUNK]) + lo
-                _place(offsets[1:], ids, (targets, ids), (weights, default_weight))
+                _place(offsets[1:], ids, (targets, ids),
+                       (weights, np.full(ids.size, default_weight)))
             del has_loop
         counts, at, weights = _merge_rows(offsets, targets, weights, n)
         del offsets
@@ -540,26 +540,23 @@ def _check_loop_weight(add_self_loops: bool, default_weight: float) -> None:
 
 
 def _place_blocks(source, fills: list, targets: np.ndarray, weights: np.ndarray) -> None:
-    """The placement pass: each block's arcs to their regions' fill
-    pointers, forward arcs by source and, with two fill arrays, mirrored
-    arcs by target; the weights are read only for a weight column."""
-    for pairs, ws in source.blocks(weights=bool(weights.strides[0])):
+    """The placement pass: each block's arcs, read as the count pass read
+    them, to their regions' fill pointers, forward arcs by source and, with
+    two fill arrays, mirrored arcs by target; no weight to a uniform view."""
+    for pairs, ws in source.blocks():
         us, vs = pairs[:, 0], pairs[:, 1]
-        ws = 1.0 if ws is None else ws
         _place(fills[0], us, (targets, vs), (weights, ws))
         if len(fills) > 1:
             off = us != vs
-            _place(fills[1], vs[off], (targets, us[off]),
-                   (weights, ws if np.ndim(ws) == 0 else ws[off]))
+            _place(fills[1], vs[off], (targets, us[off]), (weights, ws[off]))
 
 
 def _place(fill: np.ndarray, keys: np.ndarray, *columns) -> None:
     """One step of a stable counting sort: the block's i-th value of each
     (out, values) column goes to out at its key's fill pointer plus the
-    number of earlier keys of the block equal to keys[i], and the
-    pointers then move past the block.  values is an array aligned with
-    keys or one value; a zero-stride out, the read-only view of a uniform
-    weight, is skipped.  The temporaries are a few block-length arrays."""
+    number of earlier keys of the block equal to keys[i], and the pointers
+    then move past the block.  A zero-stride out, a uniform weight's view,
+    is skipped.  The temporaries are a few block-length arrays."""
     if not keys.size:
         return
     order = np.argsort(keys, kind="stable")
@@ -569,7 +566,7 @@ def _place(fill: np.ndarray, keys: np.ndarray, *columns) -> None:
     at += fill[keys]
     for out, values in columns:
         if out.strides[0]:
-            out[at] = values if np.ndim(values) == 0 else values[order]
+            out[at] = values[order]
     np.add.at(fill, keys, 1)
 
 

@@ -174,8 +174,11 @@ MM_REAL = "%%MatrixMarket matrix coordinate real general\n"
     ("count.mtx", MM_REAL + "3 3 -1\n", "line 2: invalid size line: '3 3 -1'"),
     ("weight.mtx", MM_REAL + "3 3 1\n1 2 abc\n", "line 3: bad weight in '1 2 abc'"),
     ("n.txt", "# n x\n0 1\n", "line 1: bad n directive: '# n x'"),
+    ("80.txt", "0 " + "x" * 78 + "\n", "line 1: bad entry: '0 " + "x" * 78 + "'"),
+    ("81.txt", "0 " + "x" * 79 + "\n",
+     "line 1: bad entry: '0 " + "x" * 78 + "' and 1 more characters"),
 ], ids=["array", "skew-symmetric", "size-token", "no-vertices", "negative-count", "weight",
-        "n-directive"])
+        "n-directive", "80-characters", "81-characters"])
 def test_a_malformed_file_fails_with_its_message(tmp_path, capsys, name, text, message):
     """The parse and the load raise the same GraphParseError, and stats
     exits 1 with it as its one stderr line, no traceback."""
@@ -188,6 +191,29 @@ def test_a_malformed_file_fails_with_its_message(tmp_path, capsys, name, text, m
         assert str(err.value) == message
     assert main(["stats", "--input", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# about 1 MB of digits, so that a message quoting its line whole is as long
+LONG = "1" * (1 << 20)
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("entry.txt", f"0 1\n0 {LONG}\n", 2),
+    ("n.txt", f"0 1\n# n {LONG}x\n", 2),
+    ("header.mtx", f"%%MatrixMarket {LONG} coordinate real general\n3 3 0\n", 1),
+    ("format.mtx", f"%%MatrixMarket matrix x{LONG} real general\n3 3 0\n", 1),
+    ("size.mtx", f"{MM_REAL}3 3 {LONG}\n", 2),
+    ("entry.mtx", f"{MM_REAL}3 3 1\n1 2 {LONG}\n", 3),
+], ids=["edgelist-entry", "n-directive", "mtx-header", "mtx-format", "mtx-size", "mtx-entry"])
+def test_a_long_bad_line_fails_with_a_short_message(tmp_path, capsys, name, text, line):
+    """stats exits 1 with one stderr line under 300 bytes that names the
+    line: a message quotes at most 80 characters of a line."""
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["stats", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300, err[:300]
 
 
 @pytest.mark.parametrize("name, text, message", [

@@ -464,11 +464,18 @@ def test_membership_rejects_duplicates(tmp_path):
         read_membership(str(path))
 
 
-@pytest.mark.parametrize("text, line", [("x 2\n", 1), ("0 0\n# c\n1 2.5\n", 3)])
+@pytest.mark.parametrize("text, line", [
+    ("x 2\n", 1), ("0 0\n# c\n1 2.5\n", 3),
+    pytest.param("0 0\n1 " + "x" * (1 << 20) + "\n", 2, id="a-1-MB-line"),
+])
 def test_membership_names_the_line_of_a_non_integer(tmp_path, text, line):
+    """The message quotes the line, cut to its first 80 characters and
+    the count of the rest when it is longer."""
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValueError) as err:
         read_membership(str(path))
     bad = text.splitlines()[line - 1]
-    assert str(err.value) == f"line {line}: non-integer vertex or community: {bad!r}"
+    quoted = repr(bad) if len(bad) <= 80 else f"{bad[:80]!r} and {len(bad) - 80} more characters"
+    assert str(err.value) == f"line {line}: non-integer vertex or community: {quoted}"
+    assert len(str(err.value).encode()) < 300

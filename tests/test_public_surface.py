@@ -221,3 +221,37 @@ def test_each_per_item_step_is_written_once():
                     and "ws" in {x.id for x in ast.walk(n.left) if isinstance(x, ast.Name)}
                     and any(isinstance(op, ast.LtE) for op in n.ops)]
     assert weight_tests == []
+
+
+def _method(module: str, cls: str, name: str) -> ast.FunctionDef:
+    klass = next(node for node in _tree(module).body
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(f for f in klass.body if isinstance(f, ast.FunctionDef) and f.name == name)
+
+
+def test_every_block_carries_its_weights_and_no_message_quotes_a_whole_line():
+    """A block of entries is always int64 pairs and float64 weights: no
+    reader or source takes a weights flag, no step that reads a block
+    tests a weight for None, and _place takes arrays only; and every
+    message quotes a line through formats._quote, never whole by !r."""
+    readers = [_function("formats", "_split_entries"), _function("formats", "_read_blocks"),
+               _method("formats", "_EdgeListReader", "bulk"),
+               _method("formats", "_MatrixMarketReader", "bulk"),
+               _method("graph", "EdgeList", "blocks"), _method("graph", "_FileBlocks", "blocks")]
+    flagged = [f.name for f in readers
+               if "weights" in {a.arg for a in f.args.args + f.args.kwonlyargs}]
+    assert flagged == []
+    steps = [_function("formats", "_entry_error"), _function("graph", "_parse"),
+             _method("graph", "_RowCounts", "add"), _function("graph", "_place_blocks")]
+    none_tests = [ast.unparse(n) for f in steps for n in ast.walk(f) if isinstance(n, ast.Compare)
+                  and isinstance(n.left, ast.Name) and n.left.id in ("w", "ws", "weights")
+                  and any(isinstance(c, ast.Constant) and c.value is None for c in n.comparators)]
+    assert none_tests == []
+    place = _function("graph", "_place")
+    assert [n for n in ast.walk(place) if isinstance(n, ast.Call)
+            and ast.unparse(n.func) == "np.ndim"] == []
+    whole = [f"{module}:{n.lineno}" for module in ("formats", "community")
+             for n in ast.walk(_tree(module)) if isinstance(n, ast.FormattedValue)
+             and n.conversion == ord("r") and isinstance(n.value, ast.Name)
+             and n.value.id in ("line", "stripped")]
+    assert whole == []
