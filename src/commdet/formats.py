@@ -122,16 +122,19 @@ class _EdgeListReader:
                     declared_n = int(toks[1])
                 except ValueError as exc:
                     raise GraphParseError(
-                        f"line {line_no}: bad n directive: {_quote(line)}") from exc
+                        f"line {line_no}: bad n directive: {_quote(line)}"
+                    ) from exc
                 if declared_n > _MAX_VERTICES:
                     raise GraphParseError(
-                        f"line {line_no}: n directive exceeds the int64 id range: {_quote(line)}")
+                        f"line {line_no}: n directive exceeds the int64 id range: {_quote(line)}"
+                    )
                 if declared_n < 0:
                     raise GraphParseError(f"line {line_no}: negative n directive: {_quote(line)}")
                 if declared_n <= self.max_id:
                     raise GraphParseError(
                         f"line {line_no}: n directive below vertex id {self.max_id} read "
-                        f"before it: {_quote(line)}")
+                        f"before it: {_quote(line)}"
+                    )
                 self.declared_n = declared_n
             return None
         toks = line.split()
@@ -153,7 +156,8 @@ class _EdgeListReader:
         self.max_id = max(self.max_id, u, v)
         if self.max_id >= _MAX_VERTICES:
             raise GraphParseError(
-                f"line {line_no}: vertex id exceeds the int64 range: {_quote(line)}")
+                f"line {line_no}: vertex id exceeds the int64 range: {_quote(line)}"
+            )
         return u, v, w
 
     def finish(self, line_no: int) -> None:
@@ -197,20 +201,21 @@ class _MatrixMarketReader:
             return self._size(toks, line, line_no)
         if self.entries == self.nnz:
             raise GraphParseError(
-                f"line {line_no}: extra entry beyond declared count {self.nnz}: {_quote(line)}")
+                f"line {line_no}: extra entry beyond declared count {self.nnz}: {_quote(line)}"
+            )
         if len(toks) < self.want:
             raise GraphParseError(f"line {line_no}: truncated entry: {_quote(line)}")
         if len(toks) > self.want:
             raise GraphParseError(
                 f"line {line_no}: extra field in {self.field} entry, expected {self.want}: "
-                f"{_quote(line)}")
+                f"{_quote(line)}"
+            )
         try:
             u, v = int(toks[0]) - 1, int(toks[1]) - 1
         except ValueError as exc:
             raise GraphParseError(f"line {line_no}: bad vertex id in {_quote(line)}") from exc
         if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphParseError(
-                f"line {line_no}: index out of range 1..{self.n}: {_quote(line)}")
+            raise GraphParseError(f"line {line_no}: index out of range 1..{self.n}: {_quote(line)}")
         w = 1.0
         if self.want == 3:
             try:
@@ -232,7 +237,8 @@ class _MatrixMarketReader:
         sym = head[4].lower() if len(head) > 4 else "general"
         if fmt != "coordinate":
             raise GraphParseError(
-                f"line {line_no}: unsupported format {_quote(fmt)} (need coordinate)")
+                f"line {line_no}: unsupported format {_quote(fmt)} (need coordinate)"
+            )
         if fld not in _MM_FIELDS:
             raise GraphParseError(f"line {line_no}: unsupported field {_quote(fld)}")
         if sym not in _MM_SYMMETRIES:
@@ -254,7 +260,8 @@ class _MatrixMarketReader:
         if n > _MAX_VERTICES:
             raise GraphParseError(
                 f"line {line_no}: size line declares more vertices than int64 ids allow: "
-                f"{_quote(line)}")
+                f"{_quote(line)}"
+            )
         self.n, self.nnz = n, nnz
 
     def finish(self, line_no: int) -> None:
