@@ -22,8 +22,9 @@ from typing import TextIO
 
 from .community import flatten, write_membership
 from .fixtures import cliques, random_gnp, ring_of_cliques
-from .graph import Graph, GraphParseError, graph_stats, load_graph_file, save_edgelist
-from .louvain import Config, PassStats, Report, SweepResult, louvain, sweep_threads, sweep_tolerance
+from .graph import Graph, graph_stats, load_graph_file, save_edgelist
+from .louvain import MODES, Config, PassStats, Report, SweepResult
+from .louvain import louvain, sweep_threads, sweep_tolerance
 
 __all__ = [
     "main",
@@ -37,8 +38,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PARAMS = 2
-
-THREADS_ENV = "COMMDET_THREADS"
 
 REPORT_CSV_COLUMNS = ["pass", "iterations", "q", "local_ms", "agg_ms", "vertices"]
 SWEEP_STAT_COLUMNS = ["final_q", "passes", "total_iterations", "wall_time_ms"]
@@ -164,29 +163,8 @@ def _load(args: argparse.Namespace) -> Graph:
             add_self_loops=args.add_self_loops is not None,
             default_weight=args.add_self_loops if args.add_self_loops is not None else 1.0,
         )
-    except (GraphParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise _Failed(EXIT_INPUT, exc) from exc
-
-
-def _make_config(args: argparse.Namespace) -> Config:
-    """The run's Config.  The thread count is --threads, else
-    COMMDET_THREADS, else 1; Config rejects sync above one thread."""
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get(THREADS_ENV, "1")
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    return Config(
-        tolerance_initial=args.tolerance,
-        tolerance_decline_factor=args.decline_factor,
-        pass_tolerance=args.pass_tolerance,
-        max_passes=args.max_passes,
-        max_iterations_per_pass=args.max_iterations,
-        mode=args.mode,
-        threads=threads,
-    )
 
 
 def _check_output(path: str) -> None:
@@ -207,12 +185,20 @@ def _check_output(path: str) -> None:
 def _prepare(
     args: argparse.Namespace, outputs: list[str | None], grid: str | None = None
 ) -> tuple[Config, list[float], Graph]:
-    """A run's Config, parsed sweep grid and graph.  The grid, the flags and
-    the given output paths (empty or None where absent) are checked before
-    the graph loads: a bad one exits 2, a bad input 1."""
+    """A run's Config, made from the flags alone, parsed sweep grid and graph.
+    The grid, the flags and the given output paths (empty or None where absent)
+    are checked before the graph loads: a bad one exits 2, a bad input 1."""
     try:
         values = [] if grid is None else parse_grid(grid)
-        cfg = _make_config(args)
+        cfg = Config(
+            tolerance_initial=args.tolerance,
+            tolerance_decline_factor=args.decline_factor,
+            pass_tolerance=args.pass_tolerance,
+            max_passes=args.max_passes,
+            max_iterations_per_pass=args.max_iterations,
+            mode=args.mode,
+            threads=args.threads,
+        )
         for path in filter(None, outputs):
             _check_output(path)
     except ValueError as exc:
@@ -311,19 +297,19 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
                    help="insert weight-W self-loops on loop-free vertices (W defaults to 1)")
     p.add_argument("--no-symmetrize", action="store_true",
                    help="input already stores both arc directions")
+    # stats ignores it: the benchmark passes --mode to every command
+    p.add_argument("--mode", choices=MODES, default=Config.mode)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    """Engine and report flags of detect and sweep."""
-    p.add_argument("--mode", choices=["async", "sync"], default="async")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"thread count; 1 is the plain sequential sweep (env {THREADS_ENV} "
-                        "applies when absent)")
-    p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--decline-factor", type=float, default=10.0)
-    p.add_argument("--pass-tolerance", type=float, default=0.0)
-    p.add_argument("--max-passes", type=int, default=20)
-    p.add_argument("--max-iterations", type=int, default=500)
+    """Engine and report flags of detect and sweep; each default is Config's."""
+    p.add_argument("--threads", type=int, default=Config.threads,
+                   help="thread count (default %(default)s); 1 is the plain sequential sweep")
+    p.add_argument("--tolerance", type=float, default=Config.tolerance_initial)
+    p.add_argument("--decline-factor", type=float, default=Config.tolerance_decline_factor)
+    p.add_argument("--pass-tolerance", type=float, default=Config.pass_tolerance)
+    p.add_argument("--max-passes", type=int, default=Config.max_passes)
+    p.add_argument("--max-iterations", type=int, default=Config.max_iterations_per_pass)
     p.add_argument("--out-report", default=None)
     p.add_argument("--report-format", choices=["csv", "json"], default="csv")
 
@@ -348,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="print graph statistics")
     _add_input_options(p_stats)
-    # read by nothing: the benchmark passes --mode to every command
-    p_stats.add_argument("--mode", choices=["async", "sync"], default="async")
     p_stats.set_defaults(run=cmd_stats)
 
     p_gen = sub.add_parser("gen", help="generate a fixture graph")

@@ -491,11 +491,10 @@ def _build(
     bits once the symmetry check passes, so coarse graphs sum equal
     weights both ways.  After the count pass, a run of any source that
     the RUN_BYTES_* estimate puts above the smaller of physical memory
-    and the cgroup limit is refused (_check_fits) with the message a
-    MemoryError gets, before any n-length array or placement.
+    and the cgroup limit is refused (_check_fits), before any n-length
+    array or placement; a MemoryError is refused as a ValueError too.
     """
     source = held.pop()
-    n = source.n
     try:
         rows = _RowCounts(symmetrize, add_self_loops)
         for pairs, ws in source.blocks():
@@ -531,7 +530,7 @@ def _build(
             weights.resize(at, refcheck=False)
         return _finish_graph(n, counts, targets, weights, mirror=not symmetrize)
     except MemoryError as exc:
-        raise ValueError(f"a graph with {n} vertices does not fit in memory: {exc}") from exc
+        raise ValueError(f"the graph does not fit in memory: {exc}") from exc
 
 
 def _check_loop_weight(add_self_loops: bool, default_weight: float) -> None:

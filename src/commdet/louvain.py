@@ -121,8 +121,8 @@ class PassStats:
     q_after: float
     local_ms: float
     agg_ms: float
-    # per iteration, the moves whose target community's mass changed
-    # between the scan and the locked write; zero unless threads > 1
+    # per iteration, the moves whose target's mass changed between picking
+    # them (after the scan) and their locked write; zero unless threads > 1
     conflicts: list[int]
 
 
@@ -190,6 +190,7 @@ def _sweep_range(
     write and two sigma_tot adjustments run as one block under lock, the
     threaded engine's mutex, or by default one shared nullcontext, so one
     thread runs the same lines and, with no other writer, counts no conflict.
+    Only a change to the target's mass after best_move returns is counted.
     Returns (summed gain, move count, conflict count).
     """
     gain = 0.0
@@ -393,8 +394,8 @@ def local_moving(
     g: Graph,
     labels: np.ndarray,
     tolerance: float,
-    mode: str = "async",
-    max_iterations: int = 500,
+    mode: str = Config.mode,
+    max_iterations: int = Config.max_iterations_per_pass,
 ) -> tuple[int, float, int]:
     """Run the single-threaded local-moving phase until an iteration gains
     <= tolerance.

@@ -21,7 +21,7 @@ from commdet.cli import (
     write_report_json,
 )
 from commdet.community import read_membership
-from commdet.fixtures import cliques, gnp_graph, random_gnp
+from commdet.fixtures import cliques, gnp_graph, random_gnp, ring_of_cliques
 from commdet.graph import (
     GraphParseError,
     load_graph_file,
@@ -72,6 +72,10 @@ def test_geometric_grid_ascending_threads():
 def test_geometric_grid_rejects_non_finite_values(start, stop, factor, message):
     with pytest.raises(ValueError, match=message):
         geometric_grid(start, stop, factor)
+
+
+def test_geometric_grid_of_equal_endpoints_is_one_cell():
+    assert geometric_grid(0.5, 0.5, 10) == [0.5]
 
 
 def test_geometric_grid_rejects_more_cells_than_the_cap():
@@ -412,6 +416,28 @@ def test_a_pipe_that_crosses_the_budget_while_counted_exits_1(tmp_path, capsys, 
     assert (code, capsys.readouterr().err) == (1, f"error: {CROSSING_REFUSAL}\n")
 
 
+def test_a_memory_error_in_the_count_pass_is_refused_without_a_vertex_count(
+    tmp_path, capsys, monkeypatch
+):
+    """A file's source has no n until its count pass ends, so the refusal
+    of a MemoryError raised in that pass names no vertex count."""
+    def refuse(self, pairs, ws):
+        raise MemoryError("Unable to allocate 9 GiB")
+
+    monkeypatch.setattr(commdet.graph._RowCounts, "add", refuse)
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n")
+    edges = commdet.graph.EdgeList(3, np.array([[0, 1], [1, 2]]), np.ones(2))
+    for build in (lambda: load_graph_file(str(path)), lambda: commdet.graph.build_graph(edges)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "the graph does not fit in memory: Unable to allocate 9 GiB"
+    assert main(["stats", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the graph does not fit in memory: Unable to allocate 9 GiB\n"
+    )
+
+
 @pytest.mark.parametrize("v2, v1, limit", [
     ("max\n", "1073741824\n", None),
     (None, "9223372036854771712\n", None),
@@ -474,40 +500,29 @@ def test_detect_threads1_matches_sequential_membership(triangle_file, tmp_path, 
     assert open(m_seq).read() == open(m_par).read()
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["detect", "--mode", "sync", "--threads", "1"], {}),
-    (["detect", "--mode", "sync"], {"COMMDET_THREADS": "1"}),
-], ids=["flag", "env"])
-def test_detect_sync_on_one_thread_matches_sync_membership(argv, env, tmp_path, capsys,
-                                                           monkeypatch):
+def test_detect_sync_on_one_thread_matches_sync_membership(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     save_edgelist(random_gnp(80, 0.08, seed=3), str(graph))
     m_sync, m_one = str(tmp_path / "sync.txt"), str(tmp_path / "one.txt")
     assert main(["detect", "--input", str(graph), "--mode", "sync",
                  "--out-membership", m_sync]) == 0
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
-    assert main([*argv, "--input", str(graph), "--out-membership", m_one]) == 0
+    assert main(["detect", "--mode", "sync", "--threads", "1", "--input", str(graph),
+                 "--out-membership", m_one]) == 0
     capsys.readouterr()
     assert open(m_one, "rb").read() == open(m_sync, "rb").read()
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["detect", "--threads", "2"], {}),
-    (["detect"], {"COMMDET_THREADS": "2"}),
-    (["sweep", "tolerance", "--grid", "0.1", "--threads", "2"], {}),
-    (["sweep", "decline", "--grid", "10"], {"COMMDET_THREADS": "2"}),
-    (["sweep", "threads", "--grid", "1,2"], {}),
-], ids=["detect-flag", "detect-env", "tolerance-flag", "decline-env", "threads-grid"])
-def test_sync_above_one_thread_exits_2_before_any_run(argv, env, triangle_file, capsys,
-                                                      monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["detect", "--threads", "2"],
+    ["sweep", "tolerance", "--grid", "0.1", "--threads", "2"],
+    ["sweep", "threads", "--grid", "1,2"],
+], ids=["detect-flag", "tolerance-flag", "threads-grid"])
+def test_sync_above_one_thread_exits_2_before_any_run(argv, triangle_file, capsys, monkeypatch):
     runs = []
     monkeypatch.setattr(sys.modules["commdet.louvain"], "louvain",
                         lambda *args: runs.append(args))
     monkeypatch.setattr(sys.modules["commdet.cli"], "louvain",
                         lambda *args: runs.append(args))
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     assert main([*argv, "--mode", "sync", "--input", triangle_file]) == 2
     assert capsys.readouterr().err == "error: the threaded engine only supports async mode\n"
     assert runs == []
@@ -521,25 +536,6 @@ def test_detect_deterministic_membership_bytes(tmp_path, capsys):
     assert main(["detect", "--input", str(graph), "--out-membership", m2]) == 0
     capsys.readouterr()
     assert open(m1, "rb").read() == open(m2, "rb").read()
-
-
-def test_detect_env_threads_used_when_flag_absent(triangle_file, tmp_path, capsys, monkeypatch):
-    rep = str(tmp_path / "rep.json")
-    monkeypatch.setenv("COMMDET_THREADS", "3")
-    assert main(["detect", "--input", triangle_file, "--out-report", rep,
-                 "--report-format", "json"]) == 0
-    assert _read_json(rep)["totals"]["threads"] == 3
-    # explicit flag wins over the environment
-    monkeypatch.setenv("COMMDET_THREADS", "5")
-    assert main(["detect", "--input", triangle_file, "--threads", "2",
-                 "--out-report", rep, "--report-format", "json"]) == 0
-    assert _read_json(rep)["totals"]["threads"] == 2
-    capsys.readouterr()
-
-
-def test_detect_bad_env_threads_exits_2(triangle_file, capsys, monkeypatch):
-    monkeypatch.setenv("COMMDET_THREADS", "lots")
-    assert main(["detect", "--input", triangle_file]) == 2
 
 
 def test_detect_max_iterations_truncates(triangle_file, tmp_path, capsys):
@@ -712,22 +708,36 @@ def test_sweep_invalid_cell_exits_2_before_any_run(kind, grid, message, triangle
 
 
 @pytest.mark.parametrize("kind, grid", [("tolerance", "0.1,0.01"), ("decline", "10,100")])
-@pytest.mark.parametrize("flags, env", [
-    (["--threads", "2"], {}),
-    ([], {"COMMDET_THREADS": "2"}),
-    (["--threads", "2"], {"COMMDET_THREADS": "3"}),
-], ids=["flag", "env", "flag-over-env"])
-def test_sweep_tolerance_and_decline_take_the_thread_count(kind, grid, flags, env, triangle_file,
-                                                           capsys, monkeypatch):
+@pytest.mark.parametrize("flags, want", [(["--threads", "2"], 2), ([], 1)],
+                         ids=["flag", "default"])
+def test_sweep_tolerance_and_decline_take_the_thread_count(kind, grid, flags, want,
+                                                           triangle_file, capsys, monkeypatch):
     louvain_mod = sys.modules["commdet.louvain"]
     real, threads = louvain_mod.louvain, []
     monkeypatch.setattr(louvain_mod, "louvain",
                         lambda g, cfg: threads.append(cfg.threads) or real(g, cfg))
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     assert main(["sweep", kind, "--grid", grid, "--input", triangle_file, *flags]) == 0
     capsys.readouterr()
-    assert threads == [2, 2]
+    assert threads == [want, want]
+
+
+@pytest.mark.parametrize("value", ["3", "lots"])
+def test_the_environment_sets_no_thread_count(value, tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.txt"
+    save_edgelist(random_gnp(80, 0.08, seed=3), str(graph))
+    rep = str(tmp_path / "rep.json")
+    louvain_mod = sys.modules["commdet.louvain"]
+    real, threads = louvain_mod.louvain, []
+    monkeypatch.setattr(louvain_mod, "louvain",
+                        lambda g, cfg: threads.append(cfg.threads) or real(g, cfg))
+    monkeypatch.setenv("COMMDET_THREADS", value)
+    assert main(["detect", "--input", str(graph), "--out-report", rep,
+                 "--report-format", "json"]) == 0
+    assert _read_json(rep)["totals"]["threads"] == 1
+    assert main(["detect", "--mode", "sync", "--input", str(graph)]) == 0
+    assert main(["sweep", "tolerance", "--grid", "0.1,0.01", "--input", str(graph)]) == 0
+    capsys.readouterr()
+    assert threads == [1, 1]
 
 
 def test_sweep_threads_one_thread_runs_sync(tmp_path, capsys):
@@ -854,6 +864,13 @@ def test_bad_self_loop_weight_exits_2_before_reading_the_input(command, weight, 
     assert "argument --add-self-loops: self-loop weight must be positive and finite" in err
 
 
+def test_a_self_loop_weight_that_is_no_float_exits_2(triangle_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--input", triangle_file, "--add-self-loops", "abc"])
+    assert exc.value.code == 2
+    assert "argument --add-self-loops: invalid float value: 'abc'" in capsys.readouterr().err
+
+
 def _forbid_the_run(monkeypatch):
     """Make loading the graph or running Louvain fail the test."""
     def reached(*args, **kwargs):
@@ -960,8 +977,24 @@ def test_gen_writes_builtin_numbers(tmp_path, capsys):
 
 
 def test_gen_invalid_params_exit_2(tmp_path, capsys):
-    assert main(["gen", "cliques", "--k", "1", "--out", str(tmp_path / "x.txt")]) == 2
-    assert main(["gen", "random", "--p", "1.5", "--out", str(tmp_path / "y.txt")]) == 2
+    out = tmp_path / "g.txt"
+    for argv, message in [
+        (["cliques", "--k", "1"], "clique size must be >= 2"),
+        (["cliques", "--count", "0"], "clique count must be >= 1"),
+        (["cliques", "--k", "5", "--bridges", "6"], "bridges must lie in [0, k]"),
+        (["random", "--n", "0"], "n must be >= 1"),
+        (["random", "--p", "1.5"], "p must lie in [0, 1]"),
+    ]:
+        assert main(["gen", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_ring_of_one_clique_is_the_clique():
+    ring, clique = ring_of_cliques(4, 1), cliques(4, 1)
+    assert ring.n == clique.n
+    assert ring.entries.tolist() == clique.entries.tolist()
+    assert ring.weights.tolist() == clique.weights.tolist()
 
 
 @pytest.mark.parametrize("argv", [["random", "--n", "200000"],

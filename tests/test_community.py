@@ -20,7 +20,7 @@ from commdet.community import (
     write_membership,
 )
 from commdet.fixtures import gnp_graph
-from commdet.graph import ARC_CHUNK, EdgeList, build_graph
+from commdet.graph import ARC_CHUNK, EdgeList, Graph, build_graph
 from commdet.louvain import aggregate_graph, local_moving
 
 from conftest import (
@@ -140,6 +140,15 @@ def test_relabel_in_place_equals_the_dict_loop_oracle():
         want, count = dict_normalize_labels(labels)
         assert _relabel(labels) == count
         assert labels.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("score", [modularity, modularity_bruteforce])
+def test_modularity_of_a_zero_total_graph_is_refused(score):
+    empty = np.zeros(0)
+    g = Graph(2, np.zeros(3, dtype=np.int64), empty.astype(np.int32), empty, np.zeros(2), 0.0)
+    with pytest.raises(ValueError) as info:
+        score(g, np.zeros(2, dtype=np.int64))
+    assert str(info.value) == "modularity undefined for zero-total graph"
 
 
 def test_modularity_rejects_bad_labels(triangles):
@@ -455,6 +464,18 @@ def test_membership_rejects_gaps(tmp_path):
     path.write_text("0 0\n2 1\n")
     with pytest.raises(ValueError, match="0..n-1"):
         read_membership(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0\n1 1 1\n", "line 2: expected 'vertex community'"),
+    ("# only\n\n# comments\n", "empty membership file"),
+])
+def test_membership_refusals_name_their_fault(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_membership(str(path))
+    assert str(info.value) == message
 
 
 def test_membership_rejects_duplicates(tmp_path):

@@ -255,3 +255,31 @@ def test_every_block_carries_its_weights_and_no_message_quotes_a_whole_line():
              and n.conversion == ord("r") and isinstance(n.value, ast.Name)
              and n.value.id in ("line", "stripped")]
     assert whole == []
+
+
+RUN_FLAGS = ["--threads", "--tolerance", "--decline-factor", "--pass-tolerance",
+             "--max-passes", "--max-iterations", "--mode"]
+
+
+def test_run_settings_come_from_the_command_line_and_their_defaults_from_config():
+    """No module reads the environment; cli.py declares --mode once, with
+    louvain.MODES as its choices; and every run flag's default, like each
+    of local_moving's, is an attribute of Config, where it is stated once."""
+    environ = []
+    for path in sorted((ROOT / "src" / "commdet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in ("os.environ", "os.getenv"):
+                environ.append(f"{path.stem}:{node.lineno}")
+    assert environ == []
+    flags = {}
+    for node in ast.walk(_tree("cli")):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument" and node.args
+                and isinstance(node.args[0], ast.Constant)):
+            keywords = {k.arg: ast.unparse(k.value) for k in node.keywords}
+            flags.setdefault(node.args[0].value, []).append(keywords)
+    assert len(flags["--mode"]) == 1 and flags["--mode"][0]["choices"] == "MODES"
+    defaults = {flag: [kw.get("default", "") for kw in flags[flag]] for flag in RUN_FLAGS}
+    assert all(len(d) == 1 and d[0].startswith("Config.") for d in defaults.values()), defaults
+    local = _function("louvain", "local_moving").args.defaults
+    assert local and all(ast.unparse(d).startswith("Config.") for d in local)
