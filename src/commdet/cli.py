@@ -55,7 +55,8 @@ def _pass_row(p: PassStats) -> dict:
 
 def _sweep_row(r: SweepResult) -> dict:
     """One sweep cell: its parameters, then SWEEP_STAT_COLUMNS."""
-    values = (r.final_q, r.passes, r.total_iterations, r.wall_ms)
+    rep = r.report
+    values = (rep.final_q, rep.n_passes, rep.total_iterations, rep.wall_ms)
     return {**r.params, **dict(zip(SWEEP_STAT_COLUMNS, values))}
 
 

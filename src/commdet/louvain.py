@@ -7,8 +7,8 @@ move against the iteration-start state and apply the non-conflicting
 local maxima together at the end (Jacobi style);
 applied-together moves may realize less than the sum of their
 decision-time gains, so modularity is always recomputed exactly between
-passes.  With ``Config.threads`` above one, an asynchronous sweep is split
-into contiguous vertex chunks that worker threads race over one shared
+passes.  With ``Config.threads`` T above one, worker w of an asynchronous
+sweep moves ids w, w + T, w + 2T, ..., racing the others over one shared
 label array and one shared community-mass array: reads are unsynchronized
 (a reader may see a stale label or mass), and each accepted move applies
 its label write and its two mass adjustments as one block under a mutex,
@@ -73,15 +73,18 @@ TOLERANCE_FLOOR = 1e-16
 MODES = ("async", "sync")
 
 # GIL preemption slice used while worker threads are live; the default 5 ms
-# slice would let a desk-scale chunk sweep finish without ever yielding,
+# slice would let a desk-scale share finish without ever yielding,
 # hiding exactly the read/write contention the threaded sweep exists to study
 WORKER_SWITCH_INTERVAL = 5e-6
+
+# each requested thread is a live worker on a graph of as many vertices
+MAX_THREADS = 64
 
 
 @dataclass
 class Config:
-    """Run parameters.  threads > 1 runs the threaded async sweep over
-    chunk_size-vertex chunks; each check is written so NaN fails it."""
+    """Run parameters.  threads > 1 runs the threaded async sweep, worker w
+    moving ids w, w + threads, ...; each check is written so NaN fails it."""
 
     tolerance_initial: float = 0.01
     tolerance_decline_factor: float = 10.0
@@ -90,7 +93,6 @@ class Config:
     max_iterations_per_pass: int = 500
     mode: str = "async"
     threads: int = 1
-    chunk_size: int = 1024
 
     def __post_init__(self) -> None:
         if not self.tolerance_initial > 0:
@@ -102,11 +104,13 @@ class Config:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         # the counts feed range(), so integral floats become int
-        for name in ("max_passes", "max_iterations_per_pass", "threads", "chunk_size"):
+        for name in ("max_passes", "max_iterations_per_pass", "threads"):
             value = getattr(self, name)
             if not (value >= 1 and float(value).is_integer()):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
             setattr(self, name, int(value))
+        if self.threads > MAX_THREADS:
+            raise ValueError(f"threads must be at most {MAX_THREADS}, got {self.threads}")
         if self.threads > 1 and self.mode != "async":
             raise ValueError("the threaded engine only supports async mode")
 
@@ -173,8 +177,7 @@ def best_move(
 
 
 def _sweep_range(
-    lo_v: int,
-    hi_v: int,
+    ids: range,
     offs: Sequence[int],
     tgt: Sequence[int],
     wts: Sequence[float],
@@ -184,7 +187,7 @@ def _sweep_range(
     m: float,
     lock=nullcontext(),
 ) -> tuple[float, int, int]:
-    """Greedy move sweep over vertices [lo_v, hi_v) in ascending id order.
+    """Greedy move sweep over the vertices of ids, in its order.
 
     labs and sigma_tot are updated in place: each accepted move's label
     write and two sigma_tot adjustments run as one block under lock, the
@@ -196,7 +199,7 @@ def _sweep_range(
     gain = 0.0
     moves = 0
     conflicts = 0
-    for u in range(lo_v, hi_v):
+    for u in ids:
         own = labs[u]
         k_u = degs[u]
         to_c, dq = best_move(scan_arcs(u, offs, tgt, wts, labs), sigma_tot, k_u, own, m)
@@ -214,23 +217,23 @@ def _sweep_range(
 
 
 def _threaded_sweep(pool: ThreadPoolExecutor, shares, lock, *state) -> tuple[float, int, int]:
-    """One threaded iteration: worker w runs _sweep_range over each chunk of
-    shares[w] in order, every move under lock; the chunks' gains, moves and
+    """One threaded iteration: worker w runs _sweep_range over the ids of
+    shares[w], every move under lock; the workers' gains, moves and
     conflicts are summed in worker order.  The workers start together once
     the last share is submitted, so none sweeps alone while the pool is
     still starting the others."""
     go = threading.Event()
 
-    def work(chunks):
+    def work(ids):
         go.wait()
-        return [_sweep_range(lo, hi, *state, lock) for lo, hi in chunks]
+        return _sweep_range(ids, *state, lock)
 
     try:
-        futures = [pool.submit(work, chunks) for chunks in shares]
+        futures = [pool.submit(work, ids) for ids in shares]
     finally:
         # a submit that raises must not leave the started workers waiting
         go.set()
-    gains, moves, conflicts = zip(*(row for f in futures for row in f.result()))
+    gains, moves, conflicts = zip(*(f.result() for f in futures))
     return sum(gains), sum(moves), sum(conflicts)
 
 
@@ -323,8 +326,8 @@ def _move_phase(
     iteration gains <= tolerance or cfg.max_iterations_per_pass is hit.
 
     Sync sweeps with _sync_iteration, one async thread with the mutex-free
-    _sweep_range.  More threads split the ids into cfg.chunk_size chunks:
-    worker w owns chunks w, w + threads, ..., so only it moves their
+    _sweep_range over every id in order.  More threads T stride the ids:
+    worker w of min(T, n) owns range(w, n, T), so only it moves those
     vertices; _threaded_phase holds their pool and switch interval for
     the phase, and a nullcontext yields the other sweeps.  A sweep(offs,
     tgt, wts, degs, labs, sigma_tot, m) returns (gain, moves, conflicts).
@@ -348,12 +351,10 @@ def _move_phase(
     if cfg.mode == "sync":
         phase = nullcontext(_sync_iteration)
     elif cfg.threads == 1:
-        phase = nullcontext(partial(_sweep_range, 0, g.n))
+        phase = nullcontext(partial(_sweep_range, range(g.n)))
     else:
-        bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
-        # a worker past the chunk count would own no chunk, so none is started
-        workers = min(cfg.threads, len(bounds))
-        phase = _threaded_phase([bounds[w :: cfg.threads] for w in range(workers)])
+        # a worker past the vertex count would own no id, so none is started
+        phase = _threaded_phase([range(w, g.n, cfg.threads) for w in range(min(cfg.threads, g.n))])
     iterations, total_gain, total_moves, conflicts = 0, 0.0, 0, []
     with phase as sweep:
         while True:
@@ -509,26 +510,16 @@ def louvain(g: Graph, cfg: Config | None = None) -> tuple[Dendrogram, Report]:
 
 @dataclass
 class SweepResult:
-    """One grid cell of a parameter sweep."""
+    """One grid cell of a parameter sweep: its parameters and its run's report."""
 
     params: dict
-    final_q: float
-    passes: int
-    total_iterations: int
-    wall_ms: float
     report: Report
 
 
 def _sweep(g: Graph, cells: list[tuple[dict, Config]]) -> list[SweepResult]:
     """One louvain(g, cfg) per (params, cfg) cell, in order.  The cells
     are a list, so every cell's Config is valid before the first run."""
-    out: list[SweepResult] = []
-    for params, cfg in cells:
-        _, rep = louvain(g, cfg)
-        out.append(SweepResult(params=params, final_q=rep.final_q, passes=rep.n_passes,
-                               total_iterations=rep.total_iterations, wall_ms=rep.wall_ms,
-                               report=rep))
-    return out
+    return [SweepResult(params, louvain(g, cfg)[1]) for params, cfg in cells]
 
 
 def sweep_tolerance(

@@ -426,14 +426,13 @@ def list_move_loop(g: Graph, labels: np.ndarray, tolerance: float, max_iteration
 
 def list_move_phase(g: Graph, labels: np.ndarray, tolerance: float, cfg: Config) -> tuple:
     """_move_phase on list_move_loop.  More than one thread runs the
-    package's threaded sweep over the same chunk shares on an InlinePool."""
+    package's threaded sweep over the same strided shares on an InlinePool."""
     if cfg.mode == "sync":
         sweep = list_sync_iteration
     elif cfg.threads == 1:
-        sweep = partial(_sweep_range, 0, g.n)
+        sweep = partial(_sweep_range, range(g.n))
     else:
-        bounds = [(lo, min(lo + cfg.chunk_size, g.n)) for lo in range(0, g.n, cfg.chunk_size)]
-        shares = [bounds[w :: cfg.threads] for w in range(min(cfg.threads, len(bounds)))]
+        shares = [range(w, g.n, cfg.threads) for w in range(min(cfg.threads, g.n))]
         sweep = partial(_threaded_sweep, InlinePool(), shares, threading.Lock())
     return list_move_loop(g, labels, tolerance, cfg.max_iterations_per_pass, sweep)
 

@@ -201,14 +201,16 @@ def test_c8_threshold_scaling():
     it_fast, it_slow = [], []
     for name, g in fixture_suite():
         rows = sweep_tolerance(g, initial_grid, [10.0, 1e4])
-        best = max(r.final_q for r in rows)
+        best = max(r.report.final_q for r in rows)
         q_ref = next(
-            r.final_q for r in rows
+            r.report.final_q for r in rows
             if r.params["tolerance"] == 0.01 and r.params["decline_factor"] == 10.0
         )
         assert q_ref >= best - 0.01, f"{name}: Q(0.01,10)={q_ref} vs best {best}"
-        it_fast += [r.total_iterations for r in rows if r.params["decline_factor"] == 10.0]
-        it_slow += [r.total_iterations for r in rows if r.params["decline_factor"] == 1e4]
+        it_fast += [r.report.total_iterations for r in rows
+                    if r.params["decline_factor"] == 10.0]
+        it_slow += [r.report.total_iterations for r in rows
+                    if r.params["decline_factor"] == 1e4]
     mean_fast = float(np.mean(it_fast))
     mean_slow = float(np.mean(it_slow))
     assert mean_slow >= mean_fast
@@ -236,7 +238,7 @@ def test_c9_parallel_correctness():
         g = sbm_graph(16, 25, 0.30, 0.004, seed=700 + seed)
         _, r_seq = louvain(g, Config())
         for threads in (2, 4, 8):
-            d, rep = parallel_louvain(g, ParallelConfig(threads=threads, chunk_size=16))
+            d, rep = parallel_louvain(g, ParallelConfig(threads=threads))
             dq = abs(rep.final_q - r_seq.final_q)
             worst_dq = max(worst_dq, dq)
             assert dq <= 0.02
@@ -252,8 +254,8 @@ def test_c10_parallel_iteration_inflation():
     i1, i8 = [], []
     for seed in range(20):
         g = gnp_graph(500, 0.02, seed=800 + seed)
-        _, r1 = parallel_louvain(g, ParallelConfig(threads=1, chunk_size=8))
-        _, r8 = parallel_louvain(g, ParallelConfig(threads=8, chunk_size=8))
+        _, r1 = parallel_louvain(g, ParallelConfig(threads=1))
+        _, r8 = parallel_louvain(g, ParallelConfig(threads=8))
         i1.append(r1.total_iterations)
         i8.append(r8.total_iterations)
     mean1, mean8 = float(np.mean(i1)), float(np.mean(i8))

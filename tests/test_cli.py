@@ -609,7 +609,7 @@ def test_report_csv_round_trip(tmp_path):
 
 def test_report_json_round_trip(tmp_path):
     g = gnp_graph(60, 0.1, seed=4)
-    _, rep = louvain(g, Config(threads=2, chunk_size=8))
+    _, rep = louvain(g, Config(threads=2))
     path = str(tmp_path / "report.json")
     write_report_json(path, rep)
     back = _read_json(path)
@@ -693,6 +693,7 @@ def test_sweep_decline_kind(triangle_file, tmp_path, capsys):
     ("decline", "10,0.5", "tolerance_decline_factor must be >= 1"),
     ("threads", "1,0", "threads must be an integer >= 1, got 0.0"),
     ("threads", "1.7", "threads must be an integer >= 1, got 1.7"),
+    ("threads", "1,65", "threads must be at most 64, got 65"),
 ])
 def test_sweep_invalid_cell_exits_2_before_any_run(kind, grid, message, triangle_file,
                                                     tmp_path, capsys, monkeypatch):
@@ -705,6 +706,20 @@ def test_sweep_invalid_cell_exits_2_before_any_run(kind, grid, message, triangle
     assert capsys.readouterr().err == f"error: {message}\n"
     assert runs == []
     assert not os.path.exists(out)
+
+
+def test_detect_above_max_threads_exits_2_before_the_load(triangle_file, tmp_path, capsys,
+                                                         monkeypatch):
+    loads, runs = [], []
+    cli = sys.modules["commdet.cli"]
+    monkeypatch.setattr(cli, "load_graph_file", lambda *args, **kw: loads.append(args))
+    monkeypatch.setattr(cli, "louvain", lambda *args: runs.append(args))
+    outs = [str(tmp_path / "m.txt"), str(tmp_path / "rep.csv")]
+    assert main(["detect", "--threads", "65", "--input", triangle_file,
+                 "--out-membership", outs[0], "--out-report", outs[1]]) == 2
+    assert capsys.readouterr().err == "error: threads must be at most 64, got 65\n"
+    assert loads == runs == []
+    assert not any(map(os.path.exists, outs))
 
 
 @pytest.mark.parametrize("kind, grid", [("tolerance", "0.1,0.01"), ("decline", "10,100")])
@@ -773,9 +788,9 @@ def test_sweep_json_report_rows(triangle_file, tmp_path, capsys):
                              "total_iterations", "wall_time_ms"]
         assert (row["tolerance"], row["decline_factor"]) == (
             cell.params["tolerance"], cell.params["decline_factor"])
-        assert row["final_q"] == cell.final_q
-        assert row["passes"] == cell.passes
-        assert row["total_iterations"] == cell.total_iterations
+        assert row["final_q"] == cell.report.final_q
+        assert row["passes"] == cell.report.n_passes
+        assert row["total_iterations"] == cell.report.total_iterations
 
 
 def test_sweep_stdout_when_no_report_path(triangle_file, capsys):

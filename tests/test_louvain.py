@@ -66,7 +66,7 @@ def test_config_defaults():
     assert cfg.tolerance_decline_factor == 10.0
     assert cfg.pass_tolerance == 0.0
     assert cfg.mode == "async"
-    assert (cfg.threads, cfg.chunk_size) == (1, 1024)
+    assert cfg.threads == 1
 
 
 @pytest.mark.parametrize(
@@ -86,13 +86,12 @@ def test_config_defaults():
         {"threads": float("nan")},
         {"threads": 1.7},
         {"threads": float("inf")},
-        {"chunk_size": 0},
+        {"threads": 65},
         {"mode": "sync", "threads": 2},
         {"max_passes": 2.5},
         {"max_passes": float("inf")},
         {"max_iterations_per_pass": 2.5},
         {"max_iterations_per_pass": float("nan")},
-        {"threads": 2, "chunk_size": 2.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -101,9 +100,12 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_config_integral_float_threads_become_int():
-    for name in ("max_passes", "max_iterations_per_pass", "threads", "chunk_size"):
+    for name in ("max_passes", "max_iterations_per_pass", "threads"):
         value = getattr(Config(**{name: 2.0}), name)
         assert value == 2 and type(value) is int, name
+    # the cap is checked on the converted count
+    with pytest.raises(ValueError, match=r"^threads must be at most 64, got 65$"):
+        Config(threads=65.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +246,7 @@ def test_local_moving_rejects_a_tolerance_no_gain_can_meet(tolerance):
 
 def _run_engine(engine, g, labels):
     if engine == "threads2":
-        return _move_phase(g, labels, 0.01, Config(threads=2, chunk_size=2))
+        return _move_phase(g, labels, 0.01, Config(threads=2))
     return local_moving(g, labels, 0.01, mode=engine)
 
 
@@ -376,7 +378,7 @@ def test_kernel_inputs_equal_tolist(inline_pool, monkeypatch):
     rng = np.random.default_rng(2)
     cases = _kernel_cases() + [("weighted_chunks", weighted_chunk_graph()), ("unit_view", view)]
     for name, g in cases:
-        engines = [Config(), Config(mode="sync"), Config(threads=2, chunk_size=max(1, g.n // 4))]
+        engines = [Config(), Config(mode="sync"), Config(threads=2)]
         for labels in (singleton_assignment(g.n), rng.integers(g.n, size=g.n)):
             for cfg in engines:
                 run.update(case=(g, labels, (name, cfg)), calls=0)
@@ -388,8 +390,8 @@ def test_kernel_inputs_equal_tolist(inline_pool, monkeypatch):
 ENGINES = [
     ("async", Config()),
     ("sync", Config(mode="sync")),
-    ("threads1", Config(threads=1, chunk_size=7)),
-    ("threads2", Config(threads=2, chunk_size=7)),
+    ("threads1", Config(threads=1)),
+    ("threads2", Config(threads=2)),
 ]
 
 
@@ -622,7 +624,7 @@ def test_louvain_two_triangles():
 
 
 @pytest.mark.parametrize(
-    "cfg", [Config(), Config(mode="sync"), Config(threads=4, chunk_size=16)],
+    "cfg", [Config(), Config(mode="sync"), Config(threads=4)],
     ids=["async", "sync", "threads4"],
 )
 def test_flattened_dendrogram_is_already_normalized(cfg):
@@ -745,9 +747,9 @@ def test_sweep_single_cell_matches_direct_run():
     cfg = Config(tolerance_initial=0.01, tolerance_decline_factor=10.0)
     _, rep = louvain(g, cfg)
     (row,) = sweep_tolerance(g, [0.01], [10.0], cfg)
-    assert row.final_q == rep.final_q
-    assert row.passes == rep.n_passes
-    assert row.total_iterations == rep.total_iterations
+    assert row.report.final_q == rep.final_q
+    assert row.report.n_passes == rep.n_passes
+    assert row.report.total_iterations == rep.total_iterations
 
 
 def test_sweep_rejects_empty_grid():

@@ -18,8 +18,8 @@ LOUVAIN_MODULE = importlib.import_module("commdet.louvain")
 def test_parallel_config_validation():
     with pytest.raises(ValueError, match="threads"):
         Config(threads=0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        Config(chunk_size=0)
+    with pytest.raises(ValueError, match=r"^threads must be at most 64, got 65$"):
+        Config(threads=65)
     with pytest.raises(ValueError, match="tolerance"):
         Config(tolerance_initial=0.0)
 
@@ -56,7 +56,7 @@ def test_single_thread_local_moving_matches_sequential_phase():
 
 
 def test_four_threads_recover_two_triangles():
-    d, rep = louvain(two_triangles(), Config(threads=4, chunk_size=2))
+    d, rep = louvain(two_triangles(), Config(threads=4))
     assert rep.final_q == pytest.approx(0.5, abs=1e-9)
     flat = flatten(d)
     assert flat[0] == flat[1] == flat[2]
@@ -71,7 +71,7 @@ def test_threaded_quality_and_bookkeeping(engine):
     if isinstance(engine, str):
         cfg = Config(mode=engine)
     else:
-        cfg = Config(threads=engine, chunk_size=16)
+        cfg = Config(threads=engine)
     for seed in range(4):
         g = sbm_graph(16, 20, 0.35, 0.005, seed=seed)
         _, r_seq = louvain(g, Config())
@@ -94,7 +94,7 @@ def test_parallel_iteration_cap_respected():
     g = gnp_graph(80, 0.1, seed=6)
     labels = singleton_assignment(g.n)
     iters, _, _, _, _ = _move_phase(
-        g, labels, 1e-12, Config(threads=4, chunk_size=8, max_iterations_per_pass=2)
+        g, labels, 1e-12, Config(threads=4, max_iterations_per_pass=2)
     )
     assert iters == 2
 
@@ -102,11 +102,11 @@ def test_parallel_iteration_cap_respected():
 def test_sweep_threads_rows_and_single_thread_row():
     g = sbm_graph(16, 20, 0.35, 0.005, seed=21)
     _, r_seq = louvain(g, Config())
-    rows = sweep_threads(g, [1, 2, 4], Config(chunk_size=16))
+    rows = sweep_threads(g, [1, 2, 4])
     assert [r.params["threads"] for r in rows] == [1, 2, 4]
-    assert rows[0].final_q == r_seq.final_q
-    assert rows[0].total_iterations == r_seq.total_iterations
-    qs = [r.final_q for r in rows]
+    assert rows[0].report.final_q == r_seq.final_q
+    assert rows[0].report.total_iterations == r_seq.total_iterations
+    qs = [r.report.final_q for r in rows]
     assert max(qs) - min(qs) <= 0.02
 
 
@@ -115,12 +115,13 @@ def test_sweep_threads_rejects_empty():
         sweep_threads(two_triangles(), [])
 
 
-@pytest.mark.parametrize("threads, chunk_size, workers", [
-    (32, 1024, 1),  # one chunk
-    (8, 2, 3),      # three chunks, fewer than the threads
-    (2, 2, 2),      # three chunks, more than the threads
-])
-def test_pool_starts_a_worker_per_nonempty_share(threads, chunk_size, workers, monkeypatch):
+@pytest.mark.parametrize("graph, threads, workers", [
+    (two_triangles, 32, 6),  # more threads than vertices: one worker per vertex
+    (two_triangles, 8, 6),
+    (two_triangles, 2, 2),   # three ids each
+    (lambda: gnp_graph(500, 0.02, seed=800), 8, 8),  # c10's first graph
+], ids=["32-6", "8-6", "2-2", "c10-8-8"])
+def test_pool_starts_a_worker_per_nonempty_share(graph, threads, workers, monkeypatch):
     # a pool that records its size and runs each share in the calling
     # thread, so the test starts no thread at all
     sizes, submits = [], []
@@ -134,12 +135,12 @@ def test_pool_starts_a_worker_per_nonempty_share(threads, chunk_size, workers, m
             return super().submit(fn, *args)
 
     monkeypatch.setattr(sys.modules["commdet.louvain"], "ThreadPoolExecutor", SpyPool)
-    g = two_triangles()
-    cfg = Config(threads=threads, chunk_size=chunk_size)
-    iterations = _move_phase(g, singleton_assignment(g.n), 0.01, cfg)[0]
+    g = graph()
+    iterations = _move_phase(g, singleton_assignment(g.n), 0.01, Config(threads=threads))[0]
     assert sizes == [workers]
     assert len(submits) == workers * iterations
-    assert all(chunks for (chunks,) in submits)
+    # worker w sweeps every threads-th id from w
+    assert [ids for (ids,) in submits[:workers]] == [range(w, g.n, threads) for w in range(workers)]
 
 
 def test_threaded_phases_take_turns_and_restore_switch_interval(monkeypatch):
@@ -169,7 +170,7 @@ def test_threaded_phases_take_turns_and_restore_switch_interval(monkeypatch):
 
     def run():
         try:
-            _move_phase(g, singleton_assignment(g.n), 0.01, Config(threads=2, chunk_size=8))
+            _move_phase(g, singleton_assignment(g.n), 0.01, Config(threads=2))
         except Exception as exc:  # surfaced in the main thread below
             errors.append(exc)
 
@@ -207,7 +208,7 @@ def test_no_worker_begins_its_share_before_the_last_submit(monkeypatch):
     monkeypatch.setattr(LOUVAIN_MODULE, "_sweep_range", spy_range)
     g = sbm_graph(8, 40, 0.3, 0.01, seed=5)
     iterations = _move_phase(g, singleton_assignment(g.n), 0.01,
-                             Config(threads=4, chunk_size=32))[0]
+                             Config(threads=4))[0]
     assert events.count("submit") == 4 * iterations
     submitted = 0
     for event in events:

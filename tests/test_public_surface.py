@@ -283,3 +283,28 @@ def test_run_settings_come_from_the_command_line_and_their_defaults_from_config(
     assert all(len(d) == 1 and d[0].startswith("Config.") for d in defaults.values()), defaults
     local = _function("louvain", "local_moving").args.defaults
     assert local and all(ast.unparse(d).startswith("Config.") for d in local)
+
+
+RUN_SETTINGS = ("tolerance_initial", "tolerance_decline_factor", "pass_tolerance", "max_passes",
+                "max_iterations_per_pass", "mode", "threads")
+
+
+def _fields(module: str, cls: str) -> tuple[str, ...]:
+    klass = next(node for node in _tree(module).body
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    return tuple(s.target.id for s in klass.body if isinstance(s, ast.AnnAssign))
+
+
+def test_threads_stride_the_ids_and_a_sweep_cell_is_its_report():
+    """Config holds the seven run settings and checks threads against
+    MAX_THREADS; no chunk size is left in commdet, as worker w of T
+    sweeps range(w, n, T) and _sweep_range takes those ids first; and a
+    SweepResult is its parameters and its report, with no copy of either."""
+    assert _fields("louvain", "Config") == RUN_SETTINGS
+    assert _fields("louvain", "SweepResult") == ("params", "report")
+    chunk = [p.stem for p in sorted((ROOT / "src" / "commdet").glob("*.py"))
+             if "chunk_size" in p.read_text(encoding="utf-8")]
+    assert chunk == []
+    assert _function("louvain", "_sweep_range").args.args[0].arg == "ids"
+    post_init = _method("louvain", "Config", "__post_init__")
+    assert "MAX_THREADS" in {n.id for n in ast.walk(post_init) if isinstance(n, ast.Name)}
